@@ -8,12 +8,13 @@ real-exponent powers, the natural logarithm, the exponential, and composition
 with a one-variable outer function supplied through its first two
 derivatives.
 
+The document families get their derivatives from the batched kernel in
+:mod:`prodgeo.families`; jets now serve ``custom`` composites, carry the
+kernel's one-point results, and give the tests an independent oracle.
+
 Hessians are assembled from symmetric building blocks only (scaled symmetric
 matrices and symmetrized outer products), which keeps ``hessian[i, j] ==
 hessian[j, i]`` exact, not merely within tolerance.
-
-Everything here is pure and allocation-local; jets are safe to use from any
-number of threads.
 """
 
 from __future__ import annotations
@@ -159,12 +160,8 @@ def lift_variable(index: int, value: float, n: int) -> Jet2:
 
 
 def evaluate_jet(expr, point) -> Jet2:
-    """Evaluate a function expression at ``point``, returning the jet.
-
-    ``expr`` is any object with a ``jet(point)`` method built from the jet
-    operation set (the parametric families in :mod:`prodgeo.families` all
-    qualify).  The result carries the exact value, gradient, and symmetric
-    Hessian.
+    """The exact value, gradient and symmetric Hessian of ``expr`` at
+    ``point``, as a jet (``expr`` is anything with a ``jet(point)`` method).
     """
     return expr.jet(point)
 

@@ -6,8 +6,7 @@ per-axis box (--box, "lo:hi" entries), and emits one report to stdout as
 JSON (default) or CSV.  Reports carry the tool version, the sha256 digest of
 the function document, the seed, and every tolerance in effect, and identical
 configurations produce byte-identical output: floats are printed with 17
-significant digits, JSON keys are sorted, and scan rows are assembled in grid
-order no matter how many workers computed them.
+significant digits, JSON keys are sorted, and scan rows come in grid order.
 
 Exit status: 0 on success, 1 when the request itself is invalid (unreadable
 or malformed document, bad flags, wrong arity), 2 when the mathematics
@@ -22,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +31,11 @@ from .classify import (
     verify_theorem_42,
 )
 from .elasticity import (
-    _hicks_from_jet, detect_ces, hicks_elasticity, pairwise_elasticities,
+    detect_ces, hicks_elasticity, hicks_values, pairwise_elasticities,
 )
 from .errors import DomainError, SpecError
 from .families import default_box, expr_from_dict, validate_box
-from .geometry import _geometry_from_jet, graph_geometry
+from .geometry import graph_geometry, surface_curvatures
 from .sampling import grid_shape, log_grid
 
 TOOL = "prodgeo"
@@ -170,8 +168,10 @@ def _render(config: RunConfig, env: dict) -> str:
     report = env["report"]
     if config.command == "scan":
         lines.append(",".join(report["columns"]))
-        for row in report["rows"]:
-            lines.append(",".join(_cell(v) for v in row["cells"]))
+        # Every scan cell is a float, which never needs CSV quoting, and
+        # "{:.17g}" prints inf, -inf and nan exactly as _float_text does.
+        row_format = ",".join(["{:.17g}"] * len(report["columns"]))
+        lines.extend(row_format.format(*row["cells"]) for row in report["rows"])
     else:
         lines.append("key,value")
         flat: list = []
@@ -260,28 +260,20 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
     grid = log_grid(box, config.samples)
     pair = config.pair if config.pair is not None else (0, 1)
     i, j = _check_pair(pair, expr.n)
-    h_name = f"H{i + 1}{j + 1}"
-
-    def one_row(x):
-        jet = expr.jet(x)
-        geo = _geometry_from_jet(jet, np.asarray(x, dtype=float))
-        h = _hicks_from_jet(jet, x, i, j)
-        return (*[float(v) for v in x], geo.value, geo.area_factor,
-                geo.gauss_kronecker, geo.flatness_residual, h.as_float())
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            cells = list(pool.map(one_row, grid))
-    else:
-        cells = [one_row(x) for x in grid]
+    value, gradient, hessian = expr.derivatives(grid)
+    surface = surface_curvatures(gradient, hessian)
+    hicks = hicks_values(grid, gradient, hessian, min(i, j), max(i, j))
+    table = np.column_stack([
+        grid, value, surface["area_factor"], surface["gauss_kronecker"],
+        surface["flatness_residual"], hicks])
 
     columns = [f"x{k + 1}" for k in range(expr.n)]
-    columns += ["f", "W", "G", "flatness_residual", h_name]
+    columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]
     return {
         "box": [list(axis) for axis in box],
         "points_per_axis": grid_shape(expr.n, config.samples),
         "columns": columns,
-        "rows": [{"cells": list(row)} for row in cells],
+        "rows": [{"cells": cells} for cells in table.tolist()],
     }
 
 
@@ -392,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", choices=("json", "csv"), default="json")
         sub.add_argument("--seed", type=int, default=0, metavar="INT")
         sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="scan workers; output does not depend on it")
+                         help="accepted and ignored: scan evaluates its "
+                              "whole grid in one vectorised pass")
     return parser
 
 

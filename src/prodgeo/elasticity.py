@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .autodiff import Jet2
+import numpy as np
+
 from .errors import DomainError, SpecError
-from .families import FunctionExpr, QuasiSumSpec, default_box
+from .families import FunctionExpr, QuasiSumSpec, default_box, index_pairs
 from .sampling import box_center, log_uniform
 from . import tolerances
 
@@ -39,7 +40,7 @@ DEGENERATE_CES = "DegenerateCES"
 NOT_CES = "NotCES"
 
 __all__ = [
-    "HicksValue", "ElasticityReport", "hicks_elasticity",
+    "HicksValue", "ElasticityReport", "hicks_elasticity", "hicks_values",
     "pairwise_elasticities", "ces_residual", "quasisum_separated_residual",
     "detect_ces",
     "FINITE", "INFINITE", "DEGENERATE",
@@ -74,48 +75,50 @@ def _pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _hicks_from_jet(jet: Jet2, x, i: int, j: int) -> HicksValue:
-    """Elasticity from a precomputed jet.
-
-    The pair is put in ascending order before any arithmetic so the result
-    for (i, j) and (j, i) is identical to the last bit.
-    """
-    lo, hi = _pair_indices(jet.n, i, j)
-    g = jet.gradient
-    if g[lo] == 0.0 or g[hi] == 0.0:
+def hicks_values(x, gradient, hessian, lo, hi) -> np.ndarray:
+    """H_lo,hi (inf if infinite, nan if degenerate) from (..., n) points and
+    gradients and (..., n, n) Hessians, for index arrays or ints lo < hi."""
+    fl, fh = gradient[..., lo], gradient[..., hi]
+    if not (fl.all() and fh.all()):
         raise DomainError(
             "elasticity undefined where a marginal product vanishes")
-    fl, fh = float(g[lo]), float(g[hi])
-    hll = float(jet.hessian[lo, lo])
-    hlh = float(jet.hessian[lo, hi])
-    hhh = float(jet.hessian[hi, hi])
-    xl, xh = float(x[lo]), float(x[hi])
-
-    num_terms = (1.0 / (xl * fl), 1.0 / (xh * fh))
-    num = math.fsum(num_terms)
-    den_terms = (-hll / (fl * fl), 2.0 * hlh / (fl * fh), -hhh / (fh * fh))
-    den = math.fsum(den_terms)
-
     eps = tolerances.DEGENERACY_EPS
-    num_small = num == 0.0 or abs(num) <= eps * math.fsum(map(abs, num_terms))
-    den_small = den == 0.0 or abs(den) <= eps * math.fsum(map(abs, den_terms))
-    if den_small:
-        return HicksValue(DEGENERATE) if num_small else HicksValue(INFINITE)
-    return HicksValue(FINITE, num / den)
+    with np.errstate(all="ignore"):
+        a, b = 1.0 / (x[..., lo] * fl), 1.0 / (x[..., hi] * fh)
+        c = -hessian[..., lo, lo] / (fl * fl)
+        d = 2.0 * hessian[..., lo, hi] / (fl * fh)
+        e = -hessian[..., hi, hi] / (fh * fh)
+        num = a + b
+        den = c + d + e
+        # |sum| <= eps * sum(|terms|) also holds when the sum is exactly 0.
+        num_small = np.abs(num) <= eps * (np.abs(a) + np.abs(b))
+        den_small = np.abs(den) <= eps * (np.abs(c) + np.abs(d) + np.abs(e))
+        return np.where(den_small, np.where(num_small, math.nan, math.inf),
+                        num / den)
+
+
+def _tagged(value: float) -> HicksValue:
+    if math.isfinite(value):
+        return HicksValue(FINITE, value)
+    return HicksValue(DEGENERATE if math.isnan(value) else INFINITE)
 
 
 def hicks_elasticity(expr: FunctionExpr, point, i: int, j: int) -> HicksValue:
     """H_ij of ``expr`` at ``point`` for the (zero-based) input pair."""
     x = expr._check_point(point)
-    return _hicks_from_jet(expr.jet(x), x, i, j)
+    lo, hi = _pair_indices(expr.n, i, j)
+    jet = expr.jet(x)
+    return _tagged(float(hicks_values(x, jet.gradient, jet.hessian, lo, hi)))
 
 
 def pairwise_elasticities(expr: FunctionExpr, point):
     """[(i, j, HicksValue)] over all pairs i < j, from a single jet."""
     x = expr._check_point(point)
     jet = expr.jet(x)
-    return [(i, j, _hicks_from_jet(jet, x, i, j))
-            for i in range(expr.n) for j in range(i + 1, expr.n)]
+    lo, hi = index_pairs(expr.n)
+    values = hicks_values(x, jet.gradient, jet.hessian, lo, hi)
+    return [(int(i), int(j), _tagged(v))
+            for i, j, v in zip(lo, hi, values.tolist())]
 
 
 def ces_residual(expr: FunctionExpr, point, sigma: float,

@@ -17,6 +17,7 @@ than on curve fitting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,12 @@ MONOTONICITY_SAMPLES = 64
 def default_box(n: int) -> tuple[tuple[float, float], ...]:
     """The canonical evaluation box [0.5, 2]^n."""
     return tuple(DEFAULT_BOX_AXIS for _ in range(n))
+
+
+def _any(condition) -> bool:
+    """``condition`` is a bool for a float argument, an array for an array."""
+    return np.count_nonzero(condition) > 0 \
+        if isinstance(condition, np.ndarray) else condition
 
 
 @dataclass(frozen=True)
@@ -88,34 +95,36 @@ class ScalarFn:
     def value(self, x: float) -> float:
         return self.derivatives(x)[0]
 
-    def derivatives(self, x: float) -> tuple[float, float, float]:
-        """(value, first, second) at x, all in closed form."""
+    def derivatives(self, x):
+        """(value, first, second) at x in closed form; x is a float or an
+        array (DomainError if any element is outside the domain)."""
         c = self.coefficient
         s = self.shift
-        x = float(x)
+        batch = isinstance(x, np.ndarray)
+        if not batch:
+            x = float(x)
         if self.form == FORM_POWER:
             p = self.exponent
             if float(p).is_integer():
-                if x == 0.0 and p < 2:
+                if p < 2 and _any(x == 0.0):
                     raise DomainError("power form undefined at zero")
-            elif x <= 0.0:
+            elif _any(x <= 0.0):
                 raise DomainError(
                     f"power form with exponent {p} needs a positive argument")
             return (c * x ** p + s,
                     c * p * x ** (p - 1.0),
                     c * p * (p - 1.0) * x ** (p - 2.0))
         if self.form == FORM_LOG:
-            if x <= 0.0:
+            if _any(x <= 0.0):
                 raise DomainError("log form needs a positive argument")
-            return (c * math.log(x) + s, c / x, -c / (x * x))
+            return (c * (np.log(x) if batch else math.log(x)) + s,
+                    c / x, -c / (x * x))
         if self.form == FORM_EXP:
-            e = math.exp(x)
+            e = np.exp(x) if batch else math.exp(x)
             return (c * e + s, c * e, c * e)
+        if batch:
+            return (c * x + s, np.full_like(x, c), np.zeros_like(x))
         return (c * x + s, c, 0.0)
-
-    def apply_jet(self, u: Jet2) -> Jet2:
-        v0, v1, v2 = self.derivatives(u.value)
-        return u.chain(v0, v1, v2)
 
     def increasing_on_positive(self) -> bool:
         """Whether the derivative is positive on the whole positive axis."""
@@ -142,9 +151,6 @@ class ScalarFn:
             raise SpecError("scalar function record needs form and coefficient")
         return cls(form=doc["form"], coefficient=doc["coefficient"],
                    exponent=doc.get("exponent"), shift=doc.get("shift", 0.0))
-
-
-IDENTITY = ScalarFn(FORM_AFFINE, 1.0)
 
 
 @dataclass(frozen=True)
@@ -185,12 +191,13 @@ class FunctionExpr:
     n: int
     params: dict
 
-    def _check_point(self, point) -> np.ndarray:
+    def _check_point(self, point, ndim: int = 1) -> np.ndarray:
+        """A point (ndim 1) or an (N, n) point array (ndim 2), validated."""
         x = np.asarray(point, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.n:
-            raise SpecError(
-                f"point has shape {x.shape}, expected ({self.n},)")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        if x.ndim != ndim or x.shape[-1] != self.n:
+            expected = f"({self.n},)" if ndim == 1 else f"(N, {self.n})"
+            raise SpecError(f"point has shape {x.shape}, expected {expected}")
+        if not np.isfinite(x).all() or (x <= 0.0).any():
             raise DomainError(
                 "points must be finite and strictly positive in every coordinate")
         return x
@@ -217,33 +224,87 @@ class FunctionExpr:
         return self.jet(x).value
 
     def jet(self, point) -> Jet2:
-        """Second-order jet at ``point`` (exact gradient and Hessian)."""
+        """Exact jet at ``point``: the one-point slice of :meth:`derivatives`
+        (custom composites run their own jet arithmetic)."""
         x = self._check_point(point)
-        n = self.n
+        if self.family == "custom":
+            return self.params["fn"](
+                [lift_variable(i, x[i], self.n) for i in range(self.n)])
+        value, gradient, hessian = self._kernel(x[np.newaxis, :])
+        return Jet2(value[0], gradient[0], hessian[0])
+
+    def derivatives(self, points):
+        """Values (N,), gradients (N, n) and Hessians (N, n, n) at the rows
+        of an (N, n) point array, in one vectorised pass.
+
+        Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
+        and F', F'' at the inner sum, grad = F' h' and Hess = F' diag(h'') +
+        F'' (h'_i h'_j), bitwise symmetric.  Cobb-Douglas is gamma e^u over
+        alpha_i log x_i (value from the direct product, as in :meth:`value`),
+        ACMS a power over powers (F', F'' direct, so d/rho < 0 works), the
+        ratio G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
+        gradient or Hessian raises DomainError."""
+        return self._kernel(self._check_point(points, ndim=2))
+
+    def _kernel(self, x: np.ndarray):
         p = self.params
-        if self.family == "cobb_douglas":
-            acc = None
-            for i, a in enumerate(p["alpha"]):
-                t = lift_variable(i, x[i], n) ** a
-                acc = t if acc is None else acc * t
-            return p["gamma"] * acc
-        if self.family == "acms":
-            u = Jet2.constant(0.0, n)
-            for i, w in enumerate(p["weights"]):
-                u = u + w * (lift_variable(i, x[i], n) ** p["rho"])
-            if u.value <= 0.0:
-                raise DomainError("aggregator sum must stay positive")
-            return p["gamma"] * (u ** (p["d"] / p["rho"]))
-        if self.family == "quasi_sum":
-            spec: QuasiSumSpec = p["spec"]
-            u = Jet2.constant(0.0, n)
-            for i, h in enumerate(spec.inner):
-                u = u + h.apply_jet(lift_variable(i, x[i], n))
-            return spec.outer.apply_jet(u)
-        if self.family == "ratio":
-            r = lift_variable(1, x[1], n) * (lift_variable(0, x[0], n) ** -1.0)
-            return p["outer"].apply_jet(r)
-        return p["fn"]([lift_variable(i, x[i], n) for i in range(n)])
+        with np.errstate(all="ignore"):
+            if self.family == "cobb_douglas":
+                f = p["gamma"]
+                for k, a in enumerate(p["alpha"]):
+                    f = f * x[:, k] ** a
+                d1 = np.array(p["alpha"]) / x
+                d2 = -d1 / x
+                f1 = f2 = f
+            elif self.family == "acms":
+                rho = p["rho"]
+                q = p["d"] / rho
+                h = np.array(p["weights"]) * x ** rho
+                d1 = rho * h / x
+                d2 = (rho - 1.0) * d1 / x
+                u = h.sum(axis=1)
+                if (u <= 0.0).any():
+                    raise DomainError("aggregator sum must stay positive")
+                f = p["gamma"] * u ** q
+                f1 = q * f / u
+                f2 = (q - 1.0) * f1 / u
+            elif self.family == "quasi_sum":
+                d1, d2 = np.empty_like(x), np.empty_like(x)
+                u = 0.0
+                for k, h in enumerate(p["spec"].inner):
+                    hk, d1[:, k], d2[:, k] = h.derivatives(x[:, k])
+                    u = u + hk
+                f, f1, f2 = p["spec"].outer.derivatives(u)
+            elif self.family == "ratio":
+                r = x[:, 1] / x[:, 0]
+                f, g1, g2 = p["outer"].derivatives(r)
+                f1 = g1 * r
+                f2 = g2 * r * r + f1
+                # Inner -log x1 and log x2: h'' = (h')^2 and -(h')^2, formed
+                # from d1 itself so that H22 cancels exactly when F'' = 0.
+                d1 = np.array([-1.0, 1.0]) / x
+                d2 = d1 * d1 * np.array([1.0, -1.0])
+            else:
+                raise SpecError(
+                    f"{self.family} expressions have no batched kernel")
+            gradient = f1[:, np.newaxis] * d1
+            hessian = f2[:, np.newaxis, np.newaxis] * (
+                d1[:, :, np.newaxis] * d1[:, np.newaxis, :])
+            hessian.reshape(len(x), -1)[:, ::self.n + 1] += \
+                f1[:, np.newaxis] * d2
+        if not (np.isfinite(f).all() and np.isfinite(gradient).all()
+                and np.isfinite(hessian).all()):
+            raise DomainError("value, gradient or Hessian is not finite "
+                              "(floating-point overflow)")
+        return f, gradient, hessian
+
+
+@functools.cache
+def index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (shared) index arrays of the pairs lo < hi, in row order."""
+    lo, hi = np.triu_indices(n, 1)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 # -- builders ---------------------------------------------------------------
@@ -309,30 +370,36 @@ def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
     hi_sum = 0.0
     for i, ((lo, hi), h) in enumerate(zip(box, spec.inner)):
         xs = np.linspace(lo, hi, MONOTONICITY_SAMPLES)
-        sign = 0.0
-        for x in xs:
-            try:
-                _, d1, _ = h.derivatives(float(x))
-            except DomainError as exc:
-                raise SpecError(
-                    f"inner component {i} undefined at x={float(x)!r}") from exc
-            if d1 == 0.0 or (sign != 0.0 and math.copysign(1.0, d1) != sign):
-                raise SpecError(
-                    f"inner component {i} is not strictly monotone at x={float(x)!r}")
-            sign = math.copysign(1.0, d1)
+        d1 = _sampled_slopes(h, xs, f"inner component {i} undefined at x=")
+        bad = (d1 == 0.0) | (np.signbit(d1) != np.signbit(d1[0]))
+        if bad.any():
+            raise SpecError(f"inner component {i} is not strictly monotone "
+                            f"at x={float(xs[bad.argmax()])!r}")
         va, vb = h.value(lo), h.value(hi)
         lo_sum += min(va, vb)
         hi_sum += max(va, vb)
-    for u in np.linspace(lo_sum, hi_sum, MONOTONICITY_SAMPLES):
-        try:
-            _, d1, _ = spec.outer.derivatives(float(u))
-        except DomainError as exc:
-            raise SpecError(
-                f"outer undefined on the inner-sum range at u={float(u)!r}") from exc
-        if d1 <= 0.0:
-            raise SpecError(
-                f"outer must be strictly increasing on the inner-sum range; "
-                f"derivative is {d1!r} at u={float(u)!r}")
+    us = np.linspace(lo_sum, hi_sum, MONOTONICITY_SAMPLES)
+    d1 = _sampled_slopes(spec.outer, us,
+                         "outer undefined on the inner-sum range at u=")
+    bad = d1 <= 0.0
+    if bad.any():
+        k = bad.argmax()
+        raise SpecError(
+            f"outer must be strictly increasing on the inner-sum range; "
+            f"derivative is {float(d1[k])!r} at u={float(us[k])!r}")
+
+
+def _sampled_slopes(fn: ScalarFn, xs: np.ndarray, undefined: str):
+    """fn' at every sample, or SpecError naming the first undefined one."""
+    try:
+        return fn.derivatives(xs)[1]
+    except DomainError:
+        for x in xs:
+            try:
+                fn.derivatives(float(x))
+            except DomainError as exc:
+                raise SpecError(f"{undefined}{float(x)!r}") from exc
+        raise
 
 
 def build_quasi_sum(spec: QuasiSumSpec, box=None) -> FunctionExpr:

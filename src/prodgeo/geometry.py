@@ -25,17 +25,14 @@ their largest magnitude normalized by 1 + |h|^2.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
-from .autodiff import Jet2
-from .families import FunctionExpr
+from .families import FunctionExpr, index_pairs
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
-           "gauss_kronecker", "flatness_residual"]
+           "surface_curvatures", "gauss_kronecker", "flatness_residual"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,79 +60,40 @@ class GraphGeometry:
 
     def as_dict(self) -> dict:
         """JSON-ready rendering with arrays as nested lists."""
-        return {
-            "point": self.point.tolist(),
-            "value": self.value,
-            "gradient": self.gradient.tolist(),
-            "hessian": self.hessian.tolist(),
-            "area_factor": self.area_factor,
-            "unit_normal": self.unit_normal.tolist(),
-            "metric": self.metric.tolist(),
-            "second_fundamental_form": self.second_fundamental_form.tolist(),
-            "shape_operator": self.shape_operator.tolist(),
-            "principal_curvatures": self.principal_curvatures.tolist(),
-            "gauss_kronecker": self.gauss_kronecker,
-            "gauss_kronecker_scaled": self.gauss_kronecker_scaled,
-            "riemann_max": self.riemann_max,
-            "flatness_residual": self.flatness_residual,
-        }
+        return {f.name: np.asarray(getattr(self, f.name)).tolist()
+                for f in fields(self)}
 
 
-def _riemann_max(h: np.ndarray) -> float:
-    """Largest |h_ik h_jl - h_il h_jk| over index pairs i<j, k<l.
-
-    These are the independent curvature components supplied by the Gauss
-    equation; only unordered pairs of pairs are scanned since the tensor
-    symmetries repeat the rest.
-    """
-    n = h.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    best = 0.0
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a:]:
-            comp = abs(h[i, k] * h[j, l] - h[i, l] * h[j, k])
-            if comp > best:
-                best = comp
-    return float(best)
-
-
-def _geometry_from_jet(jet: Jet2, x: np.ndarray) -> GraphGeometry:
-    n = jet.n
-    grad = jet.gradient
-    hess = jet.hessian
-    w_sq = 1.0 + float(np.dot(grad, grad))
-    w = math.sqrt(w_sq)
-
-    metric = np.eye(n) + np.outer(grad, grad)
-    normal = np.append(-grad, 1.0) / w
-    second = hess / w
-    shape = np.linalg.solve(metric, second)
-    kappas = scipy.linalg.eigh(second, metric, eigvals_only=True)
-
-    det_hess = float(np.linalg.det(hess))
-    gauss = det_hess / w ** (n + 2)
-    hess_norm = float(np.linalg.norm(hess))
-    scaled = 0.0 if hess_norm == 0.0 else abs(det_hess) / hess_norm ** n
-
-    rmax = _riemann_max(second)
-    flatness = rmax / (1.0 + hess_norm * hess_norm / w_sq)
-
-    return GraphGeometry(
-        point=x.copy(),
-        value=jet.value,
-        gradient=grad.copy(),
-        hessian=hess.copy(),
-        area_factor=w,
-        unit_normal=normal,
-        metric=metric,
-        second_fundamental_form=second,
-        shape_operator=shape,
-        principal_curvatures=np.asarray(kappas, dtype=float),
-        gauss_kronecker=gauss,
-        gauss_kronecker_scaled=scaled,
-        riemann_max=rmax,
-        flatness_residual=flatness,
-    )
+def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray) -> dict:
+    """Scalar curvatures for (N, n) gradients and (N, n, n) Hessians, as
+    (N,) arrays keyed like GraphGeometry fields.  ``riemann_max`` is the
+    largest |h_ik h_jl - h_il h_jk| over i<j, k<l: the largest 2x2 minor of
+    the second fundamental form, from the Gauss equation."""
+    n = gradient.shape[-1]
+    w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
+    w = np.sqrt(w_sq)
+    det_hess = np.linalg.det(hessian)
+    hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
+    scaled = np.divide(np.abs(det_hess), hess_norm ** n,
+                       out=np.zeros_like(det_hess), where=hess_norm != 0.0)
+    second = hessian / w[:, np.newaxis, np.newaxis]
+    i, j = index_pairs(n)
+    # P^2 minors per point (P = n(n-1)/2): blocks keep temporaries ~0.5 MB.
+    block = max(1, 2 ** 16 // len(i) ** 2)
+    rmax = np.empty(len(second))
+    for start in range(0, len(second), block):
+        rows_i = second[start:start + block, i, :]
+        rows_j = second[start:start + block, j, :]
+        minors = (rows_i[:, :, i] * rows_j[:, :, j]
+                  - rows_i[:, :, j] * rows_j[:, :, i])
+        rmax[start:start + block] = np.abs(minors).max(axis=(1, 2))
+    return {
+        "area_factor": w,
+        "gauss_kronecker": det_hess / w ** (n + 2),
+        "gauss_kronecker_scaled": scaled,
+        "riemann_max": rmax,
+        "flatness_residual": rmax / (1.0 + hess_norm * hess_norm / w_sq),
+    }
 
 
 def graph_point(expr: FunctionExpr, point) -> np.ndarray:
@@ -145,9 +103,32 @@ def graph_point(expr: FunctionExpr, point) -> np.ndarray:
 
 
 def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
-    """Every surface quantity of the graph of ``expr`` at ``point``."""
+    """Every surface quantity of the graph of ``expr`` at ``point``.  With
+    p = grad f, g = I + p p^T has the closed-form inverse
+    I - p p^T / W^2 (Sherman-Morrison) and inverse square root
+    I - p p^T / (W (W + 1)), so the shape operator needs no solve and the
+    principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2)."""
     x = expr._check_point(point)
-    return _geometry_from_jet(expr.jet(x), x)
+    jet = expr.jet(x)
+    grad, hess = jet.gradient, jet.hessian
+    scalars = {k: float(v[0]) for k, v in surface_curvatures(
+        grad[np.newaxis], hess[np.newaxis]).items()}
+    w = scalars["area_factor"]
+    second = hess / w
+    pp = np.outer(grad, grad)
+    root = np.eye(expr.n) - pp / (w * (w + 1.0))
+    return GraphGeometry(
+        point=x.copy(),
+        value=jet.value,
+        gradient=grad,
+        hessian=hess,
+        unit_normal=np.append(-grad, 1.0) / w,
+        metric=np.eye(expr.n) + pp,
+        second_fundamental_form=second,
+        shape_operator=second - np.outer(grad, grad @ second) / (w * w),
+        principal_curvatures=np.linalg.eigvalsh(root @ second @ root),
+        **scalars,
+    )
 
 
 def gauss_kronecker(expr: FunctionExpr, point) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 from prodgeo import (
     QuasiSumSpec, ScalarFn,
     build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
+    lift_variable,
 )
 
 # -- scalar draws -------------------------------------------------------------
@@ -248,6 +249,49 @@ def random_quasi_sum_expr(rng, n: int):
     else:
         spec = random_mixed_spec(rng, n)
     return build_quasi_sum(spec)
+
+
+# -- jet-arithmetic oracle -----------------------------------------------------
+
+
+def scalar_fn_jet(fn: ScalarFn, u):
+    """``fn`` applied to the jet ``u`` through jet operations only, so the
+    result shares no code with the closed-form table in ScalarFn."""
+    c, s = fn.coefficient, fn.shift
+    if fn.form == "power":
+        return c * u ** fn.exponent + s
+    if fn.form == "log":
+        return c * u.log() + s
+    if fn.form == "exp":
+        return c * u.exp() + s
+    return c * u + s
+
+
+def jet_oracle(expr, point):
+    """The family's formula evaluated in Jet2 arithmetic at ``point``.
+
+    An independent check on the batched kernel in ``FunctionExpr``: it
+    builds every derivative by the chain and product rules instead of the
+    quasi-sum assembly.
+    """
+    x = np.asarray(point, dtype=float)
+    xs = [lift_variable(i, x[i], expr.n) for i in range(expr.n)]
+    p = expr.params
+    if expr.family == "cobb_douglas":
+        out = p["gamma"]
+        for xi, a in zip(xs, p["alpha"]):
+            out = out * xi ** a
+        return out
+    if expr.family == "acms":
+        u = sum(w * xi ** p["rho"] for w, xi in zip(p["weights"], xs))
+        return p["gamma"] * u ** (p["d"] / p["rho"])
+    if expr.family == "quasi_sum":
+        spec = p["spec"]
+        u = sum(scalar_fn_jet(h, xi) for h, xi in zip(spec.inner, xs))
+        return scalar_fn_jet(spec.outer, u)
+    if expr.family == "ratio":
+        return scalar_fn_jet(p["outer"], xs[1] * xs[0] ** -1.0)
+    raise ValueError(f"no oracle for {expr.family}")
 
 
 # -- acceptance summary --------------------------------------------------------

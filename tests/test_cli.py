@@ -230,6 +230,11 @@ def test_main_parses_and_validates(cd_doc, capsys):
     assert main(["eval", "--fn", cd_doc, "--at", "oops"]) == 1
     capsys.readouterr()
 
+    # --jobs has no effect on the work, but is still validated.
+    assert main(["scan", "--fn", cd_doc, "--jobs", "0"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert "--jobs" in payload["error"]["message"]
+
     assert main(["scan", "--fn", cd_doc, "--pair", "0,1"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert "1-based" in payload["error"]["message"]

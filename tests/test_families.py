@@ -129,12 +129,14 @@ def test_monotonicity_check_catches_bad_outers():
     # Log inners of mixed direction keep each inner monotone, but the inner
     # sum crosses zero on the box, where these outers stop increasing.
     crossing = (ScalarFn("log", 1.0), ScalarFn("log", 1.0))
+    # The first sample of the inner-sum range is u = 2 log 0.5.
+    first = repr(2.0 * math.log(0.5))
     for exponent in (-1.0, 2.0):
         spec = QuasiSumSpec(outer=ScalarFn("power", 1.0, exponent=exponent),
                             inner=crossing)
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match=f"increasing .* at u={first}$"):
             build_quasi_sum(spec)
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match=f"outer undefined .* at u={first}$"):
         build_quasi_sum(QuasiSumSpec(outer=ScalarFn("log", 1.0),
                                      inner=crossing))
 
