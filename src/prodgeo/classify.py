@@ -28,19 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elasticity import (
     DEGENERATE_CES, NOT_CES, REGULAR_CES,
-    ElasticityReport, ces_residual, detect_ces,
+    ElasticityReport, PointTable, ces_residuals, detect_ces_on, point_table,
 )
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
     FORM_AFFINE, FORM_EXP, FORM_LOG, FORM_POWER,
     FunctionExpr, QuasiSumSpec, ScalarFn,
-    as_quasi_sum, build_quasi_sum, default_box, homogeneity_degree,
-    normalize_outer_shift, validate_box,
+    as_quasi_sum, build_quasi_sum, default_box, euler_quotients,
+    index_pairs, normalize_outer_shift, validate_box,
 )
-from .geometry import graph_geometry
-from .sampling import box_center, log_uniform
+from .geometry import surface_curvatures
 from . import tolerances
 
 HOMOTHETIC_ACMS = "HomotheticACMS"
@@ -95,29 +96,6 @@ class ClassificationResult:
         }
 
 
-def _max_ces_residual(expr: FunctionExpr, points, sigma: float) -> float:
-    worst = 0.0
-    for x in points:
-        for i in range(expr.n):
-            for j in range(i + 1, expr.n):
-                worst = max(worst, abs(ces_residual(expr, x, sigma, i, j)))
-    return worst
-
-
-def _structure_residual(spec: QuasiSumSpec, points, fitted_d1) -> float:
-    """Largest relative gap between actual and fitted inner derivatives.
-
-    ``fitted_d1(i, x)`` is the derivative the matched normal form predicts.
-    """
-    worst = 0.0
-    for x in points:
-        for i, h in enumerate(spec.inner):
-            xi = float(x[i])
-            _, d1, _ = h.derivatives(xi)
-            worst = max(worst, abs(d1 / fitted_d1(i, xi) - 1.0))
-    return worst
-
-
 def _not_ces(detection: ElasticityReport,
              ces: float = math.inf,
              structure: float = math.inf) -> ClassificationResult:
@@ -142,80 +120,86 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
     if box is None:
         box = default_box(spec.n)
     box = validate_box(box, spec.n)
-    expr = build_quasi_sum(spec, box)
-    detection = detect_ces(expr, box, samples=samples, seed=seed)
-    points = log_uniform(box, samples, seed)
-
-    if detection.verdict == REGULAR_CES:
-        sigma_hat = detection.sigma_estimate
-        if abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
-            return _log_branch(spec, expr, points, detection)
-        return _power_branch(spec, expr, points, detection, sigma_hat)
-    if detection.verdict == DEGENERATE_CES:
-        return _degenerate_branch(spec, expr, points, detection)
-    return _not_ces(detection)
+    table = point_table(build_quasi_sum(spec, box), box, samples, seed)
+    return _classify(spec, table, detect_ces_on(table))
 
 
-def _log_branch(spec, expr, points, detection) -> ClassificationResult:
-    """sigma = 1: the inners must all be logarithms."""
-    if not all(h.form == FORM_LOG for h in spec.inner):
+def _classify(spec: QuasiSumSpec, table: PointTable,
+              detection: ElasticityReport) -> ClassificationResult:
+    """The case of ``spec`` from a point table of its quasi-sum and the
+    detection made on it; residuals skip the table's box-center row."""
+    fit = _normal_form(spec, detection)
+    if fit is None:
         return _not_ces(detection)
-    alphas = tuple(h.coefficient for h in spec.inner)
-    structure = _structure_residual(spec, points, lambda i, x: alphas[i] / x)
-    ces = _max_ces_residual(expr, points, 1.0)
+    case, sigma, fitted, k, sigma_ref, fitted_d1 = fit
+    x = table.points[1:]
+    structure = max(
+        float(np.max(np.abs(h.derivatives(x[:, i])[1]
+                            / fitted_d1(i, x[:, i]) - 1.0)))
+        for i, h in enumerate(spec.inner))
+    lo, hi = index_pairs(spec.n)
+    ces = float(np.max(np.abs(ces_residuals(
+        x, table.gradient[1:], table.hessian[1:], sigma_ref, lo, hi))))
     if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
             or ces > tolerances.CES_RESIDUAL_TOL):
         return _not_ces(detection, ces, structure)
-    return ClassificationResult(HOMOTHETIC_COBB_DOUGLAS, 1.0, alphas, None,
-                                ces, structure, detection)
+    return ClassificationResult(case, sigma, fitted, k, ces, structure,
+                                detection)
 
 
-def _power_branch(spec, expr, points, detection,
-                  sigma_hat: float) -> ClassificationResult:
-    """sigma != 1: the inners must share the exponent (sigma-1)/sigma."""
+def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
+    """The normal form the detection points to, if the inners match it:
+    (case, sigma, fitted inner parameters, separation constant, sigma of
+    the elasticity identity, fitted h_i'(x) as a function of (i, x))."""
+    logs = all(h.form == FORM_LOG for h in spec.inner)
+    if detection.verdict == DEGENERATE_CES:
+        # Everywhere-degenerate elasticity: two opposite log inners.
+        if spec.n != 2 or not logs:
+            return None
+        betas = tuple(h.coefficient for h in spec.inner)
+        if abs(sum(betas)) > tolerances.DEGREE_ONE_TOL * max(map(abs, betas)):
+            return None
+        k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / betas[0]
+        return (RATIO_TWO_INPUT, None, betas, k, SIGMA_REFERENCE_DEGENERATE,
+                lambda i, x: betas[i] / x)
+    if detection.verdict != REGULAR_CES:
+        return None
+    sigma_hat = detection.sigma_estimate
+    if abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
+        # sigma = 1: the inners must all be logarithms.
+        if not logs:
+            return None
+        alphas = tuple(h.coefficient for h in spec.inner)
+        return (HOMOTHETIC_COBB_DOUGLAS, 1.0, alphas, None, 1.0,
+                lambda i, x: alphas[i] / x)
+    # sigma != 1: the inners must share the exponent (sigma-1)/sigma.
     p_star = (sigma_hat - 1.0) / sigma_hat
     tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
-    for h in spec.inner:
-        if h.form != FORM_POWER or abs(h.exponent - p_star) > tol:
-            return _not_ces(detection)
+    if any(h.form != FORM_POWER or abs(h.exponent - p_star) > tol
+           for h in spec.inner):
+        return None
     p = spec.inner[0].exponent
     if p == 1.0:
-        return _not_ces(detection)
+        return None
     sigma = 1.0 / (1.0 - p)
     coeffs = tuple(h.coefficient for h in spec.inner)
-    structure = _structure_residual(
-        spec, points, lambda i, x: coeffs[i] * p * x ** (p - 1.0))
-    ces = _max_ces_residual(expr, points, sigma)
-    if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
-            or ces > tolerances.CES_RESIDUAL_TOL):
-        return _not_ces(detection, ces, structure)
-    return ClassificationResult(HOMOTHETIC_ACMS, sigma, coeffs, None,
-                                ces, structure, detection)
-
-
-def _degenerate_branch(spec, expr, points, detection) -> ClassificationResult:
-    """Everywhere-degenerate elasticity: two opposite log inners."""
-    if spec.n != 2 or not all(h.form == FORM_LOG for h in spec.inner):
-        return _not_ces(detection)
-    b1, b2 = (h.coefficient for h in spec.inner)
-    if abs(b1 + b2) > tolerances.DEGREE_ONE_TOL * max(abs(b1), abs(b2)):
-        return _not_ces(detection)
-    betas = (b1, b2)
-    k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / b1
-    structure = _structure_residual(spec, points, lambda i, x: betas[i] / x)
-    ces = _max_ces_residual(expr, points, SIGMA_REFERENCE_DEGENERATE)
-    if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
-            or ces > tolerances.CES_RESIDUAL_TOL):
-        return _not_ces(detection, ces, structure)
-    return ClassificationResult(RATIO_TWO_INPUT, None, betas, k,
-                                ces, structure, detection)
+    return (HOMOTHETIC_ACMS, sigma, coeffs, None, sigma,
+            lambda i, x: coeffs[i] * p * x ** (p - 1.0))
 
 
 # -- outer-function differential consistency ---------------------------------
 
 
-def acms_outer_ode_residual(outer: ScalarFn, sigma: float, u: float) -> float:
-    """Relative defect of F'(u) = (sigma-1) u F''(u) at one argument.
+def _relative_defect(a, b):
+    """|a - b| / max(|a|, |b|), and 0 where both vanish; floats or arrays."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(invalid="ignore"):
+        return np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)[()]
+
+
+def acms_outer_ode_residual(outer: ScalarFn, sigma: float, u):
+    """Relative defect of F'(u) = (sigma-1) u F''(u) at an argument u (a
+    float, or an array of them).
 
     Zero exactly for F(u) = c u^(sigma/(sigma-1)) + s, the outer functions
     that make a power quasi-sum homogeneous of degree one.
@@ -224,31 +208,23 @@ def acms_outer_ode_residual(outer: ScalarFn, sigma: float, u: float) -> float:
     if not math.isfinite(sigma) or sigma in (0.0, 1.0):
         raise SpecError("sigma must be finite and neither 0 nor 1")
     _, d1, d2 = outer.derivatives(u)
-    lhs = d1
-    rhs = (sigma - 1.0) * u * d2
-    scale = max(abs(lhs), abs(rhs))
-    return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+    return _relative_defect(d1, (sigma - 1.0) * u * d2)
 
 
-def cobb_douglas_outer_ode_residual(outer: ScalarFn, alpha: float,
-                                    u: float) -> float:
+def cobb_douglas_outer_ode_residual(outer: ScalarFn, alpha: float, u):
     """Relative defect of (alpha-1) F'(u) + alpha u F''(u) = 0.
 
-    Here u is the product-form argument; zero exactly for
-    F(u) = c u^(1/alpha) + s.
+    Here u is the product-form argument (a float or an array); zero exactly
+    for F(u) = c u^(1/alpha) + s.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise SpecError("alpha must be finite and nonzero")
     _, d1, d2 = outer.derivatives(u)
-    t1 = (alpha - 1.0) * d1
-    t2 = alpha * u * d2
-    scale = max(abs(t1), abs(t2))
-    return 0.0 if scale == 0.0 else abs(t1 + t2) / scale
+    return _relative_defect((alpha - 1.0) * d1, -(alpha * u * d2))
 
 
-def _cobb_douglas_log_ode_residual(outer: ScalarFn, alpha: float,
-                                   v: float) -> float:
+def _cobb_douglas_log_ode_residual(outer: ScalarFn, alpha: float, v):
     """The same condition with the argument in log coordinates.
 
     Substituting u = e^v turns (alpha-1)F' + alphauF'' = 0 into
@@ -256,31 +232,10 @@ def _cobb_douglas_log_ode_residual(outer: ScalarFn, alpha: float,
     with alpha = 1.
     """
     _, d1, d2 = outer.derivatives(v)
-    t1 = alpha * d2
-    t2 = d1
-    scale = max(abs(t1), abs(t2))
-    return 0.0 if scale == 0.0 else abs(t1 - t2) / scale
+    return _relative_defect(alpha * d2, d1)
 
 
 # -- theorem verification -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointRow:
-    """One sampled point of a verification table."""
-
-    point: tuple
-    gauss_kronecker: float
-    gauss_kronecker_scaled: float
-    flatness_residual: float
-
-    def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "gauss_kronecker": self.gauss_kronecker,
-            "gauss_kronecker_scaled": self.gauss_kronecker_scaled,
-            "flatness_residual": self.flatness_residual,
-        }
 
 
 @dataclass(frozen=True)
@@ -289,7 +244,8 @@ class TheoremReport:
 
     ``hypothesis_holds`` is None when the sampled residuals land between the
     vanishing and clearly-nonzero thresholds; the verdict is then
-    DegenerateHypothesis rather than a guess.
+    DegenerateHypothesis rather than a guess.  ``per_point`` holds one
+    record per sampled point: the point, G, scaled G and flatness residual.
     """
 
     theorem: str
@@ -315,17 +271,18 @@ class TheoremReport:
             "reverse_implication_ok": reverse,
             "hypothesis_check": self.hypothesis_check,
             "conclusion_check": self.conclusion_check,
-            "per_point_data": [row.as_dict() for row in self.per_point],
+            "per_point_data": [dict(row) for row in self.per_point],
         }
 
 
-def _family_degree_one(expr: FunctionExpr, box, samples, seed):
+def _family_degree_one(expr: FunctionExpr, table: PointTable,
+                       detection: ElasticityReport):
     """Structure side of the curvature theorems.
 
     Returns (matches, family label, record, classification-or-None): whether
     ``expr`` is, up to an additive output constant, a linearly homogeneous
     member of the power-aggregator or log-aggregator family.  Parameter tests
-    are exact (1e-12), never sampled.
+    are exact (1e-12), never sampled; a quasi-sum is classified on ``table``.
     """
     if expr.family == "acms":
         gap = abs(expr.params["d"] - 1.0)
@@ -340,7 +297,7 @@ def _family_degree_one(expr: FunctionExpr, box, samples, seed):
                 {"note": "ratio family is homogeneous of degree zero"}, None)
 
     spec = expr.params["spec"]
-    cls = classify_quasi_sum(spec, box, samples=samples, seed=seed)
+    cls = _classify(spec, table, detection)
     record: dict = {"classification_case": cls.case,
                     "outer_form": spec.outer.form}
     if cls.case == HOMOTHETIC_ACMS:
@@ -366,44 +323,30 @@ def _family_degree_one(expr: FunctionExpr, box, samples, seed):
     return False, None, record, cls
 
 
-def _outer_ode_diagnostic(expr: FunctionExpr, points, cls):
-    """Worst outer-function differential residual over the sampled arguments."""
-    if expr.family == "acms":
-        rho = expr.params["rho"]
-        if rho == 1.0:
-            return None, None
-        outer = ScalarFn(FORM_POWER, expr.params["gamma"],
-                         exponent=expr.params["d"] / rho)
-        sigma = 1.0 / (1.0 - rho)
-        weights = expr.params["weights"]
-        worst = 0.0
-        for x in points:
-            u = math.fsum(w * float(xi) ** rho for w, xi in zip(weights, x))
-            worst = max(worst, acms_outer_ode_residual(outer, sigma, u))
-        return "power_aggregator", worst
+def _outer_ode_diagnostic(expr: FunctionExpr, x: np.ndarray, cls):
+    """(form, worst outer-function differential residual) over the (N, n)
+    points, or (None, None) when no outer form applies."""
+    p = expr.params
+    if expr.family == "acms" and p["rho"] != 1.0:
+        outer = ScalarFn(FORM_POWER, p["gamma"], exponent=p["d"] / p["rho"])
+        u = (np.array(p["weights"]) * x ** p["rho"]).sum(axis=1)
+        return "power_aggregator", float(np.max(acms_outer_ode_residual(
+            outer, 1.0 / (1.0 - p["rho"]), u)))
     if expr.family == "cobb_douglas":
-        outer = ScalarFn(FORM_AFFINE, expr.params["gamma"])
-        alpha = math.fsum(expr.params["alpha"])
-        worst = 0.0
-        for x in points:
-            u = math.prod(float(xi) ** a
-                          for xi, a in zip(x, expr.params["alpha"]))
-            worst = max(worst,
-                        cobb_douglas_outer_ode_residual(outer, alpha, u))
-        return "log_aggregator", worst
-    if expr.family == "quasi_sum" and cls is not None:
-        spec = expr.params["spec"]
-        if cls.case == HOMOTHETIC_ACMS:
-            worst = max(acms_outer_ode_residual(spec.outer, cls.sigma,
-                                                spec.inner_sum(x))
-                        for x in points)
-            return "power_aggregator", worst
-        if cls.case == HOMOTHETIC_COBB_DOUGLAS:
-            alpha = math.fsum(h.coefficient for h in spec.inner)
-            worst = max(_cobb_douglas_log_ode_residual(spec.outer, alpha,
-                                                       spec.inner_sum(x))
-                        for x in points)
-            return "log_aggregator", worst
+        u = np.prod(x ** np.array(p["alpha"]), axis=1)
+        return "log_aggregator", float(np.max(cobb_douglas_outer_ode_residual(
+            ScalarFn(FORM_AFFINE, p["gamma"]), math.fsum(p["alpha"]), u)))
+    if expr.family != "quasi_sum" or cls is None:
+        return None, None
+    spec = p["spec"]
+    u = sum(h.derivatives(x[:, k])[0] for k, h in enumerate(spec.inner))
+    if cls.case == HOMOTHETIC_ACMS:
+        return "power_aggregator", float(np.max(acms_outer_ode_residual(
+            spec.outer, cls.sigma, u)))
+    if cls.case == HOMOTHETIC_COBB_DOUGLAS:
+        alpha = math.fsum(h.coefficient for h in spec.inner)
+        return "log_aggregator", float(np.max(
+            _cobb_douglas_log_ode_residual(spec.outer, alpha, u)))
     return None, None
 
 
@@ -417,26 +360,25 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     if box is None:
         box = default_box(expr.n)
     box = validate_box(box, expr.n)
-    detection = detect_ces(expr, box, samples=samples, seed=seed)
+    table = point_table(expr, box, samples, seed)
+    detection = detect_ces_on(table)
     if detection.verdict == NOT_CES:
         raise HypothesisError(
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
-    points = [box_center(box)]
-    points.extend(log_uniform(box, samples, seed))
-    geometries = [graph_geometry(expr, x) for x in points]
-    rows = tuple(
-        PointRow(tuple(float(v) for v in x), g.gauss_kronecker,
-                 g.gauss_kronecker_scaled, g.flatness_residual)
-        for x, g in zip(points, geometries))
+    surface = surface_curvatures(table.gradient, table.hessian)
+    keys = ("gauss_kronecker", "gauss_kronecker_scaled", "flatness_residual")
+    rows = tuple({"point": x, **dict(zip(keys, quantities))} for x, *quantities
+                 in zip(table.points.tolist(), *(surface[k].tolist()
+                                                 for k in keys)))
 
     if theorem == THEOREM_GAUSS_KRONECKER:
-        worst = max(g.gauss_kronecker_scaled for g in geometries)
+        worst = float(np.max(surface["gauss_kronecker_scaled"]))
         vanish_tol = tolerances.VANISHING_CURVATURE_TOL
         clear_tol = tolerances.CLEAR_CURVATURE_TOL
         residual_key = "max_scaled_gauss_kronecker"
     else:
-        worst = max(g.flatness_residual for g in geometries)
+        worst = float(np.max(surface["flatness_residual"]))
         vanish_tol = tolerances.FLATNESS_VERDICT_TOL
         clear_tol = tolerances.CLEAR_NONFLAT_TOL
         residual_key = "max_flatness_residual"
@@ -448,23 +390,22 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     else:
         hypothesis = None
 
-    matches, family, record, cls = _family_degree_one(expr, box, samples, seed)
+    matches, family, record, cls = _family_degree_one(expr, table, detection)
 
     bare = normalize_outer_shift(expr)
-    degree_gap = 0.0
-    for x in points:
-        try:
-            degree_gap = max(degree_gap,
-                             abs(homogeneity_degree(bare, x) - 1.0))
-        except DomainError:
-            degree_gap = math.inf
-            break
+    try:
+        value, gradient = (table.value, table.gradient) if bare is expr \
+            else bare.derivatives(table.points)[:2]
+        degree_gap = float(np.max(np.abs(
+            euler_quotients(table.points, value, gradient) - 1.0)))
+    except DomainError:
+        degree_gap = math.inf
     record["euler_degree_gap"] = degree_gap
 
     conclusion_check = {"family_matches": matches, "family": family}
     conclusion_check.update(record)
     if theorem == THEOREM_GAUSS_KRONECKER:
-        ode_label, ode_worst = _outer_ode_diagnostic(expr, points, cls)
+        ode_label, ode_worst = _outer_ode_diagnostic(expr, table.points, cls)
         if ode_label is not None:
             conclusion_check["outer_ode"] = {"form": ode_label,
                                              "max_residual": ode_worst}
@@ -510,18 +451,15 @@ def verify_theorem_11(expr, box=None, samples: int = 64,
     sides false is as consistent as both sides true.  Unlike the curvature
     checks this accepts NotCES inputs, since they are half of the statement.
     """
+    spec = expr if isinstance(expr, QuasiSumSpec) else as_quasi_sum(expr)
+    box = validate_box(default_box(spec.n) if box is None else box, spec.n)
     if isinstance(expr, QuasiSumSpec):
-        spec = expr
-        if box is None:
-            box = default_box(spec.n)
         expr = build_quasi_sum(spec, box)
-    else:
-        spec = as_quasi_sum(expr)
-    if box is None:
-        box = default_box(spec.n)
-    box = validate_box(box, spec.n)
-    detection = detect_ces(expr, box, samples=samples, seed=seed)
-    cls = classify_quasi_sum(spec, box, samples=samples, seed=seed)
+    table = point_table(expr, box, samples, seed)
+    detection = detect_ces_on(table)
+    # A quasi-sum is its own rewrite: classify it on the same table.
+    cls = _classify(spec, table, detection) if expr.family == "quasi_sum" \
+        else classify_quasi_sum(spec, box, samples=samples, seed=seed)
 
     hypothesis = detection.verdict in (REGULAR_CES, DEGENERATE_CES)
     conclusion = cls.case != NOT_CES

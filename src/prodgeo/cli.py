@@ -310,11 +310,8 @@ def run(config: RunConfig) -> tuple:
         env = _envelope(config, digest)
         env["report"] = report
         return 0, _render(config, env)
-    except DomainError as exc:
-        return 2, _to_json(_error_payload(config, digest, exc))
-    except np.linalg.LinAlgError as exc:
-        return 2, _to_json(_error_payload(config, digest, exc))
-    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+    except (DomainError, np.linalg.LinAlgError, OverflowError,
+            ZeroDivisionError, FloatingPointError) as exc:
         return 2, _to_json(_error_payload(config, digest, exc))
     except (SpecError, OSError, UnicodeDecodeError, ValueError) as exc:
         return 1, _to_json(_error_payload(config, digest, exc))

@@ -41,8 +41,9 @@ NOT_CES = "NotCES"
 
 __all__ = [
     "HicksValue", "ElasticityReport", "hicks_elasticity", "hicks_values",
-    "pairwise_elasticities", "ces_residual", "quasisum_separated_residual",
-    "detect_ces",
+    "pairwise_elasticities", "ces_residuals", "ces_residual",
+    "quasisum_separated_residual", "PointTable", "point_table", "detect_ces",
+    "detect_ces_on",
     "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
 ]
@@ -121,9 +122,17 @@ def pairwise_elasticities(expr: FunctionExpr, point):
             for i, j, v in zip(lo, hi, values.tolist())]
 
 
-def ces_residual(expr: FunctionExpr, point, sigma: float,
-                 i: int, j: int) -> float:
-    """Signed defect of the constant-elasticity identity H_ij = sigma.
+def _two_sum(a, b):
+    """a + b rounded, and the exact error of that rounding (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def ces_residuals(x, gradient, hessian, sigma: float, lo, hi) -> np.ndarray:
+    """Signed defect of the constant-elasticity identity H_lo,hi = sigma,
+    from (..., n) points and gradients and (..., n, n) Hessians, for index
+    arrays or ints lo < hi.
 
     The identity is cross-multiplied so no division by the (possibly
     vanishing) denominator occurs:
@@ -137,29 +146,36 @@ def ces_residual(expr: FunctionExpr, point, sigma: float,
     vanish identically, as they do for the two-input ratio family: there the
     residual is rounding noise over the gradient scale, hence effectively
     zero for every sigma at once.  A floor built from the value of f would
-    not do, because a shifted quasi-sum can cross zero inside the box.
+    not do, because a shifted quasi-sum can cross zero inside the box.  The
+    left side is summed with TwoSum error terms, as accurate as math.fsum.
     """
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
+    fl, fh = gradient[..., lo], gradient[..., hi]
+    xl, xh = x[..., lo], x[..., hi]
+    with np.errstate(all="ignore"):
+        s, e1 = _two_sum(2.0 * fl * fh * hessian[..., lo, hi],
+                         -fh * fh * hessian[..., lo, lo])
+        s, e2 = _two_sum(s, -fl * fl * hessian[..., hi, hi])
+        lhs = s + (e1 + e2)
+        rhs = (xl * fl + xh * fh) * fl * fh / (sigma * xl * xh)
+        floor = np.maximum(np.abs(xl * fl), np.abs(xh * fh)) ** 3 \
+            / (xl * xh) ** 2
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+        out = np.where(scale == 0.0, 0.0, (lhs - rhs) / scale)
+    if not np.isfinite(out).all():
+        raise DomainError("elasticity identity overflows at a sample point")
+    return out
+
+
+def ces_residual(expr: FunctionExpr, point, sigma: float,
+                 i: int, j: int) -> float:
+    """ces_residuals at one point and pair, from the point's jet."""
     x = expr._check_point(point)
     lo, hi = _pair_indices(expr.n, i, j)
     jet = expr.jet(x)
-    fl = float(jet.gradient[lo])
-    fh = float(jet.gradient[hi])
-    hll = float(jet.hessian[lo, lo])
-    hlh = float(jet.hessian[lo, hi])
-    hhh = float(jet.hessian[hi, hi])
-    xl, xh = float(x[lo]), float(x[hi])
-
-    lhs = math.fsum((2.0 * fl * fh * hlh, -fh * fh * hll, -fl * fl * hhh))
-    rhs = (xl * fl + xh * fh) * fl * fh / (sigma * xl * xh)
-    grad_scale = max(abs(xl * fl), abs(xh * fh))
-    floor = grad_scale ** 3 / (xl * xh) ** 2
-    scale = max(abs(lhs), abs(rhs), floor)
-    if scale == 0.0:
-        return 0.0
-    return (lhs - rhs) / scale
+    return float(ces_residuals(x, jet.gradient, jet.hessian, sigma, lo, hi))
 
 
 def quasisum_separated_residual(spec: QuasiSumSpec, point, sigma: float,
@@ -223,14 +239,46 @@ class ElasticityReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class PointTable:
+    """A sampled box evaluated once: the box center then the log-uniform
+    sample points (rows of ``points``), with the values, gradients and
+    Hessians of one expression there from one ``derivatives`` call."""
+
+    points: np.ndarray
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+
+def point_table(expr: FunctionExpr, box, samples: int,
+                seed: int) -> PointTable:
+    """The center of ``box`` and ``samples`` log-uniform points, evaluated."""
+    if samples < 2:
+        raise SpecError("detection needs at least two sample points")
+    points = np.vstack([box_center(box), log_uniform(box, samples, seed)])
+    return PointTable(points, *expr.derivatives(points))
+
+
 def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,
                seed: int = 0) -> ElasticityReport:
     """Decide whether ``expr`` has constant pairwise elasticity on ``box``.
 
     The box center plus ``samples`` log-uniform points are evaluated, every
-    input pair at every point.  The reference sigma is the center value of
-    the first input pair; if that pair is not finite there, the first finite
-    nonzero value over the sample points (scan order) takes its place.
+    input pair at every point (see detect_ces_on).
+    """
+    if box is None:
+        box = default_box(expr.n)
+    return detect_ces_on(point_table(expr, box, samples, seed))
+
+
+def detect_ces_on(table: PointTable) -> ElasticityReport:
+    """Constant-elasticity verdict from every input pair at every row.
+
+    The reference sigma is the center value of the first input pair; if
+    that pair is not finite there, the first finite nonzero value over the
+    sample points (scan order: row by row, pairs in row order) takes its
+    place.
 
     * RegularCES: a reference exists, no pair is infinite anywhere, and every
       finite value agrees with the reference to within the constancy
@@ -239,55 +287,31 @@ def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,
     * NotCES: anything else.  A linear function lands here (its denominator
       vanishes while its numerator does not), as does any mixed quasi-sum.
     """
-    if samples < 2:
-        raise SpecError("detection needs at least two sample points")
-    if box is None:
-        box = default_box(expr.n)
-    points = [box_center(box)]
-    points.extend(log_uniform(box, samples, seed))
+    lo, hi = index_pairs(table.points.shape[1])
+    values = hicks_values(table.points, table.gradient, table.hessian, lo, hi)
+    finite = np.isfinite(values)
+    scan = np.concatenate([values[0, :1], values[1:].ravel()])
+    usable = scan[np.isfinite(scan) & (scan != 0.0)]
+    sigma_hat = float(usable[0]) if usable.size else None
 
-    rows = [pairwise_elasticities(expr, x) for x in points]
-    center = {(i, j): h for i, j, h in rows[0]}
-
-    center_first = center[(0, 1)] if expr.n >= 2 else None
-    sigma_hat = None
-    if center_first is not None and center_first.is_finite \
-            and center_first.value != 0.0:
-        sigma_hat = center_first.value
-    else:
-        for row in rows[1:]:
-            for _i, _j, h in row:
-                if h.is_finite and h.value != 0.0:
-                    sigma_hat = h.value
-                    break
-            if sigma_hat is not None:
-                break
-
-    finite = 0
-    infinite = 0
-    degenerate = 0
+    n_finite = int(np.count_nonzero(finite))
+    degenerate = int(np.count_nonzero(np.isnan(values)))
+    infinite = values.size - n_finite - degenerate
     max_dev = 0.0
-    for row in rows:
-        for _i, _j, h in row:
-            if h.kind == DEGENERATE:
-                degenerate += 1
-            elif h.kind == INFINITE:
-                infinite += 1
-            else:
-                finite += 1
-                if sigma_hat is not None:
-                    dev = abs(h.value - sigma_hat) / max(1.0, abs(sigma_hat))
-                    max_dev = max(max_dev, dev)
+    if sigma_hat is not None:
+        max_dev = float(np.max(np.abs(values[finite] - sigma_hat)
+                               / max(1.0, abs(sigma_hat))))
 
-    if degenerate > 0 and finite == 0 and infinite == 0:
+    if degenerate > 0 and n_finite == 0 and infinite == 0:
         verdict = DEGENERATE_CES
-        sigma_out = None
     elif (sigma_hat is not None and infinite == 0
           and max_dev <= tolerances.CES_CONSTANCY_RTOL):
         verdict = REGULAR_CES
-        sigma_out = sigma_hat
     else:
         verdict = NOT_CES
-        sigma_out = None
-    return ElasticityReport(verdict, sigma_out, max_dev, center,
-                            len(points), finite, infinite, degenerate)
+    center = {(int(i), int(j)): _tagged(v)
+              for i, j, v in zip(lo, hi, values[0].tolist())}
+    return ElasticityReport(verdict,
+                            sigma_hat if verdict == REGULAR_CES else None,
+                            max_dev, center, len(values), n_finite,
+                            infinite, degenerate)

@@ -149,8 +149,9 @@ class ScalarFn:
             raise SpecError(f"unknown scalar function keys: {sorted(extra)}")
         if "form" not in doc or "coefficient" not in doc:
             raise SpecError("scalar function record needs form and coefficient")
-        return cls(form=doc["form"], coefficient=doc["coefficient"],
-                   exponent=doc.get("exponent"), shift=doc.get("shift", 0.0))
+        numbers = {k: _doc_number(doc[k], k)
+                   for k in ("coefficient", "exponent", "shift") if k in doc}
+        return cls(form=doc["form"], **numbers)
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,8 @@ class FunctionExpr:
 
     def derivatives(self, points):
         """Values (N,), gradients (N, n) and Hessians (N, n, n) at the rows
-        of an (N, n) point array, in one vectorised pass.
+        of an (N, n) point array, in one vectorised pass (custom composites
+        have no batched form: their jets are stacked point by point).
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
         and F', F'' at the inner sum, grad = F' h' and Hess = F' diag(h'') +
@@ -244,7 +246,12 @@ class FunctionExpr:
         ACMS a power over powers (F', F'' direct, so d/rho < 0 works), the
         ratio G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
         gradient or Hessian raises DomainError."""
-        return self._kernel(self._check_point(points, ndim=2))
+        x = self._check_point(points, ndim=2)
+        if self.family == "custom":
+            jets = [self.jet(row) for row in x]
+            return tuple(np.array([getattr(jet, part) for jet in jets])
+                         for part in ("value", "gradient", "hessian"))
+        return self._kernel(x)
 
     def _kernel(self, x: np.ndarray):
         p = self.params
@@ -275,7 +282,7 @@ class FunctionExpr:
                     hk, d1[:, k], d2[:, k] = h.derivatives(x[:, k])
                     u = u + hk
                 f, f1, f2 = p["spec"].outer.derivatives(u)
-            elif self.family == "ratio":
+            else:  # ratio
                 r = x[:, 1] / x[:, 0]
                 f, g1, g2 = p["outer"].derivatives(r)
                 f1 = g1 * r
@@ -284,9 +291,6 @@ class FunctionExpr:
                 # from d1 itself so that H22 cancels exactly when F'' = 0.
                 d1 = np.array([-1.0, 1.0]) / x
                 d2 = d1 * d1 * np.array([1.0, -1.0])
-            else:
-                raise SpecError(
-                    f"{self.family} expressions have no batched kernel")
             gradient = f1[:, np.newaxis] * d1
             hessian = f2[:, np.newaxis, np.newaxis] * (
                 d1[:, :, np.newaxis] * d1[:, np.newaxis, :])
@@ -438,16 +442,23 @@ def build_custom(n: int, jet_fn, label: str = "custom") -> FunctionExpr:
 # -- derived quantities ------------------------------------------------------
 
 
-def homogeneity_degree(expr: FunctionExpr, point) -> float:
-    """Euler quotient (x . grad f) / f at ``point``.
+def euler_quotients(points, value, gradient) -> np.ndarray:
+    """Euler quotients (x . grad f) / f at the rows of (N, n) ``points``,
+    from the (N,) values and (N, n) gradients there.
 
     Constant across points exactly when the function is homogeneous.
     """
-    jet = expr.jet(point)
-    if jet.value == 0.0:
+    if not value.all():
         raise DomainError("homogeneity degree undefined where f vanishes")
-    x = np.asarray(point, dtype=float)
-    return float(np.dot(x, jet.gradient) / jet.value)
+    return np.einsum("pi,pi->p", points, gradient) / value
+
+
+def homogeneity_degree(expr: FunctionExpr, point) -> float:
+    """Euler quotient at ``point``: the one-point slice of euler_quotients."""
+    x = expr._check_point(point)
+    jet = expr.jet(x)
+    return float(euler_quotients(x[np.newaxis], np.array([jet.value]),
+                                 jet.gradient[np.newaxis])[0])
 
 
 def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
@@ -464,12 +475,8 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
         raise DomainError("point must be strictly positive")
     u = spec.inner_sum(x)
     _, f1, f2 = spec.outer.derivatives(u)
-    d1 = []
-    d2 = []
-    for h, xi in zip(spec.inner, x):
-        _, a, b = h.derivatives(float(xi))
-        d1.append(a)
-        d2.append(b)
+    d1, d2 = zip(*(h.derivatives(float(xi))[1:]
+                   for h, xi in zip(spec.inner, x)))
     n = spec.n
     term1 = f1 ** n * math.prod(d2)
     cross = math.fsum(
@@ -551,7 +558,7 @@ def expr_from_dict(doc, box=None) -> FunctionExpr:
     if not isinstance(doc, dict):
         raise SpecError("function document must be an object")
     kind = doc.get("type")
-    if kind not in _FAMILY_KEYS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise SpecError(
             f"unknown function type {kind!r}; expected one of "
             f"{sorted(_FAMILY_KEYS)}")
@@ -562,9 +569,11 @@ def expr_from_dict(doc, box=None) -> FunctionExpr:
     if missing:
         raise SpecError(f"missing keys for {kind}: {sorted(missing)}")
     if kind == "cobb_douglas":
-        return build_cobb_douglas(doc["gamma"], doc["alpha"])
+        return build_cobb_douglas(_doc_number(doc["gamma"], "gamma"),
+                                  _doc_numbers(doc["alpha"], "alpha"))
     if kind == "acms":
-        return build_acms(doc["gamma"], doc["a"], doc["rho"], doc["d"])
+        gamma, rho, d = (_doc_number(doc[k], k) for k in ("gamma", "rho", "d"))
+        return build_acms(gamma, _doc_numbers(doc["a"], "a"), rho, d)
     if kind == "quasi_sum":
         inner = doc["inner"]
         if not isinstance(inner, (list, tuple)):
@@ -573,6 +582,23 @@ def expr_from_dict(doc, box=None) -> FunctionExpr:
                             inner=tuple(ScalarFn.from_dict(h) for h in inner))
         return build_quasi_sum(spec, box)
     return build_ratio(ScalarFn.from_dict(doc["outer"]))
+
+
+def _doc_number(value, name: str):
+    """A number field of a document, as written: bool (true would read as
+    1.0), null and text are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{name} is too large for a float") from None
+
+
+def _doc_numbers(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{name} must be an array, got {type(value).__name__}")
+    return [_doc_number(v, f"{name} entry") for v in value]
 
 
 def expr_to_dict(expr: FunctionExpr) -> dict:

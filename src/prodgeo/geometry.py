@@ -11,7 +11,10 @@ and second fundamental form are
 The shape operator is S = g^{-1} h, the principal curvatures are the
 eigenvalues of the pencil (h, g), and the Gauss-Kronecker curvature is
 
-    G = det(Hess f) / W^(n+2).
+    G = det(Hess f) / W^(n+2),
+
+formed one factor of W at a time, since W^(n+2) can overflow while G is
+representable.  A surface quantity that is not finite raises DomainError.
 
 Because G decays like W^(n+2) along rays it is a poor zero test on its own;
 ``gauss_kronecker_scaled`` divides |det Hess f| by the Frobenius norm of the
@@ -29,6 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import DomainError
 from .families import FunctionExpr, index_pairs
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
@@ -64,6 +68,7 @@ class GraphGeometry:
                 for f in fields(self)}
 
 
+@np.errstate(all="ignore")
 def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray) -> dict:
     """Scalar curvatures for (N, n) gradients and (N, n, n) Hessians, as
     (N,) arrays keyed like GraphGeometry fields.  ``riemann_max`` is the
@@ -74,8 +79,12 @@ def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray) -> dict:
     w = np.sqrt(w_sq)
     det_hess = np.linalg.det(hessian)
     hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
-    scaled = np.divide(np.abs(det_hess), hess_norm ** n,
-                       out=np.zeros_like(det_hess), where=hess_norm != 0.0)
+    # det / W^(n+2) and |det| / |Hess|^n one factor at a time: the powers
+    # overflow long before the quotients do.
+    gk, scaled = det_hess / w_sq, np.abs(det_hess)
+    norm = np.where(hess_norm == 0.0, 1.0, hess_norm)
+    for _ in range(n):
+        gk, scaled = gk / w, scaled / norm
     second = hessian / w[:, np.newaxis, np.newaxis]
     i, j = index_pairs(n)
     # P^2 minors per point (P = n(n-1)/2): blocks keep temporaries ~0.5 MB.
@@ -87,13 +96,17 @@ def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray) -> dict:
         minors = (rows_i[:, :, i] * rows_j[:, :, j]
                   - rows_i[:, :, j] * rows_j[:, :, i])
         rmax[start:start + block] = np.abs(minors).max(axis=(1, 2))
-    return {
+    out = {
         "area_factor": w,
-        "gauss_kronecker": det_hess / w ** (n + 2),
+        "gauss_kronecker": gk,
         "gauss_kronecker_scaled": scaled,
         "riemann_max": rmax,
-        "flatness_residual": rmax / (1.0 + hess_norm * hess_norm / w_sq),
+        "flatness_residual": rmax / (1.0 + (hess_norm / w) ** 2),
     }
+    if not all(np.isfinite(v).all() for v in (det_hess, hess_norm, *out.values())):
+        raise DomainError("surface quantity is not finite "
+                          "(floating-point overflow)")
+    return out
 
 
 def graph_point(expr: FunctionExpr, point) -> np.ndarray:

@@ -130,6 +130,22 @@ def test_verify_consistent_curvature(acms_doc):
     assert env["report"]["verdict"] == "Consistent"
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "cobb_douglas", "gamma": 1.0, "alpha": 5},
+    {"type": "acms", "gamma": None, "a": [1.0, 1.0], "rho": 0.5, "d": 1.0},
+    {"type": "ratio", "outer": {"form": "affine", "coefficient": True}},
+    {"type": "cobb_douglas", "gamma": 10 ** 400, "alpha": [0.5, 0.5]},
+    {"type": ["acms"]},
+], ids=["scalar-alpha", "null-gamma", "bool-coefficient", "huge-integer",
+        "array-type"])
+def test_loosely_typed_fields_are_bad_requests(tmp_path, doc):
+    path = write_doc(tmp_path, "loose.json", doc)
+    status, text = run(RunConfig("eval", path, at=(1.0, 1.0)))
+    assert status == 1
+    assert "\n" not in text
+    assert json.loads(text)["error"]["type"] == "SpecError"
+
+
 def test_verify_requires_theorem(acms_doc):
     status, payload = run_json(RunConfig("verify", acms_doc))
     assert status == 1

@@ -1,25 +1,38 @@
 """The batched derivative kernel, the batched surface quantities, and the
-scan command built on them."""
+commands built on them: scan, and the sampled-box commands (verify, classify,
+elasticity --box), which evaluate their box once in a point table."""
 
+import collections
+import itertools
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from prodgeo import (
-    DomainError, QuasiSumSpec, ScalarFn, SpecError,
-    build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
-    expr_from_dict, finite_difference_oracle, graph_geometry,
-    hicks_elasticity,
+    DomainError, FunctionExpr, HypothesisError, QuasiSumSpec, ScalarFn,
+    SpecError, acms_outer_ode_residual, as_quasi_sum, build_acms,
+    build_cobb_douglas, build_custom, build_quasi_sum, build_ratio,
+    ces_residual, classify_quasi_sum, cobb_douglas_outer_ode_residual,
+    default_box, detect_ces, expr_from_dict, finite_difference_oracle,
+    graph_geometry, hicks_elasticity, homogeneity_degree,
+    pairwise_elasticities, verify_theorem_11, verify_theorem_41,
+    verify_theorem_42,
 )
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _float_text, run
+from prodgeo.elasticity import ces_residuals
+from prodgeo.families import normalize_outer_shift
+from prodgeo.sampling import box_center, log_uniform
 from conftest import (
     jet_oracle, make_rng, random_acms, random_cobb_douglas, random_log_spec,
-    random_mixed_spec, random_points, random_power_spec, random_ratio_spec,
+    random_mixed_spec, random_points, random_power_spec, random_ratio_expr,
+    random_ratio_spec,
 )
 
 # Kernel and oracle differ only in the order of their rounding steps.
@@ -212,8 +225,385 @@ def test_overflow_is_a_domain_failure(tmp_path, doc, config):
         assert json.loads(text)["error"]["type"] == "DomainError"
 
 
+def test_extreme_but_finite_curvature_is_not_a_false_zero(tmp_path):
+    # W^4 overflows here although G itself is about -1e-202.
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(
+        {"type": "cobb_douglas", "gamma": 1, "alpha": [50, 50]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, text = run(RunConfig("curvature", str(path), at=(10.0, 10.0)))
+    assert status == 0
+    report = json.loads(text)["report"]
+    det = np.linalg.det(np.array(report["hessian"]))
+    log_g = math.log(abs(det)) - 4.0 * math.log(report["area_factor"])
+    assert report["gauss_kronecker"] != 0.0
+    assert report["gauss_kronecker"] == pytest.approx(
+        math.copysign(math.exp(log_g), det), rel=1e-12)
+    # With a third input det Hess itself overflows: a domain failure.
+    path.write_text(json.dumps(
+        {"type": "cobb_douglas", "gamma": 1, "alpha": [50, 50, 50]}))
+    status, text = run(RunConfig("curvature", str(path),
+                                 at=(10.0, 10.0, 10.0)))
+    assert status == 2
+    assert json.loads(text)["error"]["type"] == "DomainError"
+
+
 def test_importing_the_package_does_not_load_scipy():
     code = "import prodgeo, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# -- one point table per sampled box -------------------------------------------
+
+COUNT_DOCS = {
+    "acms": {"type": "acms", "gamma": 1.0, "a": [1.0, 2.0, 0.5],
+             "rho": 0.5, "d": 1.0},
+    "cobb_douglas": {"type": "cobb_douglas", "gamma": 1.2,
+                     "alpha": [0.3, 0.3, 0.4]},
+    "quasi_sum": {"type": "quasi_sum",
+                  "outer": {"form": "power", "coefficient": 1.0,
+                            "exponent": 2.0},
+                  "inner": [{"form": "power", "coefficient": 2.0,
+                             "exponent": 0.5},
+                            {"form": "power", "coefficient": 3.0,
+                             "exponent": 0.5}]},
+    "ratio": {"type": "ratio", "outer": {"form": "log", "coefficient": 1.0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_DOCS))
+def test_a_sampled_box_is_evaluated_once(tmp_path, monkeypatch, name):
+    calls = collections.Counter()
+    for attr in ("_kernel", "jet"):
+        def counted(self, *args, _attr=attr, _fn=getattr(FunctionExpr, attr)):
+            calls[_attr] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(FunctionExpr, attr, counted)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(COUNT_DOCS[name]))
+    # verify 1.1 detects on the document and classifies its quasi-sum
+    # rewrite, a second expression unless the document is a quasi-sum.
+    rewrites = 1 if name == "quasi_sum" else 2
+    for command, theorem, kernels in (
+            ("verify", "4.1", 1), ("verify", "4.2", 1), ("classify", None, 1),
+            ("elasticity", None, 1), ("verify", "1.1", rewrites)):
+        calls.clear()
+        status, _ = run(RunConfig(command, str(path), theorem=theorem,
+                                  samples=200))
+        assert status == 0
+        assert calls == {"_kernel": kernels}, (command, theorem)
+
+
+def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
+    spec = QuasiSumSpec(outer=ScalarFn("power", 1.0, exponent=2.0, shift=3.0),
+                        inner=(ScalarFn("power", 2.0, exponent=0.5),
+                               ScalarFn("power", 3.0, exponent=0.5)))
+    expr = build_quasi_sum(spec)
+    calls = collections.Counter()
+    kernel = FunctionExpr._kernel
+
+    def counted(self, x):
+        calls[self.params["spec"].outer.shift] += 1
+        return kernel(self, x)
+
+    monkeypatch.setattr(FunctionExpr, "_kernel", counted)
+    report = verify_theorem_41(expr, samples=50)
+    assert calls == {3.0: 1, 0.0: 1}
+    assert report.conclusion_check["euler_degree_gap"] <= 1e-12
+
+
+def test_custom_composites_stack_their_jets():
+    expr = build_custom(2, lambda lifts: lifts[0] * lifts[1] ** 2.0)
+    points = random_points(make_rng(905), 2, 5)
+    value, gradient, hessian = expr.derivatives(points)
+    for k, x in enumerate(points):
+        jet = expr.jet(x)
+        assert value[k] == jet.value
+        assert np.array_equal(gradient[k], jet.gradient)
+        assert np.array_equal(hessian[k], jet.hessian)
+    assert detect_ces(expr, samples=8).verdict == "RegularCES"
+
+
+# The sampled-box commands rebuilt the way they ran before the point table:
+# point by point through the one-point API.
+
+NORMALISED = {"max_deviation", "ces", "structure", "gauss_kronecker_scaled",
+              "flatness_residual", "max_scaled_gauss_kronecker",
+              "max_flatness_residual", "euler_degree_gap", "max_residual"}
+
+
+def test_ces_residuals_sum_the_identity_exactly_rounded():
+    # The three left-hand terms 1e16, 1 and -1e16 sum to 1 exactly; summed
+    # left to right they give 0.  The floor scale is 1 and the right-hand
+    # side 2e-300, so the residual is the left-hand sum itself.
+    hessian = np.array([[-1.0, 5e15], [5e15, 1e16]])
+    terms = (2.0 * hessian[0, 1], -hessian[0, 0], -hessian[1, 1])
+    assert math.fsum(terms) == 1.0 and sum(terms) == 0.0
+    residual = ces_residuals(np.ones((3, 2)), np.ones((3, 2)),
+                             np.array([hessian] * 3), 1e300, 0, 1)
+    assert residual.tolist() == [1.0] * 3
+
+
+def _assert_same(got, want, key=""):
+    """Equal structure, strings and counts; normalised residuals within
+    1e-12 absolute, every other float within 1e-13 relative."""
+    if isinstance(want, dict):
+        assert set(got) == set(want), key
+        for k in want:
+            _assert_same(got[k], want[k], k)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            _assert_same(g, w, key)
+    elif isinstance(want, float):
+        assert isinstance(got, float), (key, got)
+        if not math.isfinite(want):
+            assert got == want, key
+        elif key in NORMALISED:
+            assert abs(got - want) <= 1e-12, (key, got, want)
+        else:
+            assert abs(got - want) <= 1e-13 * abs(want), (key, got, want)
+    else:
+        assert got == want and type(got) is type(want), (key, got, want)
+
+
+def _reference_detection(expr, points) -> dict:
+    rows = [pairwise_elasticities(expr, x) for x in points]
+    values = [h for row in rows for _, _, h in row]
+    first = rows[0][0][2]
+    if first.is_finite and first.value != 0.0:
+        sigma = first.value
+    else:
+        sigma = next((h.value for row in rows[1:] for _, _, h in row
+                      if h.is_finite and h.value != 0.0), None)
+    kinds = [h.kind for h in values]
+    finite, infinite, degenerate = (
+        kinds.count(k) for k in ("finite", "infinite", "degenerate"))
+    max_dev = max((abs(h.value - sigma) / max(1.0, abs(sigma))
+                   for h in values if h.is_finite and sigma is not None),
+                  default=0.0)
+    if degenerate and not finite and not infinite:
+        verdict = "DegenerateCES"
+    elif (sigma is not None and not infinite
+          and max_dev <= tolerances.CES_CONSTANCY_RTOL):
+        verdict = "RegularCES"
+    else:
+        verdict = "NotCES"
+    return {"verdict": verdict,
+            "sigma_estimate": sigma if verdict == "RegularCES" else None,
+            "max_deviation": max_dev,
+            "center_pair_values": {f"{i + 1},{j + 1}": {"kind": h.kind,
+                                                        "value": h.value}
+                                   for i, j, h in rows[0]},
+            "n_points": len(points), "finite_pairs": finite,
+            "infinite_pairs": infinite, "degenerate_pairs": degenerate}
+
+
+def _reference_fit(spec, detection):
+    coeffs = tuple(h.coefficient for h in spec.inner)
+    logs = all(h.form == "log" for h in spec.inner)
+    if detection["verdict"] == "DegenerateCES":
+        if spec.n == 2 and logs and abs(coeffs[0] + coeffs[1]) <= \
+                tolerances.DEGREE_ONE_TOL * max(map(abs, coeffs)):
+            return ("RatioTwoInput", None, coeffs, -1.0 / coeffs[0], 2.0,
+                    lambda i, x: coeffs[i] / x)
+        return None
+    if detection["verdict"] != "RegularCES":
+        return None
+    sigma_hat = detection["sigma_estimate"]
+    if abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
+        return (("HomotheticCobbDouglas", 1.0, coeffs, None, 1.0,
+                 lambda i, x: coeffs[i] / x) if logs else None)
+    p_star = (sigma_hat - 1.0) / sigma_hat
+    tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
+    p = spec.inner[0].exponent
+    if p == 1.0 or any(h.form != "power" or abs(h.exponent - p_star) > tol
+                       for h in spec.inner):
+        return None
+    sigma = 1.0 / (1.0 - p)
+    return ("HomotheticACMS", sigma, coeffs, None, sigma,
+            lambda i, x: coeffs[i] * p * x ** (p - 1.0))
+
+
+def _reference_classification(spec, box, samples, seed) -> dict:
+    expr = build_quasi_sum(spec, box)
+    points = log_uniform(box, samples, seed)
+    detection = _reference_detection(expr, [box_center(box), *points])
+    fit = _reference_fit(spec, detection)
+    out = {"case": "NotCES", "sigma": None, "fitted_inner_parameters": None,
+           "separation_constant_k": None,
+           "residuals": {"ces": math.inf, "structure": math.inf},
+           "detection": detection}
+    if fit is None:
+        return out
+    case, sigma, fitted, k, sigma_ref, fitted_d1 = fit
+    structure = max(abs(h.derivatives(float(x[i]))[1]
+                        / fitted_d1(i, float(x[i])) - 1.0)
+                    for x in points for i, h in enumerate(spec.inner))
+    ces = max(abs(ces_residual(expr, x, sigma_ref, i, j)) for x in points
+              for i, j in itertools.combinations(range(spec.n), 2))
+    out["residuals"] = {"ces": ces, "structure": structure}
+    if structure <= tolerances.STRUCTURE_RESIDUAL_TOL \
+            and ces <= tolerances.CES_RESIDUAL_TOL:
+        out.update(case=case, sigma=sigma, fitted_inner_parameters=list(fitted),
+                   separation_constant_k=k)
+    return out
+
+
+def _reference_outer_ode(expr, points, case):
+    p = expr.params
+    if expr.family == "acms" and p["rho"] != 1.0:
+        outer = ScalarFn("power", p["gamma"], exponent=p["d"] / p["rho"])
+        return max(acms_outer_ode_residual(
+            outer, 1.0 / (1.0 - p["rho"]),
+            math.fsum(w * xi ** p["rho"] for w, xi in zip(p["weights"], x)))
+            for x in points)
+    if expr.family == "cobb_douglas":
+        outer = ScalarFn("affine", p["gamma"])
+        return max(cobb_douglas_outer_ode_residual(
+            outer, math.fsum(p["alpha"]),
+            math.prod(xi ** a for xi, a in zip(x, p["alpha"])))
+            for x in points)
+    spec = p.get("spec")
+    if case == "HomotheticACMS":
+        sigma = 1.0 / (1.0 - spec.inner[0].exponent)
+        return max(acms_outer_ode_residual(spec.outer, sigma,
+                                           spec.inner_sum(x))
+                   for x in points)
+    if case == "HomotheticCobbDouglas":
+        # alpha P'' = P' for P(v) = F(e^v), at v = the inner sum.
+        alpha = math.fsum(h.coefficient for h in spec.inner)
+        worst = 0.0
+        for x in points:
+            _, d1, d2 = spec.outer.derivatives(spec.inner_sum(x))
+            worst = max(worst, abs(alpha * d2 - d1)
+                        / max(abs(alpha * d2), abs(d1)))
+        return worst
+    return None
+
+
+def _check_curvature_report(verify, theorem, expr, box, samples, seed):
+    points = [box_center(box), *log_uniform(box, samples, seed)]
+    detection = _reference_detection(expr, points)
+    if detection["verdict"] == "NotCES":
+        with pytest.raises(HypothesisError):
+            verify(expr, box, samples=samples, seed=seed)
+        return None
+    report = verify(expr, box, samples=samples, seed=seed).as_dict()
+    geometries = [graph_geometry(expr, x) for x in points]
+    _assert_same(report["per_point_data"], [
+        {"point": [float(v) for v in x], "gauss_kronecker": g.gauss_kronecker,
+         "gauss_kronecker_scaled": g.gauss_kronecker_scaled,
+         "flatness_residual": g.flatness_residual}
+        for x, g in zip(points, geometries)])
+    if theorem == "4.1":
+        key, vanish, clear = ("gauss_kronecker_scaled",
+                              tolerances.VANISHING_CURVATURE_TOL,
+                              tolerances.CLEAR_CURVATURE_TOL)
+        residual = "max_scaled_gauss_kronecker"
+    else:
+        key, vanish, clear = ("flatness_residual",
+                              tolerances.FLATNESS_VERDICT_TOL,
+                              tolerances.CLEAR_NONFLAT_TOL)
+        residual = "max_flatness_residual"
+    worst = max(getattr(g, key) for g in geometries)
+    hypothesis = True if worst <= vanish else (False if worst > clear
+                                               else None)
+    check = report["hypothesis_check"]
+    assert check["ces_verdict"] == detection["verdict"]
+    _assert_same(check["sigma_estimate"], detection["sigma_estimate"])
+    _assert_same(check[residual], worst, residual)
+    assert report["hypothesis_holds"] is hypothesis
+    matches = report["conclusion_holds"]
+    assert report["verdict"] == ("DegenerateHypothesis" if hypothesis is None
+                                 else "Consistent" if hypothesis == matches
+                                 else "Inconsistent")
+
+    conclusion = report["conclusion_check"]
+    case = None
+    if expr.family == "quasi_sum":
+        case = _reference_classification(as_quasi_sum(expr), box, samples,
+                                         seed)["case"]
+        assert conclusion["classification_case"] == case
+    bare = normalize_outer_shift(expr)
+    try:
+        gap = max(abs(homogeneity_degree(bare, x) - 1.0) for x in points)
+    except DomainError:
+        gap = math.inf
+    _assert_same(conclusion["euler_degree_gap"], gap, "euler_degree_gap")
+    ode = _reference_outer_ode(expr, points, case) if theorem == "4.1" \
+        else None
+    if ode is None:
+        assert "outer_ode" not in conclusion
+    else:
+        _assert_same(conclusion["outer_ode"]["max_residual"], ode,
+                     "max_residual")
+    return report["verdict"]
+
+
+def _box_cases():
+    rng = make_rng(906)
+    cases = []
+    for n in range(2, 6):
+        cases += [
+            random_cobb_douglas(rng, n), random_cobb_douglas(rng, n, 1.0),
+            random_acms(rng, n), random_acms(rng, n, d=1.0, clear_rho=True),
+            build_quasi_sum(random_power_spec(rng, n, degree_one=True)),
+            build_quasi_sum(random_power_spec(rng, n, shifts=True)),
+            build_quasi_sum(random_log_spec(rng, n, degree_one=True)),
+            build_quasi_sum(random_log_spec(rng, n)),
+            build_quasi_sum(random_mixed_spec(rng, n))]
+    cases += [build_quasi_sum(random_ratio_spec(rng))]
+    cases += [random_ratio_expr(rng) for _ in range(3)]
+    # Two linear inners: H_12 is infinite at the box center, so detection
+    # takes its reference sigma from the first finite pair of the samples.
+    cases.append(build_quasi_sum(QuasiSumSpec(
+        outer=ScalarFn("exp", 0.5),
+        inner=(ScalarFn("affine", 1.0), ScalarFn("affine", 2.0),
+               ScalarFn("power", 1.0, exponent=0.5)))))
+    return cases
+
+
+def test_point_table_reports_match_the_point_by_point_api():
+    samples = 24
+    seen = collections.Counter()
+    for k, expr in enumerate(_box_cases()):
+        box, seed = default_box(expr.n), k
+        for theorem, verify in (("4.1", verify_theorem_41),
+                                ("4.2", verify_theorem_42)):
+            seen[theorem, _check_curvature_report(
+                verify, theorem, expr, box, samples, seed)] += 1
+        try:
+            spec = as_quasi_sum(expr)
+        except SpecError:
+            with pytest.raises(SpecError):
+                classify_quasi_sum(expr, box, samples=samples, seed=seed)
+            with pytest.raises(SpecError):
+                verify_theorem_11(expr, box, samples=samples, seed=seed)
+            continue
+        want = _reference_classification(spec, box, samples, seed)
+        _assert_same(classify_quasi_sum(expr, box, samples=samples,
+                                        seed=seed).as_dict(), want)
+        seen[want["case"]] += 1
+        report = verify_theorem_11(expr, box, samples=samples,
+                                   seed=seed).as_dict()
+        points = [box_center(box), *log_uniform(box, samples, seed)]
+        detection = _reference_detection(expr, points)
+        _assert_same(report["conclusion_check"]["classification"], want)
+        _assert_same(report["hypothesis_check"], {
+            key: detection[key]
+            for key in ("sigma_estimate", "max_deviation")} | {
+            "ces_verdict": detection["verdict"]})
+        hypothesis = detection["verdict"] != "NotCES"
+        assert report["hypothesis_holds"] is hypothesis
+        assert report["verdict"] == ("Consistent"
+                                     if hypothesis == (want["case"] != "NotCES")
+                                     else "Inconsistent")
+    # Every case and both curvature verdicts are exercised.
+    for key in ("HomotheticACMS", "HomotheticCobbDouglas", "RatioTwoInput",
+                "NotCES", ("4.1", "Consistent"), ("4.1", None),
+                ("4.2", "Consistent"), ("4.2", "Inconsistent")):
+        assert seen[key] > 0, (key, seen)
