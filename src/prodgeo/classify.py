@@ -455,11 +455,11 @@ def verify_theorem_11(expr, box=None, samples: int = 64,
     box = validate_box(default_box(spec.n) if box is None else box, spec.n)
     if isinstance(expr, QuasiSumSpec):
         expr = build_quasi_sum(spec, box)
+    # The document and its quasi-sum rewrite are one function: classify the
+    # rewrite on the document's own point table and detection.
     table = point_table(expr, box, samples, seed)
     detection = detect_ces_on(table)
-    # A quasi-sum is its own rewrite: classify it on the same table.
-    cls = _classify(spec, table, detection) if expr.family == "quasi_sum" \
-        else classify_quasi_sum(spec, box, samples=samples, seed=seed)
+    cls = _classify(spec, table, detection)
 
     hypothesis = detection.verdict in (REGULAR_CES, DEGENERATE_CES)
     conclusion = cls.case != NOT_CES

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: eval, elasticity, curvature, classify, verify, scan.  Every
+Commands: eval, elasticity, curvature, classify, verify, scan.  Every
 command reads a JSON function document (--fn), works on a point (--at) or a
 per-axis box (--box, "lo:hi" entries), and emits one report to stdout as
 JSON (default) or CSV.  Reports carry the tool version, the sha256 digest of
@@ -17,6 +17,7 @@ failure).  Errors are reported as a machine-readable JSON record on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -63,120 +64,107 @@ class RunConfig:
 # -- deterministic rendering --------------------------------------------------
 
 
-def _float_text(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+def _leaf(value) -> str:
+    """Text of one report leaf, shared by JSON values, CSV cells and CSV
+    comment lines: floats with 17 significant digits (inf, -inf and nan
+    spelled out), bools as true/false, None as the empty string (JSON writes
+    null)."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, np.generic):
+        return _leaf(value.item())
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    raise SpecError(f"cannot serialize {type(value).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _json_key(key) -> str:
+    """Encoded dict key: a report repeats a few keys on every row."""
+    return json.dumps(str(key))
 
 
 def _to_json(value) -> str:
-    """Single-line JSON with sorted keys and 17-significant-digit floats.
+    """Single-line JSON with sorted keys and leaves written by ``_leaf``.
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" so the output
-    stays strict JSON.
+    stays strict JSON.  The common types are tested first.
     """
+    kind = type(value)
+    if kind is float:
+        return _leaf(value) if math.isfinite(value) else f'"{_leaf(value)}"'
+    if kind is dict:
+        return "{" + ",".join([_json_key(k) + ":" + _to_json(v)
+                               for k, v in sorted(value.items())]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join(map(_to_json, value)) + "]"
     if value is None:
         return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isfinite(v):
-            return format(v, ".17g")
-        return json.dumps(_float_text(v))
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=True)
-    if isinstance(value, dict):
-        body = ",".join(f"{json.dumps(str(k))}:{_to_json(v)}"
-                        for k, v in sorted(value.items()))
-        return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in value) + "]"
-    if isinstance(value, np.ndarray):
+        return json.dumps(value)
+    if isinstance(value, (np.ndarray, np.generic)):
         return _to_json(value.tolist())
-    raise SpecError(f"cannot serialize {type(value).__name__} to JSON")
+    return _leaf(value)
 
 
 def _cell(value) -> str:
-    if value is None:
-        text = ""
-    elif isinstance(value, (bool, np.bool_)):
-        text = "true" if value else "false"
-    elif isinstance(value, (float, np.floating)):
-        text = _float_text(float(value))
-    elif isinstance(value, (int, np.integer)):
-        text = str(int(value))
-    else:
-        text = str(value)
+    text = _leaf(value)
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _flatten(value, prefix: str, rows: list) -> None:
+def _flatten(value, prefix: str, lines: list) -> None:
+    """Append one "key,value" CSV line per leaf of ``value``."""
     if isinstance(value, dict):
         for key in sorted(value):
             path = f"{prefix}.{key}" if prefix else str(key)
-            _flatten(value[key], path, rows)
+            _flatten(value[key], path, lines)
     elif isinstance(value, (list, tuple)):
         for idx, item in enumerate(value):
-            _flatten(item, f"{prefix}[{idx}]", rows)
+            _flatten(item, f"{prefix}[{idx}]", lines)
     else:
-        rows.append((prefix, _cell(value)))
+        lines.append(f"{_cell(prefix)},{_cell(value)}")
 
 
 def _envelope(config: RunConfig, digest: str) -> dict:
-    env = {
-        "tool": TOOL,
-        "version": __version__,
-        "command": config.command,
-        "digest": digest,
-        "seed": config.seed,
-        "samples": config.samples,
-        "tolerances": tolerances.as_dict(),
-    }
-    if config.at is not None:
-        env["at"] = list(config.at)
-    if config.box is not None:
-        env["box"] = [list(axis) for axis in config.box]
-    if config.pair is not None:
-        env["pair"] = [config.pair[0] + 1, config.pair[1] + 1]
-    if config.theorem is not None:
-        env["theorem"] = config.theorem
+    """The report's envelope; the request fields given on the command line
+    (--at, --box, --pair, --theorem) are echoed, the others left out."""
+    env = {"tool": TOOL, "version": __version__, "command": config.command,
+           "digest": digest, "seed": config.seed, "samples": config.samples,
+           "tolerances": tolerances.as_dict()}
+    given = {"at": config.at and list(config.at),
+             "box": config.box and [list(axis) for axis in config.box],
+             "pair": config.pair and [config.pair[0] + 1, config.pair[1] + 1],
+             "theorem": config.theorem}
+    env.update((key, value) for key, value in given.items()
+               if value is not None)
     return env
-
-
-def _comment_lines(env: dict) -> list:
-    lines = []
-    for key in sorted(env):
-        if key in ("tolerances", "report"):
-            continue
-        lines.append(f"# {key}: {_to_json(env[key])}")
-    for name, value in sorted(env["tolerances"].items()):
-        lines.append(f"# tolerance {name}: {_float_text(value)}")
-    return lines
 
 
 def _render(config: RunConfig, env: dict) -> str:
     if config.out == "json":
         return _to_json(env)
-    lines = _comment_lines(env)
+    lines = [f"# {key}: {_to_json(value)}" for key, value in sorted(env.items())
+             if key not in ("tolerances", "report")]
+    lines += [f"# tolerance {name}: {_leaf(value)}"
+              for name, value in sorted(env["tolerances"].items())]
     report = env["report"]
     if config.command == "scan":
         lines.append(",".join(report["columns"]))
         # Every scan cell is a float, which never needs CSV quoting, and
-        # "{:.17g}" prints inf, -inf and nan exactly as _float_text does.
+        # "{:.17g}" prints inf, -inf and nan exactly as _leaf does.
         row_format = ",".join(["{:.17g}"] * len(report["columns"]))
         lines.extend(row_format.format(*row["cells"]) for row in report["rows"])
     else:
         lines.append("key,value")
-        flat: list = []
-        _flatten(report, "", flat)
-        lines.extend(f"{_cell(k)},{v}" for k, v in flat)
+        _flatten(report, "", lines)
     return "\n".join(lines)
 
 
@@ -239,20 +227,17 @@ def _cmd_elasticity(config: RunConfig, expr) -> dict:
 
 
 def _cmd_classify(config: RunConfig, expr) -> dict:
-    box = _resolve_box(config, expr.n)
-    result = classify_quasi_sum(expr, box, samples=config.samples,
-                                seed=config.seed)
-    return result.as_dict()
+    return classify_quasi_sum(expr, _resolve_box(config, expr.n),
+                              samples=config.samples, seed=config.seed).as_dict()
 
 
 def _cmd_verify(config: RunConfig, expr) -> dict:
     if config.theorem is None:
         raise SpecError("verify requires --theorem")
-    box = _resolve_box(config, expr.n)
     checker = {"1.1": verify_theorem_11, "4.1": verify_theorem_41,
                "4.2": verify_theorem_42}[config.theorem]
-    report = checker(expr, box, samples=config.samples, seed=config.seed)
-    return report.as_dict()
+    return checker(expr, _resolve_box(config, expr.n), samples=config.samples,
+                   seed=config.seed).as_dict()
 
 
 def _cmd_scan(config: RunConfig, expr) -> dict:
@@ -277,24 +262,16 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
     }
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "elasticity": _cmd_elasticity,
-    "curvature": _cmd_curvature,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-}
+_DISPATCH = {"eval": _cmd_eval, "elasticity": _cmd_elasticity,
+             "curvature": _cmd_curvature, "classify": _cmd_classify,
+             "verify": _cmd_verify, "scan": _cmd_scan}
 
 
 def _error_payload(config, digest: str | None, exc: BaseException) -> dict:
-    return {
-        "tool": TOOL,
-        "version": __version__,
-        "command": None if config is None else config.command,
-        "digest": digest,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+    return {"tool": TOOL, "version": __version__,
+            "command": None if config is None else config.command,
+            "digest": digest,
+            "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def run(config: RunConfig) -> tuple:
@@ -304,7 +281,10 @@ def run(config: RunConfig) -> tuple:
         with open(config.fn_path, "rb") as handle:
             raw = handle.read()
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-        doc = json.loads(raw.decode("utf-8"))
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise SpecError("function document is nested too deeply") from None
         expr = expr_from_dict(doc, box=config.box)
         report = _DISPATCH[config.command](config, expr)
         env = _envelope(config, digest)
@@ -360,50 +340,43 @@ def _parse_pair(text: str) -> tuple:
     return i - 1, j - 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0]
-                     if __doc__ else None)
+    """The one parser of the command line, built once per process: the
+    command is a positional and every option is common to all commands."""
+    parser = _Parser(prog=TOOL,
+                     description=__doc__ and __doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--fn", required=True, metavar="PATH",
-                         help="JSON function document")
-        sub.add_argument("--at", metavar="P1,P2,...",
-                         help="evaluation point, comma-separated decimals")
-        sub.add_argument("--box", metavar="LO:HI,...",
-                         help="per-axis bounds, lo:hi per axis")
-        sub.add_argument("--samples", type=int, default=100, metavar="N")
-        sub.add_argument("--pair", metavar="I,J",
-                         help="1-based input pair")
-        sub.add_argument("--theorem", choices=("1.1", "4.1", "4.2"))
-        sub.add_argument("--out", choices=("json", "csv"), default="json")
-        sub.add_argument("--seed", type=int, default=0, metavar="INT")
-        sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="accepted and ignored: scan evaluates its "
-                              "whole grid in one vectorised pass")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--fn", dest="fn_path", required=True, metavar="PATH",
+                        help="JSON function document")
+    parser.add_argument("--at", metavar="P1,P2,...",
+                        help="evaluation point, comma-separated decimals")
+    parser.add_argument("--box", metavar="LO:HI,...",
+                        help="per-axis bounds, lo:hi per axis")
+    parser.add_argument("--samples", type=int, default=100, metavar="N")
+    parser.add_argument("--pair", metavar="I,J", help="1-based input pair")
+    parser.add_argument("--theorem", choices=("1.1", "4.1", "4.2"))
+    parser.add_argument("--out", choices=("json", "csv"), default="json")
+    parser.add_argument("--seed", type=int, default=0, metavar="INT")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="accepted and ignored: scan evaluates its "
+                             "whole grid in one vectorised pass")
     return parser
 
 
 def parse_config(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    if ns.samples < 1:
+    fields = vars(build_parser().parse_args(argv))
+    if fields["samples"] < 1:
         raise SpecError("--samples must be at least 1")
-    if ns.jobs < 1:
+    if fields["jobs"] < 1:
         raise SpecError("--jobs must be at least 1")
-    return RunConfig(
-        command=ns.command,
-        fn_path=ns.fn,
-        at=None if ns.at is None else _parse_point(ns.at),
-        box=None if ns.box is None else _parse_box(ns.box),
-        samples=ns.samples,
-        pair=None if ns.pair is None else _parse_pair(ns.pair),
-        theorem=ns.theorem,
-        out=ns.out,
-        seed=ns.seed,
-        jobs=ns.jobs,
-    )
+    for name, parse in (("at", _parse_point), ("box", _parse_box),
+                        ("pair", _parse_pair)):
+        if fields[name] is not None:
+            fields[name] = parse(fields[name])
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:

@@ -76,19 +76,32 @@ def _pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _pair_derivatives(gradient, hessian, lo, hi):
+    """f_lo, f_hi, f_lo,lo, f_lo,hi and f_hi,hi, each divided by the power of
+    two just above max(|f_lo|, |f_hi|) at its point: an exact scaling
+    f -> f / 2^k, under which H and the normalised CES residual are
+    invariant, so their products of derivatives neither under- nor overflow
+    at extreme output scales."""
+    fl, fh = gradient[..., lo], gradient[..., hi]
+    _, e = np.frexp(np.maximum(np.abs(fl), np.abs(fh)))
+    return tuple(np.ldexp(d, -e) for d in (
+        fl, fh, hessian[..., lo, lo], hessian[..., lo, hi],
+        hessian[..., hi, hi]))
+
+
 def hicks_values(x, gradient, hessian, lo, hi) -> np.ndarray:
     """H_lo,hi (inf if infinite, nan if degenerate) from (..., n) points and
     gradients and (..., n, n) Hessians, for index arrays or ints lo < hi."""
-    fl, fh = gradient[..., lo], gradient[..., hi]
+    fl, fh, fll, flh, fhh = _pair_derivatives(gradient, hessian, lo, hi)
     if not (fl.all() and fh.all()):
         raise DomainError(
             "elasticity undefined where a marginal product vanishes")
     eps = tolerances.DEGENERACY_EPS
     with np.errstate(all="ignore"):
         a, b = 1.0 / (x[..., lo] * fl), 1.0 / (x[..., hi] * fh)
-        c = -hessian[..., lo, lo] / (fl * fl)
-        d = 2.0 * hessian[..., lo, hi] / (fl * fh)
-        e = -hessian[..., hi, hi] / (fh * fh)
+        c = -fll / (fl * fl)
+        d = 2.0 * flh / (fl * fh)
+        e = -fhh / (fh * fh)
         num = a + b
         den = c + d + e
         # |sum| <= eps * sum(|terms|) also holds when the sum is exactly 0.
@@ -152,12 +165,11 @@ def ces_residuals(x, gradient, hessian, sigma: float, lo, hi) -> np.ndarray:
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
-    fl, fh = gradient[..., lo], gradient[..., hi]
+    fl, fh, fll, flh, fhh = _pair_derivatives(gradient, hessian, lo, hi)
     xl, xh = x[..., lo], x[..., hi]
     with np.errstate(all="ignore"):
-        s, e1 = _two_sum(2.0 * fl * fh * hessian[..., lo, hi],
-                         -fh * fh * hessian[..., lo, lo])
-        s, e2 = _two_sum(s, -fl * fl * hessian[..., hi, hi])
+        s, e1 = _two_sum(2.0 * fl * fh * flh, -fh * fh * fll)
+        s, e2 = _two_sum(s, -fl * fl * fhh)
         lhs = s + (e1 + e2)
         rhs = (xl * fl + xh * fh) * fl * fh / (sigma * xl * xh)
         floor = np.maximum(np.abs(xl * fl), np.abs(xh * fh)) ** 3 \

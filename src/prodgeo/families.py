@@ -362,29 +362,35 @@ def build_acms(gamma: float, a, rho: float, d: float) -> FunctionExpr:
                          "weights": tuple(weights)})
 
 
+@np.errstate(all="ignore")
 def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
     """Sampled monotonicity and domain check on the declared box.
 
     Each inner derivative is checked at MONOTONICITY_SAMPLES points per axis;
     the outer derivative is checked at the same number of points across the
     inner-sum range (inner components are monotone, so the range comes from
-    the axis endpoints).
+    the axis endpoints).  A non-finite inner value or slope, or outer slope,
+    is a DomainError naming the component.
     """
     lo_sum = 0.0
     hi_sum = 0.0
     for i, ((lo, hi), h) in enumerate(zip(box, spec.inner)):
         xs = np.linspace(lo, hi, MONOTONICITY_SAMPLES)
-        d1 = _sampled_slopes(h, xs, f"inner component {i} undefined at x=")
+        v, d1 = _sampled(h, xs, f"inner component {i} undefined at x=")
+        if not (np.isfinite(v).all() and np.isfinite(d1).all()):
+            raise DomainError(f"inner component {i} overflows on the box: "
+                              f"its value or slope is not finite")
         bad = (d1 == 0.0) | (np.signbit(d1) != np.signbit(d1[0]))
         if bad.any():
             raise SpecError(f"inner component {i} is not strictly monotone "
                             f"at x={float(xs[bad.argmax()])!r}")
-        va, vb = h.value(lo), h.value(hi)
-        lo_sum += min(va, vb)
-        hi_sum += max(va, vb)
+        lo_sum += min(v[0], v[-1])
+        hi_sum += max(v[0], v[-1])
     us = np.linspace(lo_sum, hi_sum, MONOTONICITY_SAMPLES)
-    d1 = _sampled_slopes(spec.outer, us,
-                         "outer undefined on the inner-sum range at u=")
+    _, d1 = _sampled(spec.outer, us,
+                     "outer undefined on the inner-sum range at u=")
+    if not np.isfinite(d1).all():
+        raise DomainError("outer slope is not finite on the inner-sum range")
     bad = d1 <= 0.0
     if bad.any():
         k = bad.argmax()
@@ -393,10 +399,11 @@ def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
             f"derivative is {float(d1[k])!r} at u={float(us[k])!r}")
 
 
-def _sampled_slopes(fn: ScalarFn, xs: np.ndarray, undefined: str):
-    """fn' at every sample, or SpecError naming the first undefined one."""
+def _sampled(fn: ScalarFn, xs: np.ndarray, undefined: str):
+    """(fn, fn') at every sample, or SpecError naming the first undefined
+    one."""
     try:
-        return fn.derivatives(xs)[1]
+        return fn.derivatives(xs)[:2]
     except DomainError:
         for x in xs:
             try:

@@ -1,11 +1,13 @@
 """Command-line interface: reports, envelopes, rendering, exit codes."""
 
+import argparse
 import json
+import warnings
 
 import pytest
 
 from prodgeo import tolerances
-from prodgeo.cli import RunConfig, main, run
+from prodgeo.cli import RunConfig, build_parser, main, run
 
 
 def write_doc(tmp_path, name, doc):
@@ -48,6 +50,12 @@ def mixed_doc(tmp_path):
 def run_json(config):
     status, text = run(config)
     return status, json.loads(text)
+
+
+def one_record(text):
+    """The single JSON line a command writes to stdout."""
+    assert text.endswith("\n") and text.count("\n") == 1
+    return json.loads(text)
 
 
 # -- reports ---------------------------------------------------------------------
@@ -146,6 +154,53 @@ def test_loosely_typed_fields_are_bad_requests(tmp_path, doc):
     assert json.loads(text)["error"]["type"] == "SpecError"
 
 
+@pytest.mark.parametrize("gamma", [1e-300, 1e-160, 1e120, 1e200])
+def test_elasticity_and_classification_ignore_the_output_scale(tmp_path,
+                                                               gamma):
+    # sigma = 1 at any scale, although f_i**2 and the products in the
+    # elasticity identity leave the float range at these gammas.
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                          "gamma": gamma, "alpha": [0.5, 0.5]})
+    status, env = run_json(RunConfig("elasticity", doc, at=(1.5, 0.7)))
+    assert status == 0
+    pair = env["report"]["pairs"]["1,2"]
+    assert pair["kind"] == "finite"
+    assert pair["value"] == pytest.approx(1.0, abs=1e-15)
+    status, env = run_json(RunConfig("classify", doc))
+    assert status == 0
+    assert env["report"]["case"] == "HomotheticCobbDouglas"
+    assert env["report"]["sigma"] == 1.0
+
+
+@pytest.mark.parametrize("doc, args", [
+    ({"type": "acms", "gamma": 1.0, "a": [1.0, 1.0], "rho": 1e300, "d": 1.0},
+     ["classify"]),
+    ({"type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1.0},
+      "inner": [{"form": "power", "coefficient": 1.0, "exponent": 800.0},
+                {"form": "power", "coefficient": 1.0, "exponent": 2.0}]},
+     ["eval", "--box", "1:3,1:3", "--at", "2,2"]),
+], ids=["huge-rho", "huge-exponent"])
+def test_box_validation_overflow_is_a_domain_error(tmp_path, capsys, doc, args):
+    path = write_doc(tmp_path, "big.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main([args[0], "--fn", path, *args[1:]])
+    out = capsys.readouterr()
+    assert (status, caught, out.err) == (2, [], "")
+    error = one_record(out.out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith("inner component 0 ")
+
+
+def test_a_deeply_nested_document_is_a_bad_request(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["eval", "--fn", str(path), "--at", "1,1"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert one_record(out.out)["error"]["type"] == "SpecError"
+
+
 def test_verify_requires_theorem(acms_doc):
     status, payload = run_json(RunConfig("verify", acms_doc))
     assert status == 1
@@ -231,6 +286,36 @@ def test_error_exit_codes(tmp_path, cd_doc):
     assert run(RunConfig("eval", cd_doc, at=(1.0, 1.0, 1.0)))[0] == 1
     assert run(RunConfig("eval", cd_doc, at=(1.0, -1.0)))[0] == 1
     assert run(RunConfig("eval", cd_doc))[0] == 1
+
+
+def test_one_parser_without_subparsers_is_built_once():
+    parser = build_parser()
+    assert build_parser() is parser
+    assert not any(isinstance(action, argparse._SubParsersAction)
+                   for action in parser._actions)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["fit", "--fn", "{doc}"],
+    ["eval", "--at", "4,9"],
+    ["verify", "--fn", "{doc}", "--theorem", "2.1"],
+    ["scan", "--fn", "{doc}", "--out", "xml"],
+    ["scan", "--fn", "{doc}", "--jobs", "0"],
+], ids=["no-command", "unknown-command", "missing-fn", "bad-theorem",
+        "bad-out", "zero-jobs"])
+def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, argv):
+    assert main([arg.format(doc=cd_doc) for arg in argv]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert one_record(out.out)["error"]["type"] == "SpecError"
+
+
+def test_options_may_come_before_the_command(cd_doc, capsys):
+    assert main(["eval", "--fn", cd_doc, "--at", "4,9"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--fn", cd_doc, "--at", "4,9", "eval"]) == 0
+    assert capsys.readouterr().out == after
 
 
 def test_main_parses_and_validates(cd_doc, capsys):

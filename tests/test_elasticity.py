@@ -13,6 +13,8 @@ from prodgeo import (
     pairwise_elasticities, quasisum_separated_residual,
 )
 from prodgeo import tolerances
+from prodgeo.elasticity import ces_residuals, hicks_values
+from prodgeo.families import index_pairs
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point, random_points,
     random_quasi_sum_expr, random_ratio_expr,
@@ -102,6 +104,26 @@ def test_elasticity_is_scale_free_on_homogeneous_functions():
             scaled = hicks_elasticity(expr, t * x, 0, 2).value
             assert abs(scaled - base) <= \
                 tolerances.SCALE_INVARIANCE_TOL * max(1.0, abs(base))
+
+
+def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
+    # H and the normalised residual are invariant under f -> k f; for k a
+    # power of two the results are the same bits, even where the products
+    # of derivatives would leave the float range.
+    rng = make_rng(305)
+    for expr in (random_acms(rng, 4), random_cobb_douglas(rng, 3),
+                 random_quasi_sum_expr(rng, 3), random_ratio_expr(rng)):
+        x = random_points(rng, expr.n, 50)
+        _, gradient, hessian = expr.derivatives(x)
+        lo, hi = index_pairs(expr.n)
+        base_h = hicks_values(x, gradient, hessian, lo, hi)
+        base_r = ces_residuals(x, gradient, hessian, 2.0, lo, hi)
+        for k in (2.0 ** -900, 2.0 ** -500, 2.0 ** 500, 2.0 ** 900):
+            scaled = (x, k * gradient, k * hessian)
+            np.testing.assert_array_equal(
+                hicks_values(*scaled, lo, hi), base_h, strict=True)
+            np.testing.assert_array_equal(
+                ces_residuals(*scaled, 2.0, lo, hi), base_r, strict=True)
 
 
 # -- the constant-elasticity identity ---------------------------------------------

@@ -1,0 +1,131 @@
+"""Document fuzzing: whatever the document, the command line keeps its exit
+contract (0, 1 or 2) and writes exactly one JSON line to stdout."""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from prodgeo.cli import main
+
+BASES = (
+    {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]},
+    {"type": "acms", "gamma": 1.0, "a": [1.0, 2.0], "rho": 0.5, "d": 1.0},
+    {"type": "quasi_sum",
+     "outer": {"form": "power", "coefficient": 1.0, "exponent": 2.0},
+     "inner": [{"form": "power", "coefficient": 2.0, "exponent": 0.5},
+               {"form": "log", "coefficient": 1.0, "shift": 0.5}]},
+    {"type": "ratio", "outer": {"form": "log", "coefficient": 1.0}},
+)
+
+NUMBERS = st.one_of(
+    st.floats(),  # nan, inf, subnormals and the extremes included
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1e308,
+                     -1e308, 800.0, -800.0]))
+LEAVES = st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=6),
+                   st.sampled_from(["power", "log", "exp", "affine", "acms",
+                                    "ratio", "quasi_sum", "cobb_douglas"]))
+VALUES = st.recursive(
+    LEAVES, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=8)
+KEYS = st.sampled_from(["type", "gamma", "alpha", "a", "rho", "d", "outer",
+                        "inner", "form", "coefficient", "exponent", "shift",
+                        "note"])
+
+
+def _slots(value):
+    """Every (container, key) of a document, and (container, None) for each
+    container itself."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    yield value, None
+    for key, item in items:
+        yield value, key
+        yield from _slots(item)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def documents(draw):
+    """A valid document after up to three mutations; mostly a number made
+    extreme, sometimes a value of the wrong type, a missing or extra key, or
+    a value nested in lists.  One in ten is cut short, and one in ten is
+    nested in up to 100,000 lists."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(_slots(doc))
+        op = draw(st.sampled_from(["number"] * 4 + ["replace", "delete",
+                                                    "add", "nest"]))
+        numbers = [(holder, key) for holder, key in slots
+                   if key is not None and _is_number(holder[key])]
+        if op == "number" and numbers:
+            slots = numbers
+        holder, key = draw(st.sampled_from(slots))
+        if key is None or op == "add":
+            if isinstance(holder, dict):
+                holder[draw(KEYS)] = draw(VALUES)
+            else:
+                holder.append(draw(VALUES))
+        elif op == "delete":
+            del holder[key]
+        elif op == "nest":
+            for _ in range(draw(st.integers(1, 40))):
+                holder[key] = [holder[key]]
+        else:
+            holder[key] = draw(NUMBERS if op == "number" else VALUES)
+    text = json.dumps(doc)
+    damage = draw(st.sampled_from(["none"] * 8 + ["cut", "deep"]))
+    if damage == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif damage == "deep":
+        depth = draw(st.sampled_from([100, 10_000, 100_000]))
+        text = "[" * depth + text + "]" * depth
+    return text
+
+
+COORDINATES = st.one_of(*[st.floats(0.25, 4.0)] * 4, NUMBERS)
+
+
+@st.composite
+def requests(draw):
+    """Every command, mostly with a point of the right arity."""
+    command = draw(st.sampled_from(["eval", "curvature", "elasticity",
+                                    "classify", "verify", "scan"]))
+    argv = [command]
+    if command in ("eval", "curvature") or draw(st.booleans()):
+        n = draw(st.sampled_from([2] * 5 + [1, 3]))
+        at = draw(st.lists(COORDINATES, min_size=n, max_size=n))
+        argv.append("--at=" + ",".join(map(str, at)))
+    if command == "verify":
+        argv += ["--theorem", draw(st.sampled_from(["1.1", "4.1", "4.2"]))]
+    argv += ["--samples", "4" if command == "scan" else "8"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(text=documents(), argv=requests())
+def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
+    path = tmp_path / "fn.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main([*argv, "--fn", str(path)])
+    assert status in (0, 1, 2)
+    lines = out.getvalue().split("\n")
+    assert len(lines) == 2 and lines[1] == ""
+    record = json.loads(lines[0])
+    assert ("error" in record) == (status != 0)
