@@ -41,12 +41,6 @@ def default_box(n: int) -> tuple[tuple[float, float], ...]:
     return tuple(DEFAULT_BOX_AXIS for _ in range(n))
 
 
-def _any(condition) -> bool:
-    """``condition`` is a bool for a float argument, an array for an array."""
-    return np.count_nonzero(condition) > 0 \
-        if isinstance(condition, np.ndarray) else condition
-
-
 @dataclass(frozen=True)
 class ScalarFn:
     """One-variable scalar function from the closed family.
@@ -97,34 +91,35 @@ class ScalarFn:
 
     def derivatives(self, x):
         """(value, first, second) at x in closed form; x is a float or an
-        array (DomainError if any element is outside the domain)."""
-        c = self.coefficient
-        s = self.shift
-        batch = isinstance(x, np.ndarray)
-        if not batch:
-            x = float(x)
+        array, and a float gives 0-d results (DomainError if any element is
+        outside the domain)."""
+        x = np.asarray(x, dtype=float)
+        outside, message = self._outside(x)
+        if outside is not None and outside.any():
+            raise DomainError(message)
+        c, s = self.coefficient, self.shift
         if self.form == FORM_POWER:
             p = self.exponent
-            if float(p).is_integer():
-                if p < 2 and _any(x == 0.0):
-                    raise DomainError("power form undefined at zero")
-            elif _any(x <= 0.0):
-                raise DomainError(
-                    f"power form with exponent {p} needs a positive argument")
-            return (c * x ** p + s,
-                    c * p * x ** (p - 1.0),
+            return (c * x ** p + s, c * p * x ** (p - 1.0),
                     c * p * (p - 1.0) * x ** (p - 2.0))
         if self.form == FORM_LOG:
-            if _any(x <= 0.0):
-                raise DomainError("log form needs a positive argument")
-            return (c * (np.log(x) if batch else math.log(x)) + s,
-                    c / x, -c / (x * x))
+            return c * np.log(x) + s, c / x, -c / (x * x)
         if self.form == FORM_EXP:
-            e = np.exp(x) if batch else math.exp(x)
-            return (c * e + s, c * e, c * e)
-        if batch:
-            return (c * x + s, np.full_like(x, c), np.zeros_like(x))
-        return (c * x + s, c, 0.0)
+            e = c * np.exp(x)
+            return e + s, e, e
+        return c * x + s, np.full_like(x, c), np.zeros_like(x)
+
+    def _outside(self, x: np.ndarray):
+        """Mask of the elements of x outside the domain (None when the
+        domain is the whole line) and the DomainError text."""
+        if self.form == FORM_LOG:
+            return x <= 0.0, "log form needs a positive argument"
+        p = self.exponent
+        if self.form != FORM_POWER or (p >= 2 and p.is_integer()):
+            return None, ""
+        if p.is_integer():
+            return x == 0.0, "power form undefined at zero"
+        return x <= 0.0, f"power form with exponent {p} needs a positive argument"
 
     def increasing_on_positive(self) -> bool:
         """Whether the derivative is positive on the whole positive axis."""
@@ -404,13 +399,9 @@ def _sampled(fn: ScalarFn, xs: np.ndarray, undefined: str):
     one."""
     try:
         return fn.derivatives(xs)[:2]
-    except DomainError:
-        for x in xs:
-            try:
-                fn.derivatives(float(x))
-            except DomainError as exc:
-                raise SpecError(f"{undefined}{float(x)!r}") from exc
-        raise
+    except DomainError as exc:
+        outside, _ = fn._outside(xs)
+        raise SpecError(f"{undefined}{float(xs[outside.argmax()])!r}") from exc
 
 
 def build_quasi_sum(spec: QuasiSumSpec, box=None) -> FunctionExpr:
@@ -435,7 +426,7 @@ def build_ratio(outer: ScalarFn) -> FunctionExpr:
     return FunctionExpr("ratio", 2, {"outer": outer})
 
 
-def build_custom(n: int, jet_fn, label: str = "custom") -> FunctionExpr:
+def build_custom(n: int, jet_fn) -> FunctionExpr:
     """Composite assembled directly from jet arithmetic.
 
     ``jet_fn`` maps a list of lifted coordinate jets to the output jet.  No
@@ -443,7 +434,7 @@ def build_custom(n: int, jet_fn, label: str = "custom") -> FunctionExpr:
     """
     if n < 2:
         raise SpecError("need at least two inputs")
-    return FunctionExpr("custom", int(n), {"fn": jet_fn, "label": label})
+    return FunctionExpr("custom", int(n), {"fn": jet_fn})
 
 
 # -- derived quantities ------------------------------------------------------
@@ -482,8 +473,7 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
         raise DomainError("point must be strictly positive")
     u = spec.inner_sum(x)
     _, f1, f2 = spec.outer.derivatives(u)
-    d1, d2 = zip(*(h.derivatives(float(xi))[1:]
-                   for h, xi in zip(spec.inner, x)))
+    d1, d2 = zip(*(h.derivatives(xi)[1:] for h, xi in zip(spec.inner, x)))
     n = spec.n
     term1 = f1 ** n * math.prod(d2)
     cross = math.fsum(

@@ -1,51 +1,31 @@
-"""Numerical thresholds used by verdicts and reports.
+"""Numerical thresholds the library reads.
 
-Every constant that decides a pass/fail or a verdict lives here, so reports
-can state the exact contract they were produced under.  Values are part of
-the output contract; change them deliberately.
+Every constant here decides a verdict or sets a default the library uses, so
+each report embeds this whole table and states the exact contract it was
+produced under.  Values are part of the output contract; change them
+deliberately.  The gates that only the test suite checks against live in
+``tests/gates.py``.
 """
 
 # Finite-difference oracle.
 FD_DEFAULT_STEP = 1e-4          # central-difference step, scaled by max(1, |x_i|)
-GRADIENT_FD_RTOL = 1e-6         # jet gradient vs central differences, relative
-HESSIAN_FD_SCALED_TOL = 1e-4    # jet Hessian vs differences, scaled by largest entry
-
-# Jet arithmetic.
-JET_VALUE_ARITHMETIC_RTOL = 1e-14
-
-# Closed-form determinant and homogeneity checks.
-HESSIAN_DET_RTOL = 1e-9
-HOMOGENEITY_ATOL = 1e-10
-EULER_RADIAL_TOL = 1e-10        # degree-1: ||H x|| <= tol * ||H|| * ||x||
 
 # Elasticity of substitution.
 DEGENERACY_EPS = 1e-9           # numerator/denominator vanishing, scale-normalized
 CES_CONSTANCY_RTOL = 1e-6       # constancy of the pairwise elasticity across samples
 CES_RESIDUAL_TOL = 1e-8         # identity residual bound for a regular verdict
 SIGMA_ONE_TIE_TOL = 1e-6        # |sigma - 1| below this selects the log branch
-SCALE_INVARIANCE_TOL = 1e-10    # homogeneous f: elasticity is degree-0 in x
-SIGMA_ROOT_MATCH_TOL = 1e-9     # elasticity vs root of the identity residual in sigma
 
 # Structure matching.
 EXPONENT_MATCH_TOL = 1e-12
 DEGREE_ONE_TOL = 1e-12          # exact-parameter linear-homogeneity tests
 STRUCTURE_RESIDUAL_TOL = 1e-8
-LEVELSET_ROUNDTRIP_RTOL = 1e-8
-RAY_INVARIANCE_TOL = 1e-10      # two-input ratio: f(t*x) == f(x)
 
 # Graph geometry.
-METRIC_DET_RTOL = 1e-12         # det(metric) vs W^2
-SHAPE_DET_RTOL = 1e-9           # det(shape operator) vs Gauss-Kronecker
-NORMAL_ORTHOGONALITY_TOL = 1e-12
-UNIT_NORM_TOL = 1e-14
 VANISHING_CURVATURE_TOL = 1e-10  # scaled |G| below this counts as zero
 CLEAR_CURVATURE_TOL = 1e-6       # scaled |G| above this counts as clearly nonzero
 FLATNESS_VERDICT_TOL = 1e-9      # normalized Riemann residual below this is flat
 CLEAR_NONFLAT_TOL = 1e-6
-
-# Outer-function differential consistency.
-ODE_MATCH_TOL = 1e-12
-ODE_MISMATCH_MIN = 1e-3
 
 
 def as_dict() -> dict[str, float]:

@@ -25,6 +25,7 @@ from prodgeo import (
 )
 from prodgeo import tolerances
 from prodgeo.sampling import log_uniform
+import gates
 from conftest import (
     log_uniform_scalar, make_rng, random_acms, random_cobb_douglas,
     random_log_spec, random_mixed_spec, random_point, random_power_spec,
@@ -212,10 +213,10 @@ def test_criterion_01():
         fd = finite_difference_oracle(expr, x)
         grad_gap = float(np.max(np.abs(jet.gradient - fd.gradient)))
         grad_scale = max(1.0, float(np.max(np.abs(jet.gradient))))
-        assert grad_gap <= tolerances.GRADIENT_FD_RTOL * grad_scale
+        assert grad_gap <= gates.GRADIENT_FD_RTOL * grad_scale
         hess_gap = float(np.max(np.abs(jet.hessian - fd.hessian)))
         hess_scale = max(1.0, float(np.max(np.abs(jet.hessian))))
-        assert hess_gap <= tolerances.HESSIAN_FD_SCALED_TOL * hess_scale
+        assert hess_gap <= gates.HESSIAN_FD_SCALED_TOL * hess_scale
 
 
 def test_criterion_02():
@@ -229,7 +230,7 @@ def test_criterion_02():
         direct = float(np.linalg.det(
             evaluate_jet(build_quasi_sum(spec), x).hessian))
         assert abs(closed - direct) <= \
-            tolerances.HESSIAN_DET_RTOL * max(abs(closed), abs(direct))
+            gates.HESSIAN_DET_RTOL * max(abs(closed), abs(direct))
 
 
 def test_criterion_03():
@@ -279,16 +280,16 @@ def test_criterion_06():
         perturbed = ScalarFn("power", 1.0, exponent=q + 0.5)
         for u in grid:
             assert acms_outer_ode_residual(solves, sigma, float(u)) <= \
-                tolerances.ODE_MATCH_TOL
+                gates.ODE_MATCH_TOL
             assert acms_outer_ode_residual(perturbed, sigma, float(u)) > \
-                tolerances.ODE_MISMATCH_MIN
+                gates.ODE_MISMATCH_MIN
     for alpha in (0.25, 0.5, 0.75, 2.0, -0.5):
         outer = ScalarFn("power", log_uniform_scalar(rng, 0.3, 3.0),
                          exponent=1.0 / alpha,
                          shift=float(rng.uniform(-1.0, 1.0)))
         for u in grid:
             assert cobb_douglas_outer_ode_residual(
-                outer, alpha, float(u)) <= tolerances.ODE_MATCH_TOL
+                outer, alpha, float(u)) <= gates.ODE_MATCH_TOL
 
 
 def test_criterion_07():
@@ -297,13 +298,13 @@ def test_criterion_07():
         geo = graph_geometry(expr, x)
         w_sq = geo.area_factor ** 2
         assert abs(np.linalg.det(geo.metric) - w_sq) <= \
-            tolerances.METRIC_DET_RTOL * w_sq
+            gates.METRIC_DET_RTOL * w_sq
         det_shape = float(np.linalg.det(geo.shape_operator))
         floor = (float(np.linalg.norm(geo.hessian)) / geo.area_factor) \
             ** expr.n
         assert abs(det_shape - geo.gauss_kronecker) <= \
-            tolerances.SHAPE_DET_RTOL * max(abs(det_shape),
-                                            abs(geo.gauss_kronecker), floor)
+            gates.SHAPE_DET_RTOL * max(abs(det_shape),
+                                       abs(geo.gauss_kronecker), floor)
 
 
 def test_criterion_08():

@@ -9,7 +9,7 @@ from prodgeo import (
     DomainError, Jet2, SpecError,
     evaluate_jet, finite_difference_oracle, lift_variable,
 )
-from prodgeo import tolerances
+import gates
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point,
     random_quasi_sum_expr, random_ratio_expr,
@@ -138,7 +138,7 @@ def test_jet_value_matches_plain_evaluation():
         jet = evaluate_jet(expr, x)
         plain = expr.value(x)
         assert jet.value == pytest.approx(
-            plain, rel=tolerances.JET_VALUE_ARITHMETIC_RTOL)
+            plain, rel=gates.JET_VALUE_ARITHMETIC_RTOL)
 
 
 def test_finite_difference_oracle_agrees_on_hand_instance():
@@ -149,10 +149,10 @@ def test_finite_difference_oracle_agrees_on_hand_instance():
     fd = finite_difference_oracle(expr, x)
     grad_scale = max(1.0, float(np.max(np.abs(jet.gradient))))
     assert np.max(np.abs(jet.gradient - fd.gradient)) <= \
-        tolerances.GRADIENT_FD_RTOL * grad_scale
+        gates.GRADIENT_FD_RTOL * grad_scale
     hess_scale = max(1.0, float(np.max(np.abs(jet.hessian))))
     assert np.max(np.abs(jet.hessian - fd.hessian)) <= \
-        tolerances.HESSIAN_FD_SCALED_TOL * hess_scale
+        gates.HESSIAN_FD_SCALED_TOL * hess_scale
 
 
 def test_finite_difference_oracle_guards_the_orthant():

@@ -15,6 +15,7 @@ from prodgeo import (
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
+import gates
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_log_spec,
     random_mixed_spec, random_point, random_power_spec, random_ratio_spec,
@@ -122,7 +123,7 @@ def test_fitted_aggregator_is_constant_on_level_sets():
         t = brentq(lambda s: expr.value(s * center) - expr.value(x),
                    0.25, 4.0, xtol=1e-13, rtol=1e-15)
         assert aggregator(t * center) == pytest.approx(
-            aggregator(x), rel=tolerances.LEVELSET_ROUNDTRIP_RTOL)
+            aggregator(x), rel=gates.LEVELSET_ROUNDTRIP_RTOL)
 
 
 def test_ratio_classification_is_ray_invariant():
@@ -135,7 +136,7 @@ def test_ratio_classification_is_ray_invariant():
         base = expr.value(x)
         for t in (0.5, 2.0):
             assert abs(expr.value(t * x) - base) <= \
-                tolerances.RAY_INVARIANCE_TOL * max(1.0, abs(base))
+                gates.RAY_INVARIANCE_TOL * max(1.0, abs(base))
 
 
 # -- outer ODE residuals ------------------------------------------------------------
@@ -148,14 +149,14 @@ def test_power_outer_solves_its_ode():
         outer = ScalarFn("power", 1.7, exponent=sigma / (sigma - 1.0))
         for u in grid:
             assert acms_outer_ode_residual(outer, sigma, float(u)) <= \
-                tolerances.ODE_MATCH_TOL
+                gates.ODE_MATCH_TOL
 
 
 def test_perturbed_exponent_fails_the_ode():
     for sigma in (2.0, 3.0):
         outer = ScalarFn("power", 1.0, exponent=sigma / (sigma - 1.0) + 0.5)
         assert acms_outer_ode_residual(outer, sigma, 1.3) > \
-            tolerances.ODE_MISMATCH_MIN
+            gates.ODE_MISMATCH_MIN
 
 
 def test_product_outer_solves_its_ode():
@@ -164,7 +165,7 @@ def test_product_outer_solves_its_ode():
         outer = ScalarFn("power", 1.4, exponent=1.0 / alpha, shift=0.7)
         for u in grid:
             assert cobb_douglas_outer_ode_residual(outer, alpha, float(u)) <= \
-                tolerances.ODE_MATCH_TOL
+                gates.ODE_MATCH_TOL
 
 
 def test_ode_parameter_validation():
@@ -187,7 +188,7 @@ def test_curvature_verdict_on_degree_one_aggregators():
     assert report.hypothesis_holds is True
     assert report.conclusion_holds is True
     ode = report.conclusion_check["outer_ode"]
-    assert ode["max_residual"] <= tolerances.ODE_MATCH_TOL
+    assert ode["max_residual"] <= gates.ODE_MATCH_TOL
     assert report.conclusion_check["euler_degree_gap"] <= \
         tolerances.DEGREE_ONE_TOL * 100
     assert len(report.per_point) == 65

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import pathlib
 import warnings
 
 import pytest
 
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, build_parser, main, run
+import gates
 
 
 def write_doc(tmp_path, name, doc):
@@ -72,6 +74,18 @@ def test_eval_reports_the_jet(cd_doc):
     assert env["digest"].startswith("sha256:")
     assert env["at"] == [4.0, 9.0]
     assert set(env["tolerances"]) == set(tolerances.as_dict())
+
+
+def test_reports_carry_only_tolerances_the_library_reads():
+    source = "".join(
+        path.read_text()
+        for path in pathlib.Path(tolerances.__file__).parent.glob("*.py")
+        if path.name != "tolerances.py")
+    unread = [name for name in tolerances.as_dict()
+              if f"tolerances.{name}" not in source]
+    assert unread == []
+    library = {name for name in vars(tolerances) if name.isupper()}
+    assert library.isdisjoint(name for name in vars(gates) if name.isupper())
 
 
 def test_curvature_vanishes_on_the_root_product(cd_doc):

@@ -15,6 +15,7 @@ from prodgeo import (
 from prodgeo import tolerances
 from prodgeo.elasticity import ces_residuals, hicks_values
 from prodgeo.families import index_pairs
+import gates
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point, random_points,
     random_quasi_sum_expr, random_ratio_expr,
@@ -103,7 +104,7 @@ def test_elasticity_is_scale_free_on_homogeneous_functions():
         for t in (0.5, 2.0, 10.0):
             scaled = hicks_elasticity(expr, t * x, 0, 2).value
             assert abs(scaled - base) <= \
-                tolerances.SCALE_INVARIANCE_TOL * max(1.0, abs(base))
+                gates.SCALE_INVARIANCE_TOL * max(1.0, abs(base))
 
 
 def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
@@ -166,7 +167,7 @@ def test_detected_value_is_a_root_of_the_identity():
             root = brentq(lambda s: ces_residual(expr, x, s, 0, 1),
                           lo[0], lo[1], xtol=1e-13, rtol=1e-14)
             assert abs(root - reported) <= \
-                tolerances.SIGMA_ROOT_MATCH_TOL * max(1.0, abs(reported))
+                gates.SIGMA_ROOT_MATCH_TOL * max(1.0, abs(reported))
 
 
 # -- separated one-input residuals -------------------------------------------------

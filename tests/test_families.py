@@ -12,7 +12,7 @@ from prodgeo import (
     expr_to_dict, hessian_det_quasisum, homogeneity_degree, validate_box,
 )
 from prodgeo.families import normalize_outer_shift
-from prodgeo import tolerances
+import gates
 from conftest import (
     log_uniform_scalar, make_rng, random_acms, random_cobb_douglas,
     random_log_spec, random_mixed_spec, random_point, random_points,
@@ -209,9 +209,9 @@ def test_degree_is_constant_across_samples():
     alpha_sum = math.fsum(cd.params["alpha"])
     for x in random_points(rng, 3, 100):
         assert abs(homogeneity_degree(acms, x) - 1.7) <= \
-            tolerances.HOMOGENEITY_ATOL
+            gates.HOMOGENEITY_ATOL
         assert abs(homogeneity_degree(cd, x) - alpha_sum) <= \
-            tolerances.HOMOGENEITY_ATOL
+            gates.HOMOGENEITY_ATOL
 
 
 def test_scaling_matches_the_degree():
@@ -231,7 +231,7 @@ def test_degree_one_hessian_annihilates_the_point():
                  build_quasi_sum(random_power_spec(rng, 2, degree_one=True))):
         for x in random_points(rng, expr.n, 20):
             hess = evaluate_jet(expr, x).hessian
-            bound = tolerances.EULER_RADIAL_TOL * \
+            bound = gates.EULER_RADIAL_TOL * \
                 np.linalg.norm(hess) * np.linalg.norm(x)
             assert np.linalg.norm(hess @ x) <= bound
 
@@ -276,7 +276,7 @@ def test_determinant_matches_the_jet_hessian():
         direct = float(np.linalg.det(
             evaluate_jet(build_quasi_sum(spec), x).hessian))
         assert abs(closed - direct) <= \
-            tolerances.HESSIAN_DET_RTOL * max(abs(closed), abs(direct), 1e-12)
+            gates.HESSIAN_DET_RTOL * max(abs(closed), abs(direct), 1e-12)
 
 
 def test_determinant_input_checks():

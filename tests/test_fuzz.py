@@ -1,14 +1,19 @@
 """Document fuzzing: whatever the document, the command line keeps its exit
-contract (0, 1 or 2) and writes exactly one JSON line to stdout."""
+contract (0, 1 or 2), writes exactly one JSON line to stdout and nothing to
+stderr, raises no Python warning, and puts inf or nan only in the report
+fields documented as possibly non-finite."""
 
 import contextlib
 import copy
 import io
 import json
+import warnings
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from prodgeo import expr_from_dict
 from prodgeo.cli import main
+from prodgeo.families import normalize_outer_shift
 
 BASES = (
     {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]},
@@ -118,14 +123,56 @@ def requests(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(text=documents(), argv=requests())
+# One case per documented non-finite field, whatever the drawn examples hold.
+@example(text=json.dumps(BASES[3]), argv=["scan", "--samples", "4"])
+@example(text=json.dumps(BASES[3]), argv=["verify", "--theorem", "4.1"])
+@example(text=json.dumps(BASES[2]), argv=["verify", "--theorem", "1.1"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         status = main([*argv, "--fn", str(path)])
     assert status in (0, 1, 2)
+    assert [str(w.message) for w in caught] == [] and err.getvalue() == ""
     lines = out.getvalue().split("\n")
     assert len(lines) == 2 and lines[1] == ""
     record = json.loads(lines[0])
     assert ("error" in record) == (status != 0)
+    if status == 0:
+        report = record["report"]
+        for where in _non_finite(report):
+            assert _documented(report, where, text), where
+
+
+def _non_finite(value, where=()):
+    """The key paths of the non-finite numbers of a report, which render as
+    the strings "inf", "-inf" and "nan"."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, (*where, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _non_finite(item, (*where, index))
+    elif value in ("inf", "-inf", "nan"):
+        yield where
+
+
+def _documented(report, where, text):
+    """Whether README lists ``where`` as a field that may be non-finite:
+    scan's Hicks column, the residuals of a NotCES classification, and the
+    Euler degree gap of a verifier where f vanishes at a sample."""
+    if where[:1] == ("rows",):
+        return where[2:] == ("cells", len(report["columns"]) - 1)
+    if where[-2:] in (("residuals", "ces"), ("residuals", "structure")):
+        holder = report
+        for key in where[:-2]:
+            holder = holder[key]
+        return holder["case"] == "NotCES"
+    if where == ("conclusion_check", "euler_degree_gap"):
+        bare = normalize_outer_shift(expr_from_dict(json.loads(text)))
+        points = [row["point"] for row in report["per_point_data"]]
+        return not bare.derivatives(points)[0].all()
+    return False

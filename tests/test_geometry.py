@@ -11,6 +11,7 @@ from prodgeo import (
     flatness_residual, gauss_kronecker, graph_geometry, graph_point,
 )
 from prodgeo import tolerances
+import gates
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point, random_points,
     random_log_spec, random_power_spec, random_quasi_sum_expr,
@@ -79,15 +80,15 @@ def test_metric_and_shape_determinants():
             geo = graph_geometry(expr, x)
             w = geo.area_factor
             assert abs(np.linalg.det(geo.metric) - w * w) <= \
-                tolerances.METRIC_DET_RTOL * w * w
+                gates.METRIC_DET_RTOL * w * w
             det_shape = float(np.linalg.det(geo.shape_operator))
             floor = (float(np.linalg.norm(geo.hessian)) / w) ** expr.n
-            bound = tolerances.SHAPE_DET_RTOL * max(
+            bound = gates.SHAPE_DET_RTOL * max(
                 abs(det_shape), abs(geo.gauss_kronecker), floor)
             assert abs(det_shape - geo.gauss_kronecker) <= bound
             kappa_product = float(np.prod(geo.principal_curvatures))
             assert abs(kappa_product - geo.gauss_kronecker) <= \
-                tolerances.SHAPE_DET_RTOL * max(
+                gates.SHAPE_DET_RTOL * max(
                     abs(kappa_product), abs(geo.gauss_kronecker), floor)
 
 
@@ -97,13 +98,13 @@ def test_unit_normal_is_orthonormal_to_the_tangent_frame():
         x = random_point(rng, expr.n)
         geo = graph_geometry(expr, x)
         assert abs(np.linalg.norm(geo.unit_normal) - 1.0) <= \
-            tolerances.UNIT_NORM_TOL
+            gates.UNIT_NORM_TOL
         for i in range(expr.n):
             tangent = np.zeros(expr.n + 1)
             tangent[i] = 1.0
             tangent[-1] = geo.gradient[i]
             assert abs(float(geo.unit_normal @ tangent)) <= \
-                tolerances.NORMAL_ORTHOGONALITY_TOL * \
+                gates.NORMAL_ORTHOGONALITY_TOL * \
                 np.linalg.norm(tangent)
 
 

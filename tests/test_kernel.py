@@ -29,6 +29,7 @@ from prodgeo.cli import RunConfig, _leaf, run
 from prodgeo.elasticity import ces_residuals
 from prodgeo.families import normalize_outer_shift
 from prodgeo.sampling import box_center, log_uniform
+import gates
 from conftest import (
     jet_oracle, make_rng, random_acms, random_cobb_douglas, random_log_spec,
     random_mixed_spec, random_points, random_power_spec, random_ratio_expr,
@@ -96,10 +97,10 @@ def test_kernel_matches_the_jet_oracle_and_finite_differences():
             fd = finite_difference_oracle(expr, x)
             scale = max(1.0, float(np.max(np.abs(gradient[k]))))
             assert np.max(np.abs(gradient[k] - fd.gradient)) <= \
-                tolerances.GRADIENT_FD_RTOL * scale
+                gates.GRADIENT_FD_RTOL * scale
             scale = max(1.0, float(np.max(np.abs(hessian[k]))))
             assert np.max(np.abs(hessian[k] - fd.hessian)) <= \
-                tolerances.HESSIAN_FD_SCALED_TOL * scale
+                gates.HESSIAN_FD_SCALED_TOL * scale
 
             jet = expr.jet(x)
             assert jet.value == value[k]
