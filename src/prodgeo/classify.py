@@ -32,7 +32,8 @@ import numpy as np
 
 from .elasticity import (
     DEGENERATE_CES, NOT_CES, REGULAR_CES,
-    ElasticityReport, PointTable, ces_residuals, detect_ces_on, point_table,
+    ElasticityReport, PointRecords, PointTable, ces_residuals,
+    detect_ces_on, point_table,
 )
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
@@ -244,8 +245,9 @@ class TheoremReport:
 
     ``hypothesis_holds`` is None when the sampled residuals land between the
     vanishing and clearly-nonzero thresholds; the verdict is then
-    DegenerateHypothesis rather than a guess.  ``per_point`` holds one
-    record per sampled point: the point, G, scaled G and flatness residual.
+    DegenerateHypothesis rather than a guess.  ``per_point`` is PointRecords
+    of one record per sampled point (the point, G, scaled G and flatness
+    residual), rendered as ``per_point_data``; Theorem 1.1 keeps ``()``.
     """
 
     theorem: str
@@ -254,7 +256,7 @@ class TheoremReport:
     conclusion_holds: bool
     hypothesis_check: dict
     conclusion_check: dict
-    per_point: tuple
+    per_point: PointRecords | tuple
 
     def as_dict(self) -> dict:
         if self.hypothesis_holds is None:
@@ -271,7 +273,7 @@ class TheoremReport:
             "reverse_implication_ok": reverse,
             "hypothesis_check": self.hypothesis_check,
             "conclusion_check": self.conclusion_check,
-            "per_point_data": [dict(row) for row in self.per_point],
+            "per_point_data": self.per_point,
         }
 
 
@@ -367,10 +369,9 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
     surface = surface_curvatures(table.gradient, table.hessian)
-    keys = ("gauss_kronecker", "gauss_kronecker_scaled", "flatness_residual")
-    rows = tuple({"point": x, **dict(zip(keys, quantities))} for x, *quantities
-                 in zip(table.points.tolist(), *(surface[k].tolist()
-                                                 for k in keys)))
+    keys = ("flatness_residual", "gauss_kronecker", "gauss_kronecker_scaled")
+    rows = PointRecords(tuple((key, 0) for key in keys) + (("point", expr.n),),
+                        np.column_stack([*map(surface.get, keys), table.points]))
 
     if theorem == THEOREM_GAUSS_KRONECKER:
         worst = float(np.max(surface["gauss_kronecker_scaled"]))

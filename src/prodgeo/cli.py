@@ -4,9 +4,9 @@ Commands: eval, elasticity, curvature, classify, verify, scan.  Every
 command reads a JSON function document (--fn), works on a point (--at) or a
 per-axis box (--box, "lo:hi" entries), and emits one report to stdout as
 JSON (default) or CSV.  Reports carry the tool version, the sha256 digest of
-the function document, the seed, and every tolerance in effect, and identical
-configurations produce byte-identical output: floats are printed with 17
-significant digits, JSON keys are sorted, and scan rows come in grid order.
+the function document, the seed, and every tolerance the library reads, and
+identical configurations produce byte-identical output (17 significant digits
+per float, sorted JSON keys, scan rows in grid order).
 
 Exit status: 0 on success, 1 when the request itself is invalid (unreadable
 or malformed document, bad flags, wrong arity), 2 when the mathematics
@@ -32,7 +32,8 @@ from .classify import (
     verify_theorem_42,
 )
 from .elasticity import (
-    detect_ces, hicks_elasticity, hicks_values, pairwise_elasticities,
+    PointRecords, detect_ces, hicks_elasticity, hicks_values,
+    pairwise_elasticities,
 )
 from .errors import DomainError, SpecError
 from .families import default_box, expr_from_dict, validate_box
@@ -108,9 +109,33 @@ def _to_json(value) -> str:
         return "null"
     if isinstance(value, str):
         return json.dumps(value)
+    if kind is PointRecords:
+        # One row template from the sorted fields; a row holding inf or nan
+        # takes the dict path instead, which quotes them.
+        template = "{{" + ",".join(
+            _json_key(name) + (":[" + ",".join(["{:.17g}"] * width) + "]"
+                               if width else ":{:.17g}")
+            for name, width in value.fields) + "}}"
+        lines = _table_lines(value, template)
+        for i in np.flatnonzero(~np.isfinite(value.data).all(axis=1)):
+            lines[i] = _to_json(value[i])
+        return "[" + ",".join(lines) + "]"
     if isinstance(value, (np.ndarray, np.generic)):
         return _to_json(value.tolist())
     return _leaf(value)
+
+
+_BLOCK_ROWS = 4096
+
+
+def _table_lines(table: PointRecords, template: str) -> list:
+    """``template.format`` of each row of ``table``; only one block of rows
+    is held as Python floats at a time."""
+    lines = []
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table.data[start:start + _BLOCK_ROWS].tolist()
+        lines += [template.format(*row) for row in block]
+    return lines
 
 
 def _cell(value) -> str:
@@ -126,7 +151,7 @@ def _flatten(value, prefix: str, lines: list) -> None:
         for key in sorted(value):
             path = f"{prefix}.{key}" if prefix else str(key)
             _flatten(value[key], path, lines)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, PointRecords)):
         for idx, item in enumerate(value):
             _flatten(item, f"{prefix}[{idx}]", lines)
     else:
@@ -161,7 +186,7 @@ def _render(config: RunConfig, env: dict) -> str:
         # Every scan cell is a float, which never needs CSV quoting, and
         # "{:.17g}" prints inf, -inf and nan exactly as _leaf does.
         row_format = ",".join(["{:.17g}"] * len(report["columns"]))
-        lines.extend(row_format.format(*row["cells"]) for row in report["rows"])
+        lines += _table_lines(report["rows"], row_format)
     else:
         lines.append("key,value")
         _flatten(report, "", lines)
@@ -258,7 +283,7 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
         "box": [list(axis) for axis in box],
         "points_per_axis": grid_shape(expr.n, config.samples),
         "columns": columns,
-        "rows": [{"cells": cells} for cells in table.tolist()],
+        "rows": PointRecords((("cells", table.shape[1]),), table),
     }
 
 

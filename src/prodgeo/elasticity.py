@@ -42,8 +42,8 @@ NOT_CES = "NotCES"
 __all__ = [
     "HicksValue", "ElasticityReport", "hicks_elasticity", "hicks_values",
     "pairwise_elasticities", "ces_residuals", "ces_residual",
-    "quasisum_separated_residual", "PointTable", "point_table", "detect_ces",
-    "detect_ces_on",
+    "quasisum_separated_residual", "PointTable", "PointRecords", "point_table",
+    "detect_ces", "detect_ces_on",
     "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
 ]
@@ -261,6 +261,26 @@ class PointTable:
     value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PointRecords:
+    """Per-point records as one (N, k) float64 array: ``fields`` holds the
+    sorted keys and widths (0 for a float, m for a list of m floats) of the
+    columns of ``data``; ``len`` and ``[i]`` (so iteration too) give dicts."""
+
+    fields: tuple
+    data: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i: int) -> dict:
+        row, out, k = self.data[i].tolist(), {}, 0
+        for name, width in self.fields:
+            out[name] = row[k:k + width] if width else row[k]
+            k += width or 1
+        return out
 
 
 def point_table(expr: FunctionExpr, box, samples: int,

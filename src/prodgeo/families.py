@@ -198,26 +198,33 @@ class FunctionExpr:
                 "points must be finite and strictly positive in every coordinate")
         return x
 
+    @np.errstate(all="ignore")
     def value(self, point) -> float:
-        """Plain float evaluation (shares no code with jet propagation)."""
+        """Plain float evaluation (shares no code with jet propagation); a
+        value past the float range raises DomainError."""
         x = self._check_point(point)
         p = self.params
         if self.family == "cobb_douglas":
             out = p["gamma"]
             for a, xi in zip(p["alpha"], x):
                 out *= xi ** a
-            return float(out)
-        if self.family == "acms":
+        elif self.family == "acms":
             u = math.fsum(w * xi ** p["rho"] for w, xi in zip(p["weights"], x))
             if u <= 0.0:
                 raise DomainError("aggregator sum must stay positive")
-            return float(p["gamma"] * u ** (p["d"] / p["rho"]))
-        if self.family == "quasi_sum":
+            # A NumPy power: past the float range it gives inf, not an
+            # OverflowError.
+            out = p["gamma"] * np.float64(u) ** (p["d"] / p["rho"])
+        elif self.family == "quasi_sum":
             spec: QuasiSumSpec = p["spec"]
-            return float(spec.outer.value(spec.inner_sum(x)))
-        if self.family == "ratio":
-            return float(p["outer"].value(x[1] / x[0]))
-        return self.jet(x).value
+            out = spec.outer.value(spec.inner_sum(x))
+        elif self.family == "ratio":
+            out = p["outer"].value(x[1] / x[0])
+        else:
+            out = self.jet(x).value
+        if not math.isfinite(out):
+            raise DomainError("value overflows the float range")
+        return float(out)
 
     def jet(self, point) -> Jet2:
         """Exact jet at ``point``: the one-point slice of :meth:`derivatives`
@@ -459,12 +466,14 @@ def homogeneity_degree(expr: FunctionExpr, point) -> float:
                                  jet.gradient[np.newaxis])[0])
 
 
+@np.errstate(all="ignore")
 def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
     """Closed-form Hessian determinant of a quasi-sum.
 
     det H = F'^n * prod(h_i'') + F'^(n-1) * F'' * sum_j prod_{i != j}(h_i'') * h_j'^2
 
-    evaluated at the inner sum u and the given point.
+    evaluated at the inner sum u and the given point; DomainError when it
+    leaves the float range.
     """
     x = np.asarray(point, dtype=float)
     if x.shape[0] != spec.n:
@@ -479,7 +488,10 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
     cross = math.fsum(
         math.prod(d2[i] for i in range(n) if i != j) * d1[j] ** 2
         for j in range(n))
-    return float(term1 + f1 ** (n - 1) * f2 * cross)
+    det = float(term1 + f1 ** (n - 1) * f2 * cross)
+    if not math.isfinite(det):
+        raise DomainError("Hessian determinant overflows the float range")
+    return det
 
 
 def as_quasi_sum(expr: FunctionExpr) -> QuasiSumSpec:

@@ -15,6 +15,8 @@ from prodgeo import (
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
+from prodgeo.elasticity import PointRecords, point_table
+from prodgeo.geometry import surface_curvatures
 import gates
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_log_spec,
@@ -192,6 +194,32 @@ def test_curvature_verdict_on_degree_one_aggregators():
     assert report.conclusion_check["euler_degree_gap"] <= \
         tolerances.DEGREE_ONE_TOL * 100
     assert len(report.per_point) == 65
+
+
+@pytest.mark.parametrize("verify", [verify_theorem_41, verify_theorem_42])
+def test_per_point_records_give_one_dict_per_point(verify):
+    expr = build_acms(1.0, (1.0, 2.0, 0.5), -0.5, 1.0)
+    box = default_box(3)
+    table = point_table(expr, box, 24, 7)
+    surface = surface_curvatures(table.gradient, table.hessian)
+    want = [{"point": x, "gauss_kronecker": g, "gauss_kronecker_scaled": gs,
+             "flatness_residual": r}
+            for x, g, gs, r in zip(table.points.tolist(),
+                                   surface["gauss_kronecker"].tolist(),
+                                   surface["gauss_kronecker_scaled"].tolist(),
+                                   surface["flatness_residual"].tolist())]
+    report = verify(expr, box, samples=24, seed=7)
+    rows = report.as_dict()["per_point_data"]
+    assert rows is report.per_point and isinstance(rows, PointRecords)
+    assert rows.data.dtype == np.float64 and rows.data.shape == (25, 6)
+    assert len(rows) == 25
+    assert list(rows) == want
+    assert [rows[k] for k in range(-25, 25)] == want + want
+    for row in rows:
+        assert type(row["point"]) is list
+        assert all(type(v) is float for v in [*row["point"], *(
+            row[key] for key in ("gauss_kronecker", "gauss_kronecker_scaled",
+                                 "flatness_residual"))])
 
 
 def test_curvature_verdict_on_scaled_power_outers():

@@ -1,14 +1,21 @@
 """Command-line interface: reports, envelopes, rendering, exit codes."""
 
 import argparse
+import dataclasses
 import json
+import math
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 
-from prodgeo import tolerances
-from prodgeo.cli import RunConfig, build_parser, main, run
+from prodgeo import cli, tolerances
+from prodgeo.cli import (
+    _BLOCK_ROWS, RunConfig, _flatten, _leaf, _render, _to_json, build_parser,
+    main, run,
+)
+from prodgeo.elasticity import PointRecords
 import gates
 
 
@@ -279,6 +286,104 @@ def test_csv_key_value_mode(cd_doc):
     cells = dict(ln.split(",", 1) for ln in lines[1:])
     assert float(cells["value"]) == pytest.approx(4.0)
     assert "hessian[0][0]" in cells
+
+
+def test_verify_csv_flattens_every_per_point_record(acms_doc):
+    config = RunConfig("verify", acms_doc, theorem="4.1", samples=16)
+    status, env = run_json(config)
+    assert status == 0
+    status, text = run(dataclasses.replace(config, out="csv"))
+    assert status == 0
+    want = []
+    _flatten(env["report"]["per_point_data"], "per_point_data", want)
+    got = [ln for ln in text.splitlines() if ln.startswith("per_point_data")]
+    assert len(got) == 17 * 5 and got == want
+
+
+# -- per-point tables ------------------------------------------------------------------
+
+FINITE_EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def _records(shape, rows, non_finite):
+    """A scan-shaped (one 7-wide ``cells`` field) or verify-shaped (three
+    floats and a 4-wide ``point``) table, and the same rows as dicts: random
+    floats over many decades, with extreme values at the rows that meet a
+    block boundary and, if asked, inf, -inf and nan in some of them."""
+    rng = np.random.default_rng([rows, non_finite])
+    data = rng.lognormal(0.0, 30.0, (rows, 7)) * rng.choice([-1.0, 1.0],
+                                                             (rows, 7))
+    specials = FINITE_EXTREMES + (NON_FINITE if non_finite else [])
+    for k, r in enumerate(sorted({0, _BLOCK_ROWS - 1, _BLOCK_ROWS, rows - 1}
+                                 & set(range(rows)))):
+        data[r] = np.roll(np.resize(specials, 7), k)
+    if shape == "scan":
+        return (PointRecords((("cells", 7),), data),
+                [{"cells": row} for row in data.tolist()])
+    records = PointRecords((("flatness_residual", 0), ("gauss_kronecker", 0),
+                            ("gauss_kronecker_scaled", 0), ("point", 4)),
+                           data)
+    return records, [{"flatness_residual": r[0], "gauss_kronecker": r[1],
+                      "gauss_kronecker_scaled": r[2], "point": r[3:]}
+                     for r in data.tolist()]
+
+
+@pytest.mark.parametrize("non_finite", [False, True],
+                         ids=["finite", "non-finite"])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("shape", ["scan", "verify"])
+def test_row_templates_write_the_bytes_of_the_dict_rows(shape, rows,
+                                                        non_finite):
+    records, dicts = _records(shape, rows, non_finite)
+    assert _to_json(records) == _to_json(dicts)
+    if shape == "verify":  # verify --out csv flattens its records
+        got, want = [], []
+        _flatten({"rows": records}, "", got)
+        _flatten({"rows": dicts}, "", want)
+        assert got == want
+    else:
+        columns = [f"c{k}" for k in range(7)]
+        env = {"tolerances": {}, "report": {"columns": columns,
+                                            "rows": records}}
+        csv = _render(RunConfig("scan", "fn.json", out="csv"), env)
+        assert csv.split("\n") == [",".join(columns)] + [
+            ",".join(map(_leaf, row["cells"])) for row in dicts]
+
+
+@pytest.mark.parametrize("out", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "4.1", "--samples", "40"],
+    ["verify", "--theorem", "4.2", "--samples", "40"],
+    ["scan", "--samples", "64"],
+], ids=["verify-4.1", "verify-4.2", "scan"])
+def test_per_point_tables_reach_render_as_one_array(monkeypatch, capsys,
+                                                    cd3_doc, argv, out):
+    dicts, seen = [], {}
+    getitem, render = PointRecords.__getitem__, cli._render
+
+    def counted_getitem(self, i):
+        dicts.append(i)
+        return getitem(self, i)
+
+    def spy_render(config, env):
+        seen["dicts"] = len(dicts)
+        seen["table"] = env["report"].get("per_point_data",
+                                          env["report"].get("rows"))
+        return render(config, env)
+
+    monkeypatch.setattr(PointRecords, "__getitem__", counted_getitem)
+    monkeypatch.setattr(cli, "_render", spy_render)
+    assert main([*argv, "--fn", cd3_doc, "--out", out]) == 0
+    capsys.readouterr()
+    table = seen["table"]
+    assert type(table) is PointRecords
+    assert table.data.dtype == np.float64
+    assert table.data.shape == ((41, 6) if argv[0] == "verify" else (64, 8))
+    assert seen["dicts"] == 0  # no per-row dict before render
+    if out == "json" or argv[0] == "scan":
+        assert dicts == []  # finite rows are written by the template
 
 
 # -- failure modes -------------------------------------------------------------------

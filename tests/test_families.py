@@ -1,6 +1,7 @@
 """Family builders, document round-trips, and the closed-form determinant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,28 @@ def test_determinant_input_checks():
         hessian_det_quasisum(spec, [1.0, 1.0, 1.0])
     with pytest.raises(DomainError):
         hessian_det_quasisum(spec, [1.0, -1.0])
+
+
+EXP_OF_SUM = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
+                          inner=(ScalarFn("affine", 1.0),) * 2)
+
+
+@pytest.mark.parametrize("expr, point", [
+    (build_quasi_sum(EXP_OF_SUM), [400.0, 400.0]),
+    (build_cobb_douglas(1.0, (300.0, 300.0)), [10.0, 10.0]),
+    (build_acms(1.0, (1.0, 1.0), 2.0, 1.0), [1e160, 1e160]),
+    (build_acms(1.0, (1.0, 1.0), 0.5, 1e300), [4.0, 4.0]),
+], ids=["exp-of-sum", "cobb-douglas", "acms-inner", "acms-degree"])
+def test_float_paths_refuse_what_the_kernel_refuses(expr, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            expr.derivatives([point])
+        with pytest.raises(DomainError):
+            expr.value(point)
+        if expr.family == "quasi_sum":
+            with pytest.raises(DomainError):
+                hessian_det_quasisum(expr.params["spec"], point)
 
 
 # -- quasi-sum rewrites ----------------------------------------------------------

@@ -1,12 +1,15 @@
 """Document fuzzing: whatever the document, the command line keeps its exit
-contract (0, 1 or 2), writes exactly one JSON line to stdout and nothing to
-stderr, raises no Python warning, and puts inf or nan only in the report
-fields documented as possibly non-finite."""
+contract (0, 1 or 2), writes nothing to stderr, raises no Python warning,
+writes an error or a JSON report as exactly one JSON line, and puts inf or
+nan only in the report fields documented as possibly non-finite.  A CSV
+report (scan and verify may draw ``--out csv``) has the same non-finite
+fields, and every scan data line has the header's cell count."""
 
 import contextlib
 import copy
 import io
 import json
+import re
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -116,6 +119,8 @@ def requests(draw):
     if command == "verify":
         argv += ["--theorem", draw(st.sampled_from(["1.1", "4.1", "4.2"]))]
     argv += ["--samples", "4" if command == "scan" else "8"]
+    if command in ("scan", "verify") and draw(st.booleans()):
+        argv += ["--out", "csv"]
     return argv
 
 
@@ -127,23 +132,64 @@ def requests(draw):
 @example(text=json.dumps(BASES[3]), argv=["scan", "--samples", "4"])
 @example(text=json.dumps(BASES[3]), argv=["verify", "--theorem", "4.1"])
 @example(text=json.dumps(BASES[2]), argv=["verify", "--theorem", "1.1"])
+@example(text=json.dumps(BASES[3]), argv=["scan", "--samples", "4",
+                                          "--out", "csv"])
+@example(text=json.dumps(BASES[3]), argv=["verify", "--theorem", "4.1",
+                                          "--out", "csv"])
+@example(text=json.dumps(BASES[2]), argv=["verify", "--theorem", "1.1",
+                                          "--out", "csv"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        status = main([*argv, "--fn", str(path)])
+    status, stdout = _main(argv, path)
     assert status in (0, 1, 2)
-    assert [str(w.message) for w in caught] == [] and err.getvalue() == ""
-    lines = out.getvalue().split("\n")
-    assert len(lines) == 2 and lines[1] == ""
+    lines = stdout.split("\n")
+    assert lines[-1] == ""
+    if status == 0 and "csv" in argv:
+        _check_csv(lines[:-1], argv, path, text)
+        return
+    assert len(lines) == 2
     record = json.loads(lines[0])
     assert ("error" in record) == (status != 0)
     if status == 0:
         report = record["report"]
         for where in _non_finite(report):
+            assert _documented(report, where, text), where
+
+
+def _main(argv, path):
+    """Exit status and stdout of one request, which must write nothing to
+    stderr and raise no Python warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        status = main([*argv, "--fn", str(path)])
+    assert [str(w.message) for w in caught] == [] and err.getvalue() == ""
+    return status, out.getvalue()
+
+
+def _check_csv(lines, argv, path, text):
+    """A CSV report: "#" envelope lines, a header, then data lines; inf and
+    nan only where the JSON report of the same request may hold them."""
+    body = [line for line in lines if not line.startswith("#")]
+    if argv[0] == "scan":
+        width = len(body[0].split(","))
+        for line in body[1:]:
+            cells = line.split(",")
+            assert len(cells) == width, line
+            assert all(c not in ("inf", "-inf", "nan") for c in cells[:-1])
+        return
+    assert body[0] == "key,value"
+    report = None
+    for line in body[1:]:
+        key, value = line.rsplit(",", 1)
+        if value in ("inf", "-inf", "nan"):
+            if report is None:
+                json_argv = [a for a in argv if a not in ("--out", "csv")]
+                report = json.loads(_main(json_argv, path)[1])["report"]
+            where = tuple(int(k) if k.isdigit() else k
+                          for k in re.findall(r"[^.\[\]]+", key))
             assert _documented(report, where, text), where
 
 
