@@ -110,32 +110,126 @@ def _to_json(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if kind is PointRecords:
-        # One row template from the sorted fields; a row holding inf or nan
-        # takes the dict path instead, which quotes them.
-        template = "{{" + ",".join(
-            _json_key(name) + (":[" + ",".join(["{:.17g}"] * width) + "]"
-                               if width else ":{:.17g}")
-            for name, width in value.fields) + "}}"
-        lines = _table_lines(value, template)
-        for i in np.flatnonzero(~np.isfinite(value.data).all(axis=1)):
-            lines[i] = _to_json(value[i])
-        return "[" + ",".join(lines) + "]"
+        row = "{" + ",".join(
+            _json_key(name) + (":[" + ",".join("\0" * width) + "]"
+                               if width else ":\0")
+            for name, width in value.fields) + "},"
+        return "[" + ",".join(_table_blocks(
+            value.data, row, range(value.data.shape[1]), _to_json)) + "]"
     if isinstance(value, (np.ndarray, np.generic)):
         return _to_json(value.tolist())
     return _leaf(value)
 
 
+# -- per-point tables: one vectorised ".17g" writer ----------------------------
+
 _BLOCK_ROWS = 4096
 
 
-def _table_lines(table: PointRecords, template: str) -> list:
-    """``template.format`` of each row of ``table``; only one block of rows
-    is held as Python floats at a time."""
-    lines = []
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table.data[start:start + _BLOCK_ROWS].tolist()
-        lines += [template.format(*row) for row in block]
-    return lines
+@functools.cache
+@np.errstate(over="ignore")  # the least double >= 10^k is inf past 1e308
+def _g17_tables() -> tuple:
+    """The tables of ``_g17``, built on first use: for k in [-310, 340),
+    10^k = c·2^b with c in [1, 2) as c_hi + c_lo from exact integers, and
+    the least double >= 10^k; the 8-byte lanes of a cell; the significant
+    digits of 0..9999; the masks of lanes 0-4 per exponent and digit count."""
+    rows = []
+    for k in range(-310, 340):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        b = num.bit_length() - den.bit_length() - (k < 0)  # 2^b <= 10^k
+        num, den = num << max(-b, 0), den << max(b, 0)
+        hi = num / den  # correctly rounded, as is the remainder below
+        rows.append((hi, ((num << 52) - int(hi * 2 ** 52) * den) / (den << 52), b))
+    c_hi, c_lo, b = (np.array(col) for col in zip(*rows))
+    least = np.ldexp(c_hi, b)  # c_hi is c rounded to nearest
+    least[c_lo > 0] = np.nextafter(least[c_lo > 0], np.inf)
+    split = c_hi * 134217729.0
+    c_hh = split - (split - c_hi)
+
+    digits = np.indices((10,) * 4).reshape(4, -1).T  # of 0..9999, in order
+    quad = np.full((10000, 8), ord("."), np.uint8)  # "d.d.d.d."
+    quad[:, ::2] = digits + 48
+    sig = np.where(digits.any(1), 4 - np.argmax(digits[:, ::-1] != 0, 1), 0)
+    e10, nd, at = np.ogrid[-4:17, 1:18, :40]
+    keep = ((at == 0) | (at >= 1) & (at < 2 - e10) & (e10 < 0)
+            | (at >= 6) & (at % 2 == 0) & (at < 6 + 2 * np.maximum(nd, e10 + 1))
+            | (at == 7 + 2 * e10) & (nd > e10 + 1) & (e10 >= 0))
+    head = "".join(f"{sign}0.000{d}." for sign in "\0-" for d in range(10))
+    exp = "".join("\0" * 8 if -4 <= e <= 16 else f"e{e:+03d}".ljust(8, "\0")
+                  for e in range(-400, 401))
+    return (c_hh, c_hi - c_hh, c_hi, c_lo, b.astype(np.int32), least,
+            np.frombuffer(head.encode(), np.uint64), quad.view(np.uint64).ravel(),
+            sig, np.frombuffer(exp.encode(), np.uint64),
+            (keep * np.uint8(255)).view(np.uint64).reshape(-1, 5))
+
+
+def _g17(x: np.ndarray, text) -> np.ndarray:
+    """``format(v, ".17g")`` of each element v of the float64 array ``x``,
+    as ASCII zero-padded to 48 bytes (shape ``x.shape + (48,)``).
+
+    For 1e-300 <= |v| <= 1e300 numpy writes the digits: e10 =
+    floor(log10|v|), made exact by comparing |v| with the least doubles
+    >= 10^e10 and 10^(e10+1); with v = m·2^q and 10^(16-e10) = c·2^b,
+    Dekker's TwoProduct gives m·c within 2^-104, so after the exact scaling
+    by 2^(q+b) <= 2^58, V = |v|·10^(16-e10) in [1e16, 1e17) is known within
+    2^-46 (exactly when c_lo = 0); V rounds half to even to the 17 digits.
+    ``text`` writes the rest: non-finite values, |v| outside that range, an
+    inexact V within 2^-40 of a half-integer, and V that rounds to 10^17.
+    """
+    c_hh, c_hl, c_hi, c_lo, b, least, head, quad, sig, exp, masks = _g17_tables()
+    flat = np.asarray(x, np.float64).ravel()
+    a = np.abs(flat)
+    fast, zero = (a >= 1e-300) & (a <= 1e300), a == 0.0
+    a = np.where(fast, a, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    e10 += (a >= least[e10 + 311]).astype(np.int64) - (a < least[e10 + 310])
+    m, q = np.frexp(a)
+    s = 326 - e10  # the row of 10^(16 - e10)
+    split = m * 134217729.0
+    mh = split - (split - m)
+    ml = m - mh
+    p = m * c_hi[s]
+    lo = ((mh * c_hh[s] - p) + mh * c_hl[s] + ml * c_hh[s] + ml * c_hl[s]
+          + m * c_lo[s])
+    hi, lo = np.ldexp(p, q + b[s]), np.ldexp(lo, q + b[s])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi is even
+    unsure = (abs(lo - np.floor(lo) - 0.5) < 2.0 ** -40) & (c_lo[s] != 0) \
+        | (d == 10 ** 17)  # e.g. 1e-79 and the other doubles just below 10^k
+    d[zero] = 0  # and e10 = 0, from a = 1
+    top, d = np.divmod(d, 10 ** 16)
+    groups = [*np.divmod(d // 10 ** 8, 10 ** 4), *np.divmod(d % 10 ** 8, 10 ** 4)]
+    nd = np.ones_like(d)
+    for k, group in enumerate(groups):
+        nd = np.where(group != 0, 1 + 4 * k + sig[group], nd)
+    cells = np.stack([head[top + 10 * np.signbit(flat)],
+                      *(quad[group] for group in groups), exp[e10 + 400]], 1)
+    fixed = (e10 >= -4) & (e10 <= 16)  # else lanes 0-4 are masked as for 0
+    cells[:, :5] &= masks[np.where(fixed, e10 + 4, 4) * 17 + nd - 1]
+    cells = cells.view(np.uint8)
+    for i in np.flatnonzero(~(fast | zero) | unsure):
+        cells[i] = np.frombuffer(text(float(flat[i])).encode().ljust(48, b"\0"),
+                                 np.uint8)
+    return cells.reshape(np.shape(x) + (-1,))
+
+
+def _table_blocks(data: np.ndarray, row: str, cols, text) -> list:
+    """``row`` once per row of ``data``, its k-th NUL replaced by the cell
+    of column ``cols[k]`` as _g17 writes it (``text`` as its fallback), as
+    one string per 4,096 rows.  ``row`` ends with the separator between
+    rows, which the last row of each string goes without.  _g17 takes one
+    column of a block at a time, which keeps its arrays small."""
+    literals = [np.frombuffer(part.encode(), np.uint8) for part in row.split("\0")]
+    blocks = []
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        cells = [_g17(column, text) for column in block.T]
+        n = len(block)
+        parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
+        for col, literal in zip(cols, literals[1:]):
+            parts += [cells[col], np.broadcast_to(literal, (n, len(literal)))]
+        blocks.append(np.concatenate(parts, axis=1).tobytes()
+                      .translate(None, b"\0")[:-1].decode())
+    return blocks
 
 
 def _cell(value) -> str:
@@ -151,7 +245,15 @@ def _flatten(value, prefix: str, lines: list) -> None:
         for key in sorted(value):
             path = f"{prefix}.{key}" if prefix else str(key)
             _flatten(value[key], path, lines)
-    elif isinstance(value, (list, tuple, PointRecords)):
+    elif isinstance(value, PointRecords):  # the row index is written as column 0
+        keys = [f"{prefix}[\0].{name}" + (f"[{j}]" if width else "")
+                for name, width in value.fields for j in range(width or 1)]
+        row = "".join(_cell(key) + ",\0\n" for key in keys)
+        cols = [col for k in range(len(keys)) for col in (0, k + 1)]
+        data = np.column_stack([np.arange(len(value)), value.data])
+        for block in _table_blocks(data, row, cols, _leaf):
+            lines += block.split("\n")
+    elif isinstance(value, (list, tuple)):
         for idx, item in enumerate(value):
             _flatten(item, f"{prefix}[{idx}]", lines)
     else:
@@ -182,11 +284,11 @@ def _render(config: RunConfig, env: dict) -> str:
               for name, value in sorted(env["tolerances"].items())]
     report = env["report"]
     if config.command == "scan":
-        lines.append(",".join(report["columns"]))
-        # Every scan cell is a float, which never needs CSV quoting, and
-        # "{:.17g}" prints inf, -inf and nan exactly as _leaf does.
-        row_format = ",".join(["{:.17g}"] * len(report["columns"]))
-        lines += _table_lines(report["rows"], row_format)
+        columns = report["columns"]
+        lines.append(",".join(columns))
+        # Every scan cell is a float, which never needs CSV quoting.
+        lines += _table_blocks(report["rows"].data, ",".join(
+            "\0" * len(columns)) + "\n", range(len(columns)), _leaf)
     else:
         lines.append("key,value")
         _flatten(report, "", lines)

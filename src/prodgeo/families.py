@@ -36,6 +36,16 @@ DEFAULT_BOX_AXIS = (0.5, 2.0)
 MONOTONICITY_SAMPLES = 64
 
 
+def _fsum(terms: list) -> float:
+    """``math.fsum``, with DomainError where fsum itself raises: the exact
+    sum of finite terms leaves the float range, or the terms hold inf and
+    -inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"sum leaves the float range: {exc}") from None
+
+
 def default_box(n: int) -> tuple[tuple[float, float], ...]:
     """The canonical evaluation box [0.5, 2]^n."""
     return tuple(DEFAULT_BOX_AXIS for _ in range(n))
@@ -170,8 +180,9 @@ class QuasiSumSpec:
     def n(self) -> int:
         return len(self.inner)
 
+    @np.errstate(all="ignore")
     def inner_sum(self, point) -> float:
-        return math.fsum(h.value(x) for h, x in zip(self.inner, point))
+        return _fsum([h.value(x) for h, x in zip(self.inner, point)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +220,7 @@ class FunctionExpr:
             for a, xi in zip(p["alpha"], x):
                 out *= xi ** a
         elif self.family == "acms":
-            u = math.fsum(w * xi ** p["rho"] for w, xi in zip(p["weights"], x))
+            u = _fsum([w * xi ** p["rho"] for w, xi in zip(p["weights"], x)])
             if u <= 0.0:
                 raise DomainError("aggregator sum must stay positive")
             # A NumPy power: past the float range it gives inf, not an
@@ -485,9 +496,8 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
     d1, d2 = zip(*(h.derivatives(xi)[1:] for h, xi in zip(spec.inner, x)))
     n = spec.n
     term1 = f1 ** n * math.prod(d2)
-    cross = math.fsum(
-        math.prod(d2[i] for i in range(n) if i != j) * d1[j] ** 2
-        for j in range(n))
+    cross = _fsum([math.prod(d2[i] for i in range(n) if i != j) * d1[j] ** 2
+                   for j in range(n)])
     det = float(term1 + f1 ** (n - 1) * f2 * cross)
     if not math.isfinite(det):
         raise DomainError("Hessian determinant overflows the float range")

@@ -10,10 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from prodgeo import cli, tolerances
 from prodgeo.cli import (
-    _BLOCK_ROWS, RunConfig, _flatten, _leaf, _render, _to_json, build_parser,
-    main, run,
+    _BLOCK_ROWS, RunConfig, _flatten, _leaf, _render, _table_blocks, _to_json,
+    build_parser, main, run,
 )
 from prodgeo.elasticity import PointRecords
 import gates
@@ -384,6 +386,111 @@ def test_per_point_tables_reach_render_as_one_array(monkeypatch, capsys,
     assert seen["dicts"] == 0  # no per-row dict before render
     if out == "json" or argv[0] == "scan":
         assert dicts == []  # finite rows are written by the template
+
+
+def _boundary_values():
+    """Floats whose ".17g" text takes every layout of the table kernel:
+    each fixed-notation exponent -4..16 with one, a few and 17 significant
+    digits (integers from exponent 0 on), scientific notation with 2- and
+    3-digit exponents of both signs, and the neighbours of 1e-4 and 1e17."""
+    values = [0.0, -0.0, 1e-4, 1e17,
+              *np.nextafter([1e-4, 1e-4, 1e17, 1e17], [0, 1, 0, math.inf])]
+    for e in range(-4, 17):
+        values += [m * 10.0 ** e for m in (1.0, -3.0, 1.25, -math.pi, 2 / 3)]
+    for e in (-300, -123, -100, -99, -10, -5, 17, 18, 22, 99, 100, 101, 300):
+        values += [m * 10.0 ** e for m in (1.0, -1.5, math.pi)]
+    return np.array(values)
+
+
+@pytest.mark.parametrize("shape", ["scan", "verify"])
+def test_tables_at_notation_boundaries_write_the_bytes_of_the_dict_rows(shape):
+    values = _boundary_values()
+    width = -(-len(values) // 7) * 7
+    data = np.vstack([np.resize(np.roll(values, k), width).reshape(-1, 7)
+                      for k in range(7)]
+                     + [[1.0, 12.0, 123.0, 4e3, 1e16, 3e15, 100.0]])
+    if shape == "scan":
+        records = PointRecords((("cells", 7),), data)
+        dicts = [{"cells": row} for row in data.tolist()]
+    else:
+        records = PointRecords((("flatness_residual", 0), ("gauss_kronecker", 0),
+                                ("gauss_kronecker_scaled", 0), ("point", 4)),
+                               data)
+        dicts = [{"flatness_residual": r[0], "gauss_kronecker": r[1],
+                  "gauss_kronecker_scaled": r[2], "point": r[3:]}
+                 for r in data.tolist()]
+    assert _to_json(records) == _to_json(dicts)
+    if shape == "verify":
+        got, want = [], []
+        _flatten({"per_point_data": records}, "", got)
+        _flatten({"per_point_data": dicts}, "", want)
+        assert got == want
+    else:
+        columns = [f"c{k}" for k in range(7)]
+        env = {"tolerances": {}, "report": {"columns": columns,
+                                            "rows": records}}
+        csv = _render(RunConfig("scan", "fn.json", out="csv"), env)
+        assert csv.split("\n")[1:] == [",".join(map(_leaf, row))
+                                       for row in data.tolist()]
+
+
+# -- the ".17g" table kernel ---------------------------------------------------------
+
+
+def _kernel_texts(values, text=_leaf):
+    """The table kernel's text of each value, written as a one-column table."""
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    return "\n".join(_table_blocks(column, "\0\n", [0], text)).split("\n")
+
+
+def _exact_ties(rng):
+    """Doubles x = t / 2^(s+1), t odd, with x·10^s = t·5^s/2 a half-integer
+    of 17 digits: ".17g" must round them half to even."""
+    ties = []
+    for s in range(1, 25):
+        lo, hi = 2e16 / 5 ** s, min(2e17 / 5 ** s, 2.0 ** 53)
+        for t in {math.ceil(lo), math.floor(hi), *rng.uniform(lo, hi, 20)}:
+            t = int(t) | 1
+            if lo < t < hi:
+                ties.append(t / 2 ** (s + 1))
+    return np.array(ties)
+
+
+def test_table_kernel_writes_the_bytes_of_format_17g():
+    rng = np.random.default_rng(1717)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    ties = _exact_ties(rng)
+    assert format(1234567890123456.75, ".17g") == "1234567890123456.8"
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308,
+         math.inf, -math.inf, math.nan, 1234567890123456.75],
+        np.arange(-1000, 1001), 2.0 ** np.arange(64), 2.0 ** np.arange(54) - 1,
+        rng.integers(-2 ** 63, 2 ** 63, 20_000).astype(float),
+        ties, np.nextafter(ties, 0), np.nextafter(ties, math.inf)])
+    assert len(ties) > 200
+    got = _kernel_texts(values)
+    want = [format(v, ".17g") for v in values.tolist()]
+    assert [(w, g) for w, g in zip(want, got) if w != g] == []
+    assert len(got) == len(want)
+
+
+def test_table_kernel_writes_nearly_every_value_without_fallback():
+    rng = np.random.default_rng(1718)
+    values = rng.lognormal(0.0, 20.0, 100_000) * rng.choice([-1.0, 1.0],
+                                                             100_000)
+    fallback = []
+    got = _kernel_texts(values, lambda v: fallback.append(v) or _leaf(v))
+    assert got == [format(v, ".17g") for v in values.tolist()]
+    assert len(fallback) < 1e-3 * len(values)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_table_kernel_matches_format_on_any_doubles(values):
+    assert _kernel_texts(values) == [format(v, ".17g") for v in values]
 
 
 # -- failure modes -------------------------------------------------------------------

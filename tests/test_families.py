@@ -310,6 +310,27 @@ def test_float_paths_refuse_what_the_kernel_refuses(expr, point):
                 hessian_det_quasisum(expr.params["spec"], point)
 
 
+EXP_DIFFERENCE = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
+                              inner=(ScalarFn("exp", 1.0),
+                                     ScalarFn("exp", -1.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_acms(1.0, (1.0, 1.0), 2.0, 1.0).value((1e154, 1e154)),
+    lambda: build_quasi_sum(EXP_DIFFERENCE).value((800.0, 800.0)),
+    lambda: EXP_DIFFERENCE.inner_sum((800.0, 800.0)),
+    lambda: hessian_det_quasisum(EXP_DIFFERENCE, (800.0, 800.0)),
+], ids=["acms-finite-terms", "value-inf-minus-inf", "inner-sum",
+        "hessian-det"])
+def test_exact_sums_past_the_float_range_are_domain_errors(call):
+    # Finite terms whose sum overflows, and inf + -inf, are where math.fsum
+    # itself raises (OverflowError, ValueError) instead of returning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
 # -- quasi-sum rewrites ----------------------------------------------------------
 
 
