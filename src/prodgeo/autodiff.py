@@ -135,9 +135,6 @@ class Jet2:
         e = math.exp(self.value)
         return self.chain(e, e, e)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Jet2(value={self.value!r}, n={self.n})"
-
 
 def lift_variable(index: int, value: float, n: int) -> Jet2:
     """Seed coordinate ``index`` of an ``n``-input jet at ``value``.
@@ -183,27 +180,16 @@ def finite_difference_oracle(expr, point, step: float | None = None) -> Jet2:
     if np.any(x - h <= 0.0):
         raise DomainError("step too large: stencil leaves the positive orthant")
 
-    def f(q: np.ndarray) -> float:
-        return expr.value(q)
-
+    f, e = expr.value, np.diag(h)  # e[i]: the step along coordinate i
     f0 = f(x)
     grad = np.zeros(n)
     hess = np.zeros((n, n))
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        fp = f(x + ei)
-        fm = f(x - ei)
+        fp, fm = f(x + e[i]), f(x - e[i])
         grad[i] = (fp - fm) / (2.0 * h[i])
         hess[i, i] = (fp - 2.0 * f0 + fm) / (h[i] * h[i])
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            val = (f(x + ei + ej) - f(x + ei - ej)
-                   - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
+            hess[i, j] = hess[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j])
+                - f(x - e[i] + e[j]) + f(x - e[i] - e[j])) / (4.0 * h[i] * h[j])
     return Jet2(f0, grad, hess)

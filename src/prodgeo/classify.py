@@ -14,13 +14,13 @@ reproduce the inner derivatives and the cross-multiplied elasticity identity
 within the configured residual tolerances.
 
 The theorem checkers compare two independently computed sides of a
-biconditional on a sampled box: a curvature side (scaled Gauss-Kronecker
-curvature for the determinant theorem, normalized Riemann components for the
-flatness theorem) and a structure side (membership in the linearly
-homogeneous families).  Each check reports both one-sided implications and a
-full per-point residual table; a verdict is never adjusted to match the
-expected outcome, so a genuine disagreement between the two sides surfaces
-as Inconsistent together with the data needed to inspect it.
+biconditional on a sampled box: a curvature side (the cancellation of the
+terms of det Hess f for the determinant theorem, normalized Riemann
+components for the flatness theorem) and a structure side (membership in
+the linearly homogeneous families).  Each check reports both one-sided
+implications and a full per-point residual table; a verdict is never
+adjusted to match the expected outcome, so a genuine disagreement between
+the two sides surfaces as Inconsistent with the data needed to inspect it.
 """
 
 from __future__ import annotations
@@ -368,28 +368,19 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
         raise HypothesisError(
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
-    surface = surface_curvatures(table.gradient, table.hessian)
+    surface = surface_curvatures(table.gradient, table.hessian, table.factors)
     keys = ("flatness_residual", "gauss_kronecker", "gauss_kronecker_scaled")
     rows = PointRecords(tuple((key, 0) for key in keys) + (("point", expr.n),),
                         np.column_stack([*map(surface.get, keys), table.points]))
 
-    if theorem == THEOREM_GAUSS_KRONECKER:
-        worst = float(np.max(surface["gauss_kronecker_scaled"]))
-        vanish_tol = tolerances.VANISHING_CURVATURE_TOL
-        clear_tol = tolerances.CLEAR_CURVATURE_TOL
-        residual_key = "max_scaled_gauss_kronecker"
-    else:
-        worst = float(np.max(surface["flatness_residual"]))
-        vanish_tol = tolerances.FLATNESS_VERDICT_TOL
-        clear_tol = tolerances.CLEAR_NONFLAT_TOL
-        residual_key = "max_flatness_residual"
-
-    if worst <= vanish_tol:
-        hypothesis = True
-    elif worst > clear_tol:
-        hypothesis = False
-    else:
-        hypothesis = None
+    statistic, vanish_tol, clear_tol = (
+        ("det_cancellation", tolerances.VANISHING_CURVATURE_TOL,
+         tolerances.CLEAR_CURVATURE_TOL) if theorem == THEOREM_GAUSS_KRONECKER
+        else ("flatness_residual", tolerances.FLATNESS_VERDICT_TOL,
+              tolerances.CLEAR_NONFLAT_TOL))
+    worst = float(np.max(surface[statistic]))
+    hypothesis = (True if worst <= vanish_tol
+                  else False if worst > clear_tol else None)
 
     matches, family, record, cls = _family_degree_one(expr, table, detection)
 
@@ -414,7 +405,7 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     hypothesis_check = {
         "ces_verdict": detection.verdict,
         "sigma_estimate": detection.sigma_estimate,
-        residual_key: worst,
+        "max_" + statistic: worst,
         "vanishing_tolerance": vanish_tol,
         "clearly_nonzero_tolerance": clear_tol,
     }
@@ -465,14 +456,12 @@ def verify_theorem_11(expr, box=None, samples: int = 64,
     hypothesis = detection.verdict in (REGULAR_CES, DEGENERATE_CES)
     conclusion = cls.case != NOT_CES
     verdict = CONSISTENT if hypothesis == conclusion else INCONSISTENT
-    hypothesis_check = {
-        "ces_verdict": detection.verdict,
-        "sigma_estimate": detection.sigma_estimate,
-        "max_deviation": detection.max_deviation,
-    }
-    conclusion_check = {
-        "family_matches": conclusion,
-        "classification": cls.as_dict(),
-    }
+    # The detection is reported once, here, with its verdict as ces_verdict.
+    hypothesis_check = detection.as_dict()
+    hypothesis_check["ces_verdict"] = hypothesis_check.pop("verdict")
+    classification = cls.as_dict()
+    del classification["detection"]
+    conclusion_check = {"family_matches": conclusion,
+                        "classification": classification}
     return TheoremReport(THEOREM_CLASSIFICATION, verdict, hypothesis,
                          conclusion, hypothesis_check, conclusion_check, ())

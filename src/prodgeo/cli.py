@@ -372,8 +372,8 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
     grid = log_grid(box, config.samples)
     pair = config.pair if config.pair is not None else (0, 1)
     i, j = _check_pair(pair, expr.n)
-    value, gradient, hessian = expr.derivatives(grid)
-    surface = surface_curvatures(gradient, hessian)
+    value, gradient, hessian, factors = expr.factored_derivatives(grid)
+    surface = surface_curvatures(gradient, hessian, factors)
     hicks = hicks_values(grid, gradient, hessian, min(i, j), max(i, j))
     table = np.column_stack([
         grid, value, surface["area_factor"], surface["gauss_kronecker"],

@@ -254,13 +254,14 @@ class ElasticityReport:
 @dataclass(frozen=True, eq=False)
 class PointTable:
     """A sampled box evaluated once: the box center then the log-uniform
-    sample points (rows of ``points``), with the values, gradients and
-    Hessians of one expression there from one ``derivatives`` call."""
+    sample points (rows of ``points``), with the values, gradients, Hessians
+    and Hessian factors of one expression there from one kernel call."""
 
     points: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
+    factors: tuple | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +290,7 @@ def point_table(expr: FunctionExpr, box, samples: int,
     if samples < 2:
         raise SpecError("detection needs at least two sample points")
     points = np.vstack([box_center(box), log_uniform(box, samples, seed)])
-    return PointTable(points, *expr.derivatives(points))
+    return PointTable(points, *expr.factored_derivatives(points))
 
 
 def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,

@@ -244,26 +244,32 @@ class FunctionExpr:
         if self.family == "custom":
             return self.params["fn"](
                 [lift_variable(i, x[i], self.n) for i in range(self.n)])
-        value, gradient, hessian = self._kernel(x[np.newaxis, :])
+        value, gradient, hessian, _ = self._kernel(x[np.newaxis, :])
         return Jet2(value[0], gradient[0], hessian[0])
 
     def derivatives(self, points):
-        """Values (N,), gradients (N, n) and Hessians (N, n, n) at the rows
-        of an (N, n) point array, in one vectorised pass (custom composites
-        have no batched form: their jets are stacked point by point).
+        """The value, gradient and Hessian parts of factored_derivatives."""
+        return self.factored_derivatives(points)[:3]
+
+    def factored_derivatives(self, points):
+        """Values (N,), gradients (N, n), Hessians (N, n, n) and Hessian
+        factors at the rows of an (N, n) point array, in one vectorised pass
+        (custom composites have no batched form: their jets are stacked
+        point by point, with factors None).
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
-        and F', F'' at the inner sum, grad = F' h' and Hess = F' diag(h'') +
-        F'' (h'_i h'_j), bitwise symmetric.  Cobb-Douglas is gamma e^u over
-        alpha_i log x_i (value from the direct product, as in :meth:`value`),
-        ACMS a power over powers (F', F'' direct, so d/rho < 0 works), the
-        ratio G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
+        and F', F'' at the inner sum, grad = F' h' and Hess = diag(D) +
+        c u u^T with the factors (D, c, u) = (F' h'', F'', h'), assembled
+        bitwise symmetric.  Cobb-Douglas is gamma e^u over alpha_i log x_i
+        (value from the direct product, as in :meth:`value`), ACMS a power
+        over powers (F', F'' direct, so d/rho < 0 works), the ratio
+        G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
         gradient or Hessian raises DomainError."""
         x = self._check_point(points, ndim=2)
         if self.family == "custom":
             jets = [self.jet(row) for row in x]
-            return tuple(np.array([getattr(jet, part) for jet in jets])
-                         for part in ("value", "gradient", "hessian"))
+            return (*(np.array([getattr(jet, part) for jet in jets])
+                      for part in ("value", "gradient", "hessian")), None)
         return self._kernel(x)
 
     def _kernel(self, x: np.ndarray):
@@ -305,15 +311,15 @@ class FunctionExpr:
                 d1 = np.array([-1.0, 1.0]) / x
                 d2 = d1 * d1 * np.array([1.0, -1.0])
             gradient = f1[:, np.newaxis] * d1
+            diag = f1[:, np.newaxis] * d2
             hessian = f2[:, np.newaxis, np.newaxis] * (
                 d1[:, :, np.newaxis] * d1[:, np.newaxis, :])
-            hessian.reshape(len(x), -1)[:, ::self.n + 1] += \
-                f1[:, np.newaxis] * d2
+            hessian.reshape(len(x), -1)[:, ::self.n + 1] += diag
         if not (np.isfinite(f).all() and np.isfinite(gradient).all()
                 and np.isfinite(hessian).all()):
             raise DomainError("value, gradient or Hessian is not finite "
                               "(floating-point overflow)")
-        return f, gradient, hessian
+        return f, gradient, hessian, (diag, f2, d1)
 
 
 @functools.cache
@@ -477,28 +483,25 @@ def homogeneity_degree(expr: FunctionExpr, point) -> float:
                                  jet.gradient[np.newaxis])[0])
 
 
+def hessian_det_terms(diag, c, u) -> np.ndarray:
+    """The (N, n+1) terms of det(diag(D) + c u u^T) = sum T per row: T_0 =
+    prod D_i and T_j = c u_j^2 prod_{i != j} D_i, from prefix and suffix
+    products (no division)."""
+    ones = np.ones((len(diag), 1))
+    before = np.cumprod(np.hstack([ones, diag[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, diag[:, :0:-1]]), axis=1)[:, ::-1]
+    return np.column_stack([before[:, -1] * diag[:, -1],
+                            c[:, np.newaxis] * (u * u) * (before * after)])
+
+
 @np.errstate(all="ignore")
 def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
-    """Closed-form Hessian determinant of a quasi-sum.
-
-    det H = F'^n * prod(h_i'') + F'^(n-1) * F'' * sum_j prod_{i != j}(h_i'') * h_j'^2
-
-    evaluated at the inner sum u and the given point; DomainError when it
-    leaves the float range.
-    """
-    x = np.asarray(point, dtype=float)
-    if x.shape[0] != spec.n:
-        raise SpecError(f"point has {x.shape[0]} coordinates, expected {spec.n}")
-    if np.any(x <= 0.0):
-        raise DomainError("point must be strictly positive")
-    u = spec.inner_sum(x)
-    _, f1, f2 = spec.outer.derivatives(u)
-    d1, d2 = zip(*(h.derivatives(xi)[1:] for h, xi in zip(spec.inner, x)))
-    n = spec.n
-    term1 = f1 ** n * math.prod(d2)
-    cross = _fsum([math.prod(d2[i] for i in range(n) if i != j) * d1[j] ** 2
-                   for j in range(n)])
-    det = float(term1 + f1 ** (n - 1) * f2 * cross)
+    """det H = F'^n prod(h_i'') + F'^(n-1) F'' sum_j prod_{i != j}(h_i'') h_j'^2
+    of a quasi-sum at ``point``: the one-point sum of hessian_det_terms over
+    the kernel's factors; DomainError when it leaves the float range."""
+    expr = FunctionExpr("quasi_sum", spec.n, {"spec": spec})
+    x = expr._check_point(point)
+    det = float(hessian_det_terms(*expr._kernel(x[np.newaxis])[3]).sum())
     if not math.isfinite(det):
         raise DomainError("Hessian determinant overflows the float range")
     return det

@@ -16,14 +16,15 @@ eigenvalues of the pencil (h, g), and the Gauss-Kronecker curvature is
 formed one factor of W at a time, since W^(n+2) can overflow while G is
 representable.  A surface quantity that is not finite raises DomainError.
 
-Because G decays like W^(n+2) along rays it is a poor zero test on its own;
-``gauss_kronecker_scaled`` divides |det Hess f| by the Frobenius norm of the
-Hessian raised to n, which is invariant under rescaling the Hessian and stays
-O(1) unless the determinant genuinely collapses.
-
-Intrinsic flatness is measured through the Gauss equation: the curvature
-tensor components are h_ik h_jl - h_il h_jk, and ``flatness_residual`` is
-their largest magnitude normalized by 1 + |h|^2.
+Every document family has Hess f = diag(D) + c u u^T, with the kernel's
+factors D = F' h'', c = F'' and u = h'.  det Hess f is the sum of the terms
+T_0 = prod D_i and T_j = c u_j^2 prod_{i != j} D_i, and ``det_cancellation``
+= |sum T| / sum |T| is rounding-sized exactly when they cancel, however much
+the entries F' h_i'' + F'' h_i'^2 cancel first.  The curvature tensor
+components (Gauss equation) are the 2x2 minors of h, whose largest magnitude
+over 1 + |h|^2 is ``flatness_residual``; for diag(D) + c u u^T they have
+closed forms.  Custom composites have no factors: their determinant and
+minors come from the assembled Hessian.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .families import FunctionExpr, index_pairs
+from .families import FunctionExpr, hessian_det_terms, index_pairs
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
            "surface_curvatures", "gauss_kronecker", "flatness_residual"]
@@ -69,44 +70,70 @@ class GraphGeometry:
 
 
 @np.errstate(all="ignore")
-def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray) -> dict:
-    """Scalar curvatures for (N, n) gradients and (N, n, n) Hessians, as
-    (N,) arrays keyed like GraphGeometry fields.  ``riemann_max`` is the
-    largest |h_ik h_jl - h_il h_jk| over i<j, k<l: the largest 2x2 minor of
-    the second fundamental form, from the Gauss equation."""
-    n = gradient.shape[-1]
+def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray,
+                       factors) -> dict:
+    """Scalar curvatures, as (N,) arrays keyed like GraphGeometry fields,
+    from (N, n) gradients, (N, n, n) Hessians and their factors (D, c, u),
+    plus ``det_cancellation`` (0 where every term is 0); ``factors`` None
+    (custom) uses the assembled Hessian and gives no ``det_cancellation``."""
     w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
     w = np.sqrt(w_sq)
-    det_hess = np.linalg.det(hessian)
     hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
+    out = {"area_factor": w}
+    if factors is None:
+        det_hess = np.linalg.det(hessian)
+        second = hessian / w[:, np.newaxis, np.newaxis]
+        i, j = index_pairs(gradient.shape[-1])
+        rows_i, rows_j = second[:, i, :], second[:, j, :]
+        rmax = np.abs(rows_i[:, :, i] * rows_j[:, :, j]
+                      - rows_i[:, :, j] * rows_j[:, :, i]).max(axis=(1, 2))
+    else:
+        terms = hessian_det_terms(*factors)
+        det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        out["det_cancellation"] = np.abs(det_hess) / np.where(size, size, 1.0)
+        rmax = _riemann_max(factors[0] / w[:, np.newaxis], factors[1] / w,
+                            factors[2])
     # det / W^(n+2) and |det| / |Hess|^n one factor at a time: the powers
     # overflow long before the quotients do.
     gk, scaled = det_hess / w_sq, np.abs(det_hess)
     norm = np.where(hess_norm == 0.0, 1.0, hess_norm)
-    for _ in range(n):
+    for _ in range(gradient.shape[-1]):
         gk, scaled = gk / w, scaled / norm
-    second = hessian / w[:, np.newaxis, np.newaxis]
-    i, j = index_pairs(n)
-    # P^2 minors per point (P = n(n-1)/2): blocks keep temporaries ~0.5 MB.
-    block = max(1, 2 ** 16 // len(i) ** 2)
-    rmax = np.empty(len(second))
-    for start in range(0, len(second), block):
-        rows_i = second[start:start + block, i, :]
-        rows_j = second[start:start + block, j, :]
-        minors = (rows_i[:, :, i] * rows_j[:, :, j]
-                  - rows_i[:, :, j] * rows_j[:, :, i])
-        rmax[start:start + block] = np.abs(minors).max(axis=(1, 2))
-    out = {
-        "area_factor": w,
-        "gauss_kronecker": gk,
-        "gauss_kronecker_scaled": scaled,
-        "riemann_max": rmax,
-        "flatness_residual": rmax / (1.0 + (hess_norm / w) ** 2),
-    }
+    out.update(gauss_kronecker=gk, gauss_kronecker_scaled=scaled,
+               riemann_max=rmax,
+               flatness_residual=rmax / (1.0 + (hess_norm / w) ** 2))
     if not all(np.isfinite(v).all() for v in (det_hess, hess_norm, *out.values())):
         raise DomainError("surface quantity is not finite "
                           "(floating-point overflow)")
     return out
+
+
+def _riemann_max(diag, c, u) -> np.ndarray:
+    """Largest |2x2 minor| of diag(D) + c u u^T per row: D_i D_j +
+    c (D_i u_j^2 + D_j u_i^2) for a pair (i, j) with itself, +-D_s c u_a u_b
+    for two pairs sharing only s, and 0 for disjoint pairs."""
+    lo, hi = index_pairs(u.shape[1])
+    rmax = np.abs(c[:, np.newaxis] * (diag[:, lo] * (u * u)[:, hi]
+                                      + diag[:, hi] * (u * u)[:, lo])
+                  + diag[:, lo] * diag[:, hi]).max(axis=1)
+    if u.shape[1] > 2:
+        # The largest |u_a u_b| with a, b != s is the product of the two
+        # largest |u| other than |u_s|, read from the three largest, t.
+        a = np.abs(u)
+        t = np.sort(a, axis=1)[:, :-4:-1]
+        others = np.where(a == t[:, :1], t[:, 1:2] * t[:, 2:], np.where(
+            a == t[:, 1:2], t[:, :1] * t[:, 2:], t[:, :1] * t[:, 1:2]))
+        rmax = np.maximum(rmax, (np.abs(diag * c[:, np.newaxis])
+                                 * others).max(axis=1))
+    return rmax
+
+
+def _at(expr: FunctionExpr, point):
+    """(x, f, grad f, Hess f, surface_curvatures floats) at one point."""
+    x = expr._check_point(point)
+    value, grad, hess, factors = expr.factored_derivatives(x[np.newaxis])
+    return x, value[0], grad[0], hess[0], {
+        k: float(v[0]) for k, v in surface_curvatures(grad, hess, factors).items()}
 
 
 def graph_point(expr: FunctionExpr, point) -> np.ndarray:
@@ -121,20 +148,14 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
     I - p p^T / W^2 (Sherman-Morrison) and inverse square root
     I - p p^T / (W (W + 1)), so the shape operator needs no solve and the
     principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2)."""
-    x = expr._check_point(point)
-    jet = expr.jet(x)
-    grad, hess = jet.gradient, jet.hessian
-    scalars = {k: float(v[0]) for k, v in surface_curvatures(
-        grad[np.newaxis], hess[np.newaxis]).items()}
+    x, value, grad, hess, scalars = _at(expr, point)
+    scalars.pop("det_cancellation", None)
     w = scalars["area_factor"]
     second = hess / w
     pp = np.outer(grad, grad)
     root = np.eye(expr.n) - pp / (w * (w + 1.0))
     return GraphGeometry(
-        point=x.copy(),
-        value=jet.value,
-        gradient=grad,
-        hessian=hess,
+        point=x.copy(), value=value, gradient=grad, hessian=hess,
         unit_normal=np.append(-grad, 1.0) / w,
         metric=np.eye(expr.n) + pp,
         second_fundamental_form=second,
@@ -146,9 +167,9 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
 
 def gauss_kronecker(expr: FunctionExpr, point) -> float:
     """det(Hess f) / W^(n+2) at ``point``."""
-    return graph_geometry(expr, point).gauss_kronecker
+    return _at(expr, point)[4]["gauss_kronecker"]
 
 
 def flatness_residual(expr: FunctionExpr, point) -> float:
     """Scale-normalized largest curvature component at ``point``."""
-    return graph_geometry(expr, point).flatness_residual
+    return _at(expr, point)[4]["flatness_residual"]

@@ -22,8 +22,8 @@ DEGREE_ONE_TOL = 1e-12          # exact-parameter linear-homogeneity tests
 STRUCTURE_RESIDUAL_TOL = 1e-8
 
 # Graph geometry.
-VANISHING_CURVATURE_TOL = 1e-10  # scaled |G| below this counts as zero
-CLEAR_CURVATURE_TOL = 1e-6       # scaled |G| above this counts as clearly nonzero
+VANISHING_CURVATURE_TOL = 1e-10  # |sum T| / sum |T| below this: G is zero
+CLEAR_CURVATURE_TOL = 1e-6       # ... above this: G is clearly nonzero
 FLATNESS_VERDICT_TOL = 1e-9      # normalized Riemann residual below this is flat
 CLEAR_NONFLAT_TOL = 1e-6
 

@@ -1,9 +1,10 @@
-"""Document fuzzing: whatever the document, the command line keeps its exit
-contract (0, 1 or 2), writes nothing to stderr, raises no Python warning,
-writes an error or a JSON report as exactly one JSON line, and puts inf or
-nan only in the report fields documented as possibly non-finite.  A CSV
-report (scan and verify may draw ``--out csv``) has the same non-finite
-fields, and every scan data line has the header's cell count."""
+"""Document fuzzing: whatever the document and the --box bounds, the command
+line keeps its exit contract (0, 1 or 2), writes nothing to stderr, raises
+no Python warning, writes an error or a JSON report as exactly one JSON
+line, and puts inf or nan only in the report fields documented as possibly
+non-finite.  A CSV report (scan and verify may draw ``--out csv``) has the
+same non-finite fields, and every scan data line has the header's cell
+count."""
 
 import contextlib
 import copy
@@ -104,11 +105,30 @@ def documents(draw):
 
 
 COORDINATES = st.one_of(*[st.floats(0.25, 4.0)] * 4, NUMBERS)
+BOUNDS = st.one_of(
+    st.floats(1e-300, 1e300), st.floats(1e-8, 1e8), st.floats(1e-3, 1e3),
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-100, 1e-12, 0.01, 0.5, 2.0,
+                     100.0, 1e12, 1e100, 1e300, 1.7976931348623157e308]))
+
+
+@st.composite
+def box_axes(draw):
+    """One "lo:hi" box axis: extreme bounds, a width of a few ulps up to
+    1e-6 relative, a lo:hi ratio up to 1e300, or any two numbers."""
+    lo = draw(BOUNDS)
+    shape = draw(st.sampled_from(["tiny"] * 2 + ["ratio"] * 2 + ["any"]))
+    if shape == "tiny":
+        hi = lo * (1.0 + draw(st.sampled_from([2e-16, 1e-12, 1e-6])))
+    elif shape == "ratio":
+        hi = lo * draw(st.sampled_from([1e6, 1e12, 1e100, 1e300]))
+    else:
+        hi = draw(st.one_of(BOUNDS, NUMBERS))
+    return f"{lo!r}:{hi!r}"
 
 
 @st.composite
 def requests(draw):
-    """Every command, mostly with a point of the right arity."""
+    """Every command, mostly with a point and a box of the right arity."""
     command = draw(st.sampled_from(["eval", "curvature", "elasticity",
                                     "classify", "verify", "scan"]))
     argv = [command]
@@ -116,6 +136,10 @@ def requests(draw):
         n = draw(st.sampled_from([2] * 5 + [1, 3]))
         at = draw(st.lists(COORDINATES, min_size=n, max_size=n))
         argv.append("--at=" + ",".join(map(str, at)))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([2] * 5 + [1, 3]))
+        argv.append("--box=" + ",".join(draw(st.lists(
+            box_axes(), min_size=n, max_size=n))))
     if command == "verify":
         argv += ["--theorem", draw(st.sampled_from(["1.1", "4.1", "4.2"]))]
     argv += ["--samples", "4" if command == "scan" else "8"]
@@ -138,6 +162,16 @@ def requests(draw):
                                           "--out", "csv"])
 @example(text=json.dumps(BASES[2]), argv=["verify", "--theorem", "1.1",
                                           "--out", "csv"])
+# Boxes of extreme bounds, tiny widths and huge lo:hi ratios that reach the
+# kernel, whatever the drawn boxes hold.
+@example(text=json.dumps(BASES[0]), argv=["scan", "--samples", "4",
+                                          "--box=1e-300:1e-290,0.5:2"])
+@example(text=json.dumps(BASES[2]), argv=["verify", "--theorem", "4.1",
+                                          "--box=1:1.000000000001,1:1.000001"])
+@example(text=json.dumps(BASES[1]), argv=["classify",
+                                          "--box=1e-12:1e12,1e-12:1e12"])
+@example(text=json.dumps(BASES[3]), argv=["scan", "--samples", "4", "--out",
+                                          "csv", "--box=1e-12:1e12,1e-6:1e6"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)

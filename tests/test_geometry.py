@@ -1,21 +1,27 @@
 """Surface quantities of the graph hypersurface."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodgeo import (
     DomainError, ScalarFn, SpecError,
-    build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
-    flatness_residual, gauss_kronecker, graph_geometry, graph_point,
+    as_quasi_sum, build_acms, build_cobb_douglas, build_custom,
+    build_quasi_sum, build_ratio, flatness_residual, gauss_kronecker,
+    graph_geometry, graph_point, hessian_det_quasisum,
 )
 from prodgeo import tolerances
+from prodgeo.cli import RunConfig, run
+from prodgeo.families import hessian_det_terms
+from prodgeo.geometry import surface_curvatures
 import gates
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point, random_points,
-    random_log_spec, random_power_spec, random_quasi_sum_expr,
-    random_ratio_expr,
+    random_log_spec, random_mixed_spec, random_power_spec,
+    random_quasi_sum_expr, random_ratio_expr, random_ratio_spec, random_rho,
 )
 
 
@@ -165,3 +171,173 @@ def test_geometry_point_checks():
         graph_geometry(cd, [1.0, 1.0, 1.0])
     with pytest.raises(DomainError):
         graph_geometry(cd, [1.0, -1.0])
+
+
+# -- the factored Hessian: det Hess and the minors of diag(D) + c u u^T --------
+
+UNIT = Fraction(1, 2 ** 53)  # unit roundoff of float64
+# Kernel factors against the quasi-sum rewrite's ScalarFn derivatives: the
+# same closed forms with their rounding steps in another order, so the terms
+# they give differ by a few roundings of the terms' sizes.
+FACTOR_REWRITE_RTOL = 1e-12
+# Factored against generic (LU determinant, minors of the assembled Hessian):
+# both err by O(n) roundings of the entries' sizes.
+GENERIC_PATH_RTOL = 1e-12
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): (1 + d_1)...(1 + d_k) with |d_i| <= u lies
+    within 1 +- gamma_k."""
+    return k * UNIT / (1 - k * UNIT)
+
+
+def _factored_documents(rng):
+    """Random documents of every family that has a quasi-sum rewrite."""
+    exprs = [build_ratio(ScalarFn("affine", 1.5, shift=0.5)),
+             build_ratio(ScalarFn("log", 2.0))]
+    for n in range(2, 7):
+        rho = random_rho(rng)
+        exprs += [random_cobb_douglas(rng, n),
+                  random_cobb_douglas(rng, n, degree=1.0),
+                  random_acms(rng, n, rho=rho, d=math.copysign(1.3, rho)),
+                  random_acms(rng, n, rho=rho, d=math.copysign(1.0, rho)),
+                  build_quasi_sum(random_power_spec(rng, n)),
+                  build_quasi_sum(random_power_spec(rng, n, degree_one=True)),
+                  build_quasi_sum(random_log_spec(rng, n)),
+                  build_quasi_sum(random_mixed_spec(rng, n))]
+    return exprs + [build_quasi_sum(random_ratio_spec(rng))]
+
+
+def _terms(diag, c, slope):
+    """T_0 .. T_n of det(diag(D) + c u u^T) in exact rationals."""
+    out = [math.prod(diag)]
+    for j in range(len(diag)):
+        out.append(c * slope[j] ** 2
+                   * math.prod(d for i, d in enumerate(diag) if i != j))
+    return out
+
+
+def _rewrite_factors(spec, x):
+    """(F' h_i'', F'', h_i') in rationals from the floats the rewrite's
+    ScalarFn.derivatives give at x and at the inner sum."""
+    inner = [h.derivatives(float(xi)) for h, xi in zip(spec.inner, x)]
+    _, f1, f2 = spec.outer.derivatives(spec.inner_sum(x))
+    return ([Fraction(float(f1)) * Fraction(float(d2)) for _, _, d2 in inner],
+            Fraction(float(f2)), [Fraction(float(d1)) for _, d1, _ in inner])
+
+
+def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
+    # T (exact, from the rewrite) and T^ (exact, from the kernel's float
+    # factors) differ by sum |T^_j - T_j|, at most FACTOR_REWRITE_RTOL sum |T|.
+    # Forming each T^_j in floats takes at most 2n + 2 roundings and summing
+    # n + 1 terms at most n more, so the computed det and sum |T| are within
+    # E = sum |T^_j - T_j| + gamma_(3n+2) sum |T^| of sum T and S = sum |T|,
+    # and the statistic |sum T| / S (at most 1) within 2 E / (S - E) plus
+    # the rounding of its quotient.
+    rng = make_rng(411)
+    exprs = _factored_documents(rng)
+    checked = 0
+    for expr in exprs:
+        spec = as_quasi_sum(expr)
+        for x in random_points(rng, expr.n, 8):
+            want = _terms(*_rewrite_factors(spec, x))
+            _, gradient, hessian, factors = expr.factored_derivatives([x])
+            diag, c, slope = (np.atleast_1d(f[0]).tolist() for f in factors)
+            got = _terms([Fraction(v) for v in diag], Fraction(c[0]),
+                         [Fraction(v) for v in slope])
+            size = sum(map(abs, want))
+            apart = sum(abs(g - w) for g, w in zip(got, want))
+            assert apart <= FACTOR_REWRITE_RTOL * size, (expr.family, x)
+            bound = apart + _gamma(3 * expr.n + 2) * sum(map(abs, got))
+            det = hessian_det_terms(*factors).sum(axis=1)[0]
+            assert abs(Fraction(float(det)) - sum(want)) <= bound
+            if expr.family == "quasi_sum":
+                assert hessian_det_quasisum(spec, x) == det
+            surface = surface_curvatures(gradient, hessian, factors)
+            stat = Fraction(float(surface["det_cancellation"][0]))
+            assert abs(stat - abs(sum(want)) / size) <= \
+                2 * bound / (size - bound) + UNIT
+            checked += 1
+    assert checked == 8 * len(exprs)
+
+
+def test_closed_forms_agree_with_the_assembled_hessian():
+    # The generic path (custom composites) on the same assembled Hessians:
+    # det against the Hadamard bound prod_i |H_i|, the largest minor of
+    # h = Hess / W against max |h_ij|^2.
+    rng = make_rng(412)
+    exprs = _factored_documents(rng) + [random_ratio_expr(rng)
+                                        for _ in range(6)]
+    exprs += [random_acms(rng, n, rho=-1.5, d=0.8) for n in range(2, 7)]
+    for expr in exprs:
+        points = random_points(rng, expr.n, 40)
+        _, gradient, hessian, factors = expr.factored_derivatives(points)
+        factored = surface_curvatures(gradient, hessian, factors)
+        generic = surface_curvatures(gradient, hessian, None)
+        assert set(factored) == set(generic) | {"det_cancellation"}
+        w = generic["area_factor"]
+        assert np.array_equal(factored["area_factor"], w)
+        rows = np.prod(np.linalg.norm(hessian, axis=2), axis=1)
+        assert np.all(np.abs(factored["gauss_kronecker"]
+                             - generic["gauss_kronecker"]) * w ** (expr.n + 2)
+                      <= GENERIC_PATH_RTOL * rows)
+        entry = np.max(np.abs(hessian), axis=(1, 2)) / w
+        assert np.all(np.abs(factored["riemann_max"] - generic["riemann_max"])
+                      <= GENERIC_PATH_RTOL * entry ** 2)
+
+
+def test_one_point_slices_match_the_batched_surface():
+    rng = make_rng(413)
+    for expr in _factored_documents(rng)[::3]:
+        points = random_points(rng, expr.n, 4)
+        surface = surface_curvatures(*expr.factored_derivatives(points)[1:])
+        for k, x in enumerate(points):
+            geo = graph_geometry(expr, x)
+            for key in ("gauss_kronecker", "gauss_kronecker_scaled",
+                        "riemann_max", "flatness_residual"):
+                assert getattr(geo, key) == surface[key][k]
+            assert gauss_kronecker(expr, x) == surface["gauss_kronecker"][k]
+            assert flatness_residual(expr, x) == \
+                surface["flatness_residual"][k]
+
+
+GUARD_DOCS = {
+    "cobb_douglas": {"type": "cobb_douglas", "gamma": 1.2,
+                     "alpha": [0.3, 0.3, 0.4]},
+    "acms": {"type": "acms", "gamma": 1.0, "a": [1.0, 2.0, 0.5],
+             "rho": -2.5, "d": 1.0},
+    "quasi_sum": {"type": "quasi_sum",
+                  "outer": {"form": "power", "coefficient": 1.0,
+                            "exponent": 2.0},
+                  "inner": [{"form": "power", "coefficient": 2.0,
+                             "exponent": 0.5},
+                            {"form": "power", "coefficient": 3.0,
+                             "exponent": 0.5}]},
+    "ratio": {"type": "ratio", "outer": {"form": "affine",
+                                         "coefficient": 1.0}},
+}
+
+
+class _GenericDeterminant(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_DOCS))
+def test_document_families_never_take_the_generic_determinant(
+        tmp_path, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise _GenericDeterminant
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(GUARD_DOCS[name]))
+    n = 2 if name in ("quasi_sum", "ratio") else 3
+    for config in (dict(command="scan", samples=64),
+                   dict(command="curvature", at=(1.2,) * n),
+                   dict(command="verify", theorem="4.1"),
+                   dict(command="verify", theorem="4.2")):
+        status, text = run(RunConfig(fn_path=str(path), **config))
+        assert status == 0, (config, text)
+    custom = build_custom(2, lambda lifts: lifts[0] * lifts[1] ** 2.0)
+    with pytest.raises(_GenericDeterminant):
+        graph_geometry(custom, [1.0, 2.0])
