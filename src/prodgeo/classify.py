@@ -32,15 +32,15 @@ import numpy as np
 
 from .elasticity import (
     DEGENERATE_CES, NOT_CES, REGULAR_CES,
-    ElasticityReport, PointRecords, PointTable, ces_residuals,
-    detect_ces_on, point_table,
+    ElasticityReport, PointRecords, ces_residuals, detect_ces_on,
+    point_table,
 )
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
     FORM_AFFINE, FORM_EXP, FORM_LOG, FORM_POWER,
-    FunctionExpr, QuasiSumSpec, ScalarFn,
-    as_quasi_sum, build_quasi_sum, default_box, euler_quotients,
-    index_pairs, normalize_outer_shift, validate_box,
+    FunctionExpr, PointTable, QuasiSumSpec, ScalarFn,
+    as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
+    normalize_outer_shift, validate_box,
 )
 from .geometry import surface_curvatures
 from . import tolerances
@@ -118,8 +118,6 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
         spec = as_quasi_sum(spec)
     if not isinstance(spec, QuasiSumSpec):
         raise SpecError("classification needs a QuasiSumSpec")
-    if box is None:
-        box = default_box(spec.n)
     box = validate_box(box, spec.n)
     table = point_table(build_quasi_sum(spec, box), box, samples, seed)
     return _classify(spec, table, detect_ces_on(table))
@@ -133,14 +131,14 @@ def _classify(spec: QuasiSumSpec, table: PointTable,
     if fit is None:
         return _not_ces(detection)
     case, sigma, fitted, k, sigma_ref, fitted_d1 = fit
-    x = table.points[1:]
+    samples = table[1:]
+    x = samples.points
     structure = max(
         float(np.max(np.abs(h.derivatives(x[:, i])[1]
                             / fitted_d1(i, x[:, i]) - 1.0)))
         for i, h in enumerate(spec.inner))
     lo, hi = index_pairs(spec.n)
-    ces = float(np.max(np.abs(ces_residuals(
-        x, table.gradient[1:], table.hessian[1:], sigma_ref, lo, hi))))
+    ces = float(np.max(np.abs(ces_residuals(samples, sigma_ref, lo, hi))))
     if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
             or ces > tolerances.CES_RESIDUAL_TOL):
         return _not_ces(detection, ces, structure)
@@ -359,16 +357,13 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     if expr.family == "custom":
         raise HypothesisError(
             "custom composites are outside the quasi-sum hypothesis")
-    if box is None:
-        box = default_box(expr.n)
-    box = validate_box(box, expr.n)
     table = point_table(expr, box, samples, seed)
     detection = detect_ces_on(table)
     if detection.verdict == NOT_CES:
         raise HypothesisError(
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
-    surface = surface_curvatures(table.gradient, table.hessian, table.factors)
+    surface = surface_curvatures(table)
     keys = ("flatness_residual", "gauss_kronecker", "gauss_kronecker_scaled")
     rows = PointRecords(tuple((key, 0) for key in keys) + (("point", expr.n),),
                         np.column_stack([*map(surface.get, keys), table.points]))
@@ -386,10 +381,8 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
 
     bare = normalize_outer_shift(expr)
     try:
-        value, gradient = (table.value, table.gradient) if bare is expr \
-            else bare.derivatives(table.points)[:2]
-        degree_gap = float(np.max(np.abs(
-            euler_quotients(table.points, value, gradient) - 1.0)))
+        degree_gap = float(np.max(np.abs(euler_quotients(
+            table if bare is expr else bare.derivatives(table.points)) - 1.0)))
     except DomainError:
         degree_gap = math.inf
     record["euler_degree_gap"] = degree_gap
@@ -444,7 +437,7 @@ def verify_theorem_11(expr, box=None, samples: int = 64,
     checks this accepts NotCES inputs, since they are half of the statement.
     """
     spec = expr if isinstance(expr, QuasiSumSpec) else as_quasi_sum(expr)
-    box = validate_box(default_box(spec.n) if box is None else box, spec.n)
+    box = validate_box(box, spec.n)
     if isinstance(expr, QuasiSumSpec):
         expr = build_quasi_sum(spec, box)
     # The document and its quasi-sum rewrite are one function: classify the

@@ -36,7 +36,7 @@ from .elasticity import (
     pairwise_elasticities,
 )
 from .errors import DomainError, SpecError
-from .families import default_box, expr_from_dict, validate_box
+from .families import expr_from_dict, validate_box
 from .geometry import graph_geometry, surface_curvatures
 from .sampling import grid_shape, log_grid
 
@@ -309,11 +309,6 @@ def _require_at(config: RunConfig, n: int) -> tuple:
     return at
 
 
-def _resolve_box(config: RunConfig, n: int) -> tuple:
-    box = config.box if config.box is not None else default_box(n)
-    return validate_box(box, n)
-
-
 def _check_pair(pair, n: int) -> tuple:
     i, j = pair
     if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -323,10 +318,10 @@ def _check_pair(pair, n: int) -> tuple:
 
 def _cmd_eval(config: RunConfig, expr) -> dict:
     at = _require_at(config, expr.n)
-    jet = expr.jet(at)
-    return {"point": list(at), "value": jet.value,
-            "gradient": jet.gradient.tolist(),
-            "hessian": jet.hessian.tolist()}
+    row = expr._row(at)
+    return {"point": list(at), "value": float(row.value[0]),
+            "gradient": row.gradient[0].tolist(),
+            "hessian": row.hessian[0].tolist()}
 
 
 def _cmd_curvature(config: RunConfig, expr) -> dict:
@@ -345,7 +340,7 @@ def _cmd_elasticity(config: RunConfig, expr) -> dict:
         pairs = {f"{i + 1},{j + 1}": {"kind": h.kind, "value": h.value}
                  for i, j, h in values}
         return {"mode": "point", "point": list(at), "pairs": pairs}
-    box = _resolve_box(config, expr.n)
+    box = validate_box(config.box, expr.n)
     report = detect_ces(expr, box, samples=config.samples, seed=config.seed)
     out = report.as_dict()
     out["mode"] = "box"
@@ -354,7 +349,7 @@ def _cmd_elasticity(config: RunConfig, expr) -> dict:
 
 
 def _cmd_classify(config: RunConfig, expr) -> dict:
-    return classify_quasi_sum(expr, _resolve_box(config, expr.n),
+    return classify_quasi_sum(expr, validate_box(config.box, expr.n),
                               samples=config.samples, seed=config.seed).as_dict()
 
 
@@ -363,21 +358,20 @@ def _cmd_verify(config: RunConfig, expr) -> dict:
         raise SpecError("verify requires --theorem")
     checker = {"1.1": verify_theorem_11, "4.1": verify_theorem_41,
                "4.2": verify_theorem_42}[config.theorem]
-    return checker(expr, _resolve_box(config, expr.n), samples=config.samples,
-                   seed=config.seed).as_dict()
+    return checker(expr, validate_box(config.box, expr.n),
+                   samples=config.samples, seed=config.seed).as_dict()
 
 
 def _cmd_scan(config: RunConfig, expr) -> dict:
-    box = _resolve_box(config, expr.n)
-    grid = log_grid(box, config.samples)
+    box = validate_box(config.box, expr.n)
     pair = config.pair if config.pair is not None else (0, 1)
     i, j = _check_pair(pair, expr.n)
-    value, gradient, hessian, factors = expr.factored_derivatives(grid)
-    surface = surface_curvatures(gradient, hessian, factors)
-    hicks = hicks_values(grid, gradient, hessian, min(i, j), max(i, j))
-    table = np.column_stack([
-        grid, value, surface["area_factor"], surface["gauss_kronecker"],
-        surface["flatness_residual"], hicks])
+    table = expr.derivatives(log_grid(box, config.samples))
+    surface = surface_curvatures(table)
+    cells = np.column_stack([
+        table.points, table.value, surface["area_factor"],
+        surface["gauss_kronecker"], surface["flatness_residual"],
+        hicks_values(table, min(i, j), max(i, j))])
 
     columns = [f"x{k + 1}" for k in range(expr.n)]
     columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]
@@ -385,7 +379,7 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
         "box": [list(axis) for axis in box],
         "points_per_axis": grid_shape(expr.n, config.samples),
         "columns": columns,
-        "rows": PointRecords((("cells", table.shape[1]),), table),
+        "rows": PointRecords((("cells", cells.shape[1]),), cells),
     }
 
 

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .families import FunctionExpr, QuasiSumSpec, default_box, index_pairs
+from .families import (
+    FunctionExpr, PointTable, QuasiSumSpec, index_pairs, validate_box,
+)
 from .sampling import box_center, log_uniform
 from . import tolerances
 
@@ -42,7 +44,7 @@ NOT_CES = "NotCES"
 __all__ = [
     "HicksValue", "ElasticityReport", "hicks_elasticity", "hicks_values",
     "pairwise_elasticities", "ces_residuals", "ces_residual",
-    "quasisum_separated_residual", "PointTable", "PointRecords", "point_table",
+    "quasisum_separated_residual", "PointRecords", "point_table",
     "detect_ces", "detect_ces_on",
     "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
@@ -76,29 +78,36 @@ def _pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _pair_derivatives(gradient, hessian, lo, hi):
-    """f_lo, f_hi, f_lo,lo, f_lo,hi and f_hi,hi, each divided by the power of
-    two just above max(|f_lo|, |f_hi|) at its point: an exact scaling
-    f -> f / 2^k, under which H and the normalised CES residual are
-    invariant, so their products of derivatives neither under- nor overflow
-    at extreme output scales."""
-    fl, fh = gradient[..., lo], gradient[..., hi]
-    _, e = np.frexp(np.maximum(np.abs(fl), np.abs(fh)))
-    return tuple(np.ldexp(d, -e) for d in (
-        fl, fh, hessian[..., lo, lo], hessian[..., lo, hi],
-        hessian[..., hi, hi]))
+def _pair_derivatives(table: PointTable, lo, hi):
+    """x_lo, x_hi, f_lo, f_hi, f_lo,lo, f_lo,hi and f_hi,hi at the rows of
+    ``table`` in exact power-of-two units: f -> f / 2^k, with 2^k just above
+    max(|f_lo|, |f_hi|) at its point, then x_i -> 2^s_i x_i, which brings
+    each |f_i| into [1/2, 1).  H and the normalised CES residual are
+    invariant under both, so their products of derivatives neither under-
+    nor overflow at extreme output scales or marginal-product ratios.
+    Callers run it under np.errstate: ldexp overflows where a pair is out
+    of reach."""
+    ml, el = np.frexp(table.gradient[..., lo])  # f_lo = m_lo 2^e_lo
+    mh, eh = np.frexp(table.gradient[..., hi])
+    k = np.maximum(el, eh)  # s_i = e_i - k
+    hess = table.hessian
+    return (np.ldexp(table.points[..., lo], el - k),
+            np.ldexp(table.points[..., hi], eh - k), ml, mh,
+            np.ldexp(hess[..., lo, lo], k - 2 * el),
+            np.ldexp(hess[..., lo, hi], k - el - eh),
+            np.ldexp(hess[..., hi, hi], k - 2 * eh))
 
 
-def hicks_values(x, gradient, hessian, lo, hi) -> np.ndarray:
-    """H_lo,hi (inf if infinite, nan if degenerate) from (..., n) points and
-    gradients and (..., n, n) Hessians, for index arrays or ints lo < hi."""
-    fl, fh, fll, flh, fhh = _pair_derivatives(gradient, hessian, lo, hi)
-    if not (fl.all() and fh.all()):
-        raise DomainError(
-            "elasticity undefined where a marginal product vanishes")
+def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
+    """H_lo,hi (inf if infinite, nan if degenerate) at the rows of
+    ``table``, for index arrays or ints lo < hi."""
     eps = tolerances.DEGENERACY_EPS
     with np.errstate(all="ignore"):
-        a, b = 1.0 / (x[..., lo] * fl), 1.0 / (x[..., hi] * fh)
+        xl, xh, fl, fh, fll, flh, fhh = _pair_derivatives(table, lo, hi)
+        if not (fl.all() and fh.all()):
+            raise DomainError(
+                "elasticity undefined where a marginal product vanishes")
+        a, b = 1.0 / (xl * fl), 1.0 / (xh * fh)
         c = -fll / (fl * fl)
         d = 2.0 * flh / (fl * fh)
         e = -fhh / (fh * fh)
@@ -121,16 +130,13 @@ def hicks_elasticity(expr: FunctionExpr, point, i: int, j: int) -> HicksValue:
     """H_ij of ``expr`` at ``point`` for the (zero-based) input pair."""
     x = expr._check_point(point)
     lo, hi = _pair_indices(expr.n, i, j)
-    jet = expr.jet(x)
-    return _tagged(float(hicks_values(x, jet.gradient, jet.hessian, lo, hi)))
+    return _tagged(float(hicks_values(expr._row(x), lo, hi)[0]))
 
 
 def pairwise_elasticities(expr: FunctionExpr, point):
-    """[(i, j, HicksValue)] over all pairs i < j, from a single jet."""
-    x = expr._check_point(point)
-    jet = expr.jet(x)
+    """[(i, j, HicksValue)] over all pairs i < j, from a one-row table."""
     lo, hi = index_pairs(expr.n)
-    values = hicks_values(x, jet.gradient, jet.hessian, lo, hi)
+    values = hicks_values(expr._row(point), lo, hi)[0]
     return [(int(i), int(j), _tagged(v))
             for i, j, v in zip(lo, hi, values.tolist())]
 
@@ -142,10 +148,9 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def ces_residuals(x, gradient, hessian, sigma: float, lo, hi) -> np.ndarray:
-    """Signed defect of the constant-elasticity identity H_lo,hi = sigma,
-    from (..., n) points and gradients and (..., n, n) Hessians, for index
-    arrays or ints lo < hi.
+def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
+    """Signed defect of the constant-elasticity identity H_lo,hi = sigma at
+    the rows of ``table``, for index arrays or ints lo < hi.
 
     The identity is cross-multiplied so no division by the (possibly
     vanishing) denominator occurs:
@@ -165,9 +170,8 @@ def ces_residuals(x, gradient, hessian, sigma: float, lo, hi) -> np.ndarray:
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
-    fl, fh, fll, flh, fhh = _pair_derivatives(gradient, hessian, lo, hi)
-    xl, xh = x[..., lo], x[..., hi]
     with np.errstate(all="ignore"):
+        xl, xh, fl, fh, fll, flh, fhh = _pair_derivatives(table, lo, hi)
         s, e1 = _two_sum(2.0 * fl * fh * flh, -fh * fh * fll)
         s, e2 = _two_sum(s, -fl * fl * fhh)
         lhs = s + (e1 + e2)
@@ -183,11 +187,10 @@ def ces_residuals(x, gradient, hessian, sigma: float, lo, hi) -> np.ndarray:
 
 def ces_residual(expr: FunctionExpr, point, sigma: float,
                  i: int, j: int) -> float:
-    """ces_residuals at one point and pair, from the point's jet."""
+    """ces_residuals at one point and pair, from a one-row table."""
     x = expr._check_point(point)
     lo, hi = _pair_indices(expr.n, i, j)
-    jet = expr.jet(x)
-    return float(ces_residuals(x, jet.gradient, jet.hessian, sigma, lo, hi))
+    return float(ces_residuals(expr._row(x), sigma, lo, hi)[0])
 
 
 def quasisum_separated_residual(spec: QuasiSumSpec, point, sigma: float,
@@ -252,19 +255,6 @@ class ElasticityReport:
 
 
 @dataclass(frozen=True, eq=False)
-class PointTable:
-    """A sampled box evaluated once: the box center then the log-uniform
-    sample points (rows of ``points``), with the values, gradients, Hessians
-    and Hessian factors of one expression there from one kernel call."""
-
-    points: np.ndarray
-    value: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
-    factors: tuple | None
-
-
-@dataclass(frozen=True, eq=False)
 class PointRecords:
     """Per-point records as one (N, k) float64 array: ``fields`` holds the
     sorted keys and widths (0 for a float, m for a list of m floats) of the
@@ -286,11 +276,13 @@ class PointRecords:
 
 def point_table(expr: FunctionExpr, box, samples: int,
                 seed: int) -> PointTable:
-    """The center of ``box`` and ``samples`` log-uniform points, evaluated."""
+    """The center of ``box`` (default [0.5, 2]^n) and ``samples``
+    log-uniform points, evaluated."""
+    box = validate_box(box, expr.n)
     if samples < 2:
         raise SpecError("detection needs at least two sample points")
-    points = np.vstack([box_center(box), log_uniform(box, samples, seed)])
-    return PointTable(points, *expr.factored_derivatives(points))
+    return expr.derivatives(
+        np.vstack([box_center(box), log_uniform(box, samples, seed)]))
 
 
 def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,
@@ -300,8 +292,6 @@ def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,
     The box center plus ``samples`` log-uniform points are evaluated, every
     input pair at every point (see detect_ces_on).
     """
-    if box is None:
-        box = default_box(expr.n)
     return detect_ces_on(point_table(expr, box, samples, seed))
 
 
@@ -321,7 +311,7 @@ def detect_ces_on(table: PointTable) -> ElasticityReport:
       vanishes while its numerator does not), as does any mixed quasi-sum.
     """
     lo, hi = index_pairs(table.points.shape[1])
-    values = hicks_values(table.points, table.gradient, table.hessian, lo, hi)
+    values = hicks_values(table, lo, hi)
     finite = np.isfinite(values)
     scan = np.concatenate([values[0, :1], values[1:].ravel()])
     usable = scan[np.isfinite(scan) & (scan != 0.0)]

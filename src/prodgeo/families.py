@@ -186,6 +186,26 @@ class QuasiSumSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class PointTable:
+    """One evaluation of an expression at the rows of ``points``: values
+    (N,), gradients (N, n), Hessians (N, n, n) and the factors (D, c, u) of
+    Hess = diag(D) + c u u^T (None for custom composites).  ``table[rows]``
+    is the table of those rows."""
+
+    points: np.ndarray
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+    factors: tuple | None = None
+
+    def __getitem__(self, rows) -> PointTable:
+        return PointTable(self.points[rows], self.value[rows],
+                          self.gradient[rows], self.hessian[rows],
+                          None if self.factors is None
+                          else tuple(part[rows] for part in self.factors))
+
+
+@dataclass(frozen=True, eq=False)
 class FunctionExpr:
     """Evaluable member of one of the closed families.
 
@@ -223,6 +243,8 @@ class FunctionExpr:
             u = _fsum([w * xi ** p["rho"] for w, xi in zip(p["weights"], x)])
             if u <= 0.0:
                 raise DomainError("aggregator sum must stay positive")
+            if not math.isfinite(u):
+                raise DomainError("aggregator term overflows the float range")
             # A NumPy power: past the float range it gives inf, not an
             # OverflowError.
             out = p["gamma"] * np.float64(u) ** (p["d"] / p["rho"])
@@ -238,24 +260,23 @@ class FunctionExpr:
         return float(out)
 
     def jet(self, point) -> Jet2:
-        """Exact jet at ``point``: the one-point slice of :meth:`derivatives`
+        """Exact jet at ``point``: the one-row slice of :meth:`derivatives`
         (custom composites run their own jet arithmetic)."""
         x = self._check_point(point)
         if self.family == "custom":
             return self.params["fn"](
                 [lift_variable(i, x[i], self.n) for i in range(self.n)])
-        value, gradient, hessian, _ = self._kernel(x[np.newaxis, :])
-        return Jet2(value[0], gradient[0], hessian[0])
+        row = self._kernel(x[np.newaxis, :])
+        return Jet2(row.value[0], row.gradient[0], row.hessian[0])
 
-    def derivatives(self, points):
-        """The value, gradient and Hessian parts of factored_derivatives."""
-        return self.factored_derivatives(points)[:3]
+    def _row(self, point) -> PointTable:
+        """The one-row table of :meth:`derivatives` at ``point``."""
+        return self._kernel(self._check_point(point)[np.newaxis, :])
 
-    def factored_derivatives(self, points):
-        """Values (N,), gradients (N, n), Hessians (N, n, n) and Hessian
-        factors at the rows of an (N, n) point array, in one vectorised pass
-        (custom composites have no batched form: their jets are stacked
-        point by point, with factors None).
+    def derivatives(self, points) -> PointTable:
+        """The PointTable of the rows of an (N, n) point array, in one
+        vectorised pass (custom composites have no batched form: their jets
+        are stacked point by point, with factors None).
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
         and F', F'' at the inner sum, grad = F' h' and Hess = diag(D) +
@@ -265,14 +286,14 @@ class FunctionExpr:
         over powers (F', F'' direct, so d/rho < 0 works), the ratio
         G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
         gradient or Hessian raises DomainError."""
-        x = self._check_point(points, ndim=2)
+        return self._kernel(self._check_point(points, ndim=2))
+
+    def _kernel(self, x: np.ndarray) -> PointTable:
         if self.family == "custom":
             jets = [self.jet(row) for row in x]
-            return (*(np.array([getattr(jet, part) for jet in jets])
-                      for part in ("value", "gradient", "hessian")), None)
-        return self._kernel(x)
-
-    def _kernel(self, x: np.ndarray):
+            return PointTable(x, *(
+                np.array([getattr(jet, part) for jet in jets])
+                for part in ("value", "gradient", "hessian")))
         p = self.params
         with np.errstate(all="ignore"):
             if self.family == "cobb_douglas":
@@ -319,7 +340,7 @@ class FunctionExpr:
                 and np.isfinite(hessian).all()):
             raise DomainError("value, gradient or Hessian is not finite "
                               "(floating-point overflow)")
-        return f, gradient, hessian, (diag, f2, d1)
+        return PointTable(x, f, gradient, hessian, (diag, f2, d1))
 
 
 @functools.cache
@@ -434,10 +455,7 @@ def build_quasi_sum(spec: QuasiSumSpec, box=None) -> FunctionExpr:
     ``box`` defaults to [0.5, 2]^n.  The box is only used for validation; it
     is not stored on the expression.
     """
-    if box is None:
-        box = default_box(spec.n)
-    box = validate_box(box, spec.n)
-    _validate_quasi_sum_on_box(spec, box)
+    _validate_quasi_sum_on_box(spec, validate_box(box, spec.n))
     return FunctionExpr("quasi_sum", spec.n, {"spec": spec})
 
 
@@ -464,23 +482,19 @@ def build_custom(n: int, jet_fn) -> FunctionExpr:
 # -- derived quantities ------------------------------------------------------
 
 
-def euler_quotients(points, value, gradient) -> np.ndarray:
-    """Euler quotients (x . grad f) / f at the rows of (N, n) ``points``,
-    from the (N,) values and (N, n) gradients there.
+def euler_quotients(table: PointTable) -> np.ndarray:
+    """Euler quotients (x . grad f) / f at the rows of ``table``.
 
     Constant across points exactly when the function is homogeneous.
     """
-    if not value.all():
+    if not table.value.all():
         raise DomainError("homogeneity degree undefined where f vanishes")
-    return np.einsum("pi,pi->p", points, gradient) / value
+    return np.einsum("pi,pi->p", table.points, table.gradient) / table.value
 
 
 def homogeneity_degree(expr: FunctionExpr, point) -> float:
     """Euler quotient at ``point``: the one-point slice of euler_quotients."""
-    x = expr._check_point(point)
-    jet = expr.jet(x)
-    return float(euler_quotients(x[np.newaxis], np.array([jet.value]),
-                                 jet.gradient[np.newaxis])[0])
+    return float(euler_quotients(expr._row(point))[0])
 
 
 def hessian_det_terms(diag, c, u) -> np.ndarray:
@@ -500,8 +514,7 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
     of a quasi-sum at ``point``: the one-point sum of hessian_det_terms over
     the kernel's factors; DomainError when it leaves the float range."""
     expr = FunctionExpr("quasi_sum", spec.n, {"spec": spec})
-    x = expr._check_point(point)
-    det = float(hessian_det_terms(*expr._kernel(x[np.newaxis])[3]).sum())
+    det = float(hessian_det_terms(*expr._row(point).factors).sum())
     if not math.isfinite(det):
         raise DomainError("Hessian determinant overflows the float range")
     return det
@@ -642,7 +655,10 @@ def expr_to_dict(expr: FunctionExpr) -> dict:
 
 
 def validate_box(box, n: int | None = None):
-    """Check a per-axis (lo, hi) box: strictly positive, lo < hi, finite."""
+    """Check a per-axis (lo, hi) box: strictly positive, lo < hi, finite;
+    None is the default box of ``n`` axes."""
+    if box is None:
+        return default_box(n)
     out = []
     for axis, pair in enumerate(box):
         lo, hi = (float(pair[0]), float(pair[1]))

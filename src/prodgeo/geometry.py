@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .families import FunctionExpr, hessian_det_terms, index_pairs
+from .families import FunctionExpr, PointTable, hessian_det_terms, index_pairs
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
            "surface_curvatures", "gauss_kronecker", "flatness_residual"]
@@ -70,12 +70,12 @@ class GraphGeometry:
 
 
 @np.errstate(all="ignore")
-def surface_curvatures(gradient: np.ndarray, hessian: np.ndarray,
-                       factors) -> dict:
-    """Scalar curvatures, as (N,) arrays keyed like GraphGeometry fields,
-    from (N, n) gradients, (N, n, n) Hessians and their factors (D, c, u),
-    plus ``det_cancellation`` (0 where every term is 0); ``factors`` None
-    (custom) uses the assembled Hessian and gives no ``det_cancellation``."""
+def surface_curvatures(table: PointTable) -> dict:
+    """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
+    GraphGeometry fields, plus ``det_cancellation`` (0 where every term is
+    0) from the Hessian factors (D, c, u); a table without factors (custom)
+    uses the assembled Hessian and gives no ``det_cancellation``."""
+    gradient, hessian, factors = table.gradient, table.hessian, table.factors
     w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
     w = np.sqrt(w_sq)
     hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
@@ -128,14 +128,6 @@ def _riemann_max(diag, c, u) -> np.ndarray:
     return rmax
 
 
-def _at(expr: FunctionExpr, point):
-    """(x, f, grad f, Hess f, surface_curvatures floats) at one point."""
-    x = expr._check_point(point)
-    value, grad, hess, factors = expr.factored_derivatives(x[np.newaxis])
-    return x, value[0], grad[0], hess[0], {
-        k: float(v[0]) for k, v in surface_curvatures(grad, hess, factors).items()}
-
-
 def graph_point(expr: FunctionExpr, point) -> np.ndarray:
     """The point (x, f(x)) on the hypersurface."""
     x = expr._check_point(point)
@@ -148,14 +140,16 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
     I - p p^T / W^2 (Sherman-Morrison) and inverse square root
     I - p p^T / (W (W + 1)), so the shape operator needs no solve and the
     principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2)."""
-    x, value, grad, hess, scalars = _at(expr, point)
-    scalars.pop("det_cancellation", None)
-    w = scalars["area_factor"]
+    row = expr._row(point)
+    scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()
+               if k != "det_cancellation"}
+    w, grad, hess = scalars["area_factor"], row.gradient[0], row.hessian[0]
     second = hess / w
     pp = np.outer(grad, grad)
     root = np.eye(expr.n) - pp / (w * (w + 1.0))
     return GraphGeometry(
-        point=x.copy(), value=value, gradient=grad, hessian=hess,
+        point=row.points[0].copy(), value=row.value[0], gradient=grad,
+        hessian=hess,
         unit_normal=np.append(-grad, 1.0) / w,
         metric=np.eye(expr.n) + pp,
         second_fundamental_form=second,
@@ -167,9 +161,9 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
 
 def gauss_kronecker(expr: FunctionExpr, point) -> float:
     """det(Hess f) / W^(n+2) at ``point``."""
-    return _at(expr, point)[4]["gauss_kronecker"]
+    return float(surface_curvatures(expr._row(point))["gauss_kronecker"][0])
 
 
 def flatness_residual(expr: FunctionExpr, point) -> float:
     """Scale-normalized largest curvature component at ``point``."""
-    return _at(expr, point)[4]["flatness_residual"]
+    return float(surface_curvatures(expr._row(point))["flatness_residual"][0])

@@ -21,13 +21,21 @@ def box_center(box) -> np.ndarray:
 
 
 def log_uniform(box, count: int, seed: int = 0) -> np.ndarray:
-    """(count, n) array of independent log-uniform points in ``box``."""
+    """(count, n) array of independent log-uniform points in ``box``: lo *
+    (hi/lo)^u, or exp(log lo + u log(hi/lo)) on axes where hi/lo
+    overflows."""
     box = validate_box(box)
     rng = np.random.default_rng(seed)
     u = rng.random((int(count), len(box)))
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    return lo * (hi / lo) ** u
+    with np.errstate(over="ignore"):
+        ratio = hi / lo
+    points = lo * ratio ** u
+    wide = ~np.isfinite(ratio)
+    log_lo, log_hi = np.log(lo[wide]), np.log(hi[wide])
+    points[:, wide] = np.exp(log_lo + u[:, wide] * (log_hi - log_lo))
+    return points
 
 
 def grid_shape(n_axes: int, samples: int) -> int:

@@ -201,7 +201,7 @@ def test_per_point_records_give_one_dict_per_point(verify):
     expr = build_acms(1.0, (1.0, 2.0, 0.5), -0.5, 1.0)
     box = default_box(3)
     table = point_table(expr, box, 24, 7)
-    surface = surface_curvatures(table.gradient, table.hessian, table.factors)
+    surface = surface_curvatures(table)
     want = [{"point": x, "gauss_kronecker": g, "gauss_kronecker_scaled": gs,
              "flatness_residual": r}
             for x, g, gs, r in zip(table.points.tolist(),

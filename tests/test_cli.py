@@ -195,6 +195,47 @@ def test_elasticity_and_classification_ignore_the_output_scale(tmp_path,
     assert env["report"]["sigma"] == 1.0
 
 
+@pytest.mark.parametrize("bound", [1e100, 1e150])
+def test_elasticity_and_classification_ignore_the_marginal_product_ratio(
+        tmp_path, bound):
+    # sigma = 1 everywhere, although f_1 / f_2 = x_2 / x_1 reaches bound^2
+    # on these boxes, so f_lo**2 leaves the float range after the common
+    # output scaling alone.
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                          "gamma": 1.0, "alpha": [0.5, 0.5]})
+    box = ((1.0 / bound, bound),) * 2
+    status, env = run_json(RunConfig("elasticity", doc, box=box))
+    assert status == 0
+    report = env["report"]
+    assert (report["verdict"], report["infinite_pairs"],
+            report["degenerate_pairs"]) == ("RegularCES", 0, 0)
+    assert report["sigma_estimate"] == pytest.approx(1.0, abs=1e-12)
+    if bound == 1e100:
+        status, env = run_json(RunConfig("classify", doc, box=box))
+        assert status == 0
+        assert env["report"]["case"] == "HomotheticCobbDouglas"
+
+
+@pytest.mark.parametrize("command, theorem", [
+    ("elasticity", None), ("classify", None), ("verify", "4.1"),
+    ("verify", "1.1")])
+def test_a_box_whose_ratio_overflows_reaches_the_kernel(tmp_path, capsys,
+                                                        command, theorem):
+    # hi / lo = 1e600 is not a float: the samples are drawn in log space,
+    # and the kernel refuses the corners, where f_ii overflows.
+    path = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                           "gamma": 1.0, "alpha": [0.5, 0.5]})
+    argv = [command, "--fn", path, "--box", "1e-300:1e300,1e-300:1e300"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv + (["--theorem", theorem] if theorem else []))
+    out = capsys.readouterr()
+    assert (status, caught, out.err) == (2, [], "")
+    error = one_record(out.out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith("value, gradient or Hessian is not")
+
+
 @pytest.mark.parametrize("doc, args", [
     ({"type": "acms", "gamma": 1.0, "a": [1.0, 1.0], "rho": 1e300, "d": 1.0},
      ["classify"]),
@@ -577,3 +618,12 @@ def test_box_flag_reaches_the_envelope(acms_doc, capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["box"] == [[1.0, 4.0], [1.0, 4.0]]
     assert env["report"]["box"] == [[1.0, 4.0], [1.0, 4.0]]
+
+
+def test_the_package_version_is_the_module_version():
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+        project = pyproject.read_configuration(path)["project"]
+    assert project["version"] == cli.__version__

@@ -1,5 +1,6 @@
 """Pairwise substitution elasticities and the CES detector."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,16 +116,17 @@ def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
     for expr in (random_acms(rng, 4), random_cobb_douglas(rng, 3),
                  random_quasi_sum_expr(rng, 3), random_ratio_expr(rng)):
         x = random_points(rng, expr.n, 50)
-        _, gradient, hessian = expr.derivatives(x)
+        table = expr.derivatives(x)
         lo, hi = index_pairs(expr.n)
-        base_h = hicks_values(x, gradient, hessian, lo, hi)
-        base_r = ces_residuals(x, gradient, hessian, 2.0, lo, hi)
+        base_h = hicks_values(table, lo, hi)
+        base_r = ces_residuals(table, 2.0, lo, hi)
         for k in (2.0 ** -900, 2.0 ** -500, 2.0 ** 500, 2.0 ** 900):
-            scaled = (x, k * gradient, k * hessian)
+            scaled = dataclasses.replace(table, gradient=k * table.gradient,
+                                         hessian=k * table.hessian)
             np.testing.assert_array_equal(
-                hicks_values(*scaled, lo, hi), base_h, strict=True)
+                hicks_values(scaled, lo, hi), base_h, strict=True)
             np.testing.assert_array_equal(
-                ces_residuals(*scaled, 2.0, lo, hi), base_r, strict=True)
+                ces_residuals(scaled, 2.0, lo, hi), base_r, strict=True)
 
 
 # -- the constant-elasticity identity ---------------------------------------------

@@ -297,7 +297,9 @@ EXP_OF_SUM = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
     (build_cobb_douglas(1.0, (300.0, 300.0)), [10.0, 10.0]),
     (build_acms(1.0, (1.0, 1.0), 2.0, 1.0), [1e160, 1e160]),
     (build_acms(1.0, (1.0, 1.0), 0.5, 1e300), [4.0, 4.0]),
-], ids=["exp-of-sum", "cobb-douglas", "acms-inner", "acms-degree"])
+    (build_acms(1.0, (1.0, 1.0), -2.0, 1.0), [1e-160, 1.0]),
+], ids=["exp-of-sum", "cobb-douglas", "acms-inner", "acms-degree",
+        "acms-negative-rho"])
 def test_float_paths_refuse_what_the_kernel_refuses(expr, point):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

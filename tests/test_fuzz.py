@@ -172,6 +172,13 @@ def requests(draw):
                                           "--box=1e-12:1e12,1e-12:1e12"])
 @example(text=json.dumps(BASES[3]), argv=["scan", "--samples", "4", "--out",
                                           "csv", "--box=1e-12:1e12,1e-6:1e6"])
+# Boxes whose hi/lo overflows a float.
+@example(text=json.dumps(BASES[0]), argv=["elasticity",
+                                          "--box=1e-300:1e300,1e-300:1e300"])
+@example(text=json.dumps(BASES[1]), argv=["verify", "--theorem", "4.2",
+                                          "--box=1e-300:1e300,0.5:2"])
+@example(text=json.dumps(BASES[3]), argv=["classify",
+                                          "--box=1e-300:1e300,1e-300:1e300"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)
@@ -254,5 +261,5 @@ def _documented(report, where, text):
     if where == ("conclusion_check", "euler_degree_gap"):
         bare = normalize_outer_shift(expr_from_dict(json.loads(text)))
         points = [row["point"] for row in report["per_point_data"]]
-        return not bare.derivatives(points)[0].all()
+        return not bare.derivatives(points).value.all()
     return False

@@ -1,5 +1,6 @@
 """Surface quantities of the graph hypersurface."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -241,7 +242,8 @@ def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
         spec = as_quasi_sum(expr)
         for x in random_points(rng, expr.n, 8):
             want = _terms(*_rewrite_factors(spec, x))
-            _, gradient, hessian, factors = expr.factored_derivatives([x])
+            table = expr.derivatives([x])
+            factors = table.factors
             diag, c, slope = (np.atleast_1d(f[0]).tolist() for f in factors)
             got = _terms([Fraction(v) for v in diag], Fraction(c[0]),
                          [Fraction(v) for v in slope])
@@ -253,7 +255,7 @@ def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
             assert abs(Fraction(float(det)) - sum(want)) <= bound
             if expr.family == "quasi_sum":
                 assert hessian_det_quasisum(spec, x) == det
-            surface = surface_curvatures(gradient, hessian, factors)
+            surface = surface_curvatures(table)
             stat = Fraction(float(surface["det_cancellation"][0]))
             assert abs(stat - abs(sum(want)) / size) <= \
                 2 * bound / (size - bound) + UNIT
@@ -271,9 +273,10 @@ def test_closed_forms_agree_with_the_assembled_hessian():
     exprs += [random_acms(rng, n, rho=-1.5, d=0.8) for n in range(2, 7)]
     for expr in exprs:
         points = random_points(rng, expr.n, 40)
-        _, gradient, hessian, factors = expr.factored_derivatives(points)
-        factored = surface_curvatures(gradient, hessian, factors)
-        generic = surface_curvatures(gradient, hessian, None)
+        table = expr.derivatives(points)
+        hessian = table.hessian
+        factored = surface_curvatures(table)
+        generic = surface_curvatures(dataclasses.replace(table, factors=None))
         assert set(factored) == set(generic) | {"det_cancellation"}
         w = generic["area_factor"]
         assert np.array_equal(factored["area_factor"], w)
@@ -290,7 +293,7 @@ def test_one_point_slices_match_the_batched_surface():
     rng = make_rng(413)
     for expr in _factored_documents(rng)[::3]:
         points = random_points(rng, expr.n, 4)
-        surface = surface_curvatures(*expr.factored_derivatives(points)[1:])
+        surface = surface_curvatures(expr.derivatives(points))
         for k, x in enumerate(points):
             geo = graph_geometry(expr, x)
             for key in ("gauss_kronecker", "gauss_kronecker_scaled",

@@ -27,7 +27,7 @@ from prodgeo import (
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _leaf, run
 from prodgeo.elasticity import ces_residuals
-from prodgeo.families import normalize_outer_shift
+from prodgeo.families import PointTable, normalize_outer_shift
 from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import box_center, log_uniform
 import gates
@@ -79,7 +79,8 @@ def test_kernel_matches_the_jet_oracle_and_finite_differences():
     rng = make_rng(902)
     for expr in _kernel_cases():
         points = random_points(rng, expr.n, 6)
-        value, gradient, hessian = expr.derivatives(points)
+        table = expr.derivatives(points)
+        value, gradient, hessian = table.value, table.gradient, table.hessian
         assert value.shape == (6,)
         assert gradient.shape == (6, expr.n)
         assert hessian.shape == (6, expr.n, expr.n)
@@ -316,10 +317,32 @@ def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
     assert report.conclusion_check["euler_degree_gap"] <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(COUNT_DOCS))
+def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
+    jet = FunctionExpr.jet
+
+    def refuse(self, point):
+        assert self.family == "custom", f"jet of a {self.family} document"
+        return jet(self, point)
+
+    monkeypatch.setattr(FunctionExpr, "jet", refuse)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(COUNT_DOCS[name]))
+    at = (1.5,) * expr_from_dict(COUNT_DOCS[name]).n
+    for command, extra in (("eval", {"at": at}), ("elasticity", {"at": at}),
+                           ("curvature", {"at": at}), ("scan", {}),
+                           ("classify", {}), ("verify", {"theorem": "1.1"}),
+                           ("verify", {"theorem": "4.1"}),
+                           ("verify", {"theorem": "4.2"})):
+        status, text = run(RunConfig(command, str(path), samples=16, **extra))
+        assert status == 0, (command, extra, text)
+
+
 def test_custom_composites_stack_their_jets():
     expr = build_custom(2, lambda lifts: lifts[0] * lifts[1] ** 2.0)
     points = random_points(make_rng(905), 2, 5)
-    value, gradient, hessian = expr.derivatives(points)
+    table = expr.derivatives(points)
+    value, gradient, hessian = table.value, table.gradient, table.hessian
     for k, x in enumerate(points):
         jet = expr.jet(x)
         assert value[k] == jet.value
@@ -343,8 +366,9 @@ def test_ces_residuals_sum_the_identity_exactly_rounded():
     hessian = np.array([[-1.0, 5e15], [5e15, 1e16]])
     terms = (2.0 * hessian[0, 1], -hessian[0, 0], -hessian[1, 1])
     assert math.fsum(terms) == 1.0 and sum(terms) == 0.0
-    residual = ces_residuals(np.ones((3, 2)), np.ones((3, 2)),
-                             np.array([hessian] * 3), 1e300, 0, 1)
+    residual = ces_residuals(PointTable(np.ones((3, 2)), np.ones(3),
+                                        np.ones((3, 2)),
+                                        np.array([hessian] * 3)), 1e300, 0, 1)
     assert residual.tolist() == [1.0] * 3
 
 
@@ -488,8 +512,7 @@ def _reference_outer_ode(expr, points, case):
 
 def _point_det_cancellation(expr, x):
     """|sum T| / sum |T| of det Hess at one point, from a one-row call."""
-    _, gradient, hessian, factors = expr.factored_derivatives([x])
-    return float(surface_curvatures(gradient, hessian, factors)
+    return float(surface_curvatures(expr.derivatives([x]))
                  ["det_cancellation"][0])
 
 
