@@ -10,7 +10,7 @@ inner functions rather than by curve fitting:
 
 Anything else is NotCES.  The verdict is gated twice: the sampled elasticity
 must actually be constant (or degenerate), and the matched structure must
-reproduce the inner derivatives and the cross-multiplied elasticity identity
+reproduce the inner derivatives and the constant-elasticity identity
 within the configured residual tolerances.
 
 The theorem checkers compare two independently computed sides of a
@@ -110,7 +110,7 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
 
     Accepts a QuasiSumSpec, or any FunctionExpr that has a quasi-sum form.
     The returned residuals are maxima over ``samples`` log-uniform points:
-    ``ces`` for the cross-multiplied elasticity identity at the fitted sigma
+    ``ces`` for the cancellation of the elasticity identity at the fitted sigma
     (at the reference sigma for the degenerate case), ``structure`` for the
     deviation of each inner derivative from the fitted normal form.
     """

@@ -83,10 +83,9 @@ def _pair_derivatives(table: PointTable, lo, hi):
     ``table`` in exact power-of-two units: f -> f / 2^k, with 2^k just above
     max(|f_lo|, |f_hi|) at its point, then x_i -> 2^s_i x_i, which brings
     each |f_i| into [1/2, 1).  H and the normalised CES residual are
-    invariant under both, so their products of derivatives neither under-
-    nor overflow at extreme output scales or marginal-product ratios.
-    Callers run it under np.errstate: ldexp overflows where a pair is out
-    of reach."""
+    invariant under both, so their terms neither under- nor overflow at
+    extreme output scales or marginal-product ratios.  Callers run it under
+    np.errstate: ldexp overflows where a pair is out of reach."""
     ml, el = np.frexp(table.gradient[..., lo])  # f_lo = m_lo 2^e_lo
     mh, eh = np.frexp(table.gradient[..., hi])
     k = np.maximum(el, eh)  # s_i = e_i - k
@@ -98,21 +97,25 @@ def _pair_derivatives(table: PointTable, lo, hi):
             np.ldexp(hess[..., hi, hi], k - 2 * eh))
 
 
+def _hicks_terms(table: PointTable, lo, hi):
+    """H_lo,hi = (a + b) / (c + d + e) as its terms a = 1/(x_lo f_lo), b,
+    c = -f_lo,lo/f_lo**2, d = 2 f_lo,hi/(f_lo f_hi) and e at the rows of
+    ``table``, in _pair_derivatives units, under the caller's np.errstate."""
+    xl, xh, fl, fh, fll, flh, fhh = _pair_derivatives(table, lo, hi)
+    if not (fl.all() and fh.all()):
+        raise DomainError(
+            "elasticity undefined where a marginal product vanishes")
+    return (1.0 / (xl * fl), 1.0 / (xh * fh), -fll / (fl * fl),
+            2.0 * flh / (fl * fh), -fhh / (fh * fh))
+
+
 def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
     """H_lo,hi (inf if infinite, nan if degenerate) at the rows of
     ``table``, for index arrays or ints lo < hi."""
     eps = tolerances.DEGENERACY_EPS
     with np.errstate(all="ignore"):
-        xl, xh, fl, fh, fll, flh, fhh = _pair_derivatives(table, lo, hi)
-        if not (fl.all() and fh.all()):
-            raise DomainError(
-                "elasticity undefined where a marginal product vanishes")
-        a, b = 1.0 / (xl * fl), 1.0 / (xh * fh)
-        c = -fll / (fl * fl)
-        d = 2.0 * flh / (fl * fh)
-        e = -fhh / (fh * fh)
-        num = a + b
-        den = c + d + e
+        a, b, c, d, e = _hicks_terms(table, lo, hi)
+        num, den = a + b, c + d + e
         # |sum| <= eps * sum(|terms|) also holds when the sum is exactly 0.
         num_small = np.abs(num) <= eps * (np.abs(a) + np.abs(b))
         den_small = np.abs(den) <= eps * (np.abs(c) + np.abs(d) + np.abs(e))
@@ -141,45 +144,22 @@ def pairwise_elasticities(expr: FunctionExpr, point):
             for i, j, v in zip(lo, hi, values.tolist())]
 
 
-def _two_sum(a, b):
-    """a + b rounded, and the exact error of that rounding (Knuth)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
 def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
     """Signed defect of the constant-elasticity identity H_lo,hi = sigma at
-    the rows of ``table``, for index arrays or ints lo < hi.
-
-    The identity is cross-multiplied so no division by the (possibly
-    vanishing) denominator occurs:
-
-        2 f_i f_j f_ij - f_j**2 f_ii - f_i**2 f_jj
-            = (x_i f_i + x_j f_j) f_i f_j / (sigma x_i x_j)
-
-    and the difference is normalized by max(|lhs|, |rhs|, g^3/(x_i x_j)^2)
-    where g = max(|x_i f_i|, |x_j f_j|).  The floor term, which carries the
-    same scaling as the two sides, keeps the residual meaningful when both
-    vanish identically, as they do for the two-input ratio family: there the
-    residual is rounding noise over the gradient scale, hence effectively
-    zero for every sigma at once.  A floor built from the value of f would
-    not do, because a shifted quasi-sum can cross zero inside the box.  The
-    left side is summed with TwoSum error terms, as accurate as math.fsum.
-    """
+    the rows of ``table``, for index arrays or ints lo < hi.  With H =
+    (a + b) / (c + d + e), it is c + d + e - (a + b) / sigma over the sum of
+    its terms' sizes (0 where every term is 0), the measure the degeneracy
+    tags apply to H's sums, and it never divides by c + d + e.  For the
+    two-input ratio family both sums vanish identically: the defect is
+    rounding noise for every sigma at once."""
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
     with np.errstate(all="ignore"):
-        xl, xh, fl, fh, fll, flh, fhh = _pair_derivatives(table, lo, hi)
-        s, e1 = _two_sum(2.0 * fl * fh * flh, -fh * fh * fll)
-        s, e2 = _two_sum(s, -fl * fl * fhh)
-        lhs = s + (e1 + e2)
-        rhs = (xl * fl + xh * fh) * fl * fh / (sigma * xl * xh)
-        floor = np.maximum(np.abs(xl * fl), np.abs(xh * fh)) ** 3 \
-            / (xl * xh) ** 2
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-        out = np.where(scale == 0.0, 0.0, (lhs - rhs) / scale)
+        a, b, c, d, e = _hicks_terms(table, lo, hi)
+        size = (np.abs(c) + np.abs(d) + np.abs(e)
+                + (np.abs(a) + np.abs(b)) / abs(sigma))
+        out = (c + d + e - (a + b) / sigma) / np.where(size, size, 1.0)
     if not np.isfinite(out).all():
         raise DomainError("elasticity identity overflows at a sample point")
     return out

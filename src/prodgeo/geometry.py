@@ -79,6 +79,14 @@ def surface_curvatures(table: PointTable) -> dict:
     w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
     w = np.sqrt(w_sq)
     hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
+    wide = ~np.isfinite(hess_norm)
+    if wide.any():
+        # Entries past about 1e154 overflow their squares: those rows again,
+        # in exact units of the power of two nearest their largest |H_ij|.
+        k = np.frexp(np.abs(hessian[wide]).max(axis=(1, 2)))[1]
+        unit = np.ldexp(hessian[wide], -k[:, np.newaxis, np.newaxis])
+        hess_norm[wide] = np.ldexp(
+            np.sqrt(np.einsum("pij,pij->p", unit, unit)), k)
     out = {"area_factor": w}
     if factors is None:
         det_hess = np.linalg.det(hessian)

@@ -210,10 +210,26 @@ def test_elasticity_and_classification_ignore_the_marginal_product_ratio(
     assert (report["verdict"], report["infinite_pairs"],
             report["degenerate_pairs"]) == ("RegularCES", 0, 0)
     assert report["sigma_estimate"] == pytest.approx(1.0, abs=1e-12)
-    if bound == 1e100:
-        status, env = run_json(RunConfig("classify", doc, box=box))
-        assert status == 0
-        assert env["report"]["case"] == "HomotheticCobbDouglas"
+    status, env = run_json(RunConfig("classify", doc, box=box))
+    assert status == 0
+    assert env["report"]["case"] == "HomotheticCobbDouglas"
+    status, env = run_json(RunConfig("verify", doc, box=box, theorem="1.1"))
+    assert status == 0
+    assert env["report"]["verdict"] == "Consistent"
+
+
+@pytest.mark.parametrize("theorem", ["4.1", "4.2"])
+def test_curvature_verdicts_hold_where_hessian_entries_pass_1e154(tmp_path,
+                                                                   theorem):
+    # On this box max |H_ij| reaches about 1e181, so sum H_ij^2 overflows
+    # although |Hess| and every reported quantity are representable.
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                          "gamma": 1.0, "alpha": [0.5, 0.5]})
+    box = ((1e-100, 1e100),) * 2
+    status, text = run(RunConfig("verify", doc, box=box, theorem=theorem))
+    assert status == 0
+    assert json.loads(text)["report"]["verdict"] == "Consistent"
+    assert not any(word in text for word in ('"inf"', '"-inf"', '"nan"'))
 
 
 @pytest.mark.parametrize("command, theorem", [

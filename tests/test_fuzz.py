@@ -179,6 +179,11 @@ def requests(draw):
                                           "--box=1e-300:1e300,0.5:2"])
 @example(text=json.dumps(BASES[3]), argv=["classify",
                                           "--box=1e-300:1e300,1e-300:1e300"])
+# Boxes where the CES residual's or |Hess|'s intermediates once overflowed.
+@example(text=json.dumps(BASES[0]), argv=["verify", "--theorem", "1.1",
+                                          "--box=1e-150:1e150,1e-150:1e150"])
+@example(text=json.dumps(BASES[0]), argv=["verify", "--theorem", "4.1",
+                                          "--box=1e-100:1e100,1e-100:1e100"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)

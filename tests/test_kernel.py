@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from prodgeo import (
 )
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _leaf, run
-from prodgeo.elasticity import ces_residuals
-from prodgeo.families import PointTable, normalize_outer_shift
+from prodgeo.elasticity import _hicks_terms, ces_residuals
+from prodgeo.families import index_pairs, normalize_outer_shift
 from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import box_center, log_uniform
 import gates
@@ -359,17 +360,42 @@ NORMALISED = {"max_deviation", "ces", "structure", "gauss_kronecker_scaled",
               "max_flatness_residual", "euler_degree_gap", "max_residual"}
 
 
-def test_ces_residuals_sum_the_identity_exactly_rounded():
-    # The three left-hand terms 1e16, 1 and -1e16 sum to 1 exactly; summed
-    # left to right they give 0.  The floor scale is 1 and the right-hand
-    # side 2e-300, so the residual is the left-hand sum itself.
-    hessian = np.array([[-1.0, 5e15], [5e15, 1e16]])
-    terms = (2.0 * hessian[0, 1], -hessian[0, 0], -hessian[1, 1])
-    assert math.fsum(terms) == 1.0 and sum(terms) == 0.0
-    residual = ces_residuals(PointTable(np.ones((3, 2)), np.ones(3),
-                                        np.ones((3, 2)),
-                                        np.array([hessian] * 3)), 1e300, 0, 1)
-    assert residual.tolist() == [1.0] * 3
+UNIT = Fraction(1, 2 ** 53)  # unit roundoff of float64
+GAMMA_3 = 3 * UNIT / (1 - 3 * UNIT)  # three roundings: within 1 +- GAMMA_3
+
+
+def test_ces_residuals_are_the_exact_cancellation_of_the_hicks_terms():
+    # With t = (c, d, e, -a/sigma, -b/sigma) the float terms of H in exact
+    # rationals, the residual is sum t / sum |t|.  Each t_k passes through at
+    # most three roundings in the numerator and three in the size, so both
+    # are within GAMMA_3 sum |t| of their exact values, their quotient within
+    # 2 GAMMA_3 / (1 - GAMMA_3), and the last division adds one rounding.
+    bound = 2 * GAMMA_3 / (1 - GAMMA_3) * (1 + UNIT) + UNIT
+    rng = make_rng(363)
+    exprs = _kernel_cases() + [build_cobb_douglas(1.0, (0.5, 0.5))]
+    wide = log_uniform(((1e-150, 1e150),) * 2, 4, 1)
+    checked = 0
+    for expr in exprs:
+        points = random_points(rng, expr.n, 4)
+        if expr.n == 2 and expr.family == "cobb_douglas":
+            points = np.vstack([points, wide])
+        table = expr.derivatives(points)
+        lo, hi = index_pairs(expr.n)
+        with np.errstate(all="ignore"):
+            terms = [t.tolist() for t in _hicks_terms(table, lo, hi)]
+        # sigma = 1 and 2 are the identities of the Cobb-Douglas and
+        # rho = 0.5 ACMS cases, which cancel; the ratio cases cancel always.
+        for sigma in (0.4, 1.0, 2.0, -3.0, 1e3):
+            got = ces_residuals(table, sigma, lo, hi).tolist()
+            for p, row in enumerate(got):
+                for q, r in enumerate(row):
+                    a, b, c, d, e = (Fraction(t[p][q]) for t in terms)
+                    t = (c, d, e, -a / Fraction(sigma), -b / Fraction(sigma))
+                    want = sum(t) / sum(map(abs, t))
+                    assert abs(Fraction(r) - want) <= bound, \
+                        (expr.family, sigma, r, float(want))
+                    checked += 1
+    assert checked >= 2000
 
 
 def _assert_same(got, want, key=""):
