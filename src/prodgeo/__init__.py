@@ -7,7 +7,7 @@ sampled verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import DomainError, HypothesisError, SpecError
 from .autodiff import (

@@ -40,7 +40,7 @@ from .families import (
     FORM_AFFINE, FORM_EXP, FORM_LOG, FORM_POWER,
     FunctionExpr, PointTable, QuasiSumSpec, ScalarFn,
     as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
-    normalize_outer_shift, validate_box,
+    normalize_outer_shift,
 )
 from .geometry import surface_curvatures
 from . import tolerances
@@ -108,18 +108,20 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
                        seed: int = 0) -> ClassificationResult:
     """Decide the structural case of a quasi-sum on ``box``.
 
-    Accepts a QuasiSumSpec, or any FunctionExpr that has a quasi-sum form.
+    Accepts a QuasiSumSpec, or any FunctionExpr that has a quasi-sum form,
+    classified on the expression's own point table (as verify 1.1 does).
     The returned residuals are maxima over ``samples`` log-uniform points:
     ``ces`` for the cancellation of the elasticity identity at the fitted sigma
     (at the reference sigma for the degenerate case), ``structure`` for the
     deviation of each inner derivative from the fitted normal form.
     """
     if isinstance(spec, FunctionExpr):
-        spec = as_quasi_sum(spec)
-    if not isinstance(spec, QuasiSumSpec):
+        expr, spec = spec, as_quasi_sum(spec)
+    elif isinstance(spec, QuasiSumSpec):
+        expr = build_quasi_sum(spec, box)
+    else:
         raise SpecError("classification needs a QuasiSumSpec")
-    box = validate_box(box, spec.n)
-    table = point_table(build_quasi_sum(spec, box), box, samples, seed)
+    table = point_table(expr, box, samples, seed)
     return _classify(spec, table, detect_ces_on(table))
 
 
@@ -132,11 +134,8 @@ def _classify(spec: QuasiSumSpec, table: PointTable,
         return _not_ces(detection)
     case, sigma, fitted, k, sigma_ref, fitted_d1 = fit
     samples = table[1:]
-    x = samples.points
-    structure = max(
-        float(np.max(np.abs(h.derivatives(x[:, i])[1]
-                            / fitted_d1(i, x[:, i]) - 1.0)))
-        for i, h in enumerate(spec.inner))
+    structure = float(np.max(np.abs(
+        samples.factors[2] / fitted_d1(samples.points) - 1.0)))
     lo, hi = index_pairs(spec.n)
     ces = float(np.max(np.abs(ces_residuals(samples, sigma_ref, lo, hi))))
     if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
@@ -149,7 +148,7 @@ def _classify(spec: QuasiSumSpec, table: PointTable,
 def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
     """The normal form the detection points to, if the inners match it:
     (case, sigma, fitted inner parameters, separation constant, sigma of
-    the elasticity identity, fitted h_i'(x) as a function of (i, x))."""
+    the elasticity identity, fitted h'(x) at an (N, n) point array)."""
     logs = all(h.form == FORM_LOG for h in spec.inner)
     if detection.verdict == DEGENERATE_CES:
         # Everywhere-degenerate elasticity: two opposite log inners.
@@ -160,7 +159,7 @@ def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
             return None
         k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / betas[0]
         return (RATIO_TWO_INPUT, None, betas, k, SIGMA_REFERENCE_DEGENERATE,
-                lambda i, x: betas[i] / x)
+                lambda x: np.array(betas) / x)
     if detection.verdict != REGULAR_CES:
         return None
     sigma_hat = detection.sigma_estimate
@@ -170,7 +169,7 @@ def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
             return None
         alphas = tuple(h.coefficient for h in spec.inner)
         return (HOMOTHETIC_COBB_DOUGLAS, 1.0, alphas, None, 1.0,
-                lambda i, x: alphas[i] / x)
+                lambda x: np.array(alphas) / x)
     # sigma != 1: the inners must share the exponent (sigma-1)/sigma.
     p_star = (sigma_hat - 1.0) / sigma_hat
     tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
@@ -183,7 +182,7 @@ def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
     sigma = 1.0 / (1.0 - p)
     coeffs = tuple(h.coefficient for h in spec.inner)
     return (HOMOTHETIC_ACMS, sigma, coeffs, None, sigma,
-            lambda i, x: coeffs[i] * p * x ** (p - 1.0))
+            lambda x: np.array(coeffs) * p * x ** (p - 1.0))
 
 
 # -- outer-function differential consistency ---------------------------------
@@ -354,9 +353,7 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
                               samples: int, seed: int) -> TheoremReport:
     if not isinstance(expr, FunctionExpr):
         raise SpecError("verification needs a FunctionExpr")
-    if expr.family == "custom":
-        raise HypothesisError(
-            "custom composites are outside the quasi-sum hypothesis")
+    # Detection refuses custom composites, which have no per-axis record.
     table = point_table(expr, box, samples, seed)
     detection = detect_ces_on(table)
     if detection.verdict == NOT_CES:
@@ -436,21 +433,12 @@ def verify_theorem_11(expr, box=None, samples: int = 64,
     sides false is as consistent as both sides true.  Unlike the curvature
     checks this accepts NotCES inputs, since they are half of the statement.
     """
-    spec = expr if isinstance(expr, QuasiSumSpec) else as_quasi_sum(expr)
-    box = validate_box(box, spec.n)
-    if isinstance(expr, QuasiSumSpec):
-        expr = build_quasi_sum(spec, box)
-    # The document and its quasi-sum rewrite are one function: classify the
-    # rewrite on the document's own point table and detection.
-    table = point_table(expr, box, samples, seed)
-    detection = detect_ces_on(table)
-    cls = _classify(spec, table, detection)
-
-    hypothesis = detection.verdict in (REGULAR_CES, DEGENERATE_CES)
+    cls = classify_quasi_sum(expr, box, samples, seed)
+    hypothesis = cls.detection.verdict in (REGULAR_CES, DEGENERATE_CES)
     conclusion = cls.case != NOT_CES
     verdict = CONSISTENT if hypothesis == conclusion else INCONSISTENT
     # The detection is reported once, here, with its verdict as ces_verdict.
-    hypothesis_check = detection.as_dict()
+    hypothesis_check = cls.detection.as_dict()
     hypothesis_check["ces_verdict"] = hypothesis_check.pop("verdict")
     classification = cls.as_dict()
     del classification["detection"]

@@ -6,12 +6,18 @@ elasticity of substitution between inputs i and j is
     H_ij = (1/(x_i f_i) + 1/(x_j f_j))
            / (-f_ii/f_i**2 + 2 f_ij/(f_i f_j) - f_jj/f_j**2)
 
-where subscripts denote partial derivatives.  Numerator and denominator can
-vanish independently, so the result is a tagged value: finite, infinite
-(vanishing denominator), or degenerate (both vanish and the ratio carries no
-information).  Vanishing is judged against the summed magnitude of the terms,
-with an exact-zero escape so that functions whose second derivatives are
-identically zero are classified without reference to a scale.
+where subscripts denote partial derivatives.  For every document family,
+f = F(h_1(x_1) + ... + h_n(x_n)) and f_k = F' h_k', so the F'' parts cancel:
+
+    H_ij = (A_i + A_j) / (B_i + B_j),  A_k = 1/(x_k h_k'),  B_k = -h_k''/h_k'^2
+
+from the kernel's per-axis record (custom composites have none: refused).
+Numerator and denominator can vanish independently, so the result is a
+tagged value: finite, infinite (vanishing denominator), or degenerate (both
+vanish and the ratio carries no information).  Vanishing is judged against
+the summed magnitude of the terms, with an exact-zero escape so that
+functions whose second derivatives are identically zero are classified
+without reference to a scale.
 
 The two-input ratio family F(x2/x1) is the reason the degenerate tag exists:
 both numerator and denominator vanish identically for it, so the constant-
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import DomainError, HypothesisError, SpecError
 from .families import (
     FunctionExpr, PointTable, QuasiSumSpec, index_pairs, validate_box,
 )
@@ -78,35 +84,26 @@ def _pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _pair_derivatives(table: PointTable, lo, hi):
-    """x_lo, x_hi, f_lo, f_hi, f_lo,lo, f_lo,hi and f_hi,hi at the rows of
-    ``table`` in exact power-of-two units: f -> f / 2^k, with 2^k just above
-    max(|f_lo|, |f_hi|) at its point, then x_i -> 2^s_i x_i, which brings
-    each |f_i| into [1/2, 1).  H and the normalised CES residual are
-    invariant under both, so their terms neither under- nor overflow at
-    extreme output scales or marginal-product ratios.  Callers run it under
-    np.errstate: ldexp overflows where a pair is out of reach."""
-    ml, el = np.frexp(table.gradient[..., lo])  # f_lo = m_lo 2^e_lo
-    mh, eh = np.frexp(table.gradient[..., hi])
-    k = np.maximum(el, eh)  # s_i = e_i - k
-    hess = table.hessian
-    return (np.ldexp(table.points[..., lo], el - k),
-            np.ldexp(table.points[..., hi], eh - k), ml, mh,
-            np.ldexp(hess[..., lo, lo], k - 2 * el),
-            np.ldexp(hess[..., lo, hi], k - el - eh),
-            np.ldexp(hess[..., hi, hi], k - 2 * eh))
+def _axis_terms(x, d1, d2):
+    """A = 1/(x h') and B = -(h''/h')/h' per axis, for h' = d1 and h'' = d2
+    at x; dividing twice keeps h'^2 from overflowing."""
+    return 1.0 / (x * d1), -(d2 / d1) / d1
 
 
-def _hicks_terms(table: PointTable, lo, hi):
-    """H_lo,hi = (a + b) / (c + d + e) as its terms a = 1/(x_lo f_lo), b,
-    c = -f_lo,lo/f_lo**2, d = 2 f_lo,hi/(f_lo f_hi) and e at the rows of
-    ``table``, in _pair_derivatives units, under the caller's np.errstate."""
-    xl, xh, fl, fh, fll, flh, fhh = _pair_derivatives(table, lo, hi)
-    if not (fl.all() and fh.all()):
+def _pair_sums(table: PointTable, lo, hi):
+    """H_lo,hi's numerator A_lo + A_hi and denominator B_lo + B_hi at the
+    rows of ``table``, each followed by the sum of its terms' sizes, under
+    the caller's np.errstate."""
+    if table.factors is None:
+        raise HypothesisError(
+            "custom composites are outside the quasi-sum hypothesis")
+    if not (table.gradient[..., lo].all() and table.gradient[..., hi].all()):
         raise DomainError(
             "elasticity undefined where a marginal product vanishes")
-    return (1.0 / (xl * fl), 1.0 / (xh * fh), -fll / (fl * fl),
-            2.0 * flh / (fl * fh), -fhh / (fh * fh))
+    x, (_, _, d1, d2) = table.points, table.factors
+    al, bl = _axis_terms(x[..., lo], d1[..., lo], d2[..., lo])
+    ah, bh = _axis_terms(x[..., hi], d1[..., hi], d2[..., hi])
+    return al + ah, np.abs(al) + np.abs(ah), bl + bh, np.abs(bl) + np.abs(bh)
 
 
 def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
@@ -114,11 +111,10 @@ def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
     ``table``, for index arrays or ints lo < hi."""
     eps = tolerances.DEGENERACY_EPS
     with np.errstate(all="ignore"):
-        a, b, c, d, e = _hicks_terms(table, lo, hi)
-        num, den = a + b, c + d + e
+        num, num_size, den, den_size = _pair_sums(table, lo, hi)
         # |sum| <= eps * sum(|terms|) also holds when the sum is exactly 0.
-        num_small = np.abs(num) <= eps * (np.abs(a) + np.abs(b))
-        den_small = np.abs(den) <= eps * (np.abs(c) + np.abs(d) + np.abs(e))
+        num_small = np.abs(num) <= eps * num_size
+        den_small = np.abs(den) <= eps * den_size
         return np.where(den_small, np.where(num_small, math.nan, math.inf),
                         num / den)
 
@@ -131,9 +127,8 @@ def _tagged(value: float) -> HicksValue:
 
 def hicks_elasticity(expr: FunctionExpr, point, i: int, j: int) -> HicksValue:
     """H_ij of ``expr`` at ``point`` for the (zero-based) input pair."""
-    x = expr._check_point(point)
     lo, hi = _pair_indices(expr.n, i, j)
-    return _tagged(float(hicks_values(expr._row(x), lo, hi)[0]))
+    return _tagged(float(hicks_values(expr._row(point), lo, hi)[0]))
 
 
 def pairwise_elasticities(expr: FunctionExpr, point):
@@ -147,19 +142,18 @@ def pairwise_elasticities(expr: FunctionExpr, point):
 def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
     """Signed defect of the constant-elasticity identity H_lo,hi = sigma at
     the rows of ``table``, for index arrays or ints lo < hi.  With H =
-    (a + b) / (c + d + e), it is c + d + e - (a + b) / sigma over the sum of
-    its terms' sizes (0 where every term is 0), the measure the degeneracy
-    tags apply to H's sums, and it never divides by c + d + e.  For the
-    two-input ratio family both sums vanish identically: the defect is
-    rounding noise for every sigma at once."""
+    (A_lo + A_hi) / (B_lo + B_hi), it is B_lo + B_hi - (A_lo + A_hi) / sigma
+    over the sum of its terms' sizes (0 where every term is 0), the measure
+    the degeneracy tags apply to H's sums, and it never divides by B_lo +
+    B_hi.  For the two-input ratio family both sums vanish identically: the
+    defect is rounding noise for every sigma at once."""
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
     with np.errstate(all="ignore"):
-        a, b, c, d, e = _hicks_terms(table, lo, hi)
-        size = (np.abs(c) + np.abs(d) + np.abs(e)
-                + (np.abs(a) + np.abs(b)) / abs(sigma))
-        out = (c + d + e - (a + b) / sigma) / np.where(size, size, 1.0)
+        num, num_size, den, den_size = _pair_sums(table, lo, hi)
+        size = den_size + num_size / abs(sigma)
+        out = (den - num / sigma) / np.where(size, size, 1.0)
     if not np.isfinite(out).all():
         raise DomainError("elasticity identity overflows at a sample point")
     return out
@@ -168,9 +162,8 @@ def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
 def ces_residual(expr: FunctionExpr, point, sigma: float,
                  i: int, j: int) -> float:
     """ces_residuals at one point and pair, from a one-row table."""
-    x = expr._check_point(point)
     lo, hi = _pair_indices(expr.n, i, j)
-    return float(ces_residuals(expr._row(x), sigma, lo, hi)[0])
+    return float(ces_residuals(expr._row(point), sigma, lo, hi)[0])
 
 
 def quasisum_separated_residual(spec: QuasiSumSpec, point, sigma: float,
@@ -180,25 +173,25 @@ def quasisum_separated_residual(spec: QuasiSumSpec, point, sigma: float,
     For f = F(sum h_k) the outer function drops out of H_ij and the identity
     H_ij = sigma splits into per-input terms
 
-        s_k = 1/(x_k h_k') + sigma * h_k''/h_k'**2
+        s_k = A_k - sigma B_k = 1/(x_k h_k') + sigma * h_k''/h_k'**2
 
-    with H_ij = sigma exactly when s_i + s_j = 0.  Returns s_i + s_j.
+    with H_ij = sigma exactly when s_i + s_j = 0.  Returns s_i + s_j, from
+    the inners' h' and h'' alone: F is never evaluated.
     """
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
     lo, hi = _pair_indices(spec.n, i, j)
-    out = 0.0
-    for k in (lo, hi):
-        xk = float(point[k])
-        if xk <= 0.0:
-            raise DomainError("point must be strictly positive")
-        _, d1, d2 = spec.inner[k].derivatives(xk)
-        if d1 == 0.0:
-            raise DomainError(
-                "separated residual undefined where an inner derivative vanishes")
-        out += 1.0 / (xk * d1) + sigma * d2 / (d1 * d1)
-    return out
+    x = np.array([float(point[lo]), float(point[hi])])
+    if (x <= 0.0).any():
+        raise DomainError("point must be strictly positive")
+    _, d1, d2 = np.array([spec.inner[k].derivatives(xk)
+                          for k, xk in zip((lo, hi), x)]).T
+    if not d1.all():
+        raise DomainError(
+            "separated residual undefined where an inner derivative vanishes")
+    a, b = _axis_terms(x, d1, d2)
+    return float((a[0] + a[1]) - sigma * (b[0] + b[1]))
 
 
 @dataclass(frozen=True)

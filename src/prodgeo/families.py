@@ -188,9 +188,9 @@ class QuasiSumSpec:
 @dataclass(frozen=True, eq=False)
 class PointTable:
     """One evaluation of an expression at the rows of ``points``: values
-    (N,), gradients (N, n), Hessians (N, n, n) and the factors (D, c, u) of
-    Hess = diag(D) + c u u^T (None for custom composites).  ``table[rows]``
-    is the table of those rows."""
+    (N,), gradients (N, n), Hessians (N, n, n) and the per-axis record
+    ``factors`` = (F', F'', h', h'') of F(sum h_k(x_k)) (None for custom
+    composites).  ``table[rows]`` is the table of those rows."""
 
     points: np.ndarray
     value: np.ndarray
@@ -280,7 +280,7 @@ class FunctionExpr:
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
         and F', F'' at the inner sum, grad = F' h' and Hess = diag(D) +
-        c u u^T with the factors (D, c, u) = (F' h'', F'', h'), assembled
+        c u u^T with (D, c, u) from :func:`hessian_factors`, assembled
         bitwise symmetric.  Cobb-Douglas is gamma e^u over alpha_i log x_i
         (value from the direct product, as in :meth:`value`), ACMS a power
         over powers (F', F'' direct, so d/rho < 0 works), the ratio
@@ -304,8 +304,8 @@ class FunctionExpr:
                 d2 = -d1 / x
                 f1 = f2 = f
             elif self.family == "acms":
-                rho = p["rho"]
-                q = p["d"] / rho
+                rho, d = p["rho"], p["d"]
+                q = d / rho
                 h = np.array(p["weights"]) * x ** rho
                 d1 = rho * h / x
                 d2 = (rho - 1.0) * d1 / x
@@ -314,7 +314,8 @@ class FunctionExpr:
                     raise DomainError("aggregator sum must stay positive")
                 f = p["gamma"] * u ** q
                 f1 = q * f / u
-                f2 = (q - 1.0) * f1 / u
+                # q - 1 = (d - rho) / rho keeps its digits as rho nears d.
+                f2 = (d - rho) / rho * f1 / u
             elif self.family == "quasi_sum":
                 d1, d2 = np.empty_like(x), np.empty_like(x)
                 u = 0.0
@@ -331,8 +332,9 @@ class FunctionExpr:
                 # from d1 itself so that H22 cancels exactly when F'' = 0.
                 d1 = np.array([-1.0, 1.0]) / x
                 d2 = d1 * d1 * np.array([1.0, -1.0])
+            factors = (f1, f2, d1, d2)
             gradient = f1[:, np.newaxis] * d1
-            diag = f1[:, np.newaxis] * d2
+            diag = hessian_factors(factors)[0]
             hessian = f2[:, np.newaxis, np.newaxis] * (
                 d1[:, :, np.newaxis] * d1[:, np.newaxis, :])
             hessian.reshape(len(x), -1)[:, ::self.n + 1] += diag
@@ -340,7 +342,7 @@ class FunctionExpr:
                 and np.isfinite(hessian).all()):
             raise DomainError("value, gradient or Hessian is not finite "
                               "(floating-point overflow)")
-        return PointTable(x, f, gradient, hessian, (diag, f2, d1))
+        return PointTable(x, f, gradient, hessian, factors)
 
 
 @functools.cache
@@ -497,6 +499,12 @@ def homogeneity_degree(expr: FunctionExpr, point) -> float:
     return float(euler_quotients(expr._row(point))[0])
 
 
+def hessian_factors(factors) -> tuple:
+    """(D, c, u) = (F' h'', F'', h') of Hess = diag(D) + c u u^T."""
+    f1, f2, d1, d2 = factors
+    return f1[:, np.newaxis] * d2, f2, d1
+
+
 def hessian_det_terms(diag, c, u) -> np.ndarray:
     """The (N, n+1) terms of det(diag(D) + c u u^T) = sum T per row: T_0 =
     prod D_i and T_j = c u_j^2 prod_{i != j} D_i, from prefix and suffix
@@ -513,8 +521,8 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
     """det H = F'^n prod(h_i'') + F'^(n-1) F'' sum_j prod_{i != j}(h_i'') h_j'^2
     of a quasi-sum at ``point``: the one-point sum of hessian_det_terms over
     the kernel's factors; DomainError when it leaves the float range."""
-    expr = FunctionExpr("quasi_sum", spec.n, {"spec": spec})
-    det = float(hessian_det_terms(*expr._row(point).factors).sum())
+    row = FunctionExpr("quasi_sum", spec.n, {"spec": spec})._row(point)
+    det = float(hessian_det_terms(*hessian_factors(row.factors)).sum())
     if not math.isfinite(det):
         raise DomainError("Hessian determinant overflows the float range")
     return det

@@ -34,7 +34,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .families import FunctionExpr, PointTable, hessian_det_terms, index_pairs
+from .families import (
+    FunctionExpr, PointTable, hessian_det_terms, hessian_factors, index_pairs,
+)
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
            "surface_curvatures", "gauss_kronecker", "flatness_residual"]
@@ -73,9 +75,10 @@ class GraphGeometry:
 def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
     GraphGeometry fields, plus ``det_cancellation`` (0 where every term is
-    0) from the Hessian factors (D, c, u); a table without factors (custom)
-    uses the assembled Hessian and gives no ``det_cancellation``."""
-    gradient, hessian, factors = table.gradient, table.hessian, table.factors
+    0) from the Hessian factors (D, c, u) of the table's per-axis record; a
+    table without factors (custom) uses the assembled Hessian and gives no
+    ``det_cancellation``."""
+    gradient, hessian = table.gradient, table.hessian
     w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
     w = np.sqrt(w_sq)
     hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
@@ -88,7 +91,7 @@ def surface_curvatures(table: PointTable) -> dict:
         hess_norm[wide] = np.ldexp(
             np.sqrt(np.einsum("pij,pij->p", unit, unit)), k)
     out = {"area_factor": w}
-    if factors is None:
+    if table.factors is None:
         det_hess = np.linalg.det(hessian)
         second = hessian / w[:, np.newaxis, np.newaxis]
         i, j = index_pairs(gradient.shape[-1])
@@ -96,11 +99,11 @@ def surface_curvatures(table: PointTable) -> dict:
         rmax = np.abs(rows_i[:, :, i] * rows_j[:, :, j]
                       - rows_i[:, :, j] * rows_j[:, :, i]).max(axis=(1, 2))
     else:
-        terms = hessian_det_terms(*factors)
+        diag, c, u = hessian_factors(table.factors)
+        terms = hessian_det_terms(diag, c, u)
         det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
         out["det_cancellation"] = np.abs(det_hess) / np.where(size, size, 1.0)
-        rmax = _riemann_max(factors[0] / w[:, np.newaxis], factors[1] / w,
-                            factors[2])
+        rmax = _riemann_max(diag / w[:, np.newaxis], c / w, u)
     # det / W^(n+2) and |det| / |Hess|^n one factor at a time: the powers
     # overflow long before the quotients do.
     gk, scaled = det_hess / w_sq, np.abs(det_hess)

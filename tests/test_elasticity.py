@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from prodgeo import (
     DomainError, QuasiSumSpec, ScalarFn, SpecError,
-    build_acms, build_cobb_douglas, build_custom, build_quasi_sum,
+    build_acms, build_cobb_douglas, build_quasi_sum,
     build_ratio, ces_residual, detect_ces, hicks_elasticity,
     pairwise_elasticities, quasisum_separated_residual,
 )
@@ -72,10 +72,18 @@ def test_pair_argument_validation():
 
 
 def test_vanishing_marginal_product_is_rejected():
-    bump = build_custom(
-        2, lambda lifts: (lifts[0] - 1.0) * (lifts[0] - 1.0) + lifts[1])
-    with pytest.raises(DomainError):
-        hicks_elasticity(bump, [1.0, 1.3], 0, 1)
+    # exp(-x1 - x2) at (400, 400): F' underflows to 0, so every f_i = F' h_i'
+    # vanishes, while the separated residual never evaluates F.
+    spec = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
+                        inner=(ScalarFn("affine", -1.0),
+                               ScalarFn("affine", -1.0)))
+    expr = build_quasi_sum(spec)
+    with pytest.raises(DomainError, match="a marginal product vanishes"):
+        hicks_elasticity(expr, [400.0, 400.0], 0, 1)
+    with pytest.raises(DomainError, match="a marginal product vanishes"):
+        ces_residual(expr, [400.0, 400.0], 2.0, 0, 1)
+    assert quasisum_separated_residual(spec, [400.0, 400.0], 2.0, 0, 1) \
+        == -0.005
 
 
 # -- invariances ------------------------------------------------------------------
@@ -111,7 +119,8 @@ def test_elasticity_is_scale_free_on_homogeneous_functions():
 def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
     # H and the normalised residual are invariant under f -> k f; for k a
     # power of two the results are the same bits, even where the products
-    # of derivatives would leave the float range.
+    # of derivatives would leave the float range.  The scaled table scales
+    # the record's F' and F'' with the gradient and Hessian.
     rng = make_rng(305)
     for expr in (random_acms(rng, 4), random_cobb_douglas(rng, 3),
                  random_quasi_sum_expr(rng, 3), random_ratio_expr(rng)):
@@ -121,8 +130,10 @@ def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
         base_h = hicks_values(table, lo, hi)
         base_r = ces_residuals(table, 2.0, lo, hi)
         for k in (2.0 ** -900, 2.0 ** -500, 2.0 ** 500, 2.0 ** 900):
+            f1, f2, d1, d2 = table.factors
             scaled = dataclasses.replace(table, gradient=k * table.gradient,
-                                         hessian=k * table.hessian)
+                                         hessian=k * table.hessian,
+                                         factors=(k * f1, k * f2, d1, d2))
             np.testing.assert_array_equal(
                 hicks_values(scaled, lo, hi), base_h, strict=True)
             np.testing.assert_array_equal(

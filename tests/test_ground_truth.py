@@ -1,4 +1,4 @@
-"""Theorem 4.1 across the paper's parameter space.
+"""Theorem 4.1 across the paper's parameter space, and ACMS with rho near 1.
 
 Every linearly homogeneous ACMS, Cobb-Douglas or power quasi-sum has a
 graph of vanishing Gauss-Kronecker curvature, so ``verify --theorem 4.1``
@@ -10,16 +10,21 @@ past the well-conditioned ranges of ``conftest``: rho in [-8, -2], ACMS and
 inner coefficients over six decades, Cobb-Douglas shares down to 1e-7, and
 boxes up to [0.01, 100]^n, where the entries F' h_i'' + F'' h_i'^2 of the
 Hessian cancel to a few digits.
+
+ACMS with rho = 1 - 10^[-12, -3] has sigma = 1/(1 - rho) up to 1e12, and
+its F'' parts dominate the Hessian.  Elasticity, classification and both
+theorem checks must still read a constant elasticity equal to that sigma.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodgeo import (
     QuasiSumSpec, ScalarFn, build_acms, build_cobb_douglas, build_quasi_sum,
-    verify_theorem_41,
+    classify_quasi_sum, detect_ces, verify_theorem_11, verify_theorem_41,
 )
 from prodgeo.cli import RunConfig, run
 from conftest import log_uniform_scalar, make_rng
@@ -108,3 +113,108 @@ def test_reported_degree_one_cases_read_vanishing_curvature(tmp_path, doc, box):
     assert report["verdict"] == "Consistent"
     assert report["hypothesis_holds"] is True
     assert report["hypothesis_check"]["max_det_cancellation"] <= 1e-15
+
+
+# -- ACMS with rho near 1 -----------------------------------------------------
+
+NEAR_ONE_DEGREES = (0.6, 1.5, 2.0, 3.0)
+UNIT = Fraction(1, 2 ** 53)  # unit roundoff of float64
+# For ACMS, B_k = (1 - rho) A_k in exact arithmetic, both from the same float
+# h_k' > 0, with 1 - rho exact.  A = 1/(x h') takes two roundings, B four
+# (the kernel's (rho - 1) h'/x, then two divisions by h'), each two-term
+# sum one more and the quotient one: every finite H, so every reported
+# sigma, is within gamma_9 of 1/(1 - rho), and max_deviation within
+# 2 gamma_9 / (1 - gamma_9).
+SIGMA_NEAR_ONE_RTOL = 9 * UNIT / (1 - 9 * UNIT)
+
+
+def _sigma_error(value, rho):
+    """Relative distance of a reported sigma from the exact 1/(1 - rho), or
+    None when no sigma was reported."""
+    if value is None:
+        return None
+    exact = 1 / (1 - Fraction(rho))
+    return abs(Fraction(value) - exact) / exact
+
+
+def _near_one_faults(expr, seed):
+    """What elasticity, classify, verify 1.1 and verify 4.1 get wrong on
+    an ACMS with rho near 1, at their default samples on the default box."""
+    rho, degree_one = expr.params["rho"], expr.params["d"] == 1.0
+    faults = []
+    detection = detect_ces(expr, seed=seed)
+    error = _sigma_error(detection.sigma_estimate, rho)
+    if detection.verdict != "RegularCES" or error > SIGMA_NEAR_ONE_RTOL or \
+            detection.max_deviation > 2 * SIGMA_NEAR_ONE_RTOL / (
+                1 - SIGMA_NEAR_ONE_RTOL):
+        faults.append(("elasticity", detection.verdict, error,
+                       detection.max_deviation))
+    cls = classify_quasi_sum(expr, seed=seed)
+    errors = [_sigma_error(v, rho)
+              for v in (cls.sigma, cls.detection.sigma_estimate)]
+    if cls.case != "HomotheticACMS" or None in errors or \
+            max(errors) > SIGMA_NEAR_ONE_RTOL:
+        faults.append(("classify", cls.case, errors))
+    report = verify_theorem_11(expr, seed=seed)
+    if report.verdict != "Consistent" or \
+            report.hypothesis_check["sigma_estimate"] != \
+            cls.detection.sigma_estimate:
+        faults.append(("verify 1.1", report.verdict,
+                       report.hypothesis_check["sigma_estimate"]))
+    report = verify_theorem_41(expr, seed=seed)
+    if report.verdict != "Consistent" or \
+            report.hypothesis_holds is not degree_one:
+        faults.append(("verify 4.1", report.verdict,
+                       report.hypothesis_check["max_det_cancellation"]))
+    return faults
+
+
+def test_acms_with_rho_near_one_keeps_its_elasticity():
+    rng = make_rng(1101)
+    wrong = []
+    for k in range(1000):
+        n = 2 + k % 2
+        rho = 1.0 - 10.0 ** rng.uniform(-12.0, -3.0)
+        d = 1.0 if k % 4 < 2 else float(rng.choice(NEAR_ONE_DEGREES))
+        a = [log_uniform_scalar(rng, 0.3, 3.0) for _ in range(n)]
+        expr = build_acms(log_uniform_scalar(rng, 0.3, 3.0), a, rho, d)
+        faults = _near_one_faults(expr, seed=k)
+        if faults:
+            wrong.append((k, a, rho, d, faults))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("a, rho, d, command, theorem, samples", [
+    ([1.3, 0.7], 1 - 1e-9, 2.0, "elasticity", None, 32),
+    ([1.3, 0.7], 1 - 1e-11, 2.0, "elasticity", None, 32),
+    ([1.3, 0.7], 1 - 1e-9, 3.0, "classify", None, 64),
+    ([1.3, 0.7], 1 - 1e-9, 1.0, "verify", "4.1", 100),
+    ([1.3, 0.7, 2.0], 1 - 1e-12, 2.5, "classify", None, 100),
+    ([1.3, 0.7, 2.0], 1 - 1e-10, 2.5, "classify", None, 100),
+], ids=["elasticity-1e-9", "elasticity-1e-11", "classify-1e-9",
+        "verify-4.1-1e-9", "classify-1e-12-n3", "classify-1e-10-n3"])
+def test_reported_near_one_cases(tmp_path, a, rho, d, command, theorem,
+                                 samples):
+    # Reported through the command line: the first two lost digits of
+    # sigma or read NotCES with infinite pairs, the classify cases read
+    # NotCES, and 4.1 read DegenerateHypothesis (F'' had lost the digits of
+    # d/rho - 1).
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"type": "acms", "gamma": 1.0, "a": a,
+                                "rho": rho, "d": d}))
+    box = ((0.5, 2.0),) * len(a) if command == "elasticity" else None
+    status, text = run(RunConfig(command, str(path), theorem=theorem,
+                                 samples=samples, box=box))
+    assert status == 0, text
+    report = json.loads(text)["report"]
+    if command == "elasticity":
+        assert report["verdict"] == "RegularCES"
+        assert _sigma_error(report["sigma_estimate"], rho) <= \
+            SIGMA_NEAR_ONE_RTOL
+    elif command == "classify":
+        assert report["case"] == "HomotheticACMS"
+        for sigma in (report["sigma"], report["detection"]["sigma_estimate"]):
+            assert _sigma_error(sigma, rho) <= SIGMA_NEAR_ONE_RTOL
+    else:
+        assert report["verdict"] == "Consistent"
+        assert report["hypothesis_holds"] is True

@@ -27,7 +27,7 @@ from prodgeo import (
 )
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _leaf, run
-from prodgeo.elasticity import _hicks_terms, ces_residuals
+from prodgeo.elasticity import ces_residuals, hicks_values
 from prodgeo.families import index_pairs, normalize_outer_shift
 from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import box_center, log_uniform
@@ -349,7 +349,9 @@ def test_custom_composites_stack_their_jets():
         assert value[k] == jet.value
         assert np.array_equal(gradient[k], jet.gradient)
         assert np.array_equal(hessian[k], jet.hessian)
-    assert detect_ces(expr, samples=8).verdict == "RegularCES"
+    # A custom composite has no per-axis record to read H from.
+    with pytest.raises(HypothesisError, match="custom composites"):
+        detect_ces(expr, samples=8)
 
 
 # The sampled-box commands rebuilt the way they ran before the point table:
@@ -361,41 +363,153 @@ NORMALISED = {"max_deviation", "ces", "structure", "gauss_kronecker_scaled",
 
 
 UNIT = Fraction(1, 2 ** 53)  # unit roundoff of float64
-GAMMA_3 = 3 * UNIT / (1 - 3 * UNIT)  # three roundings: within 1 +- GAMMA_3
+# NumPy's pow taken as 4 ulp (eight roundings of u): a margin over the
+# 1.1 ulp measured for integer exponents on x86-64 with AVX-512.
+POW_ROUNDINGS = 8
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): k roundings, each a factor (1 + d)^(+-1)
+    with |d| <= u, lie within 1 +- gamma_k."""
+    return k * UNIT / (1 - k * UNIT)
+
+
+def _exact_axis_terms(x, d1, d2):
+    """A = 1/(x h') and B = -h''/h'^2 of one axis, in exact rationals."""
+    return 1 / (x * d1), -d2 / (d1 * d1)
+
+
+def _exact_inner(h, x):
+    """h' and h'' of a log, affine or integer-power ScalarFn at the rational
+    x, exactly, with the roundings of the float h' and h'' the kernel forms
+    (Cobb-Douglas's alpha/x and -(alpha/x)/x count as the log's)."""
+    c = Fraction(h.coefficient)
+    if h.form == "log":
+        return c / x, -c / (x * x), 1, 2
+    if h.form == "affine":
+        return c, Fraction(0), 0, 0
+    p = int(h.exponent)
+    return (c * p * x ** (p - 1), c * p * (p - 1) * x ** (p - 2),
+            2 + POW_ROUNDINGS, 3 + POW_ROUNDINGS)
+
+
+def _check_hicks(h, a, b, gamma_num, gamma_den):
+    """The float H (one cell) against the exact (a_lo + a_hi) / (b_lo +
+    b_hi), when the float sums are within gamma_num sum |a| and gamma_den
+    sum |b| =: e_n, e_d of the exact ones.  Then num_f / den_f is within
+    (e_n + |H| e_d) / (|den| - e_d) of H, and its rounding adds u |H_f| /
+    (1 - u).  A tagged (non-finite) H must have a vanishing exact
+    denominator by the same rule.  True when a finite value was checked."""
+    num, den = sum(a), sum(b)
+    e_n = gamma_num * sum(map(abs, a))
+    e_d = gamma_den * sum(map(abs, b))
+    if not math.isfinite(h):
+        assert abs(den) <= tolerances.DEGENERACY_EPS * (1 + gamma_den) \
+            * sum(map(abs, b)) + e_d
+        return False
+    assert abs(den) > e_d
+    exact = num / den
+    got = Fraction(h)
+    assert abs(got - exact) <= (e_n + abs(exact) * e_d) / (abs(den) - e_d) \
+        + UNIT * abs(got) / (1 - UNIT), (h, float(exact))
+    return True
+
+
+def _exact_documents():
+    """Documents whose h' and h'' have exact rational forms: Cobb-Douglas
+    and quasi-sums with log, affine or integer-power inners."""
+    rng = make_rng(364)
+    exprs = [random_cobb_douglas(rng, n) for n in range(2, 6)]
+    exprs += [build_quasi_sum(random_log_spec(rng, n)) for n in range(2, 6)]
+    exprs += [build_quasi_sum(random_ratio_spec(rng)) for _ in range(3)]
+    exprs += [build_quasi_sum(QuasiSumSpec(outer=outer, inner=inner))
+              for outer, inner in (
+        (ScalarFn("power", 0.8, exponent=0.5),
+         (ScalarFn("power", 1.3, exponent=2.0),
+          ScalarFn("power", 0.7, exponent=3.0), ScalarFn("affine", 2.0))),
+        (ScalarFn("exp", 0.6),
+         (ScalarFn("log", 0.8), ScalarFn("affine", 1.5),
+          ScalarFn("power", -2.0, exponent=-1.0),
+          ScalarFn("power", -0.5, exponent=-2.0))),
+        (ScalarFn("affine", 1.2, shift=0.3),
+         (ScalarFn("power", 1.1, exponent=1.0),
+          ScalarFn("power", 0.4, exponent=4.0))))]
+    return exprs
 
 
 def test_ces_residuals_are_the_exact_cancellation_of_the_hicks_terms():
-    # With t = (c, d, e, -a/sigma, -b/sigma) the float terms of H in exact
-    # rationals, the residual is sum t / sum |t|.  Each t_k passes through at
-    # most three roundings in the numerator and three in the size, so both
-    # are within GAMMA_3 sum |t| of their exact values, their quotient within
-    # 2 GAMMA_3 / (1 - GAMMA_3), and the last division adds one rounding.
-    bound = 2 * GAMMA_3 / (1 - GAMMA_3) * (1 + UNIT) + UNIT
+    # A_k = 1/(x_k h_k') and B_k = -h_k''/h_k'^2 in exact rationals from the
+    # table's float x, h' and h''.  The float A and B take two roundings
+    # each.  With t = (B_lo, B_hi, -A_lo/sigma, -A_hi/sigma) the residual is
+    # sum t / sum |t|; each t_k passes through at most three more roundings
+    # in the numerator and in the size, so both are within GAMMA_5 sum |t| of
+    # their exact values, their quotient within 2 GAMMA_5 / (1 - GAMMA_5),
+    # and the last division adds one rounding.  H's sums of two float terms
+    # are within GAMMA_3 of the sizes of their exact terms.
+    gamma_5 = _gamma(5)
+    bound = 2 * gamma_5 / (1 - gamma_5) * (1 + UNIT) + UNIT
     rng = make_rng(363)
-    exprs = _kernel_cases() + [build_cobb_douglas(1.0, (0.5, 0.5))]
+    exprs = _kernel_cases() + [build_cobb_douglas(1.0, (0.5, 0.5)),
+                               build_acms(1.0, (1.3, 0.7), 1.0 - 1e-9, 2.0)]
     wide = log_uniform(((1e-150, 1e150),) * 2, 4, 1)
-    checked = 0
+    checked = finite = 0
     for expr in exprs:
         points = random_points(rng, expr.n, 4)
         if expr.n == 2 and expr.family == "cobb_douglas":
             points = np.vstack([points, wide])
         table = expr.derivatives(points)
         lo, hi = index_pairs(expr.n)
-        with np.errstate(all="ignore"):
-            terms = [t.tolist() for t in _hicks_terms(table, lo, hi)]
+        _, _, d1, d2 = table.factors
+        terms = [[_exact_axis_terms(*map(Fraction, (x, s, c)))
+                  for x, s, c in zip(*row)]
+                 for row in zip(points.tolist(), d1.tolist(), d2.tolist())]
+        hicks = hicks_values(table, lo, hi).tolist()
+        for p, row in enumerate(hicks):
+            for q, h in enumerate(row):
+                (a_lo, b_lo), (a_hi, b_hi) = terms[p][lo[q]], terms[p][hi[q]]
+                finite += _check_hicks(h, (a_lo, a_hi), (b_lo, b_hi),
+                                       _gamma(3), _gamma(3))
         # sigma = 1 and 2 are the identities of the Cobb-Douglas and
         # rho = 0.5 ACMS cases, which cancel; the ratio cases cancel always.
         for sigma in (0.4, 1.0, 2.0, -3.0, 1e3):
             got = ces_residuals(table, sigma, lo, hi).tolist()
             for p, row in enumerate(got):
                 for q, r in enumerate(row):
-                    a, b, c, d, e = (Fraction(t[p][q]) for t in terms)
-                    t = (c, d, e, -a / Fraction(sigma), -b / Fraction(sigma))
-                    want = sum(t) / sum(map(abs, t))
+                    (a_lo, b_lo), (a_hi, b_hi) = (terms[p][lo[q]],
+                                                  terms[p][hi[q]])
+                    t = (b_lo, b_hi, -a_lo / Fraction(sigma),
+                         -a_hi / Fraction(sigma))
+                    size = sum(map(abs, t))
+                    want = sum(t) / size if size else 0
                     assert abs(Fraction(r) - want) <= bound, \
                         (expr.family, sigma, r, float(want))
                     checked += 1
-    assert checked >= 2000
+    assert checked >= 2000 and finite >= 300
+
+
+def test_hicks_values_match_the_exact_derivatives_of_the_parameters():
+    # H against A and B formed from the exact h' and h'' of the document's
+    # float parameters at the float points.  With h' and h'' rounded k1 and
+    # k2 times (_exact_inner), the float A = 1/(x h') takes k1 + 2 roundings
+    # and B = -(h''/h')/h' takes k2 + 2 k1 + 2; the sums one more each.
+    rng = make_rng(365)
+    finite = 0
+    for expr in _exact_documents():
+        inner = as_quasi_sum(expr).inner
+        points = random_points(rng, expr.n, 6)
+        hicks = hicks_values(expr.derivatives(points), *index_pairs(expr.n))
+        for x, row in zip(points.tolist(), hicks.tolist()):
+            axes = []
+            for h, xk in zip(inner, map(Fraction, x)):
+                d1, d2, k1, k2 = _exact_inner(h, xk)
+                axes.append((*_exact_axis_terms(xk, d1, d2), k1, k2))
+            for (i, j), value in zip(zip(*index_pairs(expr.n)), row):
+                (a_i, b_i, k1_i, k2_i), (a_j, b_j, k1_j, k2_j) = \
+                    axes[i], axes[j]
+                k1, k2 = max(k1_i, k1_j), max(k2_i, k2_j)
+                finite += _check_hicks(value, (a_i, a_j), (b_i, b_j),
+                                       _gamma(k1 + 3), _gamma(k2 + 2 * k1 + 3))
+    assert finite >= 200
 
 
 def _assert_same(got, want, key=""):
