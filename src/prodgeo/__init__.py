@@ -1,22 +1,24 @@
 """Toolkit for production functions and the geometry of their graphs.
 
-Exact first and second derivatives come from forward-mode jets; on top of
-them sit the pairwise substitution elasticity, the graph-hypersurface
-curvature quantities, structural classification of quasi-sum functions, and
-sampled verification of the curvature theorems.  The ``prodgeo`` command
+Every function family is evaluated as F(h_1(x_1) + ... + h_n(x_n)) by one
+batched kernel, whose exact first and second derivatives come from
+closed-form per-axis h', h'' and the outer F', F''.  On top of them sit the
+pairwise substitution elasticity, the graph-hypersurface curvature
+quantities, structural classification of quasi-sum functions, and sampled
+verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import DomainError, HypothesisError, SpecError
 from .autodiff import (
-    Jet2, evaluate_jet, finite_difference_oracle, lift_variable,
+    Jet2, evaluate_jet, finite_difference_oracle,
 )
 from .families import (
     FunctionExpr, QuasiSumSpec, ScalarFn,
-    as_quasi_sum, build_acms, build_cobb_douglas, build_custom,
-    build_quasi_sum, build_ratio, default_box, expr_from_dict, expr_to_dict,
+    as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
+    build_ratio, default_box, expr_from_dict, expr_to_dict,
     hessian_det_quasisum, homogeneity_degree, validate_box,
 )
 from .elasticity import (
@@ -38,10 +40,10 @@ from .classify import (
 __all__ = [
     "__version__",
     "DomainError", "HypothesisError", "SpecError",
-    "Jet2", "evaluate_jet", "finite_difference_oracle", "lift_variable",
+    "Jet2", "evaluate_jet", "finite_difference_oracle",
     "FunctionExpr", "QuasiSumSpec", "ScalarFn",
-    "as_quasi_sum", "build_acms", "build_cobb_douglas", "build_custom",
-    "build_quasi_sum", "build_ratio", "default_box", "expr_from_dict",
+    "as_quasi_sum", "build_acms", "build_cobb_douglas", "build_quasi_sum",
+    "build_ratio", "default_box", "expr_from_dict",
     "expr_to_dict", "hessian_det_quasisum", "homogeneity_degree",
     "validate_box",
     "ElasticityReport", "HicksValue", "ces_residual", "detect_ces",

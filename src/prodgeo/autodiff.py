@@ -1,40 +1,22 @@
-"""Forward-mode second-order jets: exact gradients and Hessians.
+"""Second-order records: a value, its gradient and its Hessian at one point.
 
-Evaluating an expression on :class:`Jet2` operands propagates the value, the
-gradient, and the full Hessian simultaneously, so first and second
-derivatives come out exact up to floating-point rounding, with no truncation
-error.  The supported operation set is addition, scalar multiples, products,
-real-exponent powers, the natural logarithm, the exponential, and composition
-with a one-variable outer function supplied through its first two
-derivatives.
-
-The document families get their derivatives from the batched kernel in
-:mod:`prodgeo.families`; jets now serve ``custom`` composites, carry the
-kernel's one-point results, and give the tests an independent oracle.
-
-Hessians are assembled from symmetric building blocks only (scaled symmetric
-matrices and symmetrized outer products), which keeps ``hessian[i, j] ==
-hessian[j, i]`` exact, not merely within tolerance.
+:class:`Jet2` is a plain validated record.  :meth:`FunctionExpr.jet
+<prodgeo.families.FunctionExpr.jet>` fills it with the one-row slice of the
+batched kernel in :mod:`prodgeo.families`, which evaluates every family as
+F(h_1(x_1) + ... + h_n(x_n)) from closed-form per-axis derivatives.
+:func:`finite_difference_oracle` fills it from central differences of the
+plain value alone, as an independent check.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import DomainError
 
-Number = (int, float, np.integer, np.floating)
-
-
-def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a_i*b_j + b_i*a_j is bitwise symmetric because float * and + commute.
-    return np.outer(a, b) + np.outer(b, a)
-
 
 class Jet2:
-    """Value, gradient, and symmetric Hessian of one scalar quantity."""
+    """Value, (n,) gradient and (n, n) Hessian of one scalar quantity."""
 
     __slots__ = ("value", "gradient", "hessian")
 
@@ -50,111 +32,6 @@ class Jet2:
     def n(self) -> int:
         return self.gradient.shape[0]
 
-    @classmethod
-    def constant(cls, value: float, n: int) -> "Jet2":
-        return cls(float(value), np.zeros(n), np.zeros((n, n)))
-
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            if other.n != self.n:
-                raise ValueError(
-                    f"jet dimension mismatch: {self.n} vs {other.n}")
-            return other
-        if isinstance(other, Number):
-            return Jet2.constant(float(other), self.n)
-        return NotImplemented  # type: ignore[return-value]
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(self.value + o.value, self.gradient + o.gradient,
-                    self.hessian + o.hessian)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.gradient, -self.hessian)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        hess = (self.value * o.hessian + o.value * self.hessian
-                + _sym_outer(self.gradient, o.gradient))
-        return Jet2(self.value * o.value,
-                    self.value * o.gradient + o.value * self.gradient,
-                    hess)
-
-    __rmul__ = __mul__
-
-    # -- powers, log, exp, composition ------------------------------------
-
-    def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
-        """Compose with an outer function given (f(v), f'(v), f''(v)) at the
-        current value v.  This is the one-variable chain rule carried to
-        second order."""
-        g = self.gradient
-        hess = f1 * self.hessian + f2 * np.outer(g, g)
-        return Jet2(f0, f1 * g, hess)
-
-    def __pow__(self, exponent):
-        p = float(exponent)
-        if p == 0.0:
-            return Jet2.constant(1.0, self.n)
-        if p == 1.0:
-            return Jet2(self.value, self.gradient, self.hessian)
-        v = self.value
-        if p.is_integer():
-            if v == 0.0 and p < 0:
-                raise DomainError("zero base with negative exponent")
-        elif v <= 0.0:
-            raise DomainError(
-                f"fractional power requires a positive base, got {v!r}")
-        return self.chain(v ** p, p * v ** (p - 1.0),
-                          p * (p - 1.0) * v ** (p - 2.0))
-
-    def log(self) -> "Jet2":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(f"log requires a positive argument, got {v!r}")
-        return self.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-
-    def exp(self) -> "Jet2":
-        e = math.exp(self.value)
-        return self.chain(e, e, e)
-
-
-def lift_variable(index: int, value: float, n: int) -> Jet2:
-    """Seed coordinate ``index`` of an ``n``-input jet at ``value``.
-
-    The gradient is the standard basis vector, the Hessian is zero.
-    """
-    if not isinstance(index, (int, np.integer)):
-        raise TypeError("index must be an integer")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 <= index < n:
-        raise IndexError(f"index {index} out of range for {n} inputs")
-    x = float(value)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(
-            f"inputs live on the positive orthant, got x[{index}] = {x!r}")
-    grad = np.zeros(n)
-    grad[index] = 1.0
-    return Jet2(x, grad, np.zeros((n, n)))
-
 
 def evaluate_jet(expr, point) -> Jet2:
     """The exact value, gradient and symmetric Hessian of ``expr`` at
@@ -166,7 +43,7 @@ def evaluate_jet(expr, point) -> Jet2:
 def finite_difference_oracle(expr, point, step: float | None = None) -> Jet2:
     """Gradient and Hessian by central differences, packaged as a jet.
 
-    Independent of the jet arithmetic: only ``expr.value`` is used.  The
+    Independent of the derivative kernel: only ``expr.value`` is used.  The
     per-coordinate step is ``step * max(1, |x_i|)``.  Every stencil point
     must stay strictly inside the positive orthant.
     """

@@ -353,7 +353,6 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
                               samples: int, seed: int) -> TheoremReport:
     if not isinstance(expr, FunctionExpr):
         raise SpecError("verification needs a FunctionExpr")
-    # Detection refuses custom composites, which have no per-axis record.
     table = point_table(expr, box, samples, seed)
     detection = detect_ces_on(table)
     if detection.verdict == NOT_CES:

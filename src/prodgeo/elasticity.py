@@ -11,7 +11,7 @@ f = F(h_1(x_1) + ... + h_n(x_n)) and f_k = F' h_k', so the F'' parts cancel:
 
     H_ij = (A_i + A_j) / (B_i + B_j),  A_k = 1/(x_k h_k'),  B_k = -h_k''/h_k'^2
 
-from the kernel's per-axis record (custom composites have none: refused).
+from the kernel's per-axis record.
 Numerator and denominator can vanish independently, so the result is a
 tagged value: finite, infinite (vanishing denominator), or degenerate (both
 vanish and the ratio carries no information).  Vanishing is judged against
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, SpecError
+from .errors import DomainError, SpecError
 from .families import (
     FunctionExpr, PointTable, QuasiSumSpec, index_pairs, validate_box,
 )
@@ -94,9 +94,6 @@ def _pair_sums(table: PointTable, lo, hi):
     """H_lo,hi's numerator A_lo + A_hi and denominator B_lo + B_hi at the
     rows of ``table``, each followed by the sum of its terms' sizes, under
     the caller's np.errstate."""
-    if table.factors is None:
-        raise HypothesisError(
-            "custom composites are outside the quasi-sum hypothesis")
     if not (table.gradient[..., lo].all() and table.gradient[..., hi].all()):
         raise DomainError(
             "elasticity undefined where a marginal product vanishes")

@@ -8,11 +8,11 @@ families are provided:
 * quasi-sum                     ``F(h_1(x_1) + ... + h_n(x_n))``
 * two-input ratio               ``F(x_2 / x_1)``
 
-plus a ``custom`` escape hatch for composites assembled directly from jet
-arithmetic.  Quasi-sum components come from a small closed family of scalar
-functions (power, log, exp, affine), each with exact first and second
-derivatives, so structure matching downstream can work on parameters rather
-than on curve fitting.
+Each is F(h_1(x_1) + ... + h_n(x_n)), and one batched kernel evaluates them
+all from closed-form per-axis h', h'' and the outer F', F''.  Quasi-sum
+components come from a small closed family of scalar functions (power, log,
+exp, affine), each with exact first and second derivatives, so structure
+matching downstream can work on parameters rather than on curve fitting.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Jet2, lift_variable
+from .autodiff import Jet2
 from .errors import DomainError, SpecError
 
 FORM_POWER = "power"
@@ -189,27 +189,27 @@ class QuasiSumSpec:
 class PointTable:
     """One evaluation of an expression at the rows of ``points``: values
     (N,), gradients (N, n), Hessians (N, n, n) and the per-axis record
-    ``factors`` = (F', F'', h', h'') of F(sum h_k(x_k)) (None for custom
-    composites).  ``table[rows]`` is the table of those rows."""
+    ``factors`` = (F', F'', h', h'') of F(sum h_k(x_k)).  ``table[rows]``
+    is the table of those rows."""
 
     points: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
-    factors: tuple | None = None
+    factors: tuple
 
     def __getitem__(self, rows) -> PointTable:
         return PointTable(self.points[rows], self.value[rows],
                           self.gradient[rows], self.hessian[rows],
-                          None if self.factors is None
-                          else tuple(part[rows] for part in self.factors))
+                          tuple(part[rows] for part in self.factors))
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionExpr:
     """Evaluable member of one of the closed families.
 
-    family  one of cobb_douglas, acms, quasi_sum, ratio, custom
+    family  one of cobb_douglas, acms, quasi_sum, ratio (the document
+            types; any other is a SpecError)
     n       input count
     params  family-specific record
     """
@@ -217,6 +217,11 @@ class FunctionExpr:
     family: str
     n: int
     params: dict
+
+    def __post_init__(self):
+        if not isinstance(self.family, str) or self.family not in _FAMILY_KEYS:
+            raise SpecError(f"unknown family {self.family!r}; expected one "
+                            f"of {sorted(_FAMILY_KEYS)}")
 
     def _check_point(self, point, ndim: int = 1) -> np.ndarray:
         """A point (ndim 1) or an (N, n) point array (ndim 2), validated."""
@@ -231,7 +236,7 @@ class FunctionExpr:
 
     @np.errstate(all="ignore")
     def value(self, point) -> float:
-        """Plain float evaluation (shares no code with jet propagation); a
+        """Plain float evaluation (shares no code with the kernel); a
         value past the float range raises DomainError."""
         x = self._check_point(point)
         p = self.params
@@ -251,22 +256,16 @@ class FunctionExpr:
         elif self.family == "quasi_sum":
             spec: QuasiSumSpec = p["spec"]
             out = spec.outer.value(spec.inner_sum(x))
-        elif self.family == "ratio":
+        else:  # ratio
             out = p["outer"].value(x[1] / x[0])
-        else:
-            out = self.jet(x).value
         if not math.isfinite(out):
             raise DomainError("value overflows the float range")
         return float(out)
 
     def jet(self, point) -> Jet2:
-        """Exact jet at ``point``: the one-row slice of :meth:`derivatives`
-        (custom composites run their own jet arithmetic)."""
-        x = self._check_point(point)
-        if self.family == "custom":
-            return self.params["fn"](
-                [lift_variable(i, x[i], self.n) for i in range(self.n)])
-        row = self._kernel(x[np.newaxis, :])
+        """Exact value, gradient and Hessian at ``point``: the one-row slice
+        of :meth:`derivatives`."""
+        row = self._row(point)
         return Jet2(row.value[0], row.gradient[0], row.hessian[0])
 
     def _row(self, point) -> PointTable:
@@ -275,8 +274,7 @@ class FunctionExpr:
 
     def derivatives(self, points) -> PointTable:
         """The PointTable of the rows of an (N, n) point array, in one
-        vectorised pass (custom composites have no batched form: their jets
-        are stacked point by point, with factors None).
+        vectorised pass.
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
         and F', F'' at the inner sum, grad = F' h' and Hess = diag(D) +
@@ -289,11 +287,6 @@ class FunctionExpr:
         return self._kernel(self._check_point(points, ndim=2))
 
     def _kernel(self, x: np.ndarray) -> PointTable:
-        if self.family == "custom":
-            jets = [self.jet(row) for row in x]
-            return PointTable(x, *(
-                np.array([getattr(jet, part) for jet in jets])
-                for part in ("value", "gradient", "hessian")))
         p = self.params
         with np.errstate(all="ignore"):
             if self.family == "cobb_douglas":
@@ -470,17 +463,6 @@ def build_ratio(outer: ScalarFn) -> FunctionExpr:
     return FunctionExpr("ratio", 2, {"outer": outer})
 
 
-def build_custom(n: int, jet_fn) -> FunctionExpr:
-    """Composite assembled directly from jet arithmetic.
-
-    ``jet_fn`` maps a list of lifted coordinate jets to the output jet.  No
-    document form exists for these.
-    """
-    if n < 2:
-        raise SpecError("need at least two inputs")
-    return FunctionExpr("custom", int(n), {"fn": jet_fn})
-
-
 # -- derived quantities ------------------------------------------------------
 
 
@@ -553,20 +535,18 @@ def as_quasi_sum(expr: FunctionExpr) -> QuasiSumSpec:
             outer=ScalarFn(FORM_POWER, expr.params["gamma"], exponent=exp_out),
             inner=tuple(ScalarFn(FORM_POWER, w, exponent=rho)
                         for w in expr.params["weights"]))
-    if expr.family == "ratio":
-        outer: ScalarFn = expr.params["outer"]
-        inner = (ScalarFn(FORM_LOG, -1.0), ScalarFn(FORM_LOG, 1.0))
-        if outer.form == FORM_AFFINE:
-            return QuasiSumSpec(
-                outer=ScalarFn(FORM_EXP, outer.coefficient, shift=outer.shift),
-                inner=inner)
-        if outer.form == FORM_LOG:
-            return QuasiSumSpec(
-                outer=ScalarFn(FORM_AFFINE, outer.coefficient, shift=outer.shift),
-                inner=inner)
-        raise SpecError(
-            f"ratio with {outer.form} outer has no quasi-sum form in this family")
-    raise SpecError(f"{expr.family} expressions have no quasi-sum form")
+    outer: ScalarFn = expr.params["outer"]  # ratio
+    inner = (ScalarFn(FORM_LOG, -1.0), ScalarFn(FORM_LOG, 1.0))
+    if outer.form == FORM_AFFINE:
+        return QuasiSumSpec(
+            outer=ScalarFn(FORM_EXP, outer.coefficient, shift=outer.shift),
+            inner=inner)
+    if outer.form == FORM_LOG:
+        return QuasiSumSpec(
+            outer=ScalarFn(FORM_AFFINE, outer.coefficient, shift=outer.shift),
+            inner=inner)
+    raise SpecError(
+        f"ratio with {outer.form} outer has no quasi-sum form in this family")
 
 
 def normalize_outer_shift(expr: FunctionExpr) -> FunctionExpr:
@@ -645,7 +625,7 @@ def _doc_numbers(value, name: str):
 
 
 def expr_to_dict(expr: FunctionExpr) -> dict:
-    """Document form of an expression (custom composites have none)."""
+    """Document form of an expression."""
     p = expr.params
     if expr.family == "cobb_douglas":
         return {"type": "cobb_douglas", "gamma": p["gamma"],
@@ -657,9 +637,7 @@ def expr_to_dict(expr: FunctionExpr) -> dict:
         spec: QuasiSumSpec = p["spec"]
         return {"type": "quasi_sum", "outer": spec.outer.to_dict(),
                 "inner": [h.to_dict() for h in spec.inner]}
-    if expr.family == "ratio":
-        return {"type": "ratio", "outer": p["outer"].to_dict()}
-    raise SpecError("custom expressions have no document form")
+    return {"type": "ratio", "outer": p["outer"].to_dict()}
 
 
 def validate_box(box, n: int | None = None):

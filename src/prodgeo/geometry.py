@@ -23,8 +23,7 @@ T_0 = prod D_i and T_j = c u_j^2 prod_{i != j} D_i, and ``det_cancellation``
 the entries F' h_i'' + F'' h_i'^2 cancel first.  The curvature tensor
 components (Gauss equation) are the 2x2 minors of h, whose largest magnitude
 over 1 + |h|^2 is ``flatness_residual``; for diag(D) + c u u^T they have
-closed forms.  Custom composites have no factors: their determinant and
-minors come from the assembled Hessian.
+closed forms, so neither comes from the assembled Hessian.
 """
 
 from __future__ import annotations
@@ -75,9 +74,7 @@ class GraphGeometry:
 def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
     GraphGeometry fields, plus ``det_cancellation`` (0 where every term is
-    0) from the Hessian factors (D, c, u) of the table's per-axis record; a
-    table without factors (custom) uses the assembled Hessian and gives no
-    ``det_cancellation``."""
+    0), from the Hessian factors (D, c, u) of the table's per-axis record."""
     gradient, hessian = table.gradient, table.hessian
     w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
     w = np.sqrt(w_sq)
@@ -90,20 +87,12 @@ def surface_curvatures(table: PointTable) -> dict:
         unit = np.ldexp(hessian[wide], -k[:, np.newaxis, np.newaxis])
         hess_norm[wide] = np.ldexp(
             np.sqrt(np.einsum("pij,pij->p", unit, unit)), k)
-    out = {"area_factor": w}
-    if table.factors is None:
-        det_hess = np.linalg.det(hessian)
-        second = hessian / w[:, np.newaxis, np.newaxis]
-        i, j = index_pairs(gradient.shape[-1])
-        rows_i, rows_j = second[:, i, :], second[:, j, :]
-        rmax = np.abs(rows_i[:, :, i] * rows_j[:, :, j]
-                      - rows_i[:, :, j] * rows_j[:, :, i]).max(axis=(1, 2))
-    else:
-        diag, c, u = hessian_factors(table.factors)
-        terms = hessian_det_terms(diag, c, u)
-        det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-        out["det_cancellation"] = np.abs(det_hess) / np.where(size, size, 1.0)
-        rmax = _riemann_max(diag / w[:, np.newaxis], c / w, u)
+    diag, c, u = hessian_factors(table.factors)
+    terms = hessian_det_terms(diag, c, u)
+    det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    out = {"area_factor": w,
+           "det_cancellation": np.abs(det_hess) / np.where(size, size, 1.0)}
+    rmax = _riemann_max(diag / w[:, np.newaxis], c / w, u)
     # det / W^(n+2) and |det| / |Hess|^n one factor at a time: the powers
     # overflow long before the quotients do.
     gk, scaled = det_hess / w_sq, np.abs(det_hess)

@@ -16,6 +16,8 @@ well-conditioned on the canonical box [0.5, 2]^n:
 
 from __future__ import annotations
 
+import os
+import pathlib
 import re
 
 import numpy as np
@@ -23,8 +25,16 @@ import numpy as np
 from prodgeo import (
     QuasiSumSpec, ScalarFn,
     build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
-    lift_variable,
 )
+from jets import lift_variable
+
+
+def pytest_configure(config):
+    # Python processes started by the tests import the checkout under test
+    # too: pytest's ``pythonpath`` setting reaches only this sys.path.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 # -- scalar draws -------------------------------------------------------------
 
@@ -268,7 +278,7 @@ def scalar_fn_jet(fn: ScalarFn, u):
 
 
 def jet_oracle(expr, point):
-    """The family's formula evaluated in Jet2 arithmetic at ``point``.
+    """The family's formula evaluated in jet arithmetic at ``point``.
 
     An independent check on the batched kernel in ``FunctionExpr``: it
     builds every derivative by the chain and product rules instead of the

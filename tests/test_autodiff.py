@@ -1,4 +1,5 @@
-"""Jet arithmetic against hand derivatives and the finite-difference oracle."""
+"""The tests' jet arithmetic against hand derivatives, and the library's jets
+against the finite-difference oracle."""
 
 import math
 
@@ -6,14 +7,24 @@ import numpy as np
 import pytest
 
 from prodgeo import (
-    DomainError, Jet2, SpecError,
-    evaluate_jet, finite_difference_oracle, lift_variable,
+    DomainError, Jet2, SpecError, evaluate_jet, finite_difference_oracle,
 )
 import gates
+from jets import Jet, lift_variable
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point,
     random_quasi_sum_expr, random_ratio_expr,
 )
+
+
+def test_jets_are_validated_records():
+    jet = Jet2(2, [1, 0], [[0, 1], [1, 0]])
+    assert (jet.value, jet.n) == (2.0, 2)
+    assert jet.gradient.dtype == jet.hessian.dtype == np.float64
+    with pytest.raises(ValueError):
+        Jet2(0.0, [1.0, 0.0], np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        Jet2(0.0, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_lift_variable_seeds_one_coordinate():
@@ -73,16 +84,16 @@ def test_power_shortcuts():
 
 
 def test_power_domain_guards():
-    zero = Jet2.constant(0.0, 2)
+    zero = Jet.constant(0.0, 2)
     assert (zero ** 3).value == 0.0
     with pytest.raises(DomainError):
         zero ** -2
     with pytest.raises(DomainError):
         zero ** 0.5
     with pytest.raises(DomainError):
-        Jet2.constant(-1.0, 2).log()
+        Jet.constant(-1.0, 2).log()
     with pytest.raises(DomainError):
-        Jet2.constant(-1.0, 2) ** 1.5
+        Jet.constant(-1.0, 2) ** 1.5
 
 
 def test_log_and_exp_derivatives():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from prodgeo import (
-    DomainError, QuasiSumSpec, ScalarFn, SpecError,
-    as_quasi_sum, build_acms, build_cobb_douglas, build_custom,
-    build_quasi_sum, build_ratio, default_box, evaluate_jet, expr_from_dict,
-    expr_to_dict, hessian_det_quasisum, homogeneity_degree, validate_box,
+    DomainError, FunctionExpr, QuasiSumSpec, ScalarFn, SpecError,
+    as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
+    build_ratio, default_box, evaluate_jet, expr_from_dict, expr_to_dict,
+    hessian_det_quasisum, homogeneity_degree, validate_box,
 )
 from prodgeo.families import normalize_outer_shift
 import gates
@@ -122,8 +122,12 @@ def test_builder_rejections():
         build_ratio(ScalarFn("affine", -1.0))
     with pytest.raises(SpecError):
         build_ratio(ScalarFn("power", 1.0, exponent=-1.0))
-    with pytest.raises(SpecError):
-        build_custom(1, lambda lifts: lifts[0])
+
+
+@pytest.mark.parametrize("family", ["foo", "custom", "Ratio", None, ["acms"]])
+def test_unknown_families_are_rejected_at_construction(family):
+    with pytest.raises(SpecError, match="unknown family"):
+        FunctionExpr(family, 2, {})
 
 
 def test_monotonicity_check_catches_bad_outers():
@@ -185,12 +189,6 @@ def test_document_key_checking_is_strict():
                         "coefficient": 1.0}, "inner": "nope"})
     with pytest.raises(SpecError):
         ScalarFn.from_dict({"form": "log", "coefficient": 1.0, "slope": 2.0})
-
-
-def test_custom_expressions_have_no_document_form():
-    expr = build_custom(2, lambda lifts: lifts[0] * lifts[1])
-    with pytest.raises(SpecError):
-        expr_to_dict(expr)
 
 
 # -- homogeneity ----------------------------------------------------------------
@@ -354,8 +352,6 @@ def test_rewrites_that_do_not_exist():
         as_quasi_sum(build_acms(1.0, (1.0, 1.0), -1.0, 2.0))  # d/rho < 0
     with pytest.raises(SpecError):
         as_quasi_sum(build_ratio(ScalarFn("exp", 1.0)))
-    with pytest.raises(SpecError):
-        as_quasi_sum(build_custom(2, lambda lifts: lifts[0] + lifts[1]))
 
 
 def test_outer_shift_normalization():

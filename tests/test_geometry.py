@@ -1,6 +1,5 @@
 """Surface quantities of the graph hypersurface."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,15 +9,16 @@ import pytest
 
 from prodgeo import (
     DomainError, ScalarFn, SpecError,
-    as_quasi_sum, build_acms, build_cobb_douglas, build_custom,
-    build_quasi_sum, build_ratio, flatness_residual, gauss_kronecker,
-    graph_geometry, graph_point, hessian_det_quasisum,
+    as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
+    build_ratio, flatness_residual, gauss_kronecker, graph_geometry,
+    graph_point, hessian_det_quasisum,
 )
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, run
 from prodgeo.families import hessian_det_terms, hessian_factors
 from prodgeo.geometry import surface_curvatures
 import gates
+from jets import assembled_curvatures
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point, random_points,
     random_log_spec, random_mixed_spec, random_power_spec,
@@ -181,7 +181,7 @@ UNIT = Fraction(1, 2 ** 53)  # unit roundoff of float64
 # same closed forms with their rounding steps in another order, so the terms
 # they give differ by a few roundings of the terms' sizes.
 FACTOR_REWRITE_RTOL = 1e-12
-# Factored against generic (LU determinant, minors of the assembled Hessian):
+# Factored against the assembled Hessian's LU determinant and minors:
 # both err by O(n) roundings of the entries' sizes.
 GENERIC_PATH_RTOL = 1e-12
 
@@ -264,8 +264,8 @@ def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
 
 
 def test_closed_forms_agree_with_the_assembled_hessian():
-    # The generic path (custom composites) on the same assembled Hessians:
-    # det against the Hadamard bound prod_i |H_i|, the largest minor of
+    # The determinant and minors of the same Hessians, assembled: det
+    # against the Hadamard bound prod_i |H_i|, the largest minor of
     # h = Hess / W against max |h_ij|^2.
     rng = make_rng(412)
     exprs = _factored_documents(rng) + [random_ratio_expr(rng)
@@ -276,8 +276,7 @@ def test_closed_forms_agree_with_the_assembled_hessian():
         table = expr.derivatives(points)
         hessian = table.hessian
         factored = surface_curvatures(table)
-        generic = surface_curvatures(dataclasses.replace(table, factors=None))
-        assert set(factored) == set(generic) | {"det_cancellation"}
+        generic = assembled_curvatures(table.gradient, hessian)
         w = generic["area_factor"]
         assert np.array_equal(factored["area_factor"], w)
         rows = np.prod(np.linalg.norm(hessian, axis=2), axis=1)
@@ -341,6 +340,3 @@ def test_document_families_never_take_the_generic_determinant(
                    dict(command="verify", theorem="4.2")):
         status, text = run(RunConfig(fn_path=str(path), **config))
         assert status == 0, (config, text)
-    custom = build_custom(2, lambda lifts: lifts[0] * lifts[1] ** 2.0)
-    with pytest.raises(_GenericDeterminant):
-        graph_geometry(custom, [1.0, 2.0])

@@ -1,4 +1,5 @@
-"""Theorem 4.1 across the paper's parameter space, and ACMS with rho near 1.
+"""Theorems 4.1 and 1.1 across the paper's parameter space, and ACMS with
+rho near 1.
 
 Every linearly homogeneous ACMS, Cobb-Douglas or power quasi-sum has a
 graph of vanishing Gauss-Kronecker curvature, so ``verify --theorem 4.1``
@@ -10,6 +11,12 @@ past the well-conditioned ranges of ``conftest``: rho in [-8, -2], ACMS and
 inner coefficients over six decades, Cobb-Douglas shares down to 1e-7, and
 boxes up to [0.01, 100]^n, where the entries F' h_i'' + F'' h_i'^2 of the
 Hessian cancel to a few digits.
+
+On the same documents ``verify --theorem 1.1`` must read a constant
+elasticity and the structural case that built the document: Cobb-Douglas
+is ``HomotheticCobbDouglas`` and the power quasi-sum ``HomotheticACMS``,
+whatever the degree.  ACMS with rho < 0 and d > 0 has d/rho < 0, so it has
+no increasing quasi-sum form and Theorem 1.1 does not apply to it.
 
 ACMS with rho = 1 - 10^[-12, -3] has sigma = 1/(1 - rho) up to 1e12, and
 its F'' parts dominate the Hessian.  Elasticity, classification and both
@@ -23,8 +30,9 @@ import numpy as np
 import pytest
 
 from prodgeo import (
-    QuasiSumSpec, ScalarFn, build_acms, build_cobb_douglas, build_quasi_sum,
-    classify_quasi_sum, detect_ces, verify_theorem_11, verify_theorem_41,
+    QuasiSumSpec, ScalarFn, SpecError, build_acms, build_cobb_douglas,
+    build_quasi_sum, classify_quasi_sum, detect_ces, verify_theorem_11,
+    verify_theorem_41,
 )
 from prodgeo.cli import RunConfig, run
 from conftest import log_uniform_scalar, make_rng
@@ -90,6 +98,27 @@ def test_degree_one_documents_and_their_twins_across_the_parameter_space():
                     report.hypothesis_holds is not holds:
                 wrong.append((name, k, holds, report.verdict,
                               report.hypothesis_check))
+    assert wrong == []
+
+
+# The case verify 1.1 must classify each generator's documents into.
+THEOREM_11_CASES = {"_cobb_douglas_pair": "HomotheticCobbDouglas",
+                    "_power_pair": "HomotheticACMS"}
+
+
+def test_theorem_11_reads_the_constructing_case_across_the_parameter_space():
+    wrong = []
+    for name, k, box, degree_one, twin in _cases():
+        for expr in (degree_one, twin):
+            if name not in THEOREM_11_CASES:
+                with pytest.raises(SpecError, match="d/rho <= 0"):
+                    verify_theorem_11(expr, box, samples=64, seed=k)
+                continue
+            report = verify_theorem_11(expr, box, samples=64, seed=k)
+            case = report.conclusion_check["classification"]["case"]
+            if (report.verdict, report.hypothesis_holds, case) != \
+                    ("Consistent", True, THEOREM_11_CASES[name]):
+                wrong.append((name, k, report.verdict, case))
     assert wrong == []
 
 

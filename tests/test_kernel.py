@@ -18,7 +18,7 @@ import scipy.linalg
 from prodgeo import (
     DomainError, FunctionExpr, HypothesisError, QuasiSumSpec, ScalarFn,
     SpecError, acms_outer_ode_residual, as_quasi_sum, build_acms,
-    build_cobb_douglas, build_custom, build_quasi_sum, build_ratio,
+    build_cobb_douglas, build_quasi_sum, build_ratio,
     ces_residual, classify_quasi_sum, cobb_douglas_outer_ode_residual,
     default_box, detect_ces, expr_from_dict, finite_difference_oracle,
     graph_geometry, hicks_elasticity, homogeneity_degree,
@@ -320,11 +320,8 @@ def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
 def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
-    jet = FunctionExpr.jet
-
     def refuse(self, point):
-        assert self.family == "custom", f"jet of a {self.family} document"
-        return jet(self, point)
+        raise AssertionError(f"jet of a {self.family} document")
 
     monkeypatch.setattr(FunctionExpr, "jet", refuse)
     path = tmp_path / "fn.json"
@@ -337,21 +334,6 @@ def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
                            ("verify", {"theorem": "4.2"})):
         status, text = run(RunConfig(command, str(path), samples=16, **extra))
         assert status == 0, (command, extra, text)
-
-
-def test_custom_composites_stack_their_jets():
-    expr = build_custom(2, lambda lifts: lifts[0] * lifts[1] ** 2.0)
-    points = random_points(make_rng(905), 2, 5)
-    table = expr.derivatives(points)
-    value, gradient, hessian = table.value, table.gradient, table.hessian
-    for k, x in enumerate(points):
-        jet = expr.jet(x)
-        assert value[k] == jet.value
-        assert np.array_equal(gradient[k], jet.gradient)
-        assert np.array_equal(hessian[k], jet.hessian)
-    # A custom composite has no per-axis record to read H from.
-    with pytest.raises(HypothesisError, match="custom composites"):
-        detect_ces(expr, samples=8)
 
 
 # The sampled-box commands rebuilt the way they ran before the point table:
