@@ -179,9 +179,8 @@ def quasisum_separated_residual(spec: QuasiSumSpec, point, sigma: float,
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
     lo, hi = _pair_indices(spec.n, i, j)
-    x = np.array([float(point[lo]), float(point[hi])])
-    if (x <= 0.0).any():
-        raise DomainError("point must be strictly positive")
+    x = FunctionExpr("quasi_sum", spec.n, {"spec": spec})._check_point(
+        point)[[lo, hi]]
     _, d1, d2 = np.array([spec.inner[k].derivatives(xk)
                           for k, xk in zip((lo, hi), x)]).T
     if not d1.all():

@@ -34,6 +34,8 @@ FORMS = (FORM_POWER, FORM_LOG, FORM_EXP, FORM_AFFINE)
 
 DEFAULT_BOX_AXIS = (0.5, 2.0)
 MONOTONICITY_SAMPLES = 64
+_NOT_FINITE = ("value, gradient or Hessian is not finite "
+               "(floating-point overflow)")
 
 
 def _fsum(terms: list) -> float:
@@ -188,20 +190,32 @@ class QuasiSumSpec:
 @dataclass(frozen=True, eq=False)
 class PointTable:
     """One evaluation of an expression at the rows of ``points``: values
-    (N,), gradients (N, n), Hessians (N, n, n) and the per-axis record
-    ``factors`` = (F', F'', h', h'') of F(sum h_k(x_k)).  ``table[rows]``
-    is the table of those rows."""
+    (N,), gradients (N, n) and the per-axis record ``factors`` = (F', F'',
+    h', h'') of F(sum h_k(x_k)).  ``table[rows]`` is the table of those
+    rows."""
 
     points: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
-    hessian: np.ndarray
     factors: tuple
 
     def __getitem__(self, rows) -> PointTable:
         return PointTable(self.points[rows], self.value[rows],
-                          self.gradient[rows], self.hessian[rows],
+                          self.gradient[rows],
                           tuple(part[rows] for part in self.factors))
+
+    @property
+    def hessian(self) -> np.ndarray:
+        """The (N, n, n) Hessians diag(D) + c u u^T, assembled bitwise
+        symmetric on each read; DomainError where an entry is not finite."""
+        with np.errstate(all="ignore"):
+            diag, c, u = hessian_factors(self.factors)
+            hessian = c[:, np.newaxis, np.newaxis] * (
+                u[:, :, np.newaxis] * u[:, np.newaxis, :])
+            hessian.reshape(len(u), -1)[:, ::u.shape[1] + 1] += diag
+        if not np.isfinite(hessian).all():
+            raise DomainError(_NOT_FINITE)
+        return hessian
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +292,12 @@ class FunctionExpr:
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
         and F', F'' at the inner sum, grad = F' h' and Hess = diag(D) +
-        c u u^T with (D, c, u) from :func:`hessian_factors`, assembled
-        bitwise symmetric.  Cobb-Douglas is gamma e^u over alpha_i log x_i
+        c u u^T with (D, c, u) from :func:`hessian_factors`, kept as the
+        factors.  Cobb-Douglas is gamma e^u over alpha_i log x_i
         (value from the direct product, as in :meth:`value`), ACMS a power
         over powers (F', F'' direct, so d/rho < 0 works), the ratio
         G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
-        gradient or Hessian raises DomainError."""
+        gradient or factor raises DomainError."""
         return self._kernel(self._check_point(points, ndim=2))
 
     def _kernel(self, x: np.ndarray) -> PointTable:
@@ -327,15 +341,9 @@ class FunctionExpr:
                 d2 = d1 * d1 * np.array([1.0, -1.0])
             factors = (f1, f2, d1, d2)
             gradient = f1[:, np.newaxis] * d1
-            diag = hessian_factors(factors)[0]
-            hessian = f2[:, np.newaxis, np.newaxis] * (
-                d1[:, :, np.newaxis] * d1[:, np.newaxis, :])
-            hessian.reshape(len(x), -1)[:, ::self.n + 1] += diag
-        if not (np.isfinite(f).all() and np.isfinite(gradient).all()
-                and np.isfinite(hessian).all()):
-            raise DomainError("value, gradient or Hessian is not finite "
-                              "(floating-point overflow)")
-        return PointTable(x, f, gradient, hessian, factors)
+        if not all(np.isfinite(a).all() for a in (f, gradient, *factors)):
+            raise DomainError(_NOT_FINITE)
+        return PointTable(x, f, gradient, factors)
 
 
 @functools.cache

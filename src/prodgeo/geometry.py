@@ -22,8 +22,9 @@ T_0 = prod D_i and T_j = c u_j^2 prod_{i != j} D_i, and ``det_cancellation``
 = |sum T| / sum |T| is rounding-sized exactly when they cancel, however much
 the entries F' h_i'' + F'' h_i'^2 cancel first.  The curvature tensor
 components (Gauss equation) are the 2x2 minors of h, whose largest magnitude
-over 1 + |h|^2 is ``flatness_residual``; for diag(D) + c u u^T they have
-closed forms, so neither comes from the assembled Hessian.
+over 1 + |h|^2 is ``flatness_residual``; the scaled G is |det Hess| /
+(W |h|)^n.  For h = diag(D / W) + (c / W) u u^T the minors and the norm |h|
+have closed forms, so only the one-point report assembles the Hessian.
 """
 
 from __future__ import annotations
@@ -75,37 +76,37 @@ def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
     GraphGeometry fields, plus ``det_cancellation`` (0 where every term is
     0), from the Hessian factors (D, c, u) of the table's per-axis record."""
-    gradient, hessian = table.gradient, table.hessian
-    w_sq = 1.0 + np.einsum("pi,pi->p", gradient, gradient)
+    w_sq = 1.0 + np.einsum("pi,pi->p", table.gradient, table.gradient)
     w = np.sqrt(w_sq)
-    hess_norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
-    wide = ~np.isfinite(hess_norm)
-    if wide.any():
-        # Entries past about 1e154 overflow their squares: those rows again,
-        # in exact units of the power of two nearest their largest |H_ij|.
-        k = np.frexp(np.abs(hessian[wide]).max(axis=(1, 2)))[1]
-        unit = np.ldexp(hessian[wide], -k[:, np.newaxis, np.newaxis])
-        hess_norm[wide] = np.ldexp(
-            np.sqrt(np.einsum("pij,pij->p", unit, unit)), k)
     diag, c, u = hessian_factors(table.factors)
     terms = hessian_det_terms(diag, c, u)
     det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
     out = {"area_factor": w,
            "det_cancellation": np.abs(det_hess) / np.where(size, size, 1.0)}
-    rmax = _riemann_max(diag / w[:, np.newaxis], c / w, u)
-    # det / W^(n+2) and |det| / |Hess|^n one factor at a time: the powers
+    # h = Hess / W = diag(D / W) + (c / W) u u^T.
+    diag, c = diag / w[:, np.newaxis], c / w
+    rmax, h_sq = _riemann_max(diag, c, u), _norm_sq(diag, c, u)
+    # det / W^(n+2) and |det| / (W |h|)^n one factor at a time: the powers
     # overflow long before the quotients do.
     gk, scaled = det_hess / w_sq, np.abs(det_hess)
-    norm = np.where(hess_norm == 0.0, 1.0, hess_norm)
-    for _ in range(gradient.shape[-1]):
-        gk, scaled = gk / w, scaled / norm
+    norm = np.sqrt(np.where(h_sq == 0.0, 1.0, h_sq))
+    for _ in range(u.shape[1]):
+        gk, scaled = gk / w, scaled / w / norm
     out.update(gauss_kronecker=gk, gauss_kronecker_scaled=scaled,
-               riemann_max=rmax,
-               flatness_residual=rmax / (1.0 + (hess_norm / w) ** 2))
-    if not all(np.isfinite(v).all() for v in (det_hess, hess_norm, *out.values())):
+               riemann_max=rmax, flatness_residual=rmax / (1.0 + h_sq))
+    if not all(np.isfinite(v).all() for v in (det_hess, h_sq, *out.values())):
         raise DomainError("surface quantity is not finite "
                           "(floating-point overflow)")
     return out
+
+
+def _norm_sq(diag, c, u) -> np.ndarray:
+    """|diag(D) + c u u^T|^2 per row: sum_i (D_i + c u_i^2)^2 + 2 sum_{i<j}
+    (c u_i^2)(c u_j^2), the latter from prefix sums of one-signed terms."""
+    a = c[:, np.newaxis] * (u * u)
+    before = np.cumsum(a[:, :-1], axis=1)
+    return (((diag + a) ** 2).sum(axis=1)
+            + 2.0 * (a[:, 1:] * before).sum(axis=1))
 
 
 def _riemann_max(diag, c, u) -> np.ndarray:
@@ -141,9 +142,10 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
     I - p p^T / (W (W + 1)), so the shape operator needs no solve and the
     principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2)."""
     row = expr._row(point)
+    hess = row.hessian[0]  # first, so an entry's overflow reads as in eval
     scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()
                if k != "det_cancellation"}
-    w, grad, hess = scalars["area_factor"], row.gradient[0], row.hessian[0]
+    w, grad = scalars["area_factor"], row.gradient[0]
     second = hess / w
     pp = np.outer(grad, grad)
     root = np.eye(expr.n) - pp / (w * (w + 1.0))

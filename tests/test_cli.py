@@ -252,6 +252,42 @@ def test_a_box_whose_ratio_overflows_reaches_the_kernel(tmp_path, capsys,
     assert error["message"].startswith("value, gradient or Hessian is not")
 
 
+TINY_BOX = ["--box", "1e-100:1e-99,1e-100:1e-99"]
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (["elasticity", *TINY_BOX], "verdict", "RegularCES"),
+    (["elasticity", "--at", "5e-100,5e-100"], "pairs",
+     {"1,2": {"kind": "finite", "value": 1.0}}),
+    (["classify", *TINY_BOX], "case", "HomotheticCobbDouglas"),
+    (["verify", "--theorem", "1.1", *TINY_BOX], "verdict", "Consistent"),
+    (["eval", "--at", "5e-100,5e-100"], None, None),
+    (["curvature", "--at", "5e-100,5e-100"], None, None),
+    (["scan", *TINY_BOX], None, None),
+    (["verify", "--theorem", "4.1", *TINY_BOX], None, None),
+    (["verify", "--theorem", "4.2", *TINY_BOX], None, None)])
+def test_requests_that_need_no_hessian_entry_survive_its_overflow(
+        tmp_path, capsys, argv, key, expected):
+    # Value, gradient, h' and h'' are finite here, but F' h'' overflows: the
+    # elasticity and the structure read h', h'' and succeed, while every
+    # request that reports a Hessian entry or a curvature is refused.
+    path = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                           "gamma": 1e250,
+                                           "alpha": [0.5, 0.5]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv + ["--fn", path])
+    out = capsys.readouterr()
+    assert (caught, out.err) == ([], "")
+    record = one_record(out.out)
+    if key is None:
+        assert status == 2
+        assert record["error"]["type"] == "DomainError"
+    else:
+        assert status == 0
+        assert record["report"][key] == expected
+
+
 @pytest.mark.parametrize("doc, args, message", [
     # classify evaluates the document itself, as verify 1.1 does: the
     # kernel refuses the aggregator sum that x**rho underflows to 0.

@@ -120,7 +120,7 @@ def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
     # H and the normalised residual are invariant under f -> k f; for k a
     # power of two the results are the same bits, even where the products
     # of derivatives would leave the float range.  The scaled table scales
-    # the record's F' and F'' with the gradient and Hessian.
+    # the record's F' and F'' with the gradient.
     rng = make_rng(305)
     for expr in (random_acms(rng, 4), random_cobb_douglas(rng, 3),
                  random_quasi_sum_expr(rng, 3), random_ratio_expr(rng)):
@@ -132,7 +132,6 @@ def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
         for k in (2.0 ** -900, 2.0 ** -500, 2.0 ** 500, 2.0 ** 900):
             f1, f2, d1, d2 = table.factors
             scaled = dataclasses.replace(table, gradient=k * table.gradient,
-                                         hessian=k * table.hessian,
                                          factors=(k * f1, k * f2, d1, d2))
             np.testing.assert_array_equal(
                 hicks_values(scaled, lo, hi), base_h, strict=True)
@@ -212,6 +211,21 @@ def test_separated_residual_guards():
         quasisum_separated_residual(spec, [1.0, -1.0], 2.0, 0, 1)
     with pytest.raises(SpecError):
         quasisum_separated_residual(spec, [1.0, 1.0], 0.0, 0, 1)
+
+
+@pytest.mark.parametrize("point, error, message", [
+    ([1.0, 1.0], SpecError, "point has shape"),
+    ([1.0, 1.0, 1.0, 5.0], SpecError, "point has shape"),
+    ([math.nan, 1.0, 1.0], DomainError, "finite and strictly positive"),
+    ([math.inf, 1.0, 1.0], DomainError, "finite and strictly positive"),
+    ([1.0, 0.0, 1.0], DomainError, "finite and strictly positive")])
+def test_separated_residual_checks_the_whole_point(point, error, message):
+    # The whole point is checked, as in every one-point function, not only
+    # the coordinates of the pair (0, 2).
+    spec = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
+                        inner=(ScalarFn("log", 1.0),) * 3)
+    with pytest.raises(error, match=message):
+        quasisum_separated_residual(spec, point, 2.0, 0, 2)
 
 
 # -- box-level detection ------------------------------------------------------------

@@ -184,6 +184,11 @@ def requests(draw):
                                           "--box=1e-150:1e150,1e-150:1e150"])
 @example(text=json.dumps(BASES[0]), argv=["verify", "--theorem", "4.1",
                                           "--box=1e-100:1e100,1e-100:1e100"])
+# Value, gradient, h' and h'' are finite, F' h'' leaves the float range.
+@example(text=json.dumps({**BASES[0], "gamma": 1e250}),
+         argv=["elasticity", "--box=1e-100:1e-99,1e-100:1e-99"])
+@example(text=json.dumps({**BASES[0], "gamma": 1e250}),
+         argv=["eval", "--at", "5e-100,5e-100"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)

@@ -263,29 +263,82 @@ def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
     assert checked == 8 * len(exprs)
 
 
+def _assembled_norm(hessian):
+    """|Hess| per row by einsum; where sum H_ij^2 overflows, in exact units of
+    the power of two of the row's largest |H_ij|.  Also returns that mask."""
+    norm = np.sqrt(np.einsum("pij,pij->p", hessian, hessian))
+    wide = ~np.isfinite(norm)
+    k = np.frexp(np.abs(hessian[wide]).max(axis=(1, 2)))[1]
+    unit = np.ldexp(hessian[wide], -k[:, np.newaxis, np.newaxis])
+    norm[wide] = np.ldexp(np.sqrt(np.einsum("pij,pij->p", unit, unit)), k)
+    return norm, wide
+
+
+@np.errstate(all="ignore")
 def test_closed_forms_agree_with_the_assembled_hessian():
-    # The determinant and minors of the same Hessians, assembled: det
-    # against the Hadamard bound prod_i |H_i|, the largest minor of
-    # h = Hess / W against max |h_ij|^2.
+    # The determinant, minors and Frobenius norm of the same Hessians,
+    # assembled: det against the Hadamard bound prod_i |H_i|, the largest
+    # minor of h = Hess / W against max |h_ij|^2, and |h|^2 (read from the
+    # flatness residual and the scaled G) against the assembled |Hess| / W.
     rng = make_rng(412)
     exprs = _factored_documents(rng) + [random_ratio_expr(rng)
                                         for _ in range(6)]
     exprs += [random_acms(rng, n, rho=-1.5, d=0.8) for n in range(2, 7)]
-    for expr in exprs:
-        points = random_points(rng, expr.n, 40)
+    cases = [(expr, random_points(rng, expr.n, 40)) for expr in exprs]
+    # On [1e-100, 1e100]^2, sum H_ij^2 of the root product overflows.
+    wide_cd = build_cobb_douglas(1.0, (0.5, 0.5))
+    cases.append((wide_cd, 10.0 ** rng.uniform(-100.0, 100.0, (40, 2))))
+    for expr, points in cases:
+        n = expr.n
         table = expr.derivatives(points)
         hessian = table.hessian
         factored = surface_curvatures(table)
         generic = assembled_curvatures(table.gradient, hessian)
         w = generic["area_factor"]
         assert np.array_equal(factored["area_factor"], w)
-        rows = np.prod(np.linalg.norm(hessian, axis=2), axis=1)
-        assert np.all(np.abs(factored["gauss_kronecker"]
-                             - generic["gauss_kronecker"]) * w ** (expr.n + 2)
-                      <= GENERIC_PATH_RTOL * rows)
-        entry = np.max(np.abs(hessian), axis=(1, 2)) / w
-        assert np.all(np.abs(factored["riemann_max"] - generic["riemann_max"])
-                      <= GENERIC_PATH_RTOL * entry ** 2)
+        if expr is not wide_cd:
+            # (LU and the powers of W overflow on the wide rows.)
+            rows = np.prod(np.linalg.norm(hessian, axis=2), axis=1)
+            assert np.all(np.abs(factored["gauss_kronecker"]
+                                 - generic["gauss_kronecker"])
+                          * w ** (n + 2) <= GENERIC_PATH_RTOL * rows)
+            entry = np.max(np.abs(hessian), axis=(1, 2)) / w
+            assert np.all(np.abs(factored["riemann_max"]
+                                 - generic["riemann_max"])
+                          <= GENERIC_PATH_RTOL * entry ** 2)
+        norm, wide = _assembled_norm(hessian)
+        assert wide.any() == (expr is wide_cd)
+        # Every entry of h is within gamma_3 of m_ij, the entry of
+        # (|diag(D)| + |c| |u| |u|^T) / W, on either path (one more rounding
+        # for D / W).  The factored |h|^2 adds 2n + 6 roundings of the sum
+        # of the m_ij^2 = M^2; the assembled one n^2 for its squares and sum
+        # and 5 for the square root, the division by W and the square.  So
+        # the two differ by at most E = gamma_(n^2 + 2n + 24) M^2.
+        diag, c, u = hessian_factors(table.factors)
+        sizes = (np.abs(c) / w)[:, np.newaxis, np.newaxis] * np.abs(
+            u[:, :, np.newaxis] * u[:, np.newaxis, :])
+        sizes.reshape(len(w), -1)[:, ::n + 1] += np.abs(diag) / w[:, np.newaxis]
+        bound = float(_gamma(n * n + 2 * n + 24)) * np.einsum(
+            "pij,pij->p", sizes, sizes)
+        h_sq = (norm / w) ** 2
+        assert np.isfinite(bound).all() and np.isfinite(h_sq).all()
+        # rmax / (1 + |h|^2), each side within 1 +- gamma_2 of its quotient.
+        flat = factored["riemann_max"] / (1.0 + h_sq)
+        rel = bound / np.maximum(1.0, 1.0 + h_sq - bound)
+        assert np.all(np.abs(factored["flatness_residual"] - flat)
+                      <= flat * ((1.0 + rel) * (1.0 + float(_gamma(4))) - 1.0))
+        # |det| / |Hess|^n one factor at a time: |h_f| / |h_a| lies within
+        # (1 -+ E / |h_a|^2)^(1/2), and the 2n + 1 divisions and square
+        # roots on either side add gamma_(5n + 4).
+        det = np.abs(hessian_det_terms(diag, c, u).sum(axis=1))
+        scaled = det
+        for _ in range(n):
+            scaled = scaled / np.where(norm == 0.0, 1.0, norm)
+        ratio = bound / np.where(h_sq == 0.0, 1.0, h_sq)
+        slack = np.where(ratio < 1.0, (1.0 - ratio) ** (-n / 2.0)
+                         * (1.0 + float(_gamma(5 * n + 4))) - 1.0, np.inf)
+        assert np.all(np.abs(factored["gauss_kronecker_scaled"] - scaled)
+                      <= scaled * slack)
 
 
 def test_one_point_slices_match_the_batched_surface():

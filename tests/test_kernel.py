@@ -28,7 +28,7 @@ from prodgeo import (
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _leaf, run
 from prodgeo.elasticity import ces_residuals, hicks_values
-from prodgeo.families import index_pairs, normalize_outer_shift
+from prodgeo.families import PointTable, index_pairs, normalize_outer_shift
 from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import box_center, log_uniform
 import gates
@@ -330,6 +330,26 @@ def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
     for command, extra in (("eval", {"at": at}), ("elasticity", {"at": at}),
                            ("curvature", {"at": at}), ("scan", {}),
                            ("classify", {}), ("verify", {"theorem": "1.1"}),
+                           ("verify", {"theorem": "4.1"}),
+                           ("verify", {"theorem": "4.2"})):
+        status, text = run(RunConfig(command, str(path), samples=16, **extra))
+        assert status == 0, (command, extra, text)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_DOCS))
+def test_batched_commands_never_assemble_the_hessian(tmp_path, monkeypatch,
+                                                     name):
+    hessian = PointTable.hessian.fget
+
+    def one_row_only(table):
+        assert len(table.value) == 1, f"Hessian of {len(table.value)} rows"
+        return hessian(table)
+
+    monkeypatch.setattr(PointTable, "hessian", property(one_row_only))
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(COUNT_DOCS[name]))
+    for command, extra in (("scan", {}), ("elasticity", {}), ("classify", {}),
+                           ("verify", {"theorem": "1.1"}),
                            ("verify", {"theorem": "4.1"}),
                            ("verify", {"theorem": "4.2"})):
         status, text = run(RunConfig(command, str(path), samples=16, **extra))
