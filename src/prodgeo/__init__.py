@@ -9,7 +9,7 @@ verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import DomainError, HypothesisError, SpecError
 from .autodiff import (

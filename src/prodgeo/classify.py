@@ -15,9 +15,9 @@ within the configured residual tolerances.
 
 The theorem checkers compare two independently computed sides of a
 biconditional on a sampled box: a curvature side (the cancellation of the
-terms of det Hess f for the determinant theorem, normalized Riemann
-components for the flatness theorem) and a structure side (membership in
-the linearly homogeneous families).  Each check reports both one-sided
+terms of det Hess f, or of its 2x2 minors, the curvature tensor, for the
+flatness theorem; one pair of thresholds) and a structure side (membership
+in the linearly homogeneous families).  Each check reports both one-sided
 implications and a full per-point residual table; a verdict is never
 adjusted to match the expected outcome, so a genuine disagreement between
 the two sides surfaces as Inconsistent with the data needed to inspect it.
@@ -322,30 +322,31 @@ def _family_degree_one(expr: FunctionExpr, table: PointTable,
     return False, None, record, cls
 
 
+@np.errstate(all="ignore")
 def _outer_ode_diagnostic(expr: FunctionExpr, x: np.ndarray, cls):
-    """(form, worst outer-function differential residual) over the (N, n)
-    points, or (None, None) when no outer form applies."""
+    """(form, outer-function differential residuals) at the (N, n) points,
+    or (None, None) when no outer form applies."""
     p = expr.params
     if expr.family == "acms" and p["rho"] != 1.0:
         outer = ScalarFn(FORM_POWER, p["gamma"], exponent=p["d"] / p["rho"])
         u = (np.array(p["weights"]) * x ** p["rho"]).sum(axis=1)
-        return "power_aggregator", float(np.max(acms_outer_ode_residual(
-            outer, 1.0 / (1.0 - p["rho"]), u)))
+        return "power_aggregator", acms_outer_ode_residual(
+            outer, 1.0 / (1.0 - p["rho"]), u)
     if expr.family == "cobb_douglas":
         u = np.prod(x ** np.array(p["alpha"]), axis=1)
-        return "log_aggregator", float(np.max(cobb_douglas_outer_ode_residual(
-            ScalarFn(FORM_AFFINE, p["gamma"]), math.fsum(p["alpha"]), u)))
+        return "log_aggregator", cobb_douglas_outer_ode_residual(
+            ScalarFn(FORM_AFFINE, p["gamma"]), math.fsum(p["alpha"]), u)
     if expr.family != "quasi_sum" or cls is None:
         return None, None
     spec = p["spec"]
     u = sum(h.derivatives(x[:, k])[0] for k, h in enumerate(spec.inner))
     if cls.case == HOMOTHETIC_ACMS:
-        return "power_aggregator", float(np.max(acms_outer_ode_residual(
-            spec.outer, cls.sigma, u)))
+        return "power_aggregator", acms_outer_ode_residual(
+            spec.outer, cls.sigma, u)
     if cls.case == HOMOTHETIC_COBB_DOUGLAS:
         alpha = math.fsum(h.coefficient for h in spec.inner)
-        return "log_aggregator", float(np.max(
-            _cobb_douglas_log_ode_residual(spec.outer, alpha, u)))
+        return "log_aggregator", _cobb_douglas_log_ode_residual(
+            spec.outer, alpha, u)
     return None, None
 
 
@@ -364,14 +365,12 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     rows = PointRecords(tuple((key, 0) for key in keys) + (("point", expr.n),),
                         np.column_stack([*map(surface.get, keys), table.points]))
 
-    statistic, vanish_tol, clear_tol = (
-        ("det_cancellation", tolerances.VANISHING_CURVATURE_TOL,
-         tolerances.CLEAR_CURVATURE_TOL) if theorem == THEOREM_GAUSS_KRONECKER
-        else ("flatness_residual", tolerances.FLATNESS_VERDICT_TOL,
-              tolerances.CLEAR_NONFLAT_TOL))
+    statistic = ("det_cancellation" if theorem == THEOREM_GAUSS_KRONECKER
+                 else "minor_cancellation")
     worst = float(np.max(surface[statistic]))
-    hypothesis = (True if worst <= vanish_tol
-                  else False if worst > clear_tol else None)
+    hypothesis = (True if worst <= tolerances.VANISHING_CURVATURE_TOL
+                  else False if worst > tolerances.CLEAR_CURVATURE_TOL
+                  else None)
 
     matches, family, record, cls = _family_degree_one(expr, table, detection)
 
@@ -386,8 +385,11 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     conclusion_check = {"family_matches": matches, "family": family}
     conclusion_check.update(record)
     if theorem == THEOREM_GAUSS_KRONECKER:
-        ode_label, ode_worst = _outer_ode_diagnostic(expr, table.points, cls)
+        ode_label, ode = _outer_ode_diagnostic(expr, table.points, cls)
         if ode_label is not None:
+            ode_worst = float(np.max(ode))
+            if not math.isfinite(ode_worst):
+                raise DomainError("outer-function residual is not finite")
             conclusion_check["outer_ode"] = {"form": ode_label,
                                              "max_residual": ode_worst}
 
@@ -395,8 +397,8 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
         "ces_verdict": detection.verdict,
         "sigma_estimate": detection.sigma_estimate,
         "max_" + statistic: worst,
-        "vanishing_tolerance": vanish_tol,
-        "clearly_nonzero_tolerance": clear_tol,
+        "vanishing_tolerance": tolerances.VANISHING_CURVATURE_TOL,
+        "clearly_nonzero_tolerance": tolerances.CLEAR_CURVATURE_TOL,
     }
 
     if hypothesis is None:

@@ -25,6 +25,9 @@ components (Gauss equation) are the 2x2 minors of h, whose largest magnitude
 over 1 + |h|^2 is ``flatness_residual``; the scaled G is |det Hess| /
 (W |h|)^n.  For h = diag(D / W) + (c / W) u u^T the minors and the norm |h|
 have closed forms, so only the one-point report assembles the Hessian.
+``minor_cancellation`` reads the minors by the same rule: det Hess is the
+one minor for n = 2; for n >= 3 two pairs sharing only s have the single,
+uncancellable term +-D_s c u_a u_b (u != 0), so it is 1 unless all are 0.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .errors import DomainError
 from .families import (
     FunctionExpr, PointTable, hessian_det_terms, hessian_factors, index_pairs,
 )
+
+_NOT_FINITE = "surface quantity is not finite (floating-point overflow)"
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
            "surface_curvatures", "gauss_kronecker", "flatness_residual"]
@@ -74,8 +79,9 @@ class GraphGeometry:
 @np.errstate(all="ignore")
 def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
-    GraphGeometry fields, plus ``det_cancellation`` (0 where every term is
-    0), from the Hessian factors (D, c, u) of the table's per-axis record."""
+    GraphGeometry fields, plus ``det_cancellation`` and ``minor_cancellation``
+    (0 where every term is 0; u != 0, as detection refuses a zero marginal
+    product), from the Hessian factors (D, c, u) of the per-axis record."""
     w_sq = 1.0 + np.einsum("pi,pi->p", table.gradient, table.gradient)
     w = np.sqrt(w_sq)
     diag, c, u = hessian_factors(table.factors)
@@ -83,6 +89,10 @@ def surface_curvatures(table: PointTable) -> dict:
     det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
     out = {"area_factor": w,
            "det_cancellation": np.abs(det_hess) / np.where(size, size, 1.0)}
+    # n >= 3: every minor is 0 iff no D_i != 0, or one and c = 0; D_i != 0
+    # read from h_i'' itself, so an underflowed product is not flat.
+    out["minor_cancellation"] = out["det_cancellation"] if u.shape[1] == 2 \
+        else np.where((table.factors[3] != 0).sum(1) > (c == 0), 1.0, 0.0)
     # h = Hess / W = diag(D / W) + (c / W) u u^T.
     diag, c = diag / w[:, np.newaxis], c / w
     rmax, h_sq = _riemann_max(diag, c, u), _norm_sq(diag, c, u)
@@ -95,8 +105,7 @@ def surface_curvatures(table: PointTable) -> dict:
     out.update(gauss_kronecker=gk, gauss_kronecker_scaled=scaled,
                riemann_max=rmax, flatness_residual=rmax / (1.0 + h_sq))
     if not all(np.isfinite(v).all() for v in (det_hess, h_sq, *out.values())):
-        raise DomainError("surface quantity is not finite "
-                          "(floating-point overflow)")
+        raise DomainError(_NOT_FINITE)
     return out
 
 
@@ -135,28 +144,34 @@ def graph_point(expr: FunctionExpr, point) -> np.ndarray:
     return np.append(x, expr.value(x))
 
 
+@np.errstate(all="ignore")
 def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
-    """Every surface quantity of the graph of ``expr`` at ``point``.  With
-    p = grad f, g = I + p p^T has the closed-form inverse
-    I - p p^T / W^2 (Sherman-Morrison) and inverse square root
-    I - p p^T / (W (W + 1)), so the shape operator needs no solve and the
-    principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2)."""
+    """Every surface quantity of the graph of ``expr`` at ``point``, or
+    DomainError where one is not finite.  With p = grad f and q = p / W,
+    g = I + p p^T has the inverse I - q q^T (Sherman-Morrison) and inverse
+    square root I - q q^T W / (W + 1), so the shape operator needs no solve
+    and the principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2);
+    |q| < 1 keeps them finite where p p^T overflows."""
     row = expr._row(point)
     hess = row.hessian[0]  # first, so an entry's overflow reads as in eval
     scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()
-               if k != "det_cancellation"}
+               if not k.endswith("_cancellation")}
     w, grad = scalars["area_factor"], row.gradient[0]
-    second = hess / w
-    pp = np.outer(grad, grad)
-    root = np.eye(expr.n) - pp / (w * (w + 1.0))
+    q, second = grad / w, hess / w
+    root = np.eye(expr.n) - np.outer(q, q) * (w / (w + 1.0))
+    # Every other reported value is bounded by one already checked finite.
+    shape = second - np.outer(q, q @ second)
+    curvatures = np.linalg.eigvalsh(root @ second @ root)
+    if not (np.isfinite(shape).all() and np.isfinite(curvatures).all()):
+        raise DomainError(_NOT_FINITE)
     return GraphGeometry(
         point=row.points[0].copy(), value=row.value[0], gradient=grad,
         hessian=hess,
         unit_normal=np.append(-grad, 1.0) / w,
-        metric=np.eye(expr.n) + pp,
+        metric=np.eye(expr.n) + np.outer(grad, grad),
         second_fundamental_form=second,
-        shape_operator=second - np.outer(grad, grad @ second) / (w * w),
-        principal_curvatures=np.linalg.eigvalsh(root @ second @ root),
+        shape_operator=shape,
+        principal_curvatures=curvatures,
         **scalars,
     )
 

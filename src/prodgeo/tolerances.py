@@ -21,11 +21,9 @@ EXPONENT_MATCH_TOL = 1e-12
 DEGREE_ONE_TOL = 1e-12          # exact-parameter linear-homogeneity tests
 STRUCTURE_RESIDUAL_TOL = 1e-8
 
-# Graph geometry.
-VANISHING_CURVATURE_TOL = 1e-10  # |sum T| / sum |T| below this: G is zero
-CLEAR_CURVATURE_TOL = 1e-6       # ... above this: G is clearly nonzero
-FLATNESS_VERDICT_TOL = 1e-9      # normalized Riemann residual below this is flat
-CLEAR_NONFLAT_TOL = 1e-6
+# Graph geometry: T are the terms of det Hess (G) or of its 2x2 minors.
+VANISHING_CURVATURE_TOL = 1e-10  # |sum T| / sum |T| below this: zero
+CLEAR_CURVATURE_TOL = 1e-6       # ... above this: clearly nonzero
 
 
 def as_dict() -> dict[str, float]:

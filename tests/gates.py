@@ -30,6 +30,8 @@ METRIC_DET_RTOL = 1e-12         # det(metric) vs W^2
 SHAPE_DET_RTOL = 1e-9           # det(shape operator) vs Gauss-Kronecker
 NORMAL_ORTHOGONALITY_TOL = 1e-12
 UNIT_NORM_TOL = 1e-14
+FLATNESS_VERDICT_TOL = 1e-9     # flatness_residual below this: flat
+CLEAR_NONFLAT_TOL = 1e-6        # ... above this: clearly curved
 
 # Outer-function differential consistency.
 ODE_MATCH_TOL = 1e-12

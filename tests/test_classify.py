@@ -294,7 +294,7 @@ def test_flatness_fails_for_three_input_members():
     assert doc["forward_implication_ok"] is True
     assert doc["reverse_implication_ok"] is False
     assert doc["per_point_data"][0]["flatness_residual"] > \
-        tolerances.CLEAR_NONFLAT_TOL
+        gates.CLEAR_NONFLAT_TOL
 
     acms = verify_theorem_42(build_acms(1.0, (1.0, 1.0, 1.0), 0.5, 1.0))
     assert acms.verdict == "Inconsistent"

@@ -154,6 +154,25 @@ def test_verify_flatness_failure_is_still_exit_zero(cd3_doc):
     assert env["theorem"] == "4.2"
 
 
+@pytest.mark.parametrize("box", [((1e3, 1e4),) * 2, ((1e2, 1e3),) * 2])
+def test_flatness_reads_the_cancellation_of_the_minors(tmp_path, box):
+    # Degree 0.6: neither flat nor homogeneous of degree one.  An absolute
+    # flatness residual once read this small curvature as flat
+    # (Inconsistent at 1e3:1e4, DegenerateHypothesis at 1e2:1e3); with two
+    # inputs the one minor is det Hess, so 4.2 reads 4.1's statistic.
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                          "gamma": 1.0, "alpha": [0.3, 0.3]})
+    reports = {theorem: run_json(RunConfig("verify", doc, box=box,
+                                           theorem=theorem))[1]["report"]
+               for theorem in ("4.1", "4.2")}
+    for report in reports.values():
+        assert (report["verdict"], report["hypothesis_holds"]) == \
+            ("Consistent", False)
+    assert reports["4.2"]["hypothesis_check"]["max_minor_cancellation"] == \
+        reports["4.1"]["hypothesis_check"]["max_det_cancellation"] == \
+        0.25000000000000017
+
+
 def test_verify_consistent_curvature(acms_doc):
     status, env = run_json(RunConfig("verify", acms_doc, theorem="4.1",
                                      samples=16))
@@ -286,6 +305,63 @@ def test_requests_that_need_no_hessian_entry_survive_its_overflow(
     else:
         assert status == 0
         assert record["report"][key] == expected
+
+
+def _quiet_main(argv, capsys):
+    """Exit status and the one stdout record of a request that must write
+    nothing to stderr and raise no Python warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv)
+    out = capsys.readouterr()
+    assert (caught, out.err) == ([], "")
+    return status, one_record(out.out)
+
+
+BIG_GRADIENT_ACMS = {"type": "acms", "gamma": 2.6889230193993594e+133,
+                     "a": [2.671338015725371, 0.7523911955288902],
+                     "rho": 0.5, "d": 1.0}
+
+
+def test_the_shape_operator_survives_a_gradient_past_1e154(tmp_path, capsys):
+    # |grad f| is 4e153, so grad grad^T h overflows, while g^(-1) h, formed
+    # from grad / W, is representable, as is the metric (1.6e307).
+    path = write_doc(tmp_path, "acms.json", BIG_GRADIENT_ACMS)
+    status, record = _quiet_main(["curvature", "--fn", path,
+                                  "--at", "1.76e+28,1.59e-12"], capsys)
+    assert status == 0
+    shape = np.array(record["report"]["shape_operator"], dtype=float)
+    np.testing.assert_allclose(shape, [[-5.0879417979911487e-49,
+                                        5.6319355751348554e-09], [0, 0]],
+                               rtol=1e-12)
+
+
+def test_a_reported_surface_array_that_is_not_finite_is_a_domain_error(
+        tmp_path, capsys, monkeypatch):
+    # No document is known to reach this once the scalars are finite, so
+    # the principal curvatures are made to overflow.
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.full(len(a), np.inf))
+    path = write_doc(tmp_path, "acms.json", BIG_GRADIENT_ACMS)
+    status, record = _quiet_main(["curvature", "--fn", path,
+                                  "--at", "1.76e+28,1.59e-12"], capsys)
+    assert status == 2
+    assert record["error"]["type"] == "DomainError"
+    assert record["error"]["message"].startswith("surface quantity is not")
+
+
+def test_an_outer_function_residual_that_is_not_finite_is_a_domain_error(
+        tmp_path, capsys):
+    # The product-form argument u = prod x_i^alpha_i overflows on this box.
+    path = write_doc(tmp_path, "cd.json", {
+        "type": "cobb_douglas", "gamma": 7.42606535597874e-188,
+        "alpha": [0.593597127956165, 2.408634065595021]})
+    status, record = _quiet_main(["verify", "--theorem", "4.1", "--fn", path,
+                                  "--samples", "32",
+                                  "--box=1e-75:1e12,1e79:1e127"], capsys)
+    assert status == 2
+    assert record["error"]["type"] == "DomainError"
+    assert record["error"]["message"].startswith("outer-function residual")
 
 
 @pytest.mark.parametrize("doc, args, message", [

@@ -189,6 +189,12 @@ def requests(draw):
          argv=["elasticity", "--box=1e-100:1e-99,1e-100:1e-99"])
 @example(text=json.dumps({**BASES[0], "gamma": 1e250}),
          argv=["eval", "--at", "5e-100,5e-100"])
+# Theorem 4.2's statistic against 4.1's, with two inputs and with three.
+@example(text=json.dumps(BASES[0]), argv=["verify", "--theorem", "4.2"])
+@example(text=json.dumps(BASES[1]), argv=["verify", "--theorem", "4.2"])
+@example(text=json.dumps(BASES[3]), argv=["verify", "--theorem", "4.2"])
+@example(text=json.dumps({**BASES[0], "alpha": [0.3, 0.3, 0.4]}),
+         argv=["verify", "--theorem", "4.2"])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)
@@ -206,6 +212,21 @@ def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
         report = record["report"]
         for where in _non_finite(report):
             assert _documented(report, where, text), where
+        if "4.2" in argv:
+            _check_minor_cancellation(report, argv, path, text)
+
+
+def _check_minor_cancellation(report, argv, path, text):
+    """Theorem 4.2's statistic is 4.1's, bit for bit, with two inputs (the
+    one 2x2 minor is det Hess), and 0 or 1 with more."""
+    minors = report["hypothesis_check"]["max_minor_cancellation"]
+    if expr_from_dict(json.loads(text)).n > 2:
+        assert minors in (0.0, 1.0)
+        return
+    status, stdout = _main(["4.1" if a == "4.2" else a for a in argv], path)
+    if status == 0:
+        check = json.loads(stdout)["report"]["hypothesis_check"]
+        assert check["max_det_cancellation"] == minors
 
 
 def _main(argv, path):

@@ -140,11 +140,15 @@ def test_flatness_vanishes_exactly_when_the_form_has_rank_one():
     for expr in exprs:
         for x in random_points(rng, expr.n, 5):
             geo = graph_geometry(expr, x)
-            flat = geo.flatness_residual <= tolerances.FLATNESS_VERDICT_TOL
+            flat = geo.flatness_residual <= gates.FLATNESS_VERDICT_TOL
+            minors = surface_curvatures(expr.derivatives([x]))[
+                "minor_cancellation"][0]
             s = np.linalg.svd(geo.second_fundamental_form,
                               compute_uv=False)
             rank_le_one = s[1] <= 1e-9 * max(1.0, s[0])
             assert flat == rank_le_one
+            assert (minors <= tolerances.VANISHING_CURVATURE_TOL) == \
+                rank_le_one, (expr.family, x, minors)
             seen_flat += flat
             seen_curved += not flat
     assert seen_flat and seen_curved

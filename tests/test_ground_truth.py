@@ -1,12 +1,15 @@
-"""Theorems 4.1 and 1.1 across the paper's parameter space, and ACMS with
-rho near 1.
+"""Theorems 4.1, 4.2 and 1.1 across the paper's parameter space, and ACMS
+with rho near 1.
 
 Every linearly homogeneous ACMS, Cobb-Douglas or power quasi-sum has a
 graph of vanishing Gauss-Kronecker curvature, so ``verify --theorem 4.1``
 must read "G vanishes" and "degree-one family" together (``Consistent``
 with ``hypothesis_holds`` true).  Its twin of another degree (d in
 {0.6, 1.5}, or shares scaled by 0.7 or 1.4) must read neither
-(``Consistent`` with ``hypothesis_holds`` false).  The documents reach far
+(``Consistent`` with ``hypothesis_holds`` false).  ``verify --theorem 4.2``
+must read the same with two inputs; with three or more no graph is flat,
+so the degree-one document is ``Inconsistent`` and its twin ``Consistent``,
+both with ``hypothesis_holds`` false.  The documents reach far
 past the well-conditioned ranges of ``conftest``: rho in [-8, -2], ACMS and
 inner coefficients over six decades, Cobb-Douglas shares down to 1e-7, and
 boxes up to [0.01, 100]^n, where the entries F' h_i'' + F'' h_i'^2 of the
@@ -32,7 +35,7 @@ import pytest
 from prodgeo import (
     QuasiSumSpec, ScalarFn, SpecError, build_acms, build_cobb_douglas,
     build_quasi_sum, classify_quasi_sum, detect_ces, verify_theorem_11,
-    verify_theorem_41,
+    verify_theorem_41, verify_theorem_42,
 )
 from prodgeo.cli import RunConfig, run
 from conftest import log_uniform_scalar, make_rng
@@ -97,6 +100,23 @@ def test_degree_one_documents_and_their_twins_across_the_parameter_space():
             if report.verdict != "Consistent" or \
                     report.hypothesis_holds is not holds:
                 wrong.append((name, k, holds, report.verdict,
+                              report.hypothesis_check))
+    assert wrong == []
+
+
+def test_theorem_42_across_the_parameter_space():
+    # With two inputs the graph is flat exactly when G vanishes, so 4.2
+    # reads as 4.1 does.  With three or more, a pair of index pairs sharing
+    # one index has the minor +-D_s c u_a u_b, nonzero for every document
+    # here, so neither graph is flat and the degree-one one is Inconsistent.
+    wrong = []
+    for name, k, box, degree_one, twin in _cases():
+        for expr, degree in ((degree_one, True), (twin, False)):
+            report = verify_theorem_42(expr, box, samples=64, seed=k)
+            want = (("Consistent", degree) if expr.n == 2 else
+                    ("Inconsistent" if degree else "Consistent", False))
+            if (report.verdict, report.hypothesis_holds) != want:
+                wrong.append((name, k, degree, report.verdict,
                               report.hypothesis_check))
     assert wrong == []
 

@@ -361,7 +361,7 @@ def test_batched_commands_never_assemble_the_hessian(tmp_path, monkeypatch,
 
 NORMALISED = {"max_deviation", "ces", "structure", "gauss_kronecker_scaled",
               "flatness_residual", "max_det_cancellation",
-              "max_flatness_residual", "euler_degree_gap", "max_residual"}
+              "max_minor_cancellation", "euler_degree_gap", "max_residual"}
 
 
 UNIT = Fraction(1, 2 ** 53)  # unit roundoff of float64
@@ -652,10 +652,10 @@ def _reference_outer_ode(expr, points, case):
     return None
 
 
-def _point_det_cancellation(expr, x):
-    """|sum T| / sum |T| of det Hess at one point, from a one-row call."""
-    return float(surface_curvatures(expr.derivatives([x]))
-                 ["det_cancellation"][0])
+def _point_cancellation(expr, x, statistic):
+    """``det_cancellation`` or ``minor_cancellation`` at one point, from a
+    one-row call."""
+    return float(surface_curvatures(expr.derivatives([x]))[statistic][0])
 
 
 def _check_curvature_report(verify, theorem, expr, box, samples, seed):
@@ -672,16 +672,12 @@ def _check_curvature_report(verify, theorem, expr, box, samples, seed):
          "gauss_kronecker_scaled": g.gauss_kronecker_scaled,
          "flatness_residual": g.flatness_residual}
         for x, g in zip(points, geometries)])
-    if theorem == "4.1":
-        vanish, clear = (tolerances.VANISHING_CURVATURE_TOL,
-                         tolerances.CLEAR_CURVATURE_TOL)
-        residual = "max_det_cancellation"
-        worst = max(_point_det_cancellation(expr, x) for x in points)
-    else:
-        vanish, clear = (tolerances.FLATNESS_VERDICT_TOL,
-                         tolerances.CLEAR_NONFLAT_TOL)
-        residual = "max_flatness_residual"
-        worst = max(g.flatness_residual for g in geometries)
+    vanish, clear = (tolerances.VANISHING_CURVATURE_TOL,
+                     tolerances.CLEAR_CURVATURE_TOL)
+    statistic = "det_cancellation" if theorem == "4.1" \
+        else "minor_cancellation"
+    residual = "max_" + statistic
+    worst = max(_point_cancellation(expr, x, statistic) for x in points)
     hypothesis = True if worst <= vanish else (False if worst > clear
                                                else None)
     check = report["hypothesis_check"]
