@@ -17,10 +17,14 @@ The theorem checkers compare two independently computed sides of a
 biconditional on a sampled box: a curvature side (the cancellation of the
 terms of det Hess f, or of its 2x2 minors, the curvature tensor, for the
 flatness theorem; one pair of thresholds) and a structure side (membership
-in the linearly homogeneous families).  Each check reports both one-sided
-implications and a full per-point residual table; a verdict is never
-adjusted to match the expected outcome, so a genuine disagreement between
-the two sides surfaces as Inconsistent with the data needed to inspect it.
+in the linearly homogeneous families), which both theorems share.  Its
+diagnostic ``outer_ode`` reads the kernel's F' and F'' at the kernel's inner
+sum u: alpha F'' = F' for the log-aggregator (Cobb-Douglas) family, which
+needs no u, and F' = (sigma - 1) u F'' for the power-aggregator (ACMS).
+Each check reports both one-sided implications and a full per-point
+residual table; a verdict is never adjusted to match the expected outcome,
+so a genuine disagreement between the two sides surfaces as Inconsistent
+with the data needed to inspect it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .elasticity import (
 )
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
-    FORM_AFFINE, FORM_EXP, FORM_LOG, FORM_POWER,
+    FORM_EXP, FORM_LOG, FORM_POWER,
     FunctionExpr, PointTable, QuasiSumSpec, ScalarFn,
     as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
     normalize_outer_shift,
@@ -222,17 +226,6 @@ def cobb_douglas_outer_ode_residual(outer: ScalarFn, alpha: float, u):
     return _relative_defect((alpha - 1.0) * d1, -(alpha * u * d2))
 
 
-def _cobb_douglas_log_ode_residual(outer: ScalarFn, alpha: float, v):
-    """The same condition with the argument in log coordinates.
-
-    Substituting u = e^v turns (alpha-1)F' + alphauF'' = 0 into
-    alpha P''(v) = P'(v) for P(v) = F(e^v); zero exactly for exp outers
-    with alpha = 1.
-    """
-    _, d1, d2 = outer.derivatives(v)
-    return _relative_defect(alpha * d2, d1)
-
-
 # -- theorem verification -----------------------------------------------------
 
 
@@ -274,80 +267,86 @@ class TheoremReport:
         }
 
 
-def _family_degree_one(expr: FunctionExpr, table: PointTable,
-                       detection: ElasticityReport):
-    """Structure side of the curvature theorems.
-
-    Returns (matches, family label, record, classification-or-None): whether
-    ``expr`` is, up to an additive output constant, a linearly homogeneous
-    member of the power-aggregator or log-aggregator family.  Parameter tests
-    are exact (1e-12), never sampled; a quasi-sum is classified on ``table``.
-    """
-    if expr.family == "acms":
-        gap = abs(expr.params["d"] - 1.0)
-        return (gap <= tolerances.DEGREE_ONE_TOL, "acms",
-                {"degree_gap": gap}, None)
-    if expr.family == "cobb_douglas":
-        gap = abs(math.fsum(expr.params["alpha"]) - 1.0)
-        return (gap <= tolerances.DEGREE_ONE_TOL, "cobb_douglas",
-                {"exponent_sum_gap": gap}, None)
-    if expr.family == "ratio":
-        return (False, None,
-                {"note": "ratio family is homogeneous of degree zero"}, None)
-
-    spec = expr.params["spec"]
-    cls = _classify(spec, table, detection)
-    record: dict = {"classification_case": cls.case,
-                    "outer_form": spec.outer.form}
-    if cls.case == HOMOTHETIC_ACMS:
-        p = spec.inner[0].exponent
-        shift_sum = math.fsum(h.shift for h in spec.inner)
-        shift_scale = max(1.0, max(abs(h.shift) for h in spec.inner))
-        record["inner_shift_sum"] = shift_sum
-        matches = (spec.outer.form == FORM_POWER
-                   and abs(spec.outer.exponent * p - 1.0)
-                   <= tolerances.DEGREE_ONE_TOL
-                   and abs(shift_sum)
-                   <= tolerances.DEGREE_ONE_TOL * shift_scale)
-        if spec.outer.form == FORM_POWER:
-            record["degree_product"] = spec.outer.exponent * p
-        return matches, "acms", record, cls
-    if cls.case == HOMOTHETIC_COBB_DOUGLAS:
-        beta_sum = math.fsum(h.coefficient for h in spec.inner)
-        record["coefficient_sum"] = beta_sum
-        matches = (spec.outer.form == FORM_EXP
-                   and abs(beta_sum - 1.0)
-                   <= tolerances.DEGREE_ONE_TOL * max(1.0, abs(beta_sum)))
-        return matches, "cobb_douglas", record, cls
-    return False, None, record, cls
-
-
 @np.errstate(all="ignore")
-def _outer_ode_diagnostic(expr: FunctionExpr, x: np.ndarray, cls):
-    """(form, outer-function differential residuals) at the (N, n) points,
-    or (None, None) when no outer form applies."""
+def _structure_side(expr: FunctionExpr, table: PointTable,
+                    detection: ElasticityReport) -> tuple[bool, dict]:
+    """(matches, conclusion check) of the curvature theorems: whether
+    ``expr`` is, up to an additive output constant, a linearly homogeneous
+    member of either family, by exact (1e-12) parameter tests, a quasi-sum
+    classified on ``table``; the shift-free Euler gap; and, for a member of
+    either family at any degree, the largest defect of its outer ODE, with
+    sigma - 1 = p / (1 - p) for inner exponent p."""
     p = expr.params
-    if expr.family == "acms" and p["rho"] != 1.0:
-        outer = ScalarFn(FORM_POWER, p["gamma"], exponent=p["d"] / p["rho"])
-        u = (np.array(p["weights"]) * x ** p["rho"]).sum(axis=1)
-        return "power_aggregator", acms_outer_ode_residual(
-            outer, 1.0 / (1.0 - p["rho"]), u)
-    if expr.family == "cobb_douglas":
-        u = np.prod(x ** np.array(p["alpha"]), axis=1)
-        return "log_aggregator", cobb_douglas_outer_ode_residual(
-            ScalarFn(FORM_AFFINE, p["gamma"]), math.fsum(p["alpha"]), u)
-    if expr.family != "quasi_sum" or cls is None:
-        return None, None
-    spec = p["spec"]
-    u = sum(h.derivatives(x[:, k])[0] for k, h in enumerate(spec.inner))
-    if cls.case == HOMOTHETIC_ACMS:
-        return "power_aggregator", acms_outer_ode_residual(
-            spec.outer, cls.sigma, u)
-    if cls.case == HOMOTHETIC_COBB_DOUGLAS:
-        alpha = math.fsum(h.coefficient for h in spec.inner)
-        return "log_aggregator", _cobb_douglas_log_ode_residual(
-            spec.outer, alpha, u)
-    return None, None
+    matches, family = False, None
+    alpha = power = None  # alpha, or (p, u), of the family's outer ODE
+    if expr.family == "acms":
+        gap = abs(p["d"] - 1.0)
+        matches, family, record = (gap <= tolerances.DEGREE_ONE_TOL, "acms",
+                                   {"degree_gap": gap})
+        if p["rho"] != 1.0:  # the kernel's inner sum, terms in its order
+            power = p["rho"], (np.array(p["weights"])
+                               * table.points ** p["rho"]).sum(axis=1)
+    elif expr.family == "cobb_douglas":
+        alpha = math.fsum(p["alpha"])
+        gap = abs(alpha - 1.0)
+        matches, family, record = (gap <= tolerances.DEGREE_ONE_TOL,
+                                   "cobb_douglas", {"exponent_sum_gap": gap})
+    elif expr.family == "ratio":
+        record = {"note": "ratio family is homogeneous of degree zero"}
+    else:
+        spec = p["spec"]
+        case = _classify(spec, table, detection).case
+        record = {"classification_case": case, "outer_form": spec.outer.form}
+        if case == HOMOTHETIC_ACMS:
+            exponent = spec.inner[0].exponent
+            shift_sum = math.fsum(h.shift for h in spec.inner)
+            shift_scale = max(1.0, max(abs(h.shift) for h in spec.inner))
+            record["inner_shift_sum"] = shift_sum
+            matches = (spec.outer.form == FORM_POWER
+                       and abs(spec.outer.exponent * exponent - 1.0)
+                       <= tolerances.DEGREE_ONE_TOL
+                       and abs(shift_sum)
+                       <= tolerances.DEGREE_ONE_TOL * shift_scale)
+            if spec.outer.form == FORM_POWER:
+                record["degree_product"] = spec.outer.exponent * exponent
+            family = "acms"
+            power = exponent, sum(h.derivatives(table.points[:, k])[0]
+                                  for k, h in enumerate(spec.inner))
+        elif case == HOMOTHETIC_COBB_DOUGLAS:
+            alpha = math.fsum(h.coefficient for h in spec.inner)
+            record["coefficient_sum"] = alpha
+            matches = (spec.outer.form == FORM_EXP
+                       and abs(alpha - 1.0)
+                       <= tolerances.DEGREE_ONE_TOL * max(1.0, abs(alpha)))
+            family = "cobb_douglas"
+
+    bare = normalize_outer_shift(expr)
+    try:
+        record["euler_degree_gap"] = float(np.max(np.abs(euler_quotients(
+            table if bare is expr else bare.derivatives(table.points))
+            - 1.0)))
+    except DomainError:
+        record["euler_degree_gap"] = math.inf
+    check = {"family_matches": matches, "family": family, **record}
+    if alpha is None and power is None:
+        return matches, check
+
+    # One power of two per row brings |F'|, |F''| below 1, so the products
+    # stay in range; the defect is scale-free, and the scaling exact.
+    f1, f2 = table.factors[:2]
+    unit = np.frexp(np.maximum(np.abs(f1), np.abs(f2)))[1]
+    f1, f2 = np.ldexp(f1, -unit), np.ldexp(f2, -unit)
+    if alpha is not None:
+        form, defect = "log_aggregator", _relative_defect(alpha * f2, f1)
+    else:
+        exponent, u = power
+        form, defect = "power_aggregator", _relative_defect(
+            f1, exponent / (1.0 - exponent) * (u * f2))
+    worst = float(np.max(defect))
+    if not math.isfinite(worst):
+        raise DomainError("outer-function residual is not finite")
+    check["outer_ode"] = {"form": form, "max_residual": worst}
+    return matches, check
 
 
 def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
@@ -371,28 +370,7 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     hypothesis = (True if worst <= tolerances.VANISHING_CURVATURE_TOL
                   else False if worst > tolerances.CLEAR_CURVATURE_TOL
                   else None)
-
-    matches, family, record, cls = _family_degree_one(expr, table, detection)
-
-    bare = normalize_outer_shift(expr)
-    try:
-        degree_gap = float(np.max(np.abs(euler_quotients(
-            table if bare is expr else bare.derivatives(table.points)) - 1.0)))
-    except DomainError:
-        degree_gap = math.inf
-    record["euler_degree_gap"] = degree_gap
-
-    conclusion_check = {"family_matches": matches, "family": family}
-    conclusion_check.update(record)
-    if theorem == THEOREM_GAUSS_KRONECKER:
-        ode_label, ode = _outer_ode_diagnostic(expr, table.points, cls)
-        if ode_label is not None:
-            ode_worst = float(np.max(ode))
-            if not math.isfinite(ode_worst):
-                raise DomainError("outer-function residual is not finite")
-            conclusion_check["outer_ode"] = {"form": ode_label,
-                                             "max_residual": ode_worst}
-
+    matches, conclusion_check = _structure_side(expr, table, detection)
     hypothesis_check = {
         "ces_verdict": detection.verdict,
         "sigma_estimate": detection.sigma_estimate,

@@ -350,18 +350,66 @@ def test_a_reported_surface_array_that_is_not_finite_is_a_domain_error(
     assert record["error"]["message"].startswith("surface quantity is not")
 
 
-def test_an_outer_function_residual_that_is_not_finite_is_a_domain_error(
+EPS = float(np.finfo(float).eps)
+ONE_ULP_ALPHA = [0.49566324421762387, 0.07405233817420091, 0.4302844176081754]
+
+
+def _outer_ode(tmp_path, capsys, doc, argv):
+    """The verdict and ``outer_ode`` of a verify request that exits 0."""
+    path = write_doc(tmp_path, "fn.json", doc)
+    status, record = _quiet_main(["verify", "--fn", path, *argv], capsys)
+    assert status == 0, record
+    report = record["report"]
+    return report["verdict"], report["conclusion_check"]["outer_ode"]
+
+
+def test_an_outer_function_residual_past_the_product_form_range_is_finite(
         tmp_path, capsys):
-    # The product-form argument u = prod x_i^alpha_i overflows on this box.
-    path = write_doc(tmp_path, "cd.json", {
-        "type": "cobb_douglas", "gamma": 7.42606535597874e-188,
-        "alpha": [0.593597127956165, 2.408634065595021]})
-    status, record = _quiet_main(["verify", "--theorem", "4.1", "--fn", path,
-                                  "--samples", "32",
-                                  "--box=1e-75:1e12,1e79:1e127"], capsys)
-    assert status == 2
-    assert record["error"]["type"] == "DomainError"
-    assert record["error"]["message"].startswith("outer-function residual")
+    # The product-form argument u = prod x_i^alpha_i overflows on this box;
+    # in log coordinates the residual is |alpha - 1| / alpha at every point.
+    alpha = [0.593597127956165, 2.408634065595021]
+    verdict, ode = _outer_ode(
+        tmp_path, capsys,
+        {"type": "cobb_douglas", "gamma": 7.42606535597874e-188,
+         "alpha": alpha},
+        ["--theorem", "4.1", "--samples", "32",
+         "--box=1e-75:1e12,1e79:1e127"])
+    assert verdict == "Consistent"
+    assert ode == {"form": "log_aggregator",
+                   "max_residual": 0.6669143928195781}
+    assert ode["max_residual"] == pytest.approx(
+        (math.fsum(alpha) - 1) / math.fsum(alpha), abs=8 * EPS)
+
+
+@pytest.mark.parametrize("doc, argv, exact", [
+    # The product-form argument u = prod x_i^alpha_i overflows here.
+    ({"type": "cobb_douglas", "gamma": 1e-300, "alpha": [2.0, 2.0]},
+     ["--box", "1e100:1e150,1e100:1e150", "--samples", "8"], 0.75),
+    # An exponent sum of 1 + 2^-52, one ulp from degree one.
+    ({"type": "cobb_douglas", "gamma": 1.0, "alpha": ONE_ULP_ALPHA}, [],
+     (math.fsum(ONE_ULP_ALPHA) - 1) / math.fsum(ONE_ULP_ALPHA)),
+    # q - 1 formed from q = d / rho keeps about seven digits here.
+    ({"type": "acms", "gamma": 1.0, "a": [1.3, 0.7], "rho": 0.999999999,
+      "d": 1.0}, ["--samples", "16"], 0.0),
+], ids=["product-overflow", "one-ulp-exponent-sum", "rho-near-one"])
+def test_the_outer_ode_residual_reads_the_kernels_outer(tmp_path, capsys, doc,
+                                                        argv, exact):
+    verdict, ode = _outer_ode(tmp_path, capsys, doc,
+                              ["--theorem", "4.1", *argv])
+    assert verdict == "Consistent"
+    assert abs(ode["max_residual"] - exact) <= 8 * EPS, ode
+
+
+def test_both_curvature_theorems_report_the_outer_ode_near_the_float_limit(
+        tmp_path, capsys):
+    # f reaches 1.5e308, so alpha F'' = 4 f would overflow unscaled.
+    doc = {"type": "cobb_douglas", "gamma": 1e-312, "alpha": [1.0] * 4}
+    argv = ["--box", ",".join(["1e155:1.1e155"] * 4), "--samples", "8"]
+    for theorem in ("4.1", "4.2"):
+        verdict, ode = _outer_ode(tmp_path, capsys, doc,
+                                  ["--theorem", theorem, *argv])
+        assert verdict == "Consistent"
+        assert ode == {"form": "log_aggregator", "max_residual": 0.75}
 
 
 @pytest.mark.parametrize("doc, args, message", [

@@ -629,11 +629,10 @@ def _reference_outer_ode(expr, points, case):
             math.fsum(w * xi ** p["rho"] for w, xi in zip(p["weights"], x)))
             for x in points)
     if expr.family == "cobb_douglas":
-        outer = ScalarFn("affine", p["gamma"])
-        return max(cobb_douglas_outer_ode_residual(
-            outer, math.fsum(p["alpha"]),
-            math.prod(xi ** a for xi, a in zip(x, p["alpha"])))
-            for x in points)
+        # gamma e^v in log coordinates: P' = P'' = f.
+        alpha = math.fsum(p["alpha"])
+        return max(_log_form_defect(alpha, f, f)
+                   for f in map(expr.value, points))
     spec = p.get("spec")
     if case == "HomotheticACMS":
         sigma = 1.0 / (1.0 - spec.inner[0].exponent)
@@ -643,13 +642,15 @@ def _reference_outer_ode(expr, points, case):
     if case == "HomotheticCobbDouglas":
         # alpha P'' = P' for P(v) = F(e^v), at v = the inner sum.
         alpha = math.fsum(h.coefficient for h in spec.inner)
-        worst = 0.0
-        for x in points:
-            _, d1, d2 = spec.outer.derivatives(spec.inner_sum(x))
-            worst = max(worst, abs(alpha * d2 - d1)
-                        / max(abs(alpha * d2), abs(d1)))
-        return worst
+        return max(_log_form_defect(
+            alpha, *spec.outer.derivatives(spec.inner_sum(x))[1:])
+            for x in points)
     return None
+
+
+def _log_form_defect(alpha, d1, d2):
+    """Relative defect of alpha P'' = P' from P' and P''."""
+    return abs(alpha * d2 - d1) / max(abs(alpha * d2), abs(d1))
 
 
 def _point_cancellation(expr, x, statistic):
@@ -702,8 +703,7 @@ def _check_curvature_report(verify, theorem, expr, box, samples, seed):
     except DomainError:
         gap = math.inf
     _assert_same(conclusion["euler_degree_gap"], gap, "euler_degree_gap")
-    ode = _reference_outer_ode(expr, points, case) if theorem == "4.1" \
-        else None
+    ode = _reference_outer_ode(expr, points, case)
     if ode is None:
         assert "outer_ode" not in conclusion
     else:

@@ -1,0 +1,72 @@
+"""Dead-code guard over the package source, read with ``ast``.
+
+Every name a module imports at module level is read in that module or
+exported through its ``__all__``, and every module-level private function
+or class is referenced somewhere in the package besides its definition.
+"""
+
+import ast
+import collections
+import pathlib
+
+import pytest
+
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prodgeo"
+MODULES = sorted(SOURCE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree):
+    """The names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(tree):
+    """The names bound by the module-level imports (``__future__`` apart)."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _references(tree):
+    """Every name read or attribute taken in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_read_or_exported(path):
+    tree = _tree(path)
+    used = set(_references(tree)) | _exported(tree)
+    assert [name for name in _imported(tree) if name not in used] == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    assert SOURCE / "__init__.py" in MODULES
+    references = collections.Counter()
+    private = []
+    for path in MODULES:
+        tree = _tree(path)
+        references.update(_references(tree))
+        private += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+    assert [(module, name) for module, name in private
+            if not references[name]] == []
