@@ -46,7 +46,7 @@ from .families import (
     as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
     normalize_outer_shift,
 )
-from .geometry import surface_curvatures
+from .geometry import theorem_curvatures
 from . import tolerances
 
 HOMOTHETIC_ACMS = "HomotheticACMS"
@@ -359,7 +359,7 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
         raise HypothesisError(
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
-    surface = surface_curvatures(table)
+    surface = theorem_curvatures(table)
     keys = ("flatness_residual", "gauss_kronecker", "gauss_kronecker_scaled")
     rows = PointRecords(tuple((key, 0) for key in keys) + (("point", expr.n),),
                         np.column_stack([*map(surface.get, keys), table.points]))

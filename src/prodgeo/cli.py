@@ -127,45 +127,61 @@ _BLOCK_ROWS = 4096
 
 
 @functools.cache
-@np.errstate(over="ignore")  # the least double >= 10^k is inf past 1e308
 def _g17_tables() -> tuple:
     """The tables of ``_g17``, built on first use: for k in [-310, 340),
     10^k = c·2^b with c in [1, 2) as c_hi + c_lo from exact integers, and
-    the least double >= 10^k; the 8-byte lanes of a cell; the significant
-    digits of 0..9999; the masks of lanes 0-4 per exponent and digit count."""
-    rows = []
-    for k in range(-310, 340):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        b = num.bit_length() - den.bit_length() - (k < 0)  # 2^b <= 10^k
-        num, den = num << max(-b, 0), den << max(b, 0)
-        hi = num / den  # correctly rounded, as is the remainder below
-        rows.append((hi, ((num << 52) - int(hi * 2 ** 52) * den) / (den << 52), b))
-    c_hi, c_lo, b = (np.array(col) for col in zip(*rows))
-    least = np.ldexp(c_hi, b)  # c_hi is c rounded to nearest
+    the least double >= 10^k; the ASCII of 0..9999 in the low four bytes of
+    a lane and its significant digits; the masks and fixed bytes of a cell
+    per layout and digit count; the exponent bytes of a cell's last lane."""
+    rows, pow5 = {}, 1
+    for k in range(340):  # 10^k = 5^k 2^k and 10^-k = 2^w / 5^k 2^(-k-w)
+        w = pow5.bit_length()
+        hi = (1 << w) / pow5  # correctly rounded, as is each quotient below
+        lo = ((1 << w + 52) - int(hi * 2 ** 52) * pow5) / (pow5 << 52)
+        rows[-k] = hi, lo, -k - w
+        hi = float(pow5)
+        rows[k] = hi / 2 ** (w - 1), (pow5 - int(hi)) / 2 ** (w - 1), k + w - 1
+        pow5 *= 5
+    c_hi, c_lo, b = np.array([rows[k] for k in range(-310, 340)]).T
+    b = b.astype(np.int32)
+    with np.errstate(over="ignore"):  # the least double >= 10^k is inf past 1e308
+        least = np.ldexp(c_hi, b)  # c_hi is c rounded to nearest
     least[c_lo > 0] = np.nextafter(least[c_lo > 0], np.inf)
     split = c_hi * 134217729.0
     c_hh = split - (split - c_hi)
 
-    digits = np.indices((10,) * 4).reshape(4, -1).T  # of 0..9999, in order
-    quad = np.full((10000, 8), ord("."), np.uint8)  # "d.d.d.d."
-    quad[:, ::2] = digits + 48
-    sig = np.where(digits.any(1), 4 - np.argmax(digits[:, ::-1] != 0, 1), 0)
-    e10, nd, at = np.ogrid[-4:17, 1:18, :40]
-    keep = ((at == 0) | (at >= 1) & (at < 2 - e10) & (e10 < 0)
-            | (at >= 6) & (at % 2 == 0) & (at < 6 + 2 * np.maximum(nd, e10 + 1))
-            | (at == 7 + 2 * e10) & (nd > e10 + 1) & (e10 >= 0))
-    head = "".join(f"{sign}0.000{d}." for sign in "\0-" for d in range(10))
-    exp = "".join("\0" * 8 if -4 <= e <= 16 else f"e{e:+03d}".ljust(8, "\0")
-                  for e in range(-400, 401))
-    return (c_hh, c_hi - c_hh, c_hi, c_lo, b.astype(np.int32), least,
-            np.frombuffer(head.encode(), np.uint64), quad.view(np.uint64).ravel(),
-            sig, np.frombuffer(exp.encode(), np.uint64),
-            (keep * np.uint8(255)).view(np.uint64).reshape(-1, 5))
+    group = np.arange(10000)[:, np.newaxis]
+    quad = np.zeros((10000, 8), np.uint8)
+    quad[:, :4] = group // [1000, 100, 10, 1] % 10 + 48
+    sig = np.where(group[:, 0], 4 - (group % [10, 100, 1000] == 0).sum(1), 0)
+    # Layout e10 + 4 for fixed notation (e10 in [-4, 16]), 21 for scientific.
+    # In a template, 1 keeps digit j at byte j + 1 and 2 keeps it moved to
+    # j + 2 (j + 6 after "0.000"); other bytes stand as they are.
+    templates = []
+    for e10 in range(-4, 18):
+        point = 1 if e10 == 17 else e10 + 1  # digits before the point
+        for nd in range(1, 18):
+            cell = ("0.000"[:1 - e10].ljust(5, "\0") + "\2" * nd if e10 < 0
+                    else "\1" * point + "." * (nd > point) + "\2" * (nd - point))
+            templates.append(("\0" + cell).ljust(24, "\0"))
+    cells = np.frombuffer("".join(templates).encode(), np.uint8).reshape(-1, 3, 8)
+    layouts = np.concatenate([np.where(cells == 1, 255, 0), np.where(
+        cells == 2, 255, 0), np.where(cells > 2, cells, 0)], 1).astype(np.uint8)
+    shift = np.where(np.arange(len(cells)) < 4 * 17, 40, 8).astype("<u8")
+    e10 = np.arange(-300, 301)
+    fixed = (e10 >= -4) & (e10 <= 16)
+    exp = "".join("\0" * 8 if -4 <= e <= 16 else f"\0\0\0e{e:+03d}".ljust(8, "\0")
+                  for e in e10.tolist())
+    return (c_hh, c_hi - c_hh, c_hi, c_lo, b, least,
+            (np.arange(11, dtype="<u8") + 48) << 8, quad.view("<u8").ravel(),
+            sig, np.vstack([layouts.view("<u8")[..., 0].T, shift, 64 - shift]),
+            np.where(fixed, e10 + 4, 21) * 17 - 1,
+            np.frombuffer(exp.encode(), "<u8"))
 
 
 def _g17(x: np.ndarray, text) -> np.ndarray:
     """``format(v, ".17g")`` of each element v of the float64 array ``x``,
-    as ASCII zero-padded to 48 bytes (shape ``x.shape + (48,)``).
+    as ASCII zero-padded to 24 bytes (shape ``x.shape + (24,)``).
 
     For 1e-300 <= |v| <= 1e300 numpy writes the digits: e10 =
     floor(log10|v|), made exact by comparing |v| with the least doubles
@@ -175,8 +191,14 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     2^-46 (exactly when c_lo = 0); V rounds half to even to the 17 digits.
     ``text`` writes the rest: non-finite values, |v| outside that range, an
     inexact V within 2^-40 of a half-integer, and V that rounds to 10^17.
+
+    A cell is three 8-byte lanes holding the sign, then the 17 digits at
+    bytes 1-17, kept there before the point and moved by one byte after it
+    (by five after "0.000") through the masks of the cell's layout and digit
+    count, which also write the point and the zeros; the exponent follows.
     """
-    c_hh, c_hl, c_hi, c_lo, b, least, head, quad, sig, exp, masks = _g17_tables()
+    (c_hh, c_hl, c_hi, c_lo, b, least, lead, quad, sig, layouts, rows,
+     exp) = _g17_tables()
     flat = np.asarray(x, np.float64).ravel()
     a = np.abs(flat)
     fast, zero = (a >= 1e-300) & (a <= 1e300), a == 0.0
@@ -201,13 +223,21 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     nd = np.ones_like(d)
     for k, group in enumerate(groups):
         nd = np.where(group != 0, 1 + 4 * k + sig[group], nd)
-    cells = np.stack([head[top + 10 * np.signbit(flat)],
-                      *(quad[group] for group in groups), exp[e10 + 400]], 1)
-    fixed = (e10 >= -4) & (e10 <= 16)  # else lanes 0-4 are masked as for 0
-    cells[:, :5] &= masks[np.where(fixed, e10 + 4, 4) * 17 + nd - 1]
-    cells = cells.view(np.uint8)
+    high = quad[groups[0]] | quad[groups[1]] << 32
+    low = quad[groups[2]] | quad[groups[3]] << 32
+    lanes = [lead[top] | high << 16, high >> 48 | low << 16, low >> 48]
+    e10 += 300
+    mask = np.take(layouts, rows[e10] + nd, axis=1)
+    shift, back = mask[9], mask[10]
+    moved = [lanes[0] << shift, lanes[1] << shift | lanes[0] >> back,
+             lanes[2] << shift | lanes[1] >> back]
+    lanes = [lane & mask[k] | move & mask[3 + k] | mask[6 + k]
+             for k, (lane, move) in enumerate(zip(lanes, moved))]
+    lanes[0] |= np.signbit(flat) * np.uint64(45)
+    lanes[2] |= exp[e10]
+    cells = np.stack(lanes, 1).view(np.uint8)
     for i in np.flatnonzero(~(fast | zero) | unsure):
-        cells[i] = np.frombuffer(text(float(flat[i])).encode().ljust(48, b"\0"),
+        cells[i] = np.frombuffer(text(float(flat[i])).encode().ljust(24, b"\0"),
                                  np.uint8)
     return cells.reshape(np.shape(x) + (-1,))
 
@@ -222,7 +252,14 @@ def _table_blocks(data: np.ndarray, row: str, cols, text) -> list:
     blocks = []
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
-        cells = [_g17(column, text) for column in block.T]
+        cells = []
+        for column in block.T:  # keyed by bit pattern: -0.0 and 0.0 apart
+            keys = column.view(np.int64)
+            if 2 * len(set(keys[:64].tolist())) > len(keys[:64]):
+                cells.append(_g17(column, text))
+            else:  # its first 64 values repeat: once per distinct value
+                keys, inverse = np.unique(keys, return_inverse=True)
+                cells.append(_g17(keys.view(np.float64), text)[inverse])
         n = len(block)
         parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
         for col, literal in zip(cols, literals[1:]):
@@ -416,6 +453,8 @@ def run(config: RunConfig) -> tuple:
         return 2, _to_json(_error_payload(config, digest, exc))
     except (SpecError, OSError, UnicodeDecodeError, ValueError) as exc:
         return 1, _to_json(_error_payload(config, digest, exc))
+    except MemoryError as exc:  # NumPy raises a private subclass
+        return 1, _to_json(_error_payload(config, digest, MemoryError(str(exc))))
 
 
 # -- argument parsing ----------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import DomainError, SpecError
 from .families import (
     FunctionExpr, PointTable, QuasiSumSpec, index_pairs, validate_box,
 )
-from .sampling import box_center, log_uniform
+from .sampling import box_center, check_points, log_uniform
 from . import tolerances
 
 FINITE = "finite"
@@ -250,6 +250,7 @@ def point_table(expr: FunctionExpr, box, samples: int,
     box = validate_box(box, expr.n)
     if samples < 2:
         raise SpecError("detection needs at least two sample points")
+    check_points(samples + 1)
     return expr.derivatives(
         np.vstack([box_center(box), log_uniform(box, samples, seed)]))
 

@@ -208,11 +208,12 @@ class PointTable:
     def hessian(self) -> np.ndarray:
         """The (N, n, n) Hessians diag(D) + c u u^T, assembled bitwise
         symmetric on each read; DomainError where an entry is not finite."""
+        f1, c, u, d2 = self.factors
         with np.errstate(all="ignore"):
-            diag, c, u = hessian_factors(self.factors)
             hessian = c[:, np.newaxis, np.newaxis] * (
                 u[:, :, np.newaxis] * u[:, np.newaxis, :])
-            hessian.reshape(len(u), -1)[:, ::u.shape[1] + 1] += diag
+            hessian.reshape(len(u), -1)[:, ::u.shape[1] + 1] += \
+                f1[:, np.newaxis] * d2
         if not np.isfinite(hessian).all():
             raise DomainError(_NOT_FINITE)
         return hessian
@@ -475,13 +476,17 @@ def build_ratio(outer: ScalarFn) -> FunctionExpr:
 
 
 def euler_quotients(table: PointTable) -> np.ndarray:
-    """Euler quotients (x . grad f) / f at the rows of ``table``.
+    """Euler quotients (x . grad f) / f at the rows of ``table``, formed as
+    (F' / f) sum_k x_k h_k' from the per-axis record, so that x . grad f,
+    which can overflow where the quotient is representable, is never formed.
 
     Constant across points exactly when the function is homogeneous.
     """
     if not table.value.all():
         raise DomainError("homogeneity degree undefined where f vanishes")
-    return np.einsum("pi,pi->p", table.points, table.gradient) / table.value
+    with np.errstate(all="ignore"):
+        return table.factors[0] / table.value * np.einsum(
+            "pi,pi->p", table.points, table.factors[2])
 
 
 def homogeneity_degree(expr: FunctionExpr, point) -> float:
@@ -490,20 +495,22 @@ def homogeneity_degree(expr: FunctionExpr, point) -> float:
 
 
 def hessian_factors(factors) -> tuple:
-    """(D, c, u) = (F' h'', F'', h') of Hess = diag(D) + c u u^T."""
+    """(D, c, u) = (F' h'', F'', h') of Hess = diag(D) + c u u^T, with D and u
+    as (n, N) columns, so that each step over the inputs runs on N rows."""
     f1, f2, d1, d2 = factors
-    return f1[:, np.newaxis] * d2, f2, d1
+    return np.multiply(d2.T, f1, order="C"), f2, d1.T.copy()
 
 
 def hessian_det_terms(diag, c, u) -> np.ndarray:
-    """The (N, n+1) terms of det(diag(D) + c u u^T) = sum T per row: T_0 =
-    prod D_i and T_j = c u_j^2 prod_{i != j} D_i, from prefix and suffix
-    products (no division)."""
-    ones = np.ones((len(diag), 1))
-    before = np.cumprod(np.hstack([ones, diag[:, :-1]]), axis=1)
-    after = np.cumprod(np.hstack([ones, diag[:, :0:-1]]), axis=1)[:, ::-1]
-    return np.column_stack([before[:, -1] * diag[:, -1],
-                            c[:, np.newaxis] * (u * u) * (before * after)])
+    """The (n+1, N) terms of det(diag(D) + c u u^T) = sum T per column: T_0 =
+    prod D_i and T_j = c u_j^2 prod_{i != j} D_i, from running prefix and
+    suffix products (no division)."""
+    n = len(diag)
+    before, after = np.ones_like(diag), np.ones_like(diag)
+    for j in range(1, n):
+        np.multiply(before[j - 1], diag[j - 1], out=before[j])
+        np.multiply(after[n - j], diag[n - j], out=after[n - 1 - j])
+    return np.vstack([before[-1] * diag[-1], c * (u * u) * (before * after)])
 
 
 @np.errstate(all="ignore")
@@ -512,7 +519,7 @@ def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
     of a quasi-sum at ``point``: the one-point sum of hessian_det_terms over
     the kernel's factors; DomainError when it leaves the float range."""
     row = FunctionExpr("quasi_sum", spec.n, {"spec": spec})._row(point)
-    det = float(hessian_det_terms(*hessian_factors(row.factors)).sum())
+    det = float(hessian_det_terms(*hessian_factors(row.factors)).sum(axis=0)[0])
     if not math.isfinite(det):
         raise DomainError("Hessian determinant overflows the float range")
     return det

@@ -44,7 +44,8 @@ from .families import (
 _NOT_FINITE = "surface quantity is not finite (floating-point overflow)"
 
 __all__ = ["GraphGeometry", "graph_point", "graph_geometry",
-           "surface_curvatures", "gauss_kronecker", "flatness_residual"]
+           "surface_curvatures", "theorem_curvatures", "gauss_kronecker",
+           "flatness_residual"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,62 +80,82 @@ class GraphGeometry:
 @np.errstate(all="ignore")
 def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
-    GraphGeometry fields, plus ``det_cancellation`` and ``minor_cancellation``
-    (0 where every term is 0; u != 0, as detection refuses a zero marginal
-    product), from the Hessian factors (D, c, u) of the per-axis record."""
+    GraphGeometry fields, from the Hessian factors (D, c, u) of the per-axis
+    record."""
+    return _curvatures(table)[0]
+
+
+@np.errstate(all="ignore")
+def theorem_curvatures(table: PointTable) -> dict:
+    """``surface_curvatures`` plus the statistics of Theorems 4.1 and 4.2,
+    ``det_cancellation`` and ``minor_cancellation`` (0 where every term is
+    0; u != 0, as detection refuses a zero marginal product)."""
+    out, det_hess, terms = _curvatures(table)
+    size = np.abs(terms).sum(axis=0)
+    out["det_cancellation"] = np.abs(det_hess) / np.where(size, size, 1.0)
+    # n >= 3: every minor is 0 iff no D_i != 0, or one and c = 0; D_i != 0
+    # read from h_i'' itself, so an underflowed product is not flat.
+    f2, d2 = table.factors[1], table.factors[3]
+    out["minor_cancellation"] = out["det_cancellation"] if d2.shape[1] == 2 \
+        else np.where((d2 != 0).sum(1) > (f2 == 0), 1.0, 0.0)
+    return out
+
+
+def _curvatures(table: PointTable) -> tuple:
+    """The surface curvatures, det Hess and its terms."""
     w_sq = 1.0 + np.einsum("pi,pi->p", table.gradient, table.gradient)
     w = np.sqrt(w_sq)
     diag, c, u = hessian_factors(table.factors)
     terms = hessian_det_terms(diag, c, u)
-    det_hess, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-    out = {"area_factor": w,
-           "det_cancellation": np.abs(det_hess) / np.where(size, size, 1.0)}
-    # n >= 3: every minor is 0 iff no D_i != 0, or one and c = 0; D_i != 0
-    # read from h_i'' itself, so an underflowed product is not flat.
-    out["minor_cancellation"] = out["det_cancellation"] if u.shape[1] == 2 \
-        else np.where((table.factors[3] != 0).sum(1) > (c == 0), 1.0, 0.0)
+    det_hess = terms.sum(axis=0)
     # h = Hess / W = diag(D / W) + (c / W) u u^T.
-    diag, c = diag / w[:, np.newaxis], c / w
+    diag /= w
+    c = c / w
     rmax, h_sq = _riemann_max(diag, c, u), _norm_sq(diag, c, u)
     # det / W^(n+2) and |det| / (W |h|)^n one factor at a time: the powers
     # overflow long before the quotients do.
     gk, scaled = det_hess / w_sq, np.abs(det_hess)
     norm = np.sqrt(np.where(h_sq == 0.0, 1.0, h_sq))
-    for _ in range(u.shape[1]):
+    for _ in range(len(u)):
         gk, scaled = gk / w, scaled / w / norm
-    out.update(gauss_kronecker=gk, gauss_kronecker_scaled=scaled,
-               riemann_max=rmax, flatness_residual=rmax / (1.0 + h_sq))
+    out = {"area_factor": w, "gauss_kronecker": gk,
+           "gauss_kronecker_scaled": scaled, "riemann_max": rmax,
+           "flatness_residual": rmax / (1.0 + h_sq)}
     if not all(np.isfinite(v).all() for v in (det_hess, h_sq, *out.values())):
         raise DomainError(_NOT_FINITE)
-    return out
+    return out, det_hess, terms
 
 
 def _norm_sq(diag, c, u) -> np.ndarray:
-    """|diag(D) + c u u^T|^2 per row: sum_i (D_i + c u_i^2)^2 + 2 sum_{i<j}
-    (c u_i^2)(c u_j^2), the latter from prefix sums of one-signed terms."""
-    a = c[:, np.newaxis] * (u * u)
-    before = np.cumsum(a[:, :-1], axis=1)
-    return (((diag + a) ** 2).sum(axis=1)
-            + 2.0 * (a[:, 1:] * before).sum(axis=1))
+    """|diag(D) + c u u^T|^2 per column: sum_i (D_i + c u_i^2)^2 + 2 sum_{i<j}
+    (c u_i^2)(c u_j^2), the latter from running sums of one-signed terms."""
+    a = c * (u * u)
+    cross, before = 0.0, a[0]
+    for j in range(1, len(a)):
+        cross, before = cross + a[j] * before, before + a[j]
+    return ((diag + a) ** 2).sum(axis=0) + 2.0 * cross
 
 
 def _riemann_max(diag, c, u) -> np.ndarray:
-    """Largest |2x2 minor| of diag(D) + c u u^T per row: D_i D_j +
+    """Largest |2x2 minor| of diag(D) + c u u^T per column: D_i D_j +
     c (D_i u_j^2 + D_j u_i^2) for a pair (i, j) with itself, +-D_s c u_a u_b
     for two pairs sharing only s, and 0 for disjoint pairs."""
-    lo, hi = index_pairs(u.shape[1])
-    rmax = np.abs(c[:, np.newaxis] * (diag[:, lo] * (u * u)[:, hi]
-                                      + diag[:, hi] * (u * u)[:, lo])
-                  + diag[:, lo] * diag[:, hi]).max(axis=1)
-    if u.shape[1] > 2:
-        # The largest |u_a u_b| with a, b != s is the product of the two
-        # largest |u| other than |u_s|, read from the three largest, t.
+    lo, hi = index_pairs(len(u))
+    square = u * u
+    rmax = np.abs(c * (diag[lo] * square[hi] + diag[hi] * square[lo])
+                  + diag[lo] * diag[hi]).max(axis=0)
+    if len(u) > 2:
+        # The largest |u_a u_b| with a, b != s is t1 t2 of the three largest
+        # |u|, t1 >= t2 >= t3, but t2 t3 where |u_s| = t1 and t1 t3 where
+        # |u_s| = t2; rounding is monotone, so each group of s needs only its
+        # largest |D_s c|.
         a = np.abs(u)
-        t = np.sort(a, axis=1)[:, :-4:-1]
-        others = np.where(a == t[:, :1], t[:, 1:2] * t[:, 2:], np.where(
-            a == t[:, 1:2], t[:, :1] * t[:, 2:], t[:, :1] * t[:, 1:2]))
-        rmax = np.maximum(rmax, (np.abs(diag * c[:, np.newaxis])
-                                 * others).max(axis=1))
+        t1, t2, t3 = np.sort(a, axis=0)[:-4:-1]
+        size = np.abs(diag * c)
+        rmax = np.maximum.reduce([
+            rmax, (size * (a == t1)).max(axis=0) * (t2 * t3),
+            (size * (a == t2)).max(axis=0) * (t1 * t3),
+            (size * (a < t2)).max(axis=0) * (t1 * t2)])
     return rmax
 
 
@@ -154,8 +175,7 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
     |q| < 1 keeps them finite where p p^T overflows."""
     row = expr._row(point)
     hess = row.hessian[0]  # first, so an entry's overflow reads as in eval
-    scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()
-               if not k.endswith("_cancellation")}
+    scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()}
     w, grad = scalars["area_factor"], row.gradient[0]
     q, second = grad / w, hess / w
     root = np.eye(expr.n) - np.outer(q, q) * (w / (w + 1.0))

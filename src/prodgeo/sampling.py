@@ -9,9 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SpecError
 from .families import validate_box
 
-__all__ = ["box_center", "log_uniform", "log_grid", "grid_shape"]
+__all__ = ["MAX_POINTS", "box_center", "log_uniform", "log_grid", "grid_shape",
+           "check_points"]
+
+# The most points one request evaluates: scan's grid, or the box center and
+# the samples of verify, classify and elasticity --box.
+MAX_POINTS = 1_000_000
+
+
+def check_points(count: int) -> None:
+    """SpecError where ``count`` points exceed MAX_POINTS, before anything
+    is allocated for them."""
+    if count > MAX_POINTS:
+        raise SpecError(f"the request evaluates {count} points; at most "
+                        f"{MAX_POINTS} are allowed")
 
 
 def box_center(box) -> np.ndarray:
@@ -51,6 +65,7 @@ def log_grid(box, samples: int) -> np.ndarray:
     """
     box = validate_box(box)
     per = grid_shape(len(box), samples)
+    check_points(per ** len(box))
     axes = [np.geomspace(lo, hi, per) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

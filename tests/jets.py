@@ -22,7 +22,9 @@ Hessian, the oracle for the kernel's closed forms over its factors.
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,3 +166,25 @@ def assembled_curvatures(gradient: np.ndarray, hessian: np.ndarray) -> dict:
     for _ in range(gradient.shape[-1]):
         gk = gk / w
     return {"area_factor": w, "gauss_kronecker": gk, "riemann_max": rmax}
+
+
+def exact_riemann_max(diag, c, u) -> tuple:
+    """The largest |2x2 minor| of diag(D) + c u u^T at one point, exactly,
+    by brute force over every pair of rows against every pair of columns of
+    the matrix assembled in Fractions from the float factors; also the
+    largest sum of the magnitudes of the terms of a minor's closed form,
+    |D_i D_j| + |c| (|D_i| u_j^2 + |D_j| u_i^2) or |D_s c u_a u_b|."""
+    diag, u, c = [Fraction(v) for v in diag], [Fraction(v) for v in u], \
+        Fraction(c)
+    n = len(u)
+    h = [[c * u[i] * u[j] + (diag[i] if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    minors = [abs(h[i][k] * h[j][l] - h[i][l] * h[j][k])
+              for i, j in pairs for k, l in pairs]
+    sizes = [abs(diag[i] * diag[j]) + abs(c) * (abs(diag[i]) * u[j] ** 2
+                                                + abs(diag[j]) * u[i] ** 2)
+             for i, j in pairs]
+    sizes += [abs(diag[s] * c * u[a] * u[b]) for s in range(n)
+              for a, b in pairs if s not in (a, b)]
+    return max(minors), max(sizes)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from prodgeo.cli import (
     build_parser, main, run,
 )
 from prodgeo.elasticity import PointRecords
+from prodgeo.sampling import MAX_POINTS
 import gates
 
 
@@ -713,6 +715,59 @@ def test_table_kernel_matches_format_on_any_doubles(values):
     assert _kernel_texts(values) == [format(v, ".17g") for v in values]
 
 
+def _specials():
+    """Values whose cells take every path of the table kernel: signed zeros,
+    NaNs of several payloads and signs, infinities, subnormals, the
+    smallest normal, exact ties, values it leaves to its fallback (outside
+    [1e-300, 1e300], or next to 10^k), and 24-character texts."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF00000DEADBEEF], np.uint64).view(np.float64)
+    return np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf], nans,
+        [5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+         2.2250738585072014e-308, 1.7976931348623157e308, -1e-301, 1e301,
+         1e-79, np.nextafter(1e-79, 0.0), 1e23, 0.5, 2.5, 1234567890123456.75,
+         -1.2345678901234567e-123, -9.8765432109876543e+299],
+        _exact_ties(np.random.default_rng(17))[::40]])
+
+
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 3, 2 * _BLOCK_ROWS + 5])
+def test_repeated_columns_write_each_distinct_cell_once(monkeypatch, rows):
+    specials = _specials()
+    rng = np.random.default_rng(rows)
+    # Each value twice in a row: 32 distinct values in any 64 rows.
+    column = np.resize(np.repeat(specials, 2), rows)
+    data = np.column_stack([column, rng.lognormal(0.0, 30.0, rows),
+                            np.repeat(specials, -(-rows // len(specials)))[:rows]])
+    written, g17 = [], cli._g17
+
+    def counted(x, text):
+        written.append(len(x))
+        return g17(x, text)
+
+    monkeypatch.setattr(cli, "_g17", counted)
+    got = "\n".join(_table_blocks(data, "\0,\0,\0\n", [0, 1, 2], _leaf))
+    assert got.split("\n") == [",".join(map(_leaf, row))
+                                for row in data.tolist()]
+    blocks = -(-rows // _BLOCK_ROWS)
+    assert len(written) == 3 * blocks
+    # Both repeating columns go to _g17 as their distinct bit patterns only.
+    assert max(written[0::3] + written[2::3]) <= len(specials)
+    assert sum(written[1::3]) == rows
+    # -0.0 and 0.0 stay apart; NaNs of any payload all read "nan".
+    assert {"0", "-0", "nan"} <= set(got.replace("\n", ",").split(","))
+
+
+def test_the_longest_texts_fill_a_24_byte_cell():
+    values = np.array([-2.2250738585072014e-308, -1.7976931348623157e308,
+                       -1.2345678901234567e-123, -9.8765432109876543e+299,
+                       -1.0000000000000002e-100, -0.00012345678901234568])
+    texts = [format(v, ".17g") for v in values.tolist()]
+    assert {len(t) for t in texts} == {24, 23}
+    assert cli._g17(values, _leaf).shape == (len(values), 24)
+    assert _kernel_texts(values) == texts
+
+
 # -- failure modes -------------------------------------------------------------------
 
 
@@ -732,6 +787,57 @@ def test_error_exit_codes(tmp_path, cd_doc):
     assert run(RunConfig("eval", cd_doc, at=(1.0, 1.0, 1.0)))[0] == 1
     assert run(RunConfig("eval", cd_doc, at=(1.0, -1.0)))[0] == 1
     assert run(RunConfig("eval", cd_doc))[0] == 1
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["scan", "--samples", "400000000"], 2),
+    (["scan", "--samples", "1"], 30),  # 2^30 points: two per axis
+    (["verify", "--theorem", "4.1", "--samples", "1000000"], 2),
+    (["elasticity", "--box", "1:2,1:2", "--samples", "400000000"], 2),
+    (["classify", "--samples", "1000000"], 2),
+], ids=["scan", "scan-wide", "verify", "elasticity", "classify"])
+def test_a_request_over_the_point_bound_is_refused_before_it_allocates(
+        tmp_path, capsys, argv, n):
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                          "gamma": 1.0, "alpha": [0.5] * n})
+    tracemalloc.start()
+    try:
+        status = main([*argv, "--fn", doc])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = one_record(capsys.readouterr().out)
+    assert status == 1 and record["error"]["type"] == "SpecError"
+    assert f"at most {MAX_POINTS}" in record["error"]["message"]
+    assert peak < 1 << 20  # nothing of the size of the points it refused
+
+
+def test_a_memory_error_is_one_json_line(monkeypatch, capsys, cd_doc):
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    def exhausted(*args, **kwargs):
+        raise _ArrayMemoryError((10 ** 9, 2), np.dtype(np.float64))
+
+    monkeypatch.setattr(np, "meshgrid", exhausted)
+    assert main(["scan", "--samples", "16", "--fn", cd_doc]) == 1
+    record = one_record(capsys.readouterr().out)
+    assert record["error"]["type"] == "MemoryError"
+    assert "Unable to allocate" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("theorem", ["4.1", "4.2"])
+def test_the_euler_gap_is_finite_where_x_dot_grad_f_overflows(
+        tmp_path, capsys, theorem):
+    # f = 1e-312 x1 x2 x3 x4 is about 1e308 on the box, so x . grad f = 4 f
+    # overflows; the quotient is 4, the gap from degree one 3.
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
+                                          "gamma": 1e-312,
+                                          "alpha": [1, 1, 1, 1]})
+    box = ",".join(["1e155:1.1e155"] * 4)
+    assert main(["verify", "--theorem", theorem, "--box", box,
+                 "--samples", "8", "--fn", doc]) == 0
+    check = one_record(capsys.readouterr().out)["report"]["conclusion_check"]
+    assert check["euler_degree_gap"] == 3
 
 
 def test_one_parser_without_subparsers_is_built_once():

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from prodgeo import expr_from_dict
 from prodgeo.cli import main
 from prodgeo.families import normalize_outer_shift
+from prodgeo.sampling import MAX_POINTS
 
 BASES = (
     {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]},
@@ -142,7 +143,9 @@ def requests(draw):
             box_axes(), min_size=n, max_size=n))))
     if command == "verify":
         argv += ["--theorem", draw(st.sampled_from(["1.1", "4.1", "4.2"]))]
-    argv += ["--samples", "4" if command == "scan" else "8"]
+    # Now and then ten times the point bound, which is refused unevaluated.
+    argv += ["--samples", draw(st.sampled_from(
+        ["4" if command == "scan" else "8"] * 9 + [str(10 * MAX_POINTS)]))]
     if command in ("scan", "verify") and draw(st.booleans()):
         argv += ["--out", "csv"]
     return argv
@@ -195,6 +198,11 @@ def requests(draw):
 @example(text=json.dumps(BASES[3]), argv=["verify", "--theorem", "4.2"])
 @example(text=json.dumps({**BASES[0], "alpha": [0.3, 0.3, 0.4]}),
          argv=["verify", "--theorem", "4.2"])
+# x . grad f overflows where the Euler quotient, 4, is representable.
+@example(text=json.dumps({"type": "cobb_douglas", "gamma": 1e-312,
+                          "alpha": [1, 1, 1, 1]}),
+         argv=["verify", "--theorem", "4.1", "--samples", "8",
+               "--box=" + ",".join(["1e155:1.1e155"] * 4)])
 def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
     path = tmp_path / "fn.json"
     path.write_text(text)

@@ -16,9 +16,11 @@ from prodgeo import (
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, run
 from prodgeo.families import hessian_det_terms, hessian_factors
-from prodgeo.geometry import surface_curvatures
+from prodgeo.geometry import (
+    _riemann_max, surface_curvatures, theorem_curvatures,
+)
 import gates
-from jets import assembled_curvatures
+from jets import assembled_curvatures, exact_riemann_max
 from conftest import (
     make_rng, random_acms, random_cobb_douglas, random_point, random_points,
     random_log_spec, random_mixed_spec, random_power_spec,
@@ -141,7 +143,7 @@ def test_flatness_vanishes_exactly_when_the_form_has_rank_one():
         for x in random_points(rng, expr.n, 5):
             geo = graph_geometry(expr, x)
             flat = geo.flatness_residual <= gates.FLATNESS_VERDICT_TOL
-            minors = surface_curvatures(expr.derivatives([x]))[
+            minors = theorem_curvatures(expr.derivatives([x]))[
                 "minor_cancellation"][0]
             s = np.linalg.svd(geo.second_fundamental_form,
                               compute_uv=False)
@@ -248,18 +250,18 @@ def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
             want = _terms(*_rewrite_factors(spec, x))
             table = expr.derivatives([x])
             factors = hessian_factors(table.factors)
-            diag, c, slope = (np.atleast_1d(f[0]).tolist() for f in factors)
-            got = _terms([Fraction(v) for v in diag], Fraction(c[0]),
+            diag, c, slope = (f[..., 0].tolist() for f in factors)
+            got = _terms([Fraction(v) for v in diag], Fraction(c),
                          [Fraction(v) for v in slope])
             size = sum(map(abs, want))
             apart = sum(abs(g - w) for g, w in zip(got, want))
             assert apart <= FACTOR_REWRITE_RTOL * size, (expr.family, x)
             bound = apart + _gamma(3 * expr.n + 2) * sum(map(abs, got))
-            det = hessian_det_terms(*factors).sum(axis=1)[0]
+            det = hessian_det_terms(*factors).sum(axis=0)[0]
             assert abs(Fraction(float(det)) - sum(want)) <= bound
             if expr.family == "quasi_sum":
                 assert hessian_det_quasisum(spec, x) == det
-            surface = surface_curvatures(table)
+            surface = theorem_curvatures(table)
             stat = Fraction(float(surface["det_cancellation"][0]))
             assert abs(stat - abs(sum(want)) / size) <= \
                 2 * bound / (size - bound) + UNIT
@@ -319,6 +321,7 @@ def test_closed_forms_agree_with_the_assembled_hessian():
         # and 5 for the square root, the division by W and the square.  So
         # the two differ by at most E = gamma_(n^2 + 2n + 24) M^2.
         diag, c, u = hessian_factors(table.factors)
+        diag, u = diag.T, u.T
         sizes = (np.abs(c) / w)[:, np.newaxis, np.newaxis] * np.abs(
             u[:, :, np.newaxis] * u[:, np.newaxis, :])
         sizes.reshape(len(w), -1)[:, ::n + 1] += np.abs(diag) / w[:, np.newaxis]
@@ -334,7 +337,7 @@ def test_closed_forms_agree_with_the_assembled_hessian():
         # |det| / |Hess|^n one factor at a time: |h_f| / |h_a| lies within
         # (1 -+ E / |h_a|^2)^(1/2), and the 2n + 1 divisions and square
         # roots on either side add gamma_(5n + 4).
-        det = np.abs(hessian_det_terms(diag, c, u).sum(axis=1))
+        det = np.abs(hessian_det_terms(diag.T, c, u.T).sum(axis=0))
         scaled = det
         for _ in range(n):
             scaled = scaled / np.where(norm == 0.0, 1.0, norm)
@@ -343,6 +346,30 @@ def test_closed_forms_agree_with_the_assembled_hessian():
                          * (1.0 + float(_gamma(5 * n + 4))) - 1.0, np.inf)
         assert np.all(np.abs(factored["gauss_kronecker_scaled"] - scaled)
                       <= scaled * slack)
+
+
+def test_the_largest_minor_is_the_largest_minor_of_the_assembled_matrix():
+    # Each closed-form minor takes at most 5 roundings, so it is within
+    # gamma_5 of its largest term sum, and so is the largest of them.
+    rng = make_rng(414)
+    for n in range(2, 7):
+        count = 60
+        sign = rng.choice([-1.0, 1.0], (3, n, count))
+        u, diag = sign[:2] * 10.0 ** rng.uniform(-3.0, 3.0, (2, n, count))
+        c = sign[2, 0] * 10.0 ** rng.uniform(-3.0, 3.0, count)
+        # Tied |u|: an equal pair, an opposite pair, all equal.
+        u[1, 0::4] = u[0, 0::4]
+        u[-1, 1::4] = -u[0, 1::4]
+        u[:, 2::4] = u[0, 2::4]
+        # One largest |u| (index 0) where the minors of D cancel but the
+        # cross minors do not: the product of the other two largest wins.
+        u[:, 3], diag[:, 3], c[3] = 1.0, 0.0, 1.0
+        u[0, 3], diag[0, 3] = 4.0, -2.0
+        got = _riemann_max(diag, c, u)
+        for k in range(count):
+            want, size = exact_riemann_max(diag[:, k], c[k], u[:, k])
+            assert abs(Fraction(float(got[k])) - want) <= _gamma(5) * size, \
+                (n, k)
 
 
 def test_one_point_slices_match_the_batched_surface():

@@ -29,7 +29,7 @@ from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _leaf, run
 from prodgeo.elasticity import ces_residuals, hicks_values
 from prodgeo.families import PointTable, index_pairs, normalize_outer_shift
-from prodgeo.geometry import surface_curvatures
+from prodgeo.geometry import theorem_curvatures
 from prodgeo.sampling import box_center, log_uniform
 import gates
 from conftest import (
@@ -656,7 +656,7 @@ def _log_form_defect(alpha, d1, d2):
 def _point_cancellation(expr, x, statistic):
     """``det_cancellation`` or ``minor_cancellation`` at one point, from a
     one-row call."""
-    return float(surface_curvatures(expr.derivatives([x]))[statistic][0])
+    return float(theorem_curvatures(expr.derivatives([x]))[statistic][0])
 
 
 def _check_curvature_report(verify, theorem, expr, box, samples, seed):
