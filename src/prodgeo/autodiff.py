@@ -1,11 +1,8 @@
 """Second-order records: a value, its gradient and its Hessian at one point.
 
-:class:`Jet2` is a plain validated record.  :meth:`FunctionExpr.jet
-<prodgeo.families.FunctionExpr.jet>` fills it with the one-row slice of the
-batched kernel in :mod:`prodgeo.families`, which evaluates every family as
-F(h_1(x_1) + ... + h_n(x_n)) from closed-form per-axis derivatives.
-:func:`finite_difference_oracle` fills it from central differences of the
-plain value alone, as an independent check.
+:class:`Jet2` is a plain validated record.  :func:`finite_difference_oracle`
+fills it from central differences of the plain value alone, as a check of
+the batched kernel in :mod:`prodgeo.families` that is independent of it.
 """
 
 from __future__ import annotations
@@ -31,13 +28,6 @@ class Jet2:
     @property
     def n(self) -> int:
         return self.gradient.shape[0]
-
-
-def evaluate_jet(expr, point) -> Jet2:
-    """The exact value, gradient and symmetric Hessian of ``expr`` at
-    ``point``, as a jet (``expr`` is anything with a ``jet(point)`` method).
-    """
-    return expr.jet(point)
 
 
 def finite_difference_oracle(expr, point, step: float | None = None) -> Jet2:

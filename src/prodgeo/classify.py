@@ -30,7 +30,7 @@ with the data needed to inspect it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,9 +42,8 @@ from .elasticity import (
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
     FORM_EXP, FORM_LOG, FORM_POWER,
-    FunctionExpr, PointTable, QuasiSumSpec, ScalarFn,
+    FunctionExpr, PointTable, QuasiSumSpec,
     as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
-    normalize_outer_shift,
 )
 from .geometry import theorem_curvatures
 from . import tolerances
@@ -69,7 +68,6 @@ SIGMA_REFERENCE_DEGENERATE = 2.0
 __all__ = [
     "ClassificationResult", "TheoremReport", "classify_quasi_sum",
     "verify_theorem_11", "verify_theorem_41", "verify_theorem_42",
-    "acms_outer_ode_residual", "cobb_douglas_outer_ode_residual",
     "HOMOTHETIC_ACMS", "HOMOTHETIC_COBB_DOUGLAS", "RATIO_TWO_INPUT",
     "NOT_CES", "CONSISTENT", "INCONSISTENT", "DEGENERATE_HYPOTHESIS",
     "SIGMA_REFERENCE_DEGENERATE",
@@ -193,37 +191,10 @@ def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
 
 
 def _relative_defect(a, b):
-    """|a - b| / max(|a|, |b|), and 0 where both vanish; floats or arrays."""
+    """|a - b| / max(|a|, |b|) per element, and 0 where both vanish (under
+    the caller's np.errstate)."""
     scale = np.maximum(np.abs(a), np.abs(b))
-    with np.errstate(invalid="ignore"):
-        return np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)[()]
-
-
-def acms_outer_ode_residual(outer: ScalarFn, sigma: float, u):
-    """Relative defect of F'(u) = (sigma-1) u F''(u) at an argument u (a
-    float, or an array of them).
-
-    Zero exactly for F(u) = c u^(sigma/(sigma-1)) + s, the outer functions
-    that make a power quasi-sum homogeneous of degree one.
-    """
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma in (0.0, 1.0):
-        raise SpecError("sigma must be finite and neither 0 nor 1")
-    _, d1, d2 = outer.derivatives(u)
-    return _relative_defect(d1, (sigma - 1.0) * u * d2)
-
-
-def cobb_douglas_outer_ode_residual(outer: ScalarFn, alpha: float, u):
-    """Relative defect of (alpha-1) F'(u) + alpha u F''(u) = 0.
-
-    Here u is the product-form argument (a float or an array); zero exactly
-    for F(u) = c u^(1/alpha) + s.
-    """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha == 0.0:
-        raise SpecError("alpha must be finite and nonzero")
-    _, d1, d2 = outer.derivatives(u)
-    return _relative_defect((alpha - 1.0) * d1, -(alpha * u * d2))
+    return np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)
 
 
 # -- theorem verification -----------------------------------------------------
@@ -275,26 +246,28 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
     member of either family, by exact (1e-12) parameter tests, a quasi-sum
     classified on ``table``; the shift-free Euler gap; and, for a member of
     either family at any degree, the largest defect of its outer ODE, with
-    sigma - 1 = p / (1 - p) for inner exponent p."""
+    sigma - 1 = p / (1 - p) for inner exponent p.  The Euler gap reads
+    the outer function without its additive constant, at the table's u."""
     p = expr.params
-    matches, family = False, None
-    alpha = power = None  # alpha, or (p, u), of the family's outer ODE
+    matches, family, outer = False, None, None
+    alpha = power = None  # alpha, or the inner exponent p, of the outer ODE
     if expr.family == "acms":
         gap = abs(p["d"] - 1.0)
         matches, family, record = (gap <= tolerances.DEGREE_ONE_TOL, "acms",
                                    {"degree_gap": gap})
-        if p["rho"] != 1.0:  # the kernel's inner sum, terms in its order
-            power = p["rho"], (np.array(p["weights"])
-                               * table.points ** p["rho"]).sum(axis=1)
+        if p["rho"] != 1.0:
+            power = p["rho"]
     elif expr.family == "cobb_douglas":
         alpha = math.fsum(p["alpha"])
         gap = abs(alpha - 1.0)
         matches, family, record = (gap <= tolerances.DEGREE_ONE_TOL,
                                    "cobb_douglas", {"exponent_sum_gap": gap})
     elif expr.family == "ratio":
+        outer = p["outer"]
         record = {"note": "ratio family is homogeneous of degree zero"}
     else:
         spec = p["spec"]
+        outer = spec.outer
         case = _classify(spec, table, detection).case
         record = {"classification_case": case, "outer_form": spec.outer.form}
         if case == HOMOTHETIC_ACMS:
@@ -310,8 +283,7 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
             if spec.outer.form == FORM_POWER:
                 record["degree_product"] = spec.outer.exponent * exponent
             family = "acms"
-            power = exponent, sum(h.derivatives(table.points[:, k])[0]
-                                  for k, h in enumerate(spec.inner))
+            power = exponent
         elif case == HOMOTHETIC_COBB_DOUGLAS:
             alpha = math.fsum(h.coefficient for h in spec.inner)
             record["coefficient_sum"] = alpha
@@ -320,11 +292,13 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
                        <= tolerances.DEGREE_ONE_TOL * max(1.0, abs(alpha)))
             family = "cobb_douglas"
 
-    bare = normalize_outer_shift(expr)
+    bare = table
+    if outer is not None and outer.shift != 0.0:
+        bare = replace(table, value=replace(outer, shift=0.0).derivatives(
+            table.u)[0])
     try:
-        record["euler_degree_gap"] = float(np.max(np.abs(euler_quotients(
-            table if bare is expr else bare.derivatives(table.points))
-            - 1.0)))
+        record["euler_degree_gap"] = float(np.max(np.abs(
+            euler_quotients(bare) - 1.0)))
     except DomainError:
         record["euler_degree_gap"] = math.inf
     check = {"family_matches": matches, "family": family, **record}
@@ -339,9 +313,8 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
     if alpha is not None:
         form, defect = "log_aggregator", _relative_defect(alpha * f2, f1)
     else:
-        exponent, u = power
         form, defect = "power_aggregator", _relative_defect(
-            f1, exponent / (1.0 - exponent) * (u * f2))
+            f1, power / (1.0 - power) * (table.u * f2))
     worst = float(np.max(defect))
     if not math.isfinite(worst):
         raise DomainError("outer-function residual is not finite")

@@ -31,12 +31,9 @@ from .classify import (
     classify_quasi_sum, verify_theorem_11, verify_theorem_41,
     verify_theorem_42,
 )
-from .elasticity import (
-    PointRecords, detect_ces, hicks_elasticity, hicks_values,
-    pairwise_elasticities,
-)
+from .elasticity import PointRecords, detect_ces, hicks_values, tagged_pairs
 from .errors import DomainError, SpecError
-from .families import expr_from_dict, validate_box
+from .families import expr_from_dict, index_pairs, validate_box
 from .geometry import graph_geometry, surface_curvatures
 from .sampling import grid_shape, log_grid
 
@@ -369,14 +366,15 @@ def _cmd_curvature(config: RunConfig, expr) -> dict:
 def _cmd_elasticity(config: RunConfig, expr) -> dict:
     if config.at is not None:
         at = _require_at(config, expr.n)
-        if config.pair is not None:
-            i, j = _check_pair(config.pair, expr.n)
-            values = [(i, j, hicks_elasticity(expr, at, i, j))]
-        else:
-            values = pairwise_elasticities(expr, at)
-        pairs = {f"{i + 1},{j + 1}": {"kind": h.kind, "value": h.value}
-                 for i, j, h in values}
-        return {"mode": "point", "point": list(at), "pairs": pairs}
+        if config.pair is None:
+            i, j = index_pairs(expr.n)
+        else:  # --pair 2,1 reads H_12 and keeps its key "2,1"
+            i, j = np.array([_check_pair(config.pair, expr.n)]).T
+        values = hicks_values(expr._row(at), np.minimum(i, j),
+                              np.maximum(i, j))[0]
+        pairs = dict(zip(zip(i.tolist(), j.tolist()), values.tolist()))
+        return {"mode": "point", "point": list(at),
+                "pairs": tagged_pairs(pairs)}
     box = validate_box(config.box, expr.n)
     report = detect_ces(expr, box, samples=config.samples, seed=config.seed)
     out = report.as_dict()

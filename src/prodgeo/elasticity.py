@@ -12,12 +12,12 @@ f = F(h_1(x_1) + ... + h_n(x_n)) and f_k = F' h_k', so the F'' parts cancel:
     H_ij = (A_i + A_j) / (B_i + B_j),  A_k = 1/(x_k h_k'),  B_k = -h_k''/h_k'^2
 
 from the kernel's per-axis record.
-Numerator and denominator can vanish independently, so the result is a
-tagged value: finite, infinite (vanishing denominator), or degenerate (both
-vanish and the ratio carries no information).  Vanishing is judged against
-the summed magnitude of the terms, with an exact-zero escape so that
-functions whose second derivatives are identically zero are classified
-without reference to a scale.
+Numerator and denominator can vanish independently, so the result is
+finite, infinite (inf: vanishing denominator), or degenerate (nan: both
+vanish and the ratio carries no information), tagged so in reports.
+Vanishing is judged against the summed magnitude of the terms, with an
+exact-zero escape so that functions whose second derivatives are
+identically zero are classified without reference to a scale.
 
 The two-input ratio family F(x2/x1) is the reason the degenerate tag exists:
 both numerator and denominator vanish identically for it, so the constant-
@@ -33,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .families import (
-    FunctionExpr, PointTable, QuasiSumSpec, index_pairs, validate_box,
-)
+from .families import FunctionExpr, PointTable, index_pairs, validate_box
 from .sampling import box_center, check_points, log_uniform
 from . import tolerances
 
@@ -48,40 +46,11 @@ DEGENERATE_CES = "DegenerateCES"
 NOT_CES = "NotCES"
 
 __all__ = [
-    "HicksValue", "ElasticityReport", "hicks_elasticity", "hicks_values",
-    "pairwise_elasticities", "ces_residuals", "ces_residual",
-    "quasisum_separated_residual", "PointRecords", "point_table",
-    "detect_ces", "detect_ces_on",
+    "ElasticityReport", "hicks_values", "tagged_pairs", "ces_residuals",
+    "PointRecords", "point_table", "detect_ces", "detect_ces_on",
     "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
 ]
-
-
-@dataclass(frozen=True)
-class HicksValue:
-    """Pairwise elasticity tagged with its degeneracy status."""
-
-    kind: str
-    value: float | None = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == FINITE
-
-    def as_float(self) -> float:
-        """Numeric rendering: inf for infinite, nan for degenerate."""
-        if self.kind == FINITE:
-            return self.value
-        return math.inf if self.kind == INFINITE else math.nan
-
-
-def _pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
-    for k in (i, j):
-        if not isinstance(k, int) or not 0 <= k < n:
-            raise SpecError(f"input index {k!r} out of range for {n} inputs")
-    if i == j:
-        raise SpecError("elasticity needs two distinct inputs")
-    return (i, j) if i < j else (j, i)
 
 
 def _axis_terms(x, d1, d2):
@@ -116,24 +85,17 @@ def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
                         num / den)
 
 
-def _tagged(value: float) -> HicksValue:
-    if math.isfinite(value):
-        return HicksValue(FINITE, value)
-    return HicksValue(DEGENERATE if math.isnan(value) else INFINITE)
-
-
-def hicks_elasticity(expr: FunctionExpr, point, i: int, j: int) -> HicksValue:
-    """H_ij of ``expr`` at ``point`` for the (zero-based) input pair."""
-    lo, hi = _pair_indices(expr.n, i, j)
-    return _tagged(float(hicks_values(expr._row(point), lo, hi)[0]))
-
-
-def pairwise_elasticities(expr: FunctionExpr, point):
-    """[(i, j, HicksValue)] over all pairs i < j, from a one-row table."""
-    lo, hi = index_pairs(expr.n)
-    values = hicks_values(expr._row(point), lo, hi)[0]
-    return [(int(i), int(j), _tagged(v))
-            for i, j, v in zip(lo, hi, values.tolist())]
+def tagged_pairs(pair_values: dict) -> dict:
+    """The report map {"i,j": {"kind", "value"}}, keys 1-based, of Hicks
+    values keyed by zero-based pair (i, j): inf is infinite and nan
+    degenerate, and neither carries a value."""
+    out = {}
+    for (i, j), value in pair_values.items():
+        kind = (FINITE if math.isfinite(value)
+                else DEGENERATE if math.isnan(value) else INFINITE)
+        out[f"{i + 1},{j + 1}"] = {
+            "kind": kind, "value": value if kind == FINITE else None}
+    return out
 
 
 def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
@@ -156,46 +118,12 @@ def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
     return out
 
 
-def ces_residual(expr: FunctionExpr, point, sigma: float,
-                 i: int, j: int) -> float:
-    """ces_residuals at one point and pair, from a one-row table."""
-    lo, hi = _pair_indices(expr.n, i, j)
-    return float(ces_residuals(expr._row(point), sigma, lo, hi)[0])
-
-
-def quasisum_separated_residual(spec: QuasiSumSpec, point, sigma: float,
-                                i: int, j: int) -> float:
-    """Signed defect of the separated constant-elasticity condition.
-
-    For f = F(sum h_k) the outer function drops out of H_ij and the identity
-    H_ij = sigma splits into per-input terms
-
-        s_k = A_k - sigma B_k = 1/(x_k h_k') + sigma * h_k''/h_k'**2
-
-    with H_ij = sigma exactly when s_i + s_j = 0.  Returns s_i + s_j, from
-    the inners' h' and h'' alone: F is never evaluated.
-    """
-    sigma = float(sigma)
-    if sigma == 0.0 or not math.isfinite(sigma):
-        raise SpecError("sigma must be finite and nonzero")
-    lo, hi = _pair_indices(spec.n, i, j)
-    x = FunctionExpr("quasi_sum", spec.n, {"spec": spec})._check_point(
-        point)[[lo, hi]]
-    _, d1, d2 = np.array([spec.inner[k].derivatives(xk)
-                          for k, xk in zip((lo, hi), x)]).T
-    if not d1.all():
-        raise DomainError(
-            "separated residual undefined where an inner derivative vanishes")
-    a, b = _axis_terms(x, d1, d2)
-    return float((a[0] + a[1]) - sigma * (b[0] + b[1]))
-
-
 @dataclass(frozen=True)
 class ElasticityReport:
     """Outcome of sampling the pairwise elasticity over a box.
 
-    ``pair_values`` holds the tagged elasticities at the box center, keyed by
-    the zero-based pair.  ``sigma_estimate`` is the anchor value the constancy
+    ``pair_values`` holds the elasticities at the box center (inf if
+    infinite, nan if degenerate), keyed by the zero-based pair.  ``sigma_estimate`` is the anchor value the constancy
     check ran against, absent when no pair was ever finite.
     """
 
@@ -209,13 +137,11 @@ class ElasticityReport:
     degenerate_pairs: int
 
     def as_dict(self) -> dict:
-        pairs = {f"{i + 1},{j + 1}": {"kind": h.kind, "value": h.value}
-                 for (i, j), h in sorted(self.pair_values.items())}
         return {
             "verdict": self.verdict,
             "sigma_estimate": self.sigma_estimate,
             "max_deviation": self.max_deviation,
-            "center_pair_values": pairs,
+            "center_pair_values": tagged_pairs(self.pair_values),
             "n_points": self.n_points,
             "finite_pairs": self.finite_pairs,
             "infinite_pairs": self.infinite_pairs,
@@ -302,8 +228,7 @@ def detect_ces_on(table: PointTable) -> ElasticityReport:
         verdict = REGULAR_CES
     else:
         verdict = NOT_CES
-    center = {(int(i), int(j)): _tagged(v)
-              for i, j, v in zip(lo, hi, values[0].tolist())}
+    center = dict(zip(zip(lo.tolist(), hi.tolist()), values[0].tolist()))
     return ElasticityReport(verdict,
                             sigma_hat if verdict == REGULAR_CES else None,
                             max_dev, center, len(values), n_finite,

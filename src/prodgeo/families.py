@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Jet2
 from .errors import DomainError, SpecError
 
 FORM_POWER = "power"
@@ -190,19 +189,23 @@ class QuasiSumSpec:
 @dataclass(frozen=True, eq=False)
 class PointTable:
     """One evaluation of an expression at the rows of ``points``: values
-    (N,), gradients (N, n) and the per-axis record ``factors`` = (F', F'',
-    h', h'') of F(sum h_k(x_k)).  ``table[rows]`` is the table of those
-    rows."""
+    (N,), gradients (N, n), the per-axis record ``factors`` = (F', F'',
+    h', h'') of F(sum h_k(x_k)) and the outer argument ``u`` (N,) that F'
+    and F'' were taken at (the inner sum, x2/x1 for the ratio family, None
+    for Cobb-Douglas, whose kernel forms no sum).  ``table[rows]`` is the
+    table of those rows."""
 
     points: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
     factors: tuple
+    u: np.ndarray | None
 
     def __getitem__(self, rows) -> PointTable:
         return PointTable(self.points[rows], self.value[rows],
                           self.gradient[rows],
-                          tuple(part[rows] for part in self.factors))
+                          tuple(part[rows] for part in self.factors),
+                          None if self.u is None else self.u[rows])
 
     @property
     def hessian(self) -> np.ndarray:
@@ -277,12 +280,6 @@ class FunctionExpr:
             raise DomainError("value overflows the float range")
         return float(out)
 
-    def jet(self, point) -> Jet2:
-        """Exact value, gradient and Hessian at ``point``: the one-row slice
-        of :meth:`derivatives`."""
-        row = self._row(point)
-        return Jet2(row.value[0], row.gradient[0], row.hessian[0])
-
     def _row(self, point) -> PointTable:
         """The one-row table of :meth:`derivatives` at ``point``."""
         return self._kernel(self._check_point(point)[np.newaxis, :])
@@ -311,6 +308,7 @@ class FunctionExpr:
                 d1 = np.array(p["alpha"]) / x
                 d2 = -d1 / x
                 f1 = f2 = f
+                u = None
             elif self.family == "acms":
                 rho, d = p["rho"], p["d"]
                 q = d / rho
@@ -332,10 +330,10 @@ class FunctionExpr:
                     u = u + hk
                 f, f1, f2 = p["spec"].outer.derivatives(u)
             else:  # ratio
-                r = x[:, 1] / x[:, 0]
-                f, g1, g2 = p["outer"].derivatives(r)
-                f1 = g1 * r
-                f2 = g2 * r * r + f1
+                u = x[:, 1] / x[:, 0]
+                f, g1, g2 = p["outer"].derivatives(u)
+                f1 = g1 * u
+                f2 = g2 * u * u + f1
                 # Inner -log x1 and log x2: h'' = (h')^2 and -(h')^2, formed
                 # from d1 itself so that H22 cancels exactly when F'' = 0.
                 d1 = np.array([-1.0, 1.0]) / x
@@ -344,7 +342,7 @@ class FunctionExpr:
             gradient = f1[:, np.newaxis] * d1
         if not all(np.isfinite(a).all() for a in (f, gradient, *factors)):
             raise DomainError(_NOT_FINITE)
-        return PointTable(x, f, gradient, factors)
+        return PointTable(x, f, gradient, factors, u)
 
 
 @functools.cache
@@ -489,11 +487,6 @@ def euler_quotients(table: PointTable) -> np.ndarray:
             "pi,pi->p", table.points, table.factors[2])
 
 
-def homogeneity_degree(expr: FunctionExpr, point) -> float:
-    """Euler quotient at ``point``: the one-point slice of euler_quotients."""
-    return float(euler_quotients(expr._row(point))[0])
-
-
 def hessian_factors(factors) -> tuple:
     """(D, c, u) = (F' h'', F'', h') of Hess = diag(D) + c u u^T, with D and u
     as (n, N) columns, so that each step over the inputs runs on N rows."""
@@ -511,18 +504,6 @@ def hessian_det_terms(diag, c, u) -> np.ndarray:
         np.multiply(before[j - 1], diag[j - 1], out=before[j])
         np.multiply(after[n - j], diag[n - j], out=after[n - 1 - j])
     return np.vstack([before[-1] * diag[-1], c * (u * u) * (before * after)])
-
-
-@np.errstate(all="ignore")
-def hessian_det_quasisum(spec: QuasiSumSpec, point) -> float:
-    """det H = F'^n prod(h_i'') + F'^(n-1) F'' sum_j prod_{i != j}(h_i'') h_j'^2
-    of a quasi-sum at ``point``: the one-point sum of hessian_det_terms over
-    the kernel's factors; DomainError when it leaves the float range."""
-    row = FunctionExpr("quasi_sum", spec.n, {"spec": spec})._row(point)
-    det = float(hessian_det_terms(*hessian_factors(row.factors)).sum(axis=0)[0])
-    if not math.isfinite(det):
-        raise DomainError("Hessian determinant overflows the float range")
-    return det
 
 
 def as_quasi_sum(expr: FunctionExpr) -> QuasiSumSpec:
@@ -562,23 +543,6 @@ def as_quasi_sum(expr: FunctionExpr) -> QuasiSumSpec:
             inner=inner)
     raise SpecError(
         f"ratio with {outer.form} outer has no quasi-sum form in this family")
-
-
-def normalize_outer_shift(expr: FunctionExpr) -> FunctionExpr:
-    """Copy of ``expr`` with any additive output constant removed."""
-    if expr.family == "quasi_sum":
-        spec: QuasiSumSpec = expr.params["spec"]
-        if spec.outer.shift == 0.0:
-            return expr
-        bare = QuasiSumSpec(outer=replace(spec.outer, shift=0.0),
-                            inner=spec.inner)
-        return FunctionExpr("quasi_sum", expr.n, {"spec": bare})
-    if expr.family == "ratio":
-        outer: ScalarFn = expr.params["outer"]
-        if outer.shift == 0.0:
-            return expr
-        return FunctionExpr("ratio", 2, {"outer": replace(outer, shift=0.0)})
-    return expr
 
 
 # -- document form ------------------------------------------------------------

@@ -43,9 +43,8 @@ from .families import (
 
 _NOT_FINITE = "surface quantity is not finite (floating-point overflow)"
 
-__all__ = ["GraphGeometry", "graph_point", "graph_geometry",
-           "surface_curvatures", "theorem_curvatures", "gauss_kronecker",
-           "flatness_residual"]
+__all__ = ["GraphGeometry", "graph_geometry", "surface_curvatures",
+           "theorem_curvatures"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +158,6 @@ def _riemann_max(diag, c, u) -> np.ndarray:
     return rmax
 
 
-def graph_point(expr: FunctionExpr, point) -> np.ndarray:
-    """The point (x, f(x)) on the hypersurface."""
-    x = expr._check_point(point)
-    return np.append(x, expr.value(x))
-
-
 @np.errstate(all="ignore")
 def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
     """Every surface quantity of the graph of ``expr`` at ``point``, or
@@ -195,12 +188,3 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
         **scalars,
     )
 
-
-def gauss_kronecker(expr: FunctionExpr, point) -> float:
-    """det(Hess f) / W^(n+2) at ``point``."""
-    return float(surface_curvatures(expr._row(point))["gauss_kronecker"][0])
-
-
-def flatness_residual(expr: FunctionExpr, point) -> float:
-    """Scale-normalized largest curvature component at ``point``."""
-    return float(surface_curvatures(expr._row(point))["flatness_residual"][0])

@@ -8,6 +8,7 @@ those suites evaluated.
 """
 
 import json
+import math
 import subprocess
 import sys
 from functools import lru_cache
@@ -17,18 +18,19 @@ import pytest
 
 from prodgeo import (
     QuasiSumSpec, ScalarFn,
-    acms_outer_ode_residual, build_acms, build_cobb_douglas,
-    build_quasi_sum, build_ratio, ces_residual,
-    classify_quasi_sum, cobb_douglas_outer_ode_residual, default_box,
-    evaluate_jet, finite_difference_oracle, graph_geometry,
-    hessian_det_quasisum, pairwise_elasticities, verify_theorem_42,
+    build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
+    classify_quasi_sum, default_box, finite_difference_oracle,
+    graph_geometry, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
+from prodgeo.elasticity import ces_residuals, hicks_values
+from prodgeo.families import index_pairs
 from prodgeo.sampling import log_uniform
 import gates
 from conftest import (
-    log_uniform_scalar, make_rng, random_acms, random_cobb_douglas,
-    random_log_spec, random_mixed_spec, random_point, random_power_spec,
+    factored_det, log_uniform_scalar, make_rng, random_acms,
+    random_cobb_douglas, random_log_spec, random_mixed_spec, random_point,
+    random_power_spec,
     random_quasi_sum_expr, random_ratio_expr, random_ratio_spec,
     random_sigma,
 )
@@ -52,7 +54,7 @@ GRADIENT_NORM_CAP = 60.0
 
 def slope_within_cap(expr, points) -> bool:
     return all(
-        float(np.linalg.norm(evaluate_jet(expr, x).gradient))
+        float(np.linalg.norm(expr.derivatives([x]).gradient[0]))
         <= GRADIENT_NORM_CAP
         for x in points)
 
@@ -207,28 +209,30 @@ def all_geometry_evaluations():
 
 
 def test_criterion_01():
-    """Jets agree with the finite-difference oracle on every builder."""
+    """Kernel rows agree with the finite-difference oracle on every
+    builder."""
     for expr, x in differentiation_suite():
-        jet = evaluate_jet(expr, x)
+        row = expr.derivatives([x])
+        gradient, hessian = row.gradient[0], row.hessian[0]
         fd = finite_difference_oracle(expr, x)
-        grad_gap = float(np.max(np.abs(jet.gradient - fd.gradient)))
-        grad_scale = max(1.0, float(np.max(np.abs(jet.gradient))))
+        grad_gap = float(np.max(np.abs(gradient - fd.gradient)))
+        grad_scale = max(1.0, float(np.max(np.abs(gradient))))
         assert grad_gap <= gates.GRADIENT_FD_RTOL * grad_scale
-        hess_gap = float(np.max(np.abs(jet.hessian - fd.hessian)))
-        hess_scale = max(1.0, float(np.max(np.abs(jet.hessian))))
+        hess_gap = float(np.max(np.abs(hessian - fd.hessian)))
+        hess_scale = max(1.0, float(np.max(np.abs(hessian))))
         assert hess_gap <= gates.HESSIAN_FD_SCALED_TOL * hess_scale
 
 
 def test_criterion_02():
-    """The closed-form quasi-sum determinant matches the jet Hessian."""
+    """The factored quasi-sum determinant matches the assembled Hessian."""
     square = ScalarFn("power", 1.0, exponent=2.0)
-    hand = QuasiSumSpec(outer=square, inner=(square, square))
-    assert abs(hessian_det_quasisum(hand, [1.0, 1.0]) - 192.0) <= 1e-9
+    hand = build_quasi_sum(QuasiSumSpec(outer=square, inner=(square, square)))
+    assert abs(factored_det(hand, [1.0, 1.0]) - 192.0) <= 1e-9
 
     for spec, x in determinant_suite():
-        closed = hessian_det_quasisum(spec, x)
-        direct = float(np.linalg.det(
-            evaluate_jet(build_quasi_sum(spec), x).hessian))
+        expr = build_quasi_sum(spec)
+        closed = factored_det(expr, x)
+        direct = float(np.linalg.det(expr.derivatives([x]).hessian[0]))
         assert abs(closed - direct) <= \
             gates.HESSIAN_DET_RTOL * max(abs(closed), abs(direct))
 
@@ -236,20 +240,19 @@ def test_criterion_02():
 def test_criterion_03():
     """Aggregators report the constant elasticity their exponent dictates."""
     for expr, expected, points in elasticity_suite():
-        for x in points:
-            for _, _, value in pairwise_elasticities(expr, x):
-                assert value.kind == "finite"
-                assert abs(value.value - expected) <= 1e-8
+        values = hicks_values(expr.derivatives(points),
+                              *index_pairs(expr.n))
+        assert np.isfinite(values).all()
+        assert np.max(np.abs(values - expected)) <= 1e-8
 
 
 def test_criterion_04():
     """Ratio members are degenerate everywhere and blind to sigma."""
     for expr, points in ratio_suite():
-        for x in points:
-            for _, _, value in pairwise_elasticities(expr, x):
-                assert value.kind == "degenerate"
-            for sigma in (-2.0, 1.0, 3.0):
-                assert abs(ces_residual(expr, x, sigma, 0, 1)) <= 1e-12
+        table = expr.derivatives(points)
+        assert np.isnan(hicks_values(table, 0, 1)).all()
+        for sigma in (-2.0, 1.0, 3.0):
+            assert np.max(np.abs(ces_residuals(table, sigma, 0, 1))) <= 1e-12
 
 
 def test_criterion_05():
@@ -268,28 +271,41 @@ def test_criterion_05():
             assert clear >= 95
 
 
+def _outer_ode_residual(expr) -> float:
+    """``outer_ode.max_residual`` of a Theorem 4.1 report on the default
+    box."""
+    report = verify_theorem_41(expr, samples=16)
+    return report.conclusion_check["outer_ode"]["max_residual"]
+
+
 def test_criterion_06():
     """Outer ODE residuals separate exact solutions from perturbed ones."""
     rng = make_rng(9006)
-    grid = np.geomspace(0.15, 4.0, 13)
     sigmas = [2.0, 3.0, 0.5, -1.0] + [random_sigma(rng) for _ in range(6)]
     for sigma in sigmas:
-        q = sigma / (sigma - 1.0)
-        solves = ScalarFn("power", log_uniform_scalar(rng, 0.3, 3.0),
-                          exponent=q)
-        perturbed = ScalarFn("power", 1.0, exponent=q + 0.5)
-        for u in grid:
-            assert acms_outer_ode_residual(solves, sigma, float(u)) <= \
-                gates.ODE_MATCH_TOL
-            assert acms_outer_ode_residual(perturbed, sigma, float(u)) > \
-                gates.ODE_MISMATCH_MIN
-    for alpha in (0.25, 0.5, 0.75, 2.0, -0.5):
-        outer = ScalarFn("power", log_uniform_scalar(rng, 0.3, 3.0),
-                         exponent=1.0 / alpha,
-                         shift=float(rng.uniform(-1.0, 1.0)))
-        for u in grid:
-            assert cobb_douglas_outer_ode_residual(
-                outer, alpha, float(u)) <= gates.ODE_MATCH_TOL
+        rho = (sigma - 1.0) / sigma
+        a = [log_uniform_scalar(rng, 0.3, 3.0) for _ in range(3)]
+        assert _outer_ode_residual(build_acms(1.0, a, rho, 1.0)) <= \
+            gates.ODE_MATCH_TOL
+        assert _outer_ode_residual(build_acms(1.0, a, rho, 1.5)) > \
+            gates.ODE_MISMATCH_MIN
+        # The power quasi-sum under outer exponent q = 1 / rho and q + 0.5,
+        # each outer increasing by the sign of its coefficient.
+        inner = tuple(ScalarFn("power", c, exponent=rho) for c in a)
+        for q, exact in ((1.0 / rho, True), (1.0 / rho + 0.5, False)):
+            outer = ScalarFn("power", math.copysign(
+                log_uniform_scalar(rng, 0.3, 3.0), q), exponent=q)
+            residual = _outer_ode_residual(
+                build_quasi_sum(QuasiSumSpec(outer=outer, inner=inner)))
+            if exact:
+                assert residual <= gates.ODE_MATCH_TOL
+            else:
+                assert residual > gates.ODE_MISMATCH_MIN
+    for n in (2, 3, 4):
+        assert _outer_ode_residual(positive_cobb_douglas(rng, n, 1.0)) <= \
+            gates.ODE_MATCH_TOL
+        assert _outer_ode_residual(positive_cobb_douglas(rng, n, 1.2)) > \
+            gates.ODE_MISMATCH_MIN
 
 
 def test_criterion_07():

@@ -1,5 +1,5 @@
-"""The tests' jet arithmetic against hand derivatives, and the library's jets
-against the finite-difference oracle."""
+"""The tests' jet arithmetic against hand derivatives, and the library's
+kernel rows against the finite-difference oracle."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prodgeo import (
-    DomainError, Jet2, SpecError, evaluate_jet, finite_difference_oracle,
+    DomainError, Jet2, SpecError, finite_difference_oracle,
 )
 import gates
 from jets import Jet, lift_variable
@@ -136,19 +136,19 @@ def _random_exprs(rng, count):
 def test_hessian_is_bitwise_symmetric():
     rng = make_rng(101)
     for expr in _random_exprs(rng, 40):
-        jet = evaluate_jet(expr, random_point(rng, expr.n))
-        assert np.array_equal(jet.hessian, jet.hessian.T)
+        hessian = expr.derivatives([random_point(rng, expr.n)]).hessian[0]
+        assert np.array_equal(hessian, hessian.T)
 
 
 def test_jet_value_matches_plain_evaluation():
-    # expr.value never touches the jet arithmetic, so agreement is a real
+    # expr.value never touches the kernel, so agreement is a real
     # cross-check rather than a tautology.
     rng = make_rng(102)
     for expr in _random_exprs(rng, 40):
         x = random_point(rng, expr.n)
-        jet = evaluate_jet(expr, x)
+        value = expr.derivatives([x]).value[0]
         plain = expr.value(x)
-        assert jet.value == pytest.approx(
+        assert value == pytest.approx(
             plain, rel=gates.JET_VALUE_ARITHMETIC_RTOL)
 
 
@@ -156,13 +156,14 @@ def test_finite_difference_oracle_agrees_on_hand_instance():
     rng = make_rng(103)
     expr = random_acms(rng, 3, d=1.3, rho=0.5)
     x = np.array([0.8, 1.1, 1.6])
-    jet = evaluate_jet(expr, x)
+    row = expr.derivatives([x])
+    gradient, hessian = row.gradient[0], row.hessian[0]
     fd = finite_difference_oracle(expr, x)
-    grad_scale = max(1.0, float(np.max(np.abs(jet.gradient))))
-    assert np.max(np.abs(jet.gradient - fd.gradient)) <= \
+    grad_scale = max(1.0, float(np.max(np.abs(gradient))))
+    assert np.max(np.abs(gradient - fd.gradient)) <= \
         gates.GRADIENT_FD_RTOL * grad_scale
-    hess_scale = max(1.0, float(np.max(np.abs(jet.hessian))))
-    assert np.max(np.abs(jet.hessian - fd.hessian)) <= \
+    hess_scale = max(1.0, float(np.max(np.abs(hessian))))
+    assert np.max(np.abs(hessian - fd.hessian)) <= \
         gates.HESSIAN_FD_SCALED_TOL * hess_scale
 
 
@@ -177,6 +178,6 @@ def test_point_arity_is_checked():
     rng = make_rng(105)
     expr = random_cobb_douglas(rng, 2)
     with pytest.raises(SpecError):
-        expr.jet([1.0, 2.0, 3.0])
+        expr.derivatives([[1.0, 2.0, 3.0]])
     with pytest.raises(DomainError):
-        expr.jet([1.0, -2.0])
+        expr.derivatives([[1.0, -2.0]])

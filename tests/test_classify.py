@@ -9,9 +9,8 @@ from scipy.optimize import brentq
 
 from prodgeo import (
     DomainError, HypothesisError, QuasiSumSpec, ScalarFn, SpecError,
-    acms_outer_ode_residual, build_acms, build_cobb_douglas, build_quasi_sum,
-    build_ratio, classify_quasi_sum, cobb_douglas_outer_ode_residual,
-    default_box,
+    build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
+    classify_quasi_sum, default_box,
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
@@ -144,40 +143,43 @@ def test_ratio_classification_is_ray_invariant():
 # -- outer ODE residuals ------------------------------------------------------------
 
 
+def outer_ode_residual(spec, box=None) -> float:
+    """``outer_ode.max_residual`` of the Theorem 4.1 report of a quasi-sum."""
+    report = verify_theorem_41(build_quasi_sum(spec, box), box, samples=16)
+    return report.conclusion_check["outer_ode"]["max_residual"]
+
+
 def test_power_outer_solves_its_ode():
+    # F(u) = c u^(sigma/(sigma-1)), increasing by the sign of c, over power
+    # inners of exponent (sigma-1)/sigma: F' = (sigma-1) u F''.
     rng = make_rng(504)
-    grid = np.geomspace(0.1, 5.0, 17)
+    box = ((0.1, 5.0),) * 2
     for sigma in (2.0, 3.0, 0.5, -1.0, random_sigma(rng)):
-        outer = ScalarFn("power", 1.7, exponent=sigma / (sigma - 1.0))
-        for u in grid:
-            assert acms_outer_ode_residual(outer, sigma, float(u)) <= \
-                gates.ODE_MATCH_TOL
+        q = sigma / (sigma - 1.0)
+        spec = QuasiSumSpec(
+            outer=ScalarFn("power", math.copysign(1.7, q), exponent=q),
+            inner=(ScalarFn("power", 1.0, exponent=1.0 / q),) * 2)
+        assert outer_ode_residual(spec, box) <= gates.ODE_MATCH_TOL
 
 
 def test_perturbed_exponent_fails_the_ode():
     for sigma in (2.0, 3.0):
-        outer = ScalarFn("power", 1.0, exponent=sigma / (sigma - 1.0) + 0.5)
-        assert acms_outer_ode_residual(outer, sigma, 1.3) > \
-            gates.ODE_MISMATCH_MIN
+        q = sigma / (sigma - 1.0)
+        assert outer_ode_residual(power_spec(q + 0.5, [1.0, 1.0], 1.0 / q)) \
+            > gates.ODE_MISMATCH_MIN
 
 
 def test_product_outer_solves_its_ode():
-    grid = np.geomspace(0.2, 4.0, 9)
+    # F(u) = c u^(1/alpha) + s of the product u = x1^a1 x2^a2, a1 + a2 =
+    # alpha, is c e^v + s of the log sum v with coefficients a_k / alpha,
+    # whose F' = F'' satisfies the log-aggregator ODE 1 * F'' = F'.
     for alpha in (0.25, 0.5, 2.0):
-        outer = ScalarFn("power", 1.4, exponent=1.0 / alpha, shift=0.7)
-        for u in grid:
-            assert cobb_douglas_outer_ode_residual(outer, alpha, float(u)) <= \
-                gates.ODE_MATCH_TOL
-
-
-def test_ode_parameter_validation():
-    outer = ScalarFn("power", 1.0, exponent=2.0)
-    with pytest.raises(SpecError):
-        acms_outer_ode_residual(outer, 0.0, 1.0)
-    with pytest.raises(SpecError):
-        acms_outer_ode_residual(outer, 1.0, 1.0)
-    with pytest.raises(SpecError):
-        cobb_douglas_outer_ode_residual(outer, 0.0, 1.0)
+        a = (0.4 * alpha, 0.6 * alpha)
+        spec = QuasiSumSpec(
+            outer=ScalarFn("exp", 1.4, shift=0.7),
+            inner=tuple(ScalarFn("log", ak / alpha) for ak in a))
+        assert outer_ode_residual(spec, ((0.2, 4.0),) * 2) <= \
+            gates.ODE_MATCH_TOL
 
 
 # -- curvature equivalence ------------------------------------------------------------

@@ -116,6 +116,32 @@ def test_elasticity_point_mode(acms_doc):
     assert report["pairs"]["1,2"]["value"] == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ({"type": "acms", "gamma": 1.0, "a": [1.0, 2.0, 0.5], "rho": 0.5,
+      "d": 1.0}, "finite"),
+    ({"type": "quasi_sum",
+      "outer": {"form": "power", "coefficient": 1.0, "exponent": 2.0},
+      "inner": [{"form": "affine", "coefficient": 1.0},
+                {"form": "affine", "coefficient": 2.0}]}, "infinite"),
+    ({"type": "ratio", "outer": {"form": "affine", "coefficient": 1.0}},
+     "degenerate"),
+], ids=["acms", "affine-quasi-sum", "ratio"])
+def test_elasticity_point_pair_keeps_its_order(tmp_path, doc, kind):
+    path = write_doc(tmp_path, "fn.json", doc)
+    at = (1.3, 0.7, 1.1) if doc["type"] == "acms" else (1.3, 0.7)
+    pairs = []
+    for pair in ((1, 0), (0, 1), None):
+        status, env = run_json(RunConfig("elasticity", path, at=at,
+                                         pair=pair))
+        assert status == 0
+        pairs.append(env["report"]["pairs"])
+    swapped, ordered, every = pairs
+    assert list(swapped) == ["2,1"] and list(ordered) == ["1,2"]
+    assert swapped["2,1"] == ordered["1,2"] == every["1,2"]
+    assert swapped["2,1"]["kind"] == kind
+    assert (swapped["2,1"]["value"] is None) == (kind != "finite")
+
+
 def test_elasticity_box_mode(acms_doc):
     status, env = run_json(RunConfig("elasticity", acms_doc, samples=16))
     assert status == 0
@@ -787,6 +813,9 @@ def test_error_exit_codes(tmp_path, cd_doc):
     assert run(RunConfig("eval", cd_doc, at=(1.0, 1.0, 1.0)))[0] == 1
     assert run(RunConfig("eval", cd_doc, at=(1.0, -1.0)))[0] == 1
     assert run(RunConfig("eval", cd_doc))[0] == 1
+    for pair in ((0, 0), (0, 2)):  # the same input twice, and no input 3
+        assert run(RunConfig("elasticity", cd_doc, at=(1.0, 1.0),
+                             pair=pair))[0] == 1
 
 
 @pytest.mark.parametrize("argv, n", [

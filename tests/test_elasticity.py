@@ -9,12 +9,10 @@ from scipy.optimize import brentq
 
 from prodgeo import (
     DomainError, QuasiSumSpec, ScalarFn, SpecError,
-    build_acms, build_cobb_douglas, build_quasi_sum,
-    build_ratio, ces_residual, detect_ces, hicks_elasticity,
-    pairwise_elasticities, quasisum_separated_residual,
+    build_acms, build_cobb_douglas, build_quasi_sum, build_ratio, detect_ces,
 )
 from prodgeo import tolerances
-from prodgeo.elasticity import ces_residuals, hicks_values
+from prodgeo.elasticity import ces_residuals, hicks_values, tagged_pairs
 from prodgeo.families import index_pairs
 import gates
 from conftest import (
@@ -27,63 +25,56 @@ def acms_sigma(rho: float) -> float:
     return 1.0 / (1.0 - rho)
 
 
+def hicks_at(expr, x, i, j) -> float:
+    """H_ij at ``x`` from a one-row table (inf infinite, nan degenerate)."""
+    return float(hicks_values(expr.derivatives([x]), i, j)[0])
+
+
 # -- hand values ----------------------------------------------------------------
 
 
 def test_hicks_hand_values():
     sqrt_sum = build_acms(1.0, (1.0, 1.0), 0.5, 1.0)
-    h = hicks_elasticity(sqrt_sum, [1.0, 1.0], 0, 1)
-    assert h.kind == "finite" and h.value == pytest.approx(2.0, rel=1e-12)
+    h = hicks_at(sqrt_sum, [1.0, 1.0], 0, 1)
+    assert h == pytest.approx(2.0, rel=1e-12)
 
     cd = build_cobb_douglas(1.0, (0.5, 0.5))
-    assert hicks_elasticity(cd, [2.0, 8.0], 0, 1).value == \
-        pytest.approx(1.0, rel=1e-12)
+    assert hicks_at(cd, [2.0, 8.0], 0, 1) == pytest.approx(1.0, rel=1e-12)
 
     linear = build_acms(1.0, (1.0, 1.0), 1.0, 1.0)
-    flat = hicks_elasticity(linear, [1.0, 1.0], 0, 1)
-    assert flat.kind == "infinite" and math.isinf(flat.as_float())
+    flat = hicks_at(linear, [1.0, 1.0], 0, 1)
+    assert flat == math.inf
 
     ratio = build_ratio(ScalarFn("affine", 1.0))
-    degenerate = hicks_elasticity(ratio, [1.0, 1.0], 0, 1)
-    assert degenerate.kind == "degenerate"
-    assert math.isnan(degenerate.as_float())
+    degenerate = hicks_at(ratio, [1.0, 1.0], 0, 1)
+    assert math.isnan(degenerate)
+
+    assert tagged_pairs({(0, 1): h, (1, 0): flat, (0, 2): degenerate}) == {
+        "1,2": {"kind": "finite", "value": h},
+        "2,1": {"kind": "infinite", "value": None},
+        "1,3": {"kind": "degenerate", "value": None}}
 
 
 def test_hicks_matches_the_aggregator_exponent():
     rng = make_rng(301)
     for rho in (-1.0, 0.5, 2.0):
         expr = random_acms(rng, 3, rho=rho)
-        for x in random_points(rng, 3, 25):
-            for i, j, h in pairwise_elasticities(expr, x):
-                assert h.kind == "finite"
-                assert h.value == pytest.approx(acms_sigma(rho), rel=1e-9)
-
-
-def test_pair_argument_validation():
-    expr = build_cobb_douglas(1.0, (0.5, 0.5))
-    with pytest.raises(SpecError):
-        hicks_elasticity(expr, [1.0, 1.0], 0, 0)
-    with pytest.raises(SpecError):
-        hicks_elasticity(expr, [1.0, 1.0], 0, 2)
-    with pytest.raises(SpecError):
-        hicks_elasticity(expr, [1.0, 1.0], 0.0, 1)
-    with pytest.raises(SpecError):
-        hicks_elasticity(expr, [1.0, 1.0], -1, 1)
+        values = hicks_values(expr.derivatives(random_points(rng, 3, 25)),
+                              *index_pairs(3))
+        np.testing.assert_allclose(values, acms_sigma(rho), rtol=1e-9)
 
 
 def test_vanishing_marginal_product_is_rejected():
     # exp(-x1 - x2) at (400, 400): F' underflows to 0, so every f_i = F' h_i'
-    # vanishes, while the separated residual never evaluates F.
+    # vanishes.
     spec = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
                         inner=(ScalarFn("affine", -1.0),
                                ScalarFn("affine", -1.0)))
-    expr = build_quasi_sum(spec)
+    table = build_quasi_sum(spec).derivatives([[400.0, 400.0]])
     with pytest.raises(DomainError, match="a marginal product vanishes"):
-        hicks_elasticity(expr, [400.0, 400.0], 0, 1)
+        hicks_values(table, 0, 1)
     with pytest.raises(DomainError, match="a marginal product vanishes"):
-        ces_residual(expr, [400.0, 400.0], 2.0, 0, 1)
-    assert quasisum_separated_residual(spec, [400.0, 400.0], 2.0, 0, 1) \
-        == -0.005
+        ces_residuals(table, 2.0, 0, 1)
 
 
 # -- invariances ------------------------------------------------------------------
@@ -94,14 +85,12 @@ def test_pair_order_gives_bitwise_equal_values():
     exprs = [random_acms(rng, 4), random_cobb_douglas(rng, 4),
              random_quasi_sum_expr(rng, 3), random_ratio_expr(rng)]
     for expr in exprs:
-        for x in random_points(rng, expr.n, 10):
-            for i in range(expr.n):
-                for j in range(i + 1, expr.n):
-                    a = hicks_elasticity(expr, x, i, j)
-                    b = hicks_elasticity(expr, x, j, i)
-                    assert a.kind == b.kind
-                    if a.kind == "finite":
-                        assert a.value == b.value  # identical bits, not approx
+        table = expr.derivatives(random_points(rng, expr.n, 10))
+        for i, j in zip(*index_pairs(expr.n)):
+            # Identical bits, not approx; nan (degenerate) matches nan.
+            np.testing.assert_array_equal(hicks_values(table, i, j),
+                                          hicks_values(table, j, i),
+                                          strict=True)
 
 
 def test_elasticity_is_scale_free_on_homogeneous_functions():
@@ -109,9 +98,9 @@ def test_elasticity_is_scale_free_on_homogeneous_functions():
     for expr in (random_acms(rng, 3, d=1.4, rho=0.5),
                  random_cobb_douglas(rng, 3)):
         x = random_point(rng, 3)
-        base = hicks_elasticity(expr, x, 0, 2).value
+        base = hicks_at(expr, x, 0, 2)
         for t in (0.5, 2.0, 10.0):
-            scaled = hicks_elasticity(expr, t * x, 0, 2).value
+            scaled = hicks_at(expr, t * x, 0, 2)
             assert abs(scaled - base) <= \
                 gates.SCALE_INVARIANCE_TOL * max(1.0, abs(base))
 
@@ -145,26 +134,29 @@ def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
 def test_residual_vanishes_at_the_true_sigma():
     expr = build_acms(1.0, (1.0, 1.0), 0.5, 1.0)
     rng = make_rng(304)
-    for x in random_points(rng, 2, 20):
-        assert abs(ces_residual(expr, x, 2.0, 0, 1)) <= 1e-12
+    table = expr.derivatives(random_points(rng, 2, 20))
+    assert np.max(np.abs(ces_residuals(table, 2.0, 0, 1))) <= 1e-12
 
 
 def test_residual_flags_the_wrong_sigma():
     expr = build_acms(1.0, (1.0, 1.0), 0.5, 1.0)
-    assert abs(ces_residual(expr, [1.0, 2.0], 3.0, 0, 1)) > 1e-3
+    assert abs(ces_residuals(expr.derivatives([[1.0, 2.0]]), 3.0, 0, 1)[0]) \
+        > 1e-3
 
 
 def test_residual_ignores_sigma_on_a_ratio():
     expr = build_ratio(ScalarFn("affine", 1.0))
+    table = expr.derivatives([[1.3, 0.8]])
     for sigma in (-2.0, 1.0, 3.0):
-        assert abs(ces_residual(expr, [1.3, 0.8], sigma, 0, 1)) <= 1e-12
+        assert abs(ces_residuals(table, sigma, 0, 1)[0]) <= 1e-12
 
 
 def test_residual_sigma_validation():
     expr = build_cobb_douglas(1.0, (0.5, 0.5))
+    table = expr.derivatives([[1.0, 1.0]])
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(SpecError):
-            ces_residual(expr, [1.0, 1.0], bad, 0, 1)
+            ces_residuals(table, bad, 0, 1)
 
 
 def test_detected_value_is_a_root_of_the_identity():
@@ -174,43 +166,52 @@ def test_detected_value_is_a_root_of_the_identity():
     cases.append((random_cobb_douglas(rng, 2), 1.0))
     for expr, sigma_true in cases:
         for x in random_points(rng, 2, 3):
-            reported = hicks_elasticity(expr, x, 0, 1).value
+            table = expr.derivatives([x])
+            reported = hicks_values(table, 0, 1)[0]
             lo = sorted((0.5 * sigma_true, 1.5 * sigma_true))
-            root = brentq(lambda s: ces_residual(expr, x, s, 0, 1),
+            root = brentq(lambda s: ces_residuals(table, s, 0, 1)[0],
                           lo[0], lo[1], xtol=1e-13, rtol=1e-14)
             assert abs(root - reported) <= \
                 gates.SIGMA_ROOT_MATCH_TOL * max(1.0, abs(reported))
 
 
-# -- separated one-input residuals -------------------------------------------------
+# -- the identity from the per-input terms ----------------------------------------
+#
+# For f = F(sum h_k) the outer function drops out of H_ij: the identity
+# H_ij = sigma is s_i + s_j = 0 with s_k = A_k - sigma B_k, and ces_residuals
+# is that sum over the size of its terms, read from the inners' h', h''.
 
 
 def test_separated_residual_hand_values():
     root = ScalarFn("power", 2.0, exponent=0.5)
     spec = QuasiSumSpec(outer=ScalarFn("affine", 1.0), inner=(root, root))
     rng = make_rng(306)
-    for x in random_points(rng, 2, 10):
-        assert abs(quasisum_separated_residual(spec, x, 2.0, 0, 1)) <= 1e-12
+    table = build_quasi_sum(spec).derivatives(random_points(rng, 2, 10))
+    assert np.max(np.abs(ces_residuals(table, 2.0, 0, 1))) <= 1e-12
 
     logs = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
                         inner=(ScalarFn("log", 0.7), ScalarFn("log", 1.3)))
-    for x in random_points(rng, 2, 10):
-        assert abs(quasisum_separated_residual(logs, x, 1.0, 0, 1)) <= 1e-12
+    table = build_quasi_sum(logs).derivatives(random_points(rng, 2, 10))
+    assert np.max(np.abs(ces_residuals(table, 1.0, 0, 1))) <= 1e-12
 
+    # x^2 and log x at (1, 1): A = (1/2, 1) and B = (-1/2, 1), so at sigma 1
+    # s_1 + s_2 = 3/2 - 1/2 = 1 over a term size of 3.
     mixed = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
                          inner=(ScalarFn("power", 1.0, exponent=2.0),
                                 ScalarFn("log", 1.0)))
-    assert quasisum_separated_residual(mixed, [1.0, 1.0], 1.0, 0, 1) == \
-        pytest.approx(1.0, rel=1e-12)
+    table = build_quasi_sum(mixed).derivatives([[1.0, 1.0]])
+    assert ces_residuals(table, 1.0, 0, 1)[0] == \
+        pytest.approx(-1.0 / 3.0, rel=1e-12)
 
 
 def test_separated_residual_guards():
     spec = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
                         inner=(ScalarFn("log", 1.0), ScalarFn("log", 1.0)))
+    expr = build_quasi_sum(spec)
     with pytest.raises(DomainError):
-        quasisum_separated_residual(spec, [1.0, -1.0], 2.0, 0, 1)
+        ces_residuals(expr.derivatives([[1.0, -1.0]]), 2.0, 0, 1)
     with pytest.raises(SpecError):
-        quasisum_separated_residual(spec, [1.0, 1.0], 0.0, 0, 1)
+        ces_residuals(expr.derivatives([[1.0, 1.0]]), 0.0, 0, 1)
 
 
 @pytest.mark.parametrize("point, error, message", [
@@ -220,12 +221,12 @@ def test_separated_residual_guards():
     ([math.inf, 1.0, 1.0], DomainError, "finite and strictly positive"),
     ([1.0, 0.0, 1.0], DomainError, "finite and strictly positive")])
 def test_separated_residual_checks_the_whole_point(point, error, message):
-    # The whole point is checked, as in every one-point function, not only
-    # the coordinates of the pair (0, 2).
+    # The table checks the whole point, not only the coordinates of the
+    # pair (0, 2).
     spec = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
                         inner=(ScalarFn("log", 1.0),) * 3)
     with pytest.raises(error, match=message):
-        quasisum_separated_residual(spec, point, 2.0, 0, 2)
+        ces_residuals(build_quasi_sum(spec).derivatives([point]), 2.0, 0, 2)
 
 
 # -- box-level detection ------------------------------------------------------------
@@ -283,9 +284,6 @@ def test_regular_verdict_certifies_the_identity_everywhere():
     expr = random_acms(rng, 3, rho=0.5)
     report = detect_ces(expr)
     assert report.verdict == "RegularCES"
-    sigma = report.sigma_estimate
-    for x in random_points(rng, 3, 10):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert abs(ces_residual(expr, x, sigma, i, j)) <= \
-                    tolerances.CES_RESIDUAL_TOL
+    table = expr.derivatives(random_points(rng, 3, 10))
+    residuals = ces_residuals(table, report.sigma_estimate, *index_pairs(3))
+    assert np.max(np.abs(residuals)) <= tolerances.CES_RESIDUAL_TOL

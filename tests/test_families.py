@@ -1,4 +1,4 @@
-"""Family builders, document round-trips, and the closed-form determinant."""
+"""Family builders, document round-trips, and the factored determinant."""
 
 import math
 import warnings
@@ -9,13 +9,13 @@ import pytest
 from prodgeo import (
     DomainError, FunctionExpr, QuasiSumSpec, ScalarFn, SpecError,
     as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
-    build_ratio, default_box, evaluate_jet, expr_from_dict, expr_to_dict,
-    hessian_det_quasisum, homogeneity_degree, validate_box,
+    build_ratio, default_box, expr_from_dict, expr_to_dict, validate_box,
 )
-from prodgeo.families import normalize_outer_shift
+from prodgeo.families import euler_quotients
 import gates
 from conftest import (
-    log_uniform_scalar, make_rng, random_acms, random_cobb_douglas,
+    factored_det, log_uniform_scalar, make_rng, random_acms,
+    random_cobb_douglas,
     random_log_spec, random_mixed_spec, random_point, random_points,
     random_power_spec, random_ratio_spec,
 )
@@ -196,9 +196,11 @@ def test_document_key_checking_is_strict():
 
 def test_euler_quotient_hand_cases():
     monomial = build_cobb_douglas(1.0, (2.0, 1.0))
-    assert homogeneity_degree(monomial, [3.0, 5.0]) == pytest.approx(3.0)
+    assert euler_quotients(monomial.derivatives([[3.0, 5.0]]))[0] == \
+        pytest.approx(3.0)
     ratio = build_ratio(ScalarFn("affine", 1.0))
-    assert homogeneity_degree(ratio, [2.0, 7.0]) == pytest.approx(0.0, abs=1e-15)
+    assert euler_quotients(ratio.derivatives([[2.0, 7.0]]))[0] == \
+        pytest.approx(0.0, abs=1e-15)
 
 
 def test_degree_is_constant_across_samples():
@@ -206,11 +208,11 @@ def test_degree_is_constant_across_samples():
     acms = random_acms(rng, 3, d=1.7)
     cd = random_cobb_douglas(rng, 3)
     alpha_sum = math.fsum(cd.params["alpha"])
-    for x in random_points(rng, 3, 100):
-        assert abs(homogeneity_degree(acms, x) - 1.7) <= \
-            gates.HOMOGENEITY_ATOL
-        assert abs(homogeneity_degree(cd, x) - alpha_sum) <= \
-            gates.HOMOGENEITY_ATOL
+    points = random_points(rng, 3, 100)
+    assert np.max(np.abs(euler_quotients(acms.derivatives(points)) - 1.7)) \
+        <= gates.HOMOGENEITY_ATOL
+    assert np.max(np.abs(euler_quotients(cd.derivatives(points))
+                         - alpha_sum)) <= gates.HOMOGENEITY_ATOL
 
 
 def test_scaling_matches_the_degree():
@@ -229,30 +231,29 @@ def test_degree_one_hessian_annihilates_the_point():
     for expr in (random_acms(rng, 3, d=1.0), random_cobb_douglas(rng, 4, degree=1.0),
                  build_quasi_sum(random_power_spec(rng, 2, degree_one=True))):
         for x in random_points(rng, expr.n, 20):
-            hess = evaluate_jet(expr, x).hessian
+            hess = expr.derivatives([x]).hessian[0]
             bound = gates.EULER_RADIAL_TOL * \
                 np.linalg.norm(hess) * np.linalg.norm(x)
             assert np.linalg.norm(hess @ x) <= bound
 
 
-# -- closed-form Hessian determinant -------------------------------------------
+# -- factored Hessian determinant -------------------------------------------
 
 
 def test_determinant_hand_instance():
     spec = QuasiSumSpec(outer=ScalarFn("power", 1.0, exponent=2.0),
                         inner=(ScalarFn("power", 1.0, exponent=2.0),
                                ScalarFn("power", 1.0, exponent=2.0)))
-    assert hessian_det_quasisum(spec, [1.0, 1.0]) == pytest.approx(
-        192.0, abs=1e-9)
+    assert factored_det(build_quasi_sum(spec), [1.0, 1.0]) == \
+        pytest.approx(192.0, abs=1e-9)
 
 
 def test_determinant_vanishes_for_degree_one_products():
     rng = make_rng(205)
-    spec = random_log_spec(rng, 3, degree_one=True)
+    expr = build_quasi_sum(random_log_spec(rng, 3, degree_one=True))
     for x in random_points(rng, 3, 10):
-        det = hessian_det_quasisum(spec, x)
-        jet = evaluate_jet(build_quasi_sum(spec), x)
-        scale = float(np.max(np.abs(jet.hessian))) ** 3
+        det = factored_det(expr, x)
+        scale = float(np.max(np.abs(expr.derivatives([x]).hessian[0]))) ** 3
         assert abs(det) <= 1e-12 * scale
 
 
@@ -260,7 +261,7 @@ def test_determinant_is_exactly_zero_with_an_affine_certificate():
     spec = QuasiSumSpec(outer=ScalarFn("affine", 2.0),
                         inner=(ScalarFn("affine", 1.0),
                                ScalarFn("power", 1.0, exponent=2.0)))
-    assert hessian_det_quasisum(spec, [1.5, 0.7]) == 0.0
+    assert factored_det(build_quasi_sum(spec), [1.5, 0.7]) == 0.0
 
 
 def test_determinant_matches_the_jet_hessian():
@@ -271,19 +272,19 @@ def test_determinant_matches_the_jet_hessian():
                  random_mixed_spec, random_ratio_spec)[k % 4]
         spec = maker(rng) if maker is random_ratio_spec else maker(rng, n)
         x = random_point(rng, spec.n)
-        closed = hessian_det_quasisum(spec, x)
-        direct = float(np.linalg.det(
-            evaluate_jet(build_quasi_sum(spec), x).hessian))
+        expr = build_quasi_sum(spec)
+        closed = factored_det(expr, x)
+        direct = float(np.linalg.det(expr.derivatives([x]).hessian[0]))
         assert abs(closed - direct) <= \
             gates.HESSIAN_DET_RTOL * max(abs(closed), abs(direct), 1e-12)
 
 
 def test_determinant_input_checks():
-    spec = random_power_spec(make_rng(207), 2)
+    expr = build_quasi_sum(random_power_spec(make_rng(207), 2))
     with pytest.raises(SpecError):
-        hessian_det_quasisum(spec, [1.0, 1.0, 1.0])
+        factored_det(expr, [1.0, 1.0, 1.0])
     with pytest.raises(DomainError):
-        hessian_det_quasisum(spec, [1.0, -1.0])
+        factored_det(expr, [1.0, -1.0])
 
 
 EXP_OF_SUM = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
@@ -305,9 +306,6 @@ def test_float_paths_refuse_what_the_kernel_refuses(expr, point):
             expr.derivatives([point])
         with pytest.raises(DomainError):
             expr.value(point)
-        if expr.family == "quasi_sum":
-            with pytest.raises(DomainError):
-                hessian_det_quasisum(expr.params["spec"], point)
 
 
 EXP_DIFFERENCE = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
@@ -319,7 +317,7 @@ EXP_DIFFERENCE = QuasiSumSpec(outer=ScalarFn("affine", 1.0),
     lambda: build_acms(1.0, (1.0, 1.0), 2.0, 1.0).value((1e154, 1e154)),
     lambda: build_quasi_sum(EXP_DIFFERENCE).value((800.0, 800.0)),
     lambda: EXP_DIFFERENCE.inner_sum((800.0, 800.0)),
-    lambda: hessian_det_quasisum(EXP_DIFFERENCE, (800.0, 800.0)),
+    lambda: factored_det(build_quasi_sum(EXP_DIFFERENCE), (800.0, 800.0)),
 ], ids=["acms-finite-terms", "value-inf-minus-inf", "inner-sum",
         "hessian-det"])
 def test_exact_sums_past_the_float_range_are_domain_errors(call):
@@ -352,18 +350,6 @@ def test_rewrites_that_do_not_exist():
         as_quasi_sum(build_acms(1.0, (1.0, 1.0), -1.0, 2.0))  # d/rho < 0
     with pytest.raises(SpecError):
         as_quasi_sum(build_ratio(ScalarFn("exp", 1.0)))
-
-
-def test_outer_shift_normalization():
-    spec = QuasiSumSpec(outer=ScalarFn("power", 1.0, exponent=2.0, shift=5.0),
-                        inner=(ScalarFn("power", 1.0, exponent=2.0),
-                               ScalarFn("power", 1.0, exponent=2.0)))
-    expr = build_quasi_sum(spec)
-    bare = normalize_outer_shift(expr)
-    x = [1.2, 0.8]
-    assert bare.value(x) == pytest.approx(expr.value(x) - 5.0, rel=1e-15)
-    ratio = build_ratio(ScalarFn("affine", 1.0, shift=-2.0))
-    assert normalize_outer_shift(ratio).value([1.0, 3.0]) == pytest.approx(3.0)
 
 
 # -- boxes ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prodgeo import expr_from_dict
 from prodgeo.cli import main
-from prodgeo.families import normalize_outer_shift
 from prodgeo.sampling import MAX_POINTS
+from conftest import shift_free
 
 BASES = (
     {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]},
@@ -298,7 +298,7 @@ def _documented(report, where, text):
             holder = holder[key]
         return holder["case"] == "NotCES"
     if where == ("conclusion_check", "euler_degree_gap"):
-        bare = normalize_outer_shift(expr_from_dict(json.loads(text)))
+        bare = shift_free(expr_from_dict(json.loads(text)))
         points = [row["point"] for row in report["per_point_data"]]
         return not bare.derivatives(points).value.all()
     return False

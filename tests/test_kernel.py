@@ -17,25 +17,22 @@ import scipy.linalg
 
 from prodgeo import (
     DomainError, FunctionExpr, HypothesisError, QuasiSumSpec, ScalarFn,
-    SpecError, acms_outer_ode_residual, as_quasi_sum, build_acms,
-    build_cobb_douglas, build_quasi_sum, build_ratio,
-    ces_residual, classify_quasi_sum, cobb_douglas_outer_ode_residual,
-    default_box, detect_ces, expr_from_dict, finite_difference_oracle,
-    graph_geometry, hicks_elasticity, homogeneity_degree,
-    pairwise_elasticities, verify_theorem_11, verify_theorem_41,
-    verify_theorem_42,
+    SpecError, as_quasi_sum, build_acms, build_cobb_douglas,
+    build_quasi_sum, build_ratio, classify_quasi_sum, default_box,
+    detect_ces, expr_from_dict, finite_difference_oracle, graph_geometry,
+    verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
 from prodgeo.cli import RunConfig, _leaf, run
 from prodgeo.elasticity import ces_residuals, hicks_values
-from prodgeo.families import PointTable, index_pairs, normalize_outer_shift
+from prodgeo.families import PointTable, euler_quotients, index_pairs
 from prodgeo.geometry import theorem_curvatures
 from prodgeo.sampling import box_center, log_uniform
 import gates
 from conftest import (
     jet_oracle, make_rng, random_acms, random_cobb_douglas, random_log_spec,
     random_mixed_spec, random_points, random_power_spec, random_ratio_expr,
-    random_ratio_spec,
+    random_ratio_spec, shift_free,
 )
 
 # Kernel and oracle differ only in the order of their rounding steps.
@@ -105,10 +102,10 @@ def test_kernel_matches_the_jet_oracle_and_finite_differences():
             assert np.max(np.abs(hessian[k] - fd.hessian)) <= \
                 gates.HESSIAN_FD_SCALED_TOL * scale
 
-            jet = expr.jet(x)
-            assert jet.value == value[k]
-            assert np.array_equal(jet.gradient, gradient[k])
-            assert np.array_equal(jet.hessian, hessian[k])
+            row = expr.derivatives([x])
+            assert row.value[0] == value[k]
+            assert np.array_equal(row.gradient[0], gradient[k])
+            assert np.array_equal(row.hessian[0], hessian[k])
 
 
 def test_kernel_input_checks():
@@ -184,7 +181,7 @@ def test_scan_rows_match_the_point_api(tmp_path, doc):
         assert csv_row == ",".join(map(_leaf, cells))
         x = cells[:n]
         geo = graph_geometry(expr, x)
-        h = hicks_elasticity(expr, x, 0, 1).as_float()
+        h = hicks_values(expr.derivatives([x]), 0, 1)[0]
         want = [geo.value, geo.area_factor, geo.gauss_kronecker,
                 geo.flatness_residual, h]
         for got, expected in zip(cells[n:], want):
@@ -274,18 +271,28 @@ COUNT_DOCS = {
                              "exponent": 0.5},
                             {"form": "power", "coefficient": 3.0,
                              "exponent": 0.5}]},
+    "quasi_sum_shifted": {"type": "quasi_sum",
+                          "outer": {"form": "power", "coefficient": 1.0,
+                                    "exponent": 2.0, "shift": 1e12},
+                          "inner": [{"form": "power", "coefficient": 0.5,
+                                     "exponent": 0.5}] * 2},
     "ratio": {"type": "ratio", "outer": {"form": "log", "coefficient": 1.0}},
+    "ratio_shifted": {"type": "ratio", "outer": {"form": "log",
+                                                 "coefficient": 1.0,
+                                                 "shift": 2.0}},
 }
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
 def test_a_sampled_box_is_evaluated_once(tmp_path, monkeypatch, name):
     calls = collections.Counter()
-    for attr in ("_kernel", "jet"):
-        def counted(self, *args, _attr=attr, _fn=getattr(FunctionExpr, attr)):
-            calls[_attr] += 1
-            return _fn(self, *args)
-        monkeypatch.setattr(FunctionExpr, attr, counted)
+    kernel = FunctionExpr._kernel
+
+    def counted(self, x):
+        calls["_kernel"] += 1
+        return kernel(self, x)
+
+    monkeypatch.setattr(FunctionExpr, "_kernel", counted)
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(COUNT_DOCS[name]))
     # verify 1.1 classifies the quasi-sum rewrite of a Cobb-Douglas, ACMS or
@@ -301,10 +308,10 @@ def test_a_sampled_box_is_evaluated_once(tmp_path, monkeypatch, name):
 
 
 def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
-    spec = QuasiSumSpec(outer=ScalarFn("power", 1.0, exponent=2.0, shift=3.0),
-                        inner=(ScalarFn("power", 2.0, exponent=0.5),
-                               ScalarFn("power", 3.0, exponent=0.5)))
-    expr = build_quasi_sum(spec)
+    # The Euler gap reads the outer function with its shift set to 0 at the
+    # table's inner sum, in the one kernel pass.  At shift 1e12, f - shift
+    # would keep about five digits of the shift-free value u^2 ~ 25 (a gap
+    # of 4e-6).
     calls = collections.Counter()
     kernel = FunctionExpr._kernel
 
@@ -313,17 +320,29 @@ def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
         return kernel(self, x)
 
     monkeypatch.setattr(FunctionExpr, "_kernel", counted)
-    report = verify_theorem_41(expr, samples=50)
-    assert calls == {3.0: 1, 0.0: 1}
-    assert report.conclusion_check["euler_degree_gap"] <= 1e-12
+    for shift in (3.0, 1e12):
+        spec = QuasiSumSpec(
+            outer=ScalarFn("power", 1.0, exponent=2.0, shift=shift),
+            inner=(ScalarFn("power", 2.0, exponent=0.5),
+                   ScalarFn("power", 3.0, exponent=0.5)))
+        calls.clear()
+        report = verify_theorem_41(build_quasi_sum(spec), samples=50)
+        assert calls == {shift: 1}
+        assert report.conclusion_check["euler_degree_gap"] <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
 def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
-    def refuse(self, point):
-        raise AssertionError(f"jet of a {self.family} document")
+    # Every command reads kernel tables; a point command the one-row table
+    # of its point.
+    rows = []
+    kernel = FunctionExpr._kernel
 
-    monkeypatch.setattr(FunctionExpr, "jet", refuse)
+    def counted(self, x):
+        rows.append(len(x))
+        return kernel(self, x)
+
+    monkeypatch.setattr(FunctionExpr, "_kernel", counted)
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(COUNT_DOCS[name]))
     at = (1.5,) * expr_from_dict(COUNT_DOCS[name]).n
@@ -332,8 +351,11 @@ def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
                            ("classify", {}), ("verify", {"theorem": "1.1"}),
                            ("verify", {"theorem": "4.1"}),
                            ("verify", {"theorem": "4.2"})):
+        rows.clear()
         status, text = run(RunConfig(command, str(path), samples=16, **extra))
         assert status == 0, (command, extra, text)
+        if "at" in extra:
+            assert rows == [1], (command, rows)
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
@@ -357,7 +379,7 @@ def test_batched_commands_never_assemble_the_hessian(tmp_path, monkeypatch,
 
 
 # The sampled-box commands rebuilt the way they ran before the point table:
-# point by point through the one-point API.
+# point by point, each point a one-row table.
 
 NORMALISED = {"max_deviation", "ces", "structure", "gauss_kronecker_scaled",
               "flatness_residual", "max_det_cancellation",
@@ -537,20 +559,29 @@ def _assert_same(got, want, key=""):
         assert got == want and type(got) is type(want), (key, got, want)
 
 
+def _tag(h: float) -> dict:
+    if math.isfinite(h):
+        return {"kind": "finite", "value": h}
+    return {"kind": "degenerate" if math.isnan(h) else "infinite",
+            "value": None}
+
+
 def _reference_detection(expr, points) -> dict:
-    rows = [pairwise_elasticities(expr, x) for x in points]
-    values = [h for row in rows for _, _, h in row]
-    first = rows[0][0][2]
-    if first.is_finite and first.value != 0.0:
-        sigma = first.value
+    lo, hi = index_pairs(expr.n)
+    rows = [hicks_values(expr.derivatives([x]), lo, hi)[0].tolist()
+            for x in points]
+    values = [h for row in rows for h in row]
+    first = rows[0][0]
+    if math.isfinite(first) and first != 0.0:
+        sigma = first
     else:
-        sigma = next((h.value for row in rows[1:] for _, _, h in row
-                      if h.is_finite and h.value != 0.0), None)
-    kinds = [h.kind for h in values]
-    finite, infinite, degenerate = (
-        kinds.count(k) for k in ("finite", "infinite", "degenerate"))
-    max_dev = max((abs(h.value - sigma) / max(1.0, abs(sigma))
-                   for h in values if h.is_finite and sigma is not None),
+        sigma = next((h for row in rows[1:] for h in row
+                      if math.isfinite(h) and h != 0.0), None)
+    finite = sum(map(math.isfinite, values))
+    degenerate = sum(map(math.isnan, values))
+    infinite = len(values) - finite - degenerate
+    max_dev = max((abs(h - sigma) / max(1.0, abs(sigma))
+                   for h in values if math.isfinite(h) and sigma is not None),
                   default=0.0)
     if degenerate and not finite and not infinite:
         verdict = "DegenerateCES"
@@ -562,9 +593,8 @@ def _reference_detection(expr, points) -> dict:
     return {"verdict": verdict,
             "sigma_estimate": sigma if verdict == "RegularCES" else None,
             "max_deviation": max_dev,
-            "center_pair_values": {f"{i + 1},{j + 1}": {"kind": h.kind,
-                                                        "value": h.value}
-                                   for i, j, h in rows[0]},
+            "center_pair_values": {f"{i + 1},{j + 1}": _tag(h)
+                                   for i, j, h in zip(lo, hi, rows[0])},
             "n_points": len(points), "finite_pairs": finite,
             "infinite_pairs": infinite, "degenerate_pairs": degenerate}
 
@@ -610,7 +640,8 @@ def _reference_classification(spec, box, samples, seed) -> dict:
     structure = max(abs(h.derivatives(float(x[i]))[1]
                         / fitted_d1(i, float(x[i])) - 1.0)
                     for x in points for i, h in enumerate(spec.inner))
-    ces = max(abs(ces_residual(expr, x, sigma_ref, i, j)) for x in points
+    ces = max(abs(ces_residuals(expr.derivatives([x]), sigma_ref, i, j)[0])
+              for x in points
               for i, j in itertools.combinations(range(spec.n), 2))
     out["residuals"] = {"ces": ces, "structure": structure}
     if structure <= tolerances.STRUCTURE_RESIDUAL_TOL \
@@ -624,7 +655,7 @@ def _reference_outer_ode(expr, points, case):
     p = expr.params
     if expr.family == "acms" and p["rho"] != 1.0:
         outer = ScalarFn("power", p["gamma"], exponent=p["d"] / p["rho"])
-        return max(acms_outer_ode_residual(
+        return max(_power_form_defect(
             outer, 1.0 / (1.0 - p["rho"]),
             math.fsum(w * xi ** p["rho"] for w, xi in zip(p["weights"], x)))
             for x in points)
@@ -636,8 +667,7 @@ def _reference_outer_ode(expr, points, case):
     spec = p.get("spec")
     if case == "HomotheticACMS":
         sigma = 1.0 / (1.0 - spec.inner[0].exponent)
-        return max(acms_outer_ode_residual(spec.outer, sigma,
-                                           spec.inner_sum(x))
+        return max(_power_form_defect(spec.outer, sigma, spec.inner_sum(x))
                    for x in points)
     if case == "HomotheticCobbDouglas":
         # alpha P'' = P' for P(v) = F(e^v), at v = the inner sum.
@@ -651,6 +681,16 @@ def _reference_outer_ode(expr, points, case):
 def _log_form_defect(alpha, d1, d2):
     """Relative defect of alpha P'' = P' from P' and P''."""
     return abs(alpha * d2 - d1) / max(abs(alpha * d2), abs(d1))
+
+
+def _power_form_defect(outer, sigma, u):
+    """Relative defect of F'(u) = (sigma - 1) u F''(u) at the argument u, 0
+    where both sides vanish; zero exactly for F(u) = c u^(sigma/(sigma-1))
+    + s."""
+    _, d1, d2 = outer.derivatives(u)
+    rhs = (sigma - 1.0) * u * d2
+    scale = max(abs(d1), abs(rhs))
+    return 0.0 if scale == 0.0 else float(abs(d1 - rhs) / scale)
 
 
 def _point_cancellation(expr, x, statistic):
@@ -697,9 +737,10 @@ def _check_curvature_report(verify, theorem, expr, box, samples, seed):
         case = _reference_classification(as_quasi_sum(expr), box, samples,
                                          seed)["case"]
         assert conclusion["classification_case"] == case
-    bare = normalize_outer_shift(expr)
+    bare = shift_free(expr)
     try:
-        gap = max(abs(homogeneity_degree(bare, x) - 1.0) for x in points)
+        gap = max(abs(euler_quotients(bare.derivatives([x]))[0] - 1.0)
+                  for x in points)
     except DomainError:
         gap = math.inf
     _assert_same(conclusion["euler_degree_gap"], gap, "euler_degree_gap")

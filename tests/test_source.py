@@ -1,8 +1,10 @@
 """Dead-code guard over the package source, read with ``ast``.
 
 Every name a module imports at module level is read in that module or
-exported through its ``__all__``, and every module-level private function
-or class is referenced somewhere in the package besides its definition.
+exported through its ``__all__``; every module-level private function or
+class is referenced somewhere in the package besides its definition, and
+every public one too unless ``prodgeo.__all__`` or ``prodgeo.cli.__all__``
+lists it; every name in a module's ``__all__`` is bound in that module.
 """
 
 import ast
@@ -70,3 +72,38 @@ def test_every_private_function_and_class_is_referenced():
                     and not node.name.startswith("__")]
     assert [(module, name) for module, name in private
             if not references[name]] == []
+
+
+def _package_exports():
+    """The names of ``prodgeo.__all__`` and ``prodgeo.cli.__all__``."""
+    return (_exported(_tree(SOURCE / "__init__.py"))
+            | _exported(_tree(SOURCE / "cli.py")))
+
+
+def test_every_module_level_function_and_class_is_used_or_exported():
+    references = collections.Counter()
+    defined = []
+    for path in MODULES:
+        tree = _tree(path)
+        references.update(_references(tree))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.ClassDef))]
+    exports = _package_exports()
+    assert [(module, name) for module, name in defined
+            if not references[name] and name not in exports] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_in_all_is_bound(path):
+    tree = _tree(path)
+    bound = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert sorted(_exported(tree) - bound) == []
