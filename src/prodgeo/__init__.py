@@ -9,7 +9,7 @@ verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import DomainError, HypothesisError, SpecError
 from .autodiff import Jet2, finite_difference_oracle
@@ -18,11 +18,11 @@ from .families import (
     as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
     build_ratio, default_box, expr_from_dict, expr_to_dict, validate_box,
 )
-from .elasticity import ElasticityReport, detect_ces
-from .geometry import GraphGeometry, graph_geometry
+from .elasticity import detect_ces
+from .geometry import graph_geometry
 from .classify import (
-    ClassificationResult, TheoremReport, classify_quasi_sum,
-    verify_theorem_11, verify_theorem_41, verify_theorem_42,
+    classify_quasi_sum, verify_theorem_11, verify_theorem_41,
+    verify_theorem_42,
 )
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "as_quasi_sum", "build_acms", "build_cobb_douglas", "build_quasi_sum",
     "build_ratio", "default_box", "expr_from_dict", "expr_to_dict",
     "validate_box",
-    "ElasticityReport", "detect_ces",
-    "GraphGeometry", "graph_geometry",
-    "ClassificationResult", "TheoremReport", "classify_quasi_sum",
+    "detect_ces", "graph_geometry", "classify_quasi_sum",
     "verify_theorem_11", "verify_theorem_41", "verify_theorem_42",
 ]

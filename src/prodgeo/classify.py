@@ -30,14 +30,13 @@ with the data needed to inspect it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .elasticity import (
     DEGENERATE_CES, NOT_CES, REGULAR_CES,
-    ElasticityReport, PointRecords, ces_residuals, detect_ces_on,
-    point_table,
+    PointRecords, ces_residuals, detect_ces_on, point_table,
 )
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
@@ -66,56 +65,28 @@ THEOREM_FLATNESS = "T42"
 SIGMA_REFERENCE_DEGENERATE = 2.0
 
 __all__ = [
-    "ClassificationResult", "TheoremReport", "classify_quasi_sum",
-    "verify_theorem_11", "verify_theorem_41", "verify_theorem_42",
+    "classify_quasi_sum", "verify_theorem_11", "verify_theorem_41",
+    "verify_theorem_42",
     "HOMOTHETIC_ACMS", "HOMOTHETIC_COBB_DOUGLAS", "RATIO_TWO_INPUT",
     "NOT_CES", "CONSISTENT", "INCONSISTENT", "DEGENERATE_HYPOTHESIS",
     "SIGMA_REFERENCE_DEGENERATE",
 ]
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Structural case of a quasi-sum, with the fit that justified it."""
-
-    case: str
-    sigma: float | None
-    fitted_inner_parameters: tuple | None
-    separation_constant_k: float | None
-    ces_residual: float
-    structure_residual: float
-    detection: ElasticityReport
-
-    def as_dict(self) -> dict:
-        fitted = self.fitted_inner_parameters
-        return {
-            "case": self.case,
-            "sigma": self.sigma,
-            "fitted_inner_parameters": None if fitted is None else list(fitted),
-            "separation_constant_k": self.separation_constant_k,
-            "residuals": {"ces": self.ces_residual,
-                          "structure": self.structure_residual},
-            "detection": self.detection.as_dict(),
-        }
-
-
-def _not_ces(detection: ElasticityReport,
-             ces: float = math.inf,
-             structure: float = math.inf) -> ClassificationResult:
-    return ClassificationResult(NOT_CES, None, None, None, ces, structure,
-                                detection)
-
-
 def classify_quasi_sum(spec, box=None, samples: int = 64,
-                       seed: int = 0) -> ClassificationResult:
+                       seed: int = 0) -> dict:
     """Decide the structural case of a quasi-sum on ``box``.
 
     Accepts a QuasiSumSpec, or any FunctionExpr that has a quasi-sum form,
     classified on the expression's own point table (as verify 1.1 does).
-    The returned residuals are maxima over ``samples`` log-uniform points:
-    ``ces`` for the cancellation of the elasticity identity at the fitted sigma
-    (at the reference sigma for the degenerate case), ``structure`` for the
-    deviation of each inner derivative from the fitted normal form.
+    The report gives the ``case``, the fitted ``sigma``,
+    ``fitted_inner_parameters`` and ``separation_constant_k`` (None where
+    the case has none), the ``detection`` report the case was read from,
+    and ``residuals``, maxima over ``samples`` log-uniform points: ``ces``
+    for the cancellation of the elasticity identity at the fitted sigma (at
+    the reference sigma for the degenerate case), ``structure`` for the
+    deviation of each inner derivative from the fitted normal form (both
+    inf where no normal form was fitted).
     """
     if isinstance(spec, FunctionExpr):
         expr, spec = spec, as_quasi_sum(spec)
@@ -127,49 +98,52 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
     return _classify(spec, table, detect_ces_on(table))
 
 
-def _classify(spec: QuasiSumSpec, table: PointTable,
-              detection: ElasticityReport) -> ClassificationResult:
-    """The case of ``spec`` from a point table of its quasi-sum and the
-    detection made on it; residuals skip the table's box-center row."""
+def _classify(spec: QuasiSumSpec, table: PointTable, detection: dict) -> dict:
+    """The classification report of ``spec`` from a point table of its
+    quasi-sum and the detection made on it; residuals skip the table's
+    box-center row."""
     fit = _normal_form(spec, detection)
-    if fit is None:
-        return _not_ces(detection)
-    case, sigma, fitted, k, sigma_ref, fitted_d1 = fit
-    samples = table[1:]
-    structure = float(np.max(np.abs(
-        samples.factors[2] / fitted_d1(samples.points) - 1.0)))
-    lo, hi = index_pairs(spec.n)
-    ces = float(np.max(np.abs(ces_residuals(samples, sigma_ref, lo, hi))))
-    if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
-            or ces > tolerances.CES_RESIDUAL_TOL):
-        return _not_ces(detection, ces, structure)
-    return ClassificationResult(case, sigma, fitted, k, ces, structure,
-                                detection)
+    ces = structure = math.inf
+    if fit is not None:
+        *_, sigma_ref, fitted_d1 = fit
+        samples = table[1:]
+        structure = float(np.max(np.abs(
+            samples.factors[2] / fitted_d1(samples.points) - 1.0)))
+        lo, hi = index_pairs(spec.n)
+        ces = float(np.max(np.abs(ces_residuals(samples, sigma_ref, lo, hi))))
+        if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
+                or ces > tolerances.CES_RESIDUAL_TOL):
+            fit = None
+    case, sigma, fitted, k = fit[:4] if fit else (NOT_CES, None, None, None)
+    return {"case": case, "sigma": sigma, "fitted_inner_parameters": fitted,
+            "separation_constant_k": k,
+            "residuals": {"ces": ces, "structure": structure},
+            "detection": detection}
 
 
-def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
+def _normal_form(spec: QuasiSumSpec, detection: dict):
     """The normal form the detection points to, if the inners match it:
     (case, sigma, fitted inner parameters, separation constant, sigma of
     the elasticity identity, fitted h'(x) at an (N, n) point array)."""
     logs = all(h.form == FORM_LOG for h in spec.inner)
-    if detection.verdict == DEGENERATE_CES:
+    if detection["verdict"] == DEGENERATE_CES:
         # Everywhere-degenerate elasticity: two opposite log inners.
         if spec.n != 2 or not logs:
             return None
-        betas = tuple(h.coefficient for h in spec.inner)
+        betas = [h.coefficient for h in spec.inner]
         if abs(sum(betas)) > tolerances.DEGREE_ONE_TOL * max(map(abs, betas)):
             return None
         k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / betas[0]
         return (RATIO_TWO_INPUT, None, betas, k, SIGMA_REFERENCE_DEGENERATE,
                 lambda x: np.array(betas) / x)
-    if detection.verdict != REGULAR_CES:
+    if detection["verdict"] != REGULAR_CES:
         return None
-    sigma_hat = detection.sigma_estimate
+    sigma_hat = detection["sigma_estimate"]
     if abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
         # sigma = 1: the inners must all be logarithms.
         if not logs:
             return None
-        alphas = tuple(h.coefficient for h in spec.inner)
+        alphas = [h.coefficient for h in spec.inner]
         return (HOMOTHETIC_COBB_DOUGLAS, 1.0, alphas, None, 1.0,
                 lambda x: np.array(alphas) / x)
     # sigma != 1: the inners must share the exponent (sigma-1)/sigma.
@@ -182,7 +156,7 @@ def _normal_form(spec: QuasiSumSpec, detection: ElasticityReport):
     if p == 1.0:
         return None
     sigma = 1.0 / (1.0 - p)
-    coeffs = tuple(h.coefficient for h in spec.inner)
+    coeffs = [h.coefficient for h in spec.inner]
     return (HOMOTHETIC_ACMS, sigma, coeffs, None, sigma,
             lambda x: np.array(coeffs) * p * x ** (p - 1.0))
 
@@ -200,47 +174,39 @@ def _relative_defect(a, b):
 # -- theorem verification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Both sides of a verified biconditional, with the per-point evidence.
-
-    ``hypothesis_holds`` is None when the sampled residuals land between the
-    vanishing and clearly-nonzero thresholds; the verdict is then
-    DegenerateHypothesis rather than a guess.  ``per_point`` is PointRecords
-    of one record per sampled point (the point, G, scaled G and flatness
-    residual), rendered as ``per_point_data``; Theorem 1.1 keeps ``()``.
-    """
-
-    theorem: str
-    verdict: str
-    hypothesis_holds: bool | None
-    conclusion_holds: bool
-    hypothesis_check: dict
-    conclusion_check: dict
-    per_point: PointRecords | tuple
-
-    def as_dict(self) -> dict:
-        if self.hypothesis_holds is None:
-            forward = reverse = None
-        else:
-            forward = (not self.hypothesis_holds) or self.conclusion_holds
-            reverse = (not self.conclusion_holds) or self.hypothesis_holds
-        return {
-            "theorem": self.theorem,
-            "verdict": self.verdict,
-            "hypothesis_holds": self.hypothesis_holds,
-            "conclusion_holds": self.conclusion_holds,
-            "forward_implication_ok": forward,
-            "reverse_implication_ok": reverse,
-            "hypothesis_check": self.hypothesis_check,
-            "conclusion_check": self.conclusion_check,
-            "per_point_data": self.per_point,
-        }
+def _theorem_report(theorem: str, hypothesis: bool | None,
+                    conclusion: bool, hypothesis_check: dict,
+                    conclusion_check: dict, per_point) -> dict:
+    """The report of a biconditional from its two sides.  An undecided
+    hypothesis (None: the sampled residuals land between the vanishing and
+    clearly-nonzero thresholds) reads DegenerateHypothesis rather than a
+    guess, and neither implication is judged.  ``per_point`` is
+    PointRecords of one record per sampled point (the point, G, scaled G
+    and flatness residual), rendered as ``per_point_data``; Theorem 1.1
+    keeps ``()``."""
+    if hypothesis is None:
+        verdict = DEGENERATE_HYPOTHESIS
+        forward = reverse = None
+    else:
+        verdict = CONSISTENT if hypothesis == conclusion else INCONSISTENT
+        forward = (not hypothesis) or conclusion
+        reverse = (not conclusion) or hypothesis
+    return {
+        "theorem": theorem,
+        "verdict": verdict,
+        "hypothesis_holds": hypothesis,
+        "conclusion_holds": conclusion,
+        "forward_implication_ok": forward,
+        "reverse_implication_ok": reverse,
+        "hypothesis_check": hypothesis_check,
+        "conclusion_check": conclusion_check,
+        "per_point_data": per_point,
+    }
 
 
 @np.errstate(all="ignore")
 def _structure_side(expr: FunctionExpr, table: PointTable,
-                    detection: ElasticityReport) -> tuple[bool, dict]:
+                    detection: dict) -> tuple[bool, dict]:
     """(matches, conclusion check) of the curvature theorems: whether
     ``expr`` is, up to an additive output constant, a linearly homogeneous
     member of either family, by exact (1e-12) parameter tests, a quasi-sum
@@ -268,7 +234,7 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
     else:
         spec = p["spec"]
         outer = spec.outer
-        case = _classify(spec, table, detection).case
+        case = _classify(spec, table, detection)["case"]
         record = {"classification_case": case, "outer_form": spec.outer.form}
         if case == HOMOTHETIC_ACMS:
             exponent = spec.inner[0].exponent
@@ -323,12 +289,12 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
 
 
 def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
-                              samples: int, seed: int) -> TheoremReport:
+                              samples: int, seed: int) -> dict:
     if not isinstance(expr, FunctionExpr):
         raise SpecError("verification needs a FunctionExpr")
     table = point_table(expr, box, samples, seed)
     detection = detect_ces_on(table)
-    if detection.verdict == NOT_CES:
+    if detection["verdict"] == NOT_CES:
         raise HypothesisError(
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
@@ -345,39 +311,32 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
                   else None)
     matches, conclusion_check = _structure_side(expr, table, detection)
     hypothesis_check = {
-        "ces_verdict": detection.verdict,
-        "sigma_estimate": detection.sigma_estimate,
+        "ces_verdict": detection["verdict"],
+        "sigma_estimate": detection["sigma_estimate"],
         "max_" + statistic: worst,
         "vanishing_tolerance": tolerances.VANISHING_CURVATURE_TOL,
         "clearly_nonzero_tolerance": tolerances.CLEAR_CURVATURE_TOL,
     }
-
-    if hypothesis is None:
-        verdict = DEGENERATE_HYPOTHESIS
-    elif hypothesis == matches:
-        verdict = CONSISTENT
-    else:
-        verdict = INCONSISTENT
-    return TheoremReport(theorem, verdict, hypothesis, matches,
-                         hypothesis_check, conclusion_check, rows)
+    return _theorem_report(theorem, hypothesis, matches, hypothesis_check,
+                           conclusion_check, rows)
 
 
 def verify_theorem_41(expr: FunctionExpr, box=None, samples: int = 64,
-                      seed: int = 0) -> TheoremReport:
+                      seed: int = 0) -> dict:
     """Vanishing Gauss-Kronecker curvature vs degree-one family membership."""
     return _verify_curvature_theorem(THEOREM_GAUSS_KRONECKER, expr, box,
                                      samples, seed)
 
 
 def verify_theorem_42(expr: FunctionExpr, box=None, samples: int = 64,
-                      seed: int = 0) -> TheoremReport:
+                      seed: int = 0) -> dict:
     """Intrinsic flatness of the graph vs degree-one family membership."""
     return _verify_curvature_theorem(THEOREM_FLATNESS, expr, box,
                                      samples, seed)
 
 
 def verify_theorem_11(expr, box=None, samples: int = 64,
-                      seed: int = 0) -> TheoremReport:
+                      seed: int = 0) -> dict:
     """Constant-elasticity detection vs structural classification.
 
     A quasi-sum has a constant (or everywhere-degenerate) pairwise elasticity
@@ -385,16 +344,13 @@ def verify_theorem_11(expr, box=None, samples: int = 64,
     sides false is as consistent as both sides true.  Unlike the curvature
     checks this accepts NotCES inputs, since they are half of the statement.
     """
-    cls = classify_quasi_sum(expr, box, samples, seed)
-    hypothesis = cls.detection.verdict in (REGULAR_CES, DEGENERATE_CES)
-    conclusion = cls.case != NOT_CES
-    verdict = CONSISTENT if hypothesis == conclusion else INCONSISTENT
+    classification = classify_quasi_sum(expr, box, samples, seed)
     # The detection is reported once, here, with its verdict as ces_verdict.
-    hypothesis_check = cls.detection.as_dict()
-    hypothesis_check["ces_verdict"] = hypothesis_check.pop("verdict")
-    classification = cls.as_dict()
-    del classification["detection"]
+    detection = classification.pop("detection")
+    hypothesis = detection["verdict"] in (REGULAR_CES, DEGENERATE_CES)
+    detection["ces_verdict"] = detection.pop("verdict")
+    conclusion = classification["case"] != NOT_CES
     conclusion_check = {"family_matches": conclusion,
                         "classification": classification}
-    return TheoremReport(THEOREM_CLASSIFICATION, verdict, hypothesis,
-                         conclusion, hypothesis_check, conclusion_check, ())
+    return _theorem_report(THEOREM_CLASSIFICATION, hypothesis, conclusion,
+                           detection, conclusion_check, ())

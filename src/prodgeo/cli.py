@@ -332,15 +332,25 @@ def _render(config: RunConfig, env: dict) -> str:
 # -- command implementations ---------------------------------------------------
 
 
-def _require_at(config: RunConfig, n: int) -> tuple:
+def _check_request(config: RunConfig, n: int) -> None:
+    """Check each request field the envelope echoes (--at, --box, --pair)
+    against an n-input document, whether or not the command reads it."""
+    if config.at is not None:
+        if len(config.at) != n:
+            raise SpecError(
+                f"point has {len(config.at)} coordinates, expected {n}")
+        if any(not math.isfinite(v) or v <= 0.0 for v in config.at):
+            raise SpecError("point coordinates must be finite and positive")
+    if config.box is not None:
+        validate_box(config.box, n)
+    if config.pair is not None:
+        _check_pair(config.pair, n)
+
+
+def _require_at(config: RunConfig) -> tuple:
     if config.at is None:
         raise SpecError(f"{config.command} requires --at")
-    at = config.at
-    if len(at) != n:
-        raise SpecError(f"point has {len(at)} coordinates, expected {n}")
-    if any(not math.isfinite(v) or v <= 0.0 for v in at):
-        raise SpecError("point coordinates must be finite and positive")
-    return at
+    return config.at
 
 
 def _check_pair(pair, n: int) -> tuple:
@@ -351,41 +361,36 @@ def _check_pair(pair, n: int) -> tuple:
 
 
 def _cmd_eval(config: RunConfig, expr) -> dict:
-    at = _require_at(config, expr.n)
-    row = expr._row(at)
+    at = _require_at(config)
+    row = expr.derivatives([at])
     return {"point": list(at), "value": float(row.value[0]),
             "gradient": row.gradient[0].tolist(),
             "hessian": row.hessian[0].tolist()}
 
 
 def _cmd_curvature(config: RunConfig, expr) -> dict:
-    at = _require_at(config, expr.n)
-    return graph_geometry(expr, at).as_dict()
+    return graph_geometry(expr, _require_at(config))
 
 
 def _cmd_elasticity(config: RunConfig, expr) -> dict:
     if config.at is not None:
-        at = _require_at(config, expr.n)
         if config.pair is None:
             i, j = index_pairs(expr.n)
         else:  # --pair 2,1 reads H_12 and keeps its key "2,1"
-            i, j = np.array([_check_pair(config.pair, expr.n)]).T
-        values = hicks_values(expr._row(at), np.minimum(i, j),
+            i, j = np.array([config.pair]).T
+        values = hicks_values(expr.derivatives([config.at]), np.minimum(i, j),
                               np.maximum(i, j))[0]
         pairs = dict(zip(zip(i.tolist(), j.tolist()), values.tolist()))
-        return {"mode": "point", "point": list(at),
+        return {"mode": "point", "point": list(config.at),
                 "pairs": tagged_pairs(pairs)}
     box = validate_box(config.box, expr.n)
-    report = detect_ces(expr, box, samples=config.samples, seed=config.seed)
-    out = report.as_dict()
-    out["mode"] = "box"
-    out["box"] = [list(axis) for axis in box]
-    return out
+    return {**detect_ces(expr, box, samples=config.samples, seed=config.seed),
+            "mode": "box", "box": [list(axis) for axis in box]}
 
 
 def _cmd_classify(config: RunConfig, expr) -> dict:
     return classify_quasi_sum(expr, validate_box(config.box, expr.n),
-                              samples=config.samples, seed=config.seed).as_dict()
+                              samples=config.samples, seed=config.seed)
 
 
 def _cmd_verify(config: RunConfig, expr) -> dict:
@@ -394,7 +399,7 @@ def _cmd_verify(config: RunConfig, expr) -> dict:
     checker = {"1.1": verify_theorem_11, "4.1": verify_theorem_41,
                "4.2": verify_theorem_42}[config.theorem]
     return checker(expr, validate_box(config.box, expr.n),
-                   samples=config.samples, seed=config.seed).as_dict()
+                   samples=config.samples, seed=config.seed)
 
 
 def _cmd_scan(config: RunConfig, expr) -> dict:
@@ -442,6 +447,7 @@ def run(config: RunConfig) -> tuple:
         except RecursionError:
             raise SpecError("function document is nested too deeply") from None
         expr = expr_from_dict(doc, box=config.box)
+        _check_request(config, expr.n)
         report = _DISPATCH[config.command](config, expr)
         env = _envelope(config, digest)
         env["report"] = report

@@ -46,7 +46,7 @@ DEGENERATE_CES = "DegenerateCES"
 NOT_CES = "NotCES"
 
 __all__ = [
-    "ElasticityReport", "hicks_values", "tagged_pairs", "ces_residuals",
+    "hicks_values", "tagged_pairs", "ces_residuals",
     "PointRecords", "point_table", "detect_ces", "detect_ces_on",
     "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
@@ -118,37 +118,6 @@ def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ElasticityReport:
-    """Outcome of sampling the pairwise elasticity over a box.
-
-    ``pair_values`` holds the elasticities at the box center (inf if
-    infinite, nan if degenerate), keyed by the zero-based pair.  ``sigma_estimate`` is the anchor value the constancy
-    check ran against, absent when no pair was ever finite.
-    """
-
-    verdict: str
-    sigma_estimate: float | None
-    max_deviation: float
-    pair_values: dict
-    n_points: int
-    finite_pairs: int
-    infinite_pairs: int
-    degenerate_pairs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "sigma_estimate": self.sigma_estimate,
-            "max_deviation": self.max_deviation,
-            "center_pair_values": tagged_pairs(self.pair_values),
-            "n_points": self.n_points,
-            "finite_pairs": self.finite_pairs,
-            "infinite_pairs": self.infinite_pairs,
-            "degenerate_pairs": self.degenerate_pairs,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class PointRecords:
     """Per-point records as one (N, k) float64 array: ``fields`` holds the
@@ -182,7 +151,7 @@ def point_table(expr: FunctionExpr, box, samples: int,
 
 
 def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,
-               seed: int = 0) -> ElasticityReport:
+               seed: int = 0) -> dict:
     """Decide whether ``expr`` has constant pairwise elasticity on ``box``.
 
     The box center plus ``samples`` log-uniform points are evaluated, every
@@ -191,8 +160,12 @@ def detect_ces(expr: FunctionExpr, box=None, samples: int = 32,
     return detect_ces_on(point_table(expr, box, samples, seed))
 
 
-def detect_ces_on(table: PointTable) -> ElasticityReport:
-    """Constant-elasticity verdict from every input pair at every row.
+def detect_ces_on(table: PointTable) -> dict:
+    """Constant-elasticity report from every input pair at every row: the
+    ``verdict``, ``sigma_estimate`` (the reference sigma of a RegularCES
+    verdict, else None), ``max_deviation`` from it, the tagged
+    ``center_pair_values`` of the first row, ``n_points`` and the
+    ``finite_pairs``, ``infinite_pairs`` and ``degenerate_pairs`` counts.
 
     The reference sigma is the center value of the first input pair; if
     that pair is not finite there, the first finite nonzero value over the
@@ -229,7 +202,9 @@ def detect_ces_on(table: PointTable) -> ElasticityReport:
     else:
         verdict = NOT_CES
     center = dict(zip(zip(lo.tolist(), hi.tolist()), values[0].tolist()))
-    return ElasticityReport(verdict,
-                            sigma_hat if verdict == REGULAR_CES else None,
-                            max_dev, center, len(values), n_finite,
-                            infinite, degenerate)
+    return {"verdict": verdict,
+            "sigma_estimate": sigma_hat if verdict == REGULAR_CES else None,
+            "max_deviation": max_dev,
+            "center_pair_values": tagged_pairs(center),
+            "n_points": len(values), "finite_pairs": n_finite,
+            "infinite_pairs": infinite, "degenerate_pairs": degenerate}

@@ -280,10 +280,6 @@ class FunctionExpr:
             raise DomainError("value overflows the float range")
         return float(out)
 
-    def _row(self, point) -> PointTable:
-        """The one-row table of :meth:`derivatives` at ``point``."""
-        return self._kernel(self._check_point(point)[np.newaxis, :])
-
     def derivatives(self, points) -> PointTable:
         """The PointTable of the rows of an (N, n) point array, in one
         vectorised pass.

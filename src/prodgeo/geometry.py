@@ -32,8 +32,6 @@ uncancellable term +-D_s c u_a u_b (u != 0), so it is 1 unless all are 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .errors import DomainError
@@ -43,44 +41,14 @@ from .families import (
 
 _NOT_FINITE = "surface quantity is not finite (floating-point overflow)"
 
-__all__ = ["GraphGeometry", "graph_geometry", "surface_curvatures",
-           "theorem_curvatures"]
-
-
-@dataclass(frozen=True, eq=False)
-class GraphGeometry:
-    """All pointwise surface quantities of the graph of f at one point."""
-
-    point: np.ndarray
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    area_factor: float
-    unit_normal: np.ndarray
-    metric: np.ndarray
-    second_fundamental_form: np.ndarray
-    shape_operator: np.ndarray
-    principal_curvatures: np.ndarray
-    gauss_kronecker: float
-    gauss_kronecker_scaled: float
-    riemann_max: float
-    flatness_residual: float
-
-    @property
-    def n(self) -> int:
-        return self.point.shape[0]
-
-    def as_dict(self) -> dict:
-        """JSON-ready rendering with arrays as nested lists."""
-        return {f.name: np.asarray(getattr(self, f.name)).tolist()
-                for f in fields(self)}
+__all__ = ["graph_geometry", "surface_curvatures", "theorem_curvatures"]
 
 
 @np.errstate(all="ignore")
 def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
-    GraphGeometry fields, from the Hessian factors (D, c, u) of the per-axis
-    record."""
+    the fields of ``graph_geometry``, from the Hessian factors (D, c, u) of
+    the per-axis record."""
     return _curvatures(table)[0]
 
 
@@ -159,14 +127,15 @@ def _riemann_max(diag, c, u) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
-    """Every surface quantity of the graph of ``expr`` at ``point``, or
-    DomainError where one is not finite.  With p = grad f and q = p / W,
-    g = I + p p^T has the inverse I - q q^T (Sherman-Morrison) and inverse
-    square root I - q q^T W / (W + 1), so the shape operator needs no solve
-    and the principal curvatures are the eigenvalues of g^(-1/2) h g^(-1/2);
-    |q| < 1 keeps them finite where p p^T overflows."""
-    row = expr._row(point)
+def graph_geometry(expr: FunctionExpr, point) -> dict:
+    """Every surface quantity of the graph of ``expr`` at ``point``, floats
+    and nested lists keyed by name, or DomainError where one is not finite.
+    With p = grad f and q = p / W, g = I + p p^T has the inverse I - q q^T
+    (Sherman-Morrison) and inverse square root I - q q^T W / (W + 1), so the
+    shape operator needs no solve and the principal curvatures are the
+    eigenvalues of g^(-1/2) h g^(-1/2); |q| < 1 keeps them finite where
+    p p^T overflows."""
+    row = expr.derivatives([point])
     hess = row.hessian[0]  # first, so an entry's overflow reads as in eval
     scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()}
     w, grad = scalars["area_factor"], row.gradient[0]
@@ -177,14 +146,11 @@ def graph_geometry(expr: FunctionExpr, point) -> GraphGeometry:
     curvatures = np.linalg.eigvalsh(root @ second @ root)
     if not (np.isfinite(shape).all() and np.isfinite(curvatures).all()):
         raise DomainError(_NOT_FINITE)
-    return GraphGeometry(
-        point=row.points[0].copy(), value=row.value[0], gradient=grad,
-        hessian=hess,
-        unit_normal=np.append(-grad, 1.0) / w,
-        metric=np.eye(expr.n) + np.outer(grad, grad),
-        second_fundamental_form=second,
-        shape_operator=shape,
-        principal_curvatures=curvatures,
-        **scalars,
-    )
+    arrays = {"point": row.points[0], "gradient": grad, "hessian": hess,
+              "unit_normal": np.append(-grad, 1.0) / w,
+              "metric": np.eye(expr.n) + np.outer(grad, grad),
+              "second_fundamental_form": second, "shape_operator": shape,
+              "principal_curvatures": curvatures}
+    return {"value": float(row.value[0]), **scalars,
+            **{key: value.tolist() for key, value in arrays.items()}}
 

@@ -261,11 +261,11 @@ def test_criterion_05():
         if should_be_flat:
             for x in points:
                 geo = graph_geometry(expr, x)
-                assert geo.gauss_kronecker_scaled <= \
+                assert geo["gauss_kronecker_scaled"] <= \
                     tolerances.VANISHING_CURVATURE_TOL
         else:
             clear = sum(
-                abs(graph_geometry(expr, x).gauss_kronecker) >
+                abs(graph_geometry(expr, x)["gauss_kronecker"]) >
                 tolerances.CLEAR_CURVATURE_TOL
                 for x in points)
             assert clear >= 95
@@ -275,7 +275,7 @@ def _outer_ode_residual(expr) -> float:
     """``outer_ode.max_residual`` of a Theorem 4.1 report on the default
     box."""
     report = verify_theorem_41(expr, samples=16)
-    return report.conclusion_check["outer_ode"]["max_residual"]
+    return report["conclusion_check"]["outer_ode"]["max_residual"]
 
 
 def test_criterion_06():
@@ -312,15 +312,15 @@ def test_criterion_07():
     """Metric and shape determinants close at every suite evaluation."""
     for expr, x in all_geometry_evaluations():
         geo = graph_geometry(expr, x)
-        w_sq = geo.area_factor ** 2
-        assert abs(np.linalg.det(geo.metric) - w_sq) <= \
+        w_sq = geo["area_factor"] ** 2
+        assert abs(np.linalg.det(geo["metric"]) - w_sq) <= \
             gates.METRIC_DET_RTOL * w_sq
-        det_shape = float(np.linalg.det(geo.shape_operator))
-        floor = (float(np.linalg.norm(geo.hessian)) / geo.area_factor) \
+        det_shape = float(np.linalg.det(geo["shape_operator"]))
+        floor = (float(np.linalg.norm(geo["hessian"])) / geo["area_factor"]) \
             ** expr.n
-        assert abs(det_shape - geo.gauss_kronecker) <= \
+        assert abs(det_shape - geo["gauss_kronecker"]) <= \
             gates.SHAPE_DET_RTOL * max(abs(det_shape),
-                                       abs(geo.gauss_kronecker), floor)
+                                       abs(geo["gauss_kronecker"]), floor)
 
 
 def test_criterion_08():
@@ -328,19 +328,19 @@ def test_criterion_08():
     for expr, points, should_be_flat in curvature_suite():
         if should_be_flat and expr.n == 2:
             for x in points:
-                assert graph_geometry(expr, x).flatness_residual <= 1e-10
+                assert graph_geometry(expr, x)["flatness_residual"] <= 1e-10
 
     for expr, points in ratio_suite():
         outer = expr.params["outer"]
         for x in points[:20]:
             geo = graph_geometry(expr, x)
             d1 = outer.derivatives(float(x[1] / x[0]))[1]
-            predicted = -d1 * d1 / (float(x[0]) ** 4 * geo.area_factor ** 4)
-            assert abs(geo.gauss_kronecker - predicted) <= \
+            predicted = -d1 * d1 / (float(x[0]) ** 4 * geo["area_factor"] ** 4)
+            assert abs(geo["gauss_kronecker"] - predicted) <= \
                 1e-10 * abs(predicted)
 
     identity_ratio = build_ratio(ScalarFn("affine", 1.0))
-    g = graph_geometry(identity_ratio, [1.0, 1.0]).gauss_kronecker
+    g = graph_geometry(identity_ratio, [1.0, 1.0])["gauss_kronecker"]
     assert g == pytest.approx(-1.0 / 9.0, rel=1e-10)
 
 
@@ -348,11 +348,11 @@ def test_criterion_09():
     """The equal-share three-input product has the known curvature tensor."""
     cd = build_cobb_douglas(1.0, (1 / 3, 1 / 3, 1 / 3))
     geo = graph_geometry(cd, [1.0, 1.0, 1.0])
-    assert abs(geo.riemann_max - 1.0 / 36.0) <= 1e-10
-    assert geo.flatness_residual == pytest.approx(1.0 / 42.0, rel=1e-10)
+    assert abs(geo["riemann_max"] - 1.0 / 36.0) <= 1e-10
+    assert geo["flatness_residual"] == pytest.approx(1.0 / 42.0, rel=1e-10)
     report = verify_theorem_42(cd)
-    assert report.verdict == "Inconsistent"
-    assert len(report.per_point) > 0
+    assert report["verdict"] == "Inconsistent"
+    assert len(report["per_point_data"]) > 0
 
 
 def test_criterion_10():
@@ -372,7 +372,7 @@ def test_criterion_10():
 
     mistakes = []
     for spec, want in expected:
-        got = classify_quasi_sum(spec).case
+        got = classify_quasi_sum(spec)["case"]
         if got != want:
             mistakes.append((want, got, spec))
     assert mistakes == []

@@ -8,8 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from prodgeo import (
-    DomainError, HypothesisError, QuasiSumSpec, ScalarFn, SpecError,
-    build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
+    HypothesisError, QuasiSumSpec, ScalarFn, SpecError, build_acms,
+    build_cobb_douglas, build_quasi_sum, build_ratio,
     classify_quasi_sum, default_box,
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
@@ -37,33 +37,35 @@ def power_spec(outer_exp, coeffs, inner_exp, shifts=None):
 
 def test_power_aggregator_case():
     result = classify_quasi_sum(power_spec(2.0, [2.0, 3.0], 0.5))
-    assert result.case == "HomotheticACMS"
-    assert result.sigma == pytest.approx(2.0, rel=1e-9)
-    assert result.fitted_inner_parameters == pytest.approx((2.0, 3.0),
+    assert result["case"] == "HomotheticACMS"
+    assert result["sigma"] == pytest.approx(2.0, rel=1e-9)
+    assert result["fitted_inner_parameters"] == pytest.approx((2.0, 3.0),
                                                            rel=1e-9)
-    assert result.separation_constant_k is None
-    assert result.ces_residual <= tolerances.CES_RESIDUAL_TOL
-    assert result.structure_residual <= tolerances.STRUCTURE_RESIDUAL_TOL
+    assert result["separation_constant_k"] is None
+    assert result["residuals"]["ces"] <= tolerances.CES_RESIDUAL_TOL
+    assert result["residuals"]["structure"] <= \
+        tolerances.STRUCTURE_RESIDUAL_TOL
 
 
 def test_log_product_case():
     spec = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
                         inner=(ScalarFn("log", 0.5), ScalarFn("log", 0.5)))
     result = classify_quasi_sum(spec)
-    assert result.case == "HomotheticCobbDouglas"
-    assert result.sigma == 1.0
-    assert result.fitted_inner_parameters == pytest.approx((0.5, 0.5))
-    assert result.structure_residual <= tolerances.STRUCTURE_RESIDUAL_TOL
+    assert result["case"] == "HomotheticCobbDouglas"
+    assert result["sigma"] == 1.0
+    assert result["fitted_inner_parameters"] == pytest.approx((0.5, 0.5))
+    assert result["residuals"]["structure"] <= \
+        tolerances.STRUCTURE_RESIDUAL_TOL
 
 
 def test_ratio_case():
     spec = QuasiSumSpec(outer=ScalarFn("exp", 1.0),
                         inner=(ScalarFn("log", -1.0), ScalarFn("log", 1.0)))
     result = classify_quasi_sum(spec)
-    assert result.case == "RatioTwoInput"
-    assert result.sigma is None
-    assert result.separation_constant_k == pytest.approx(1.0, rel=1e-9)
-    assert result.fitted_inner_parameters == pytest.approx((-1.0, 1.0))
+    assert result["case"] == "RatioTwoInput"
+    assert result["sigma"] is None
+    assert result["separation_constant_k"] == pytest.approx(1.0, rel=1e-9)
+    assert result["fitted_inner_parameters"] == pytest.approx((-1.0, 1.0))
 
 
 def test_unclassifiable_case():
@@ -71,19 +73,18 @@ def test_unclassifiable_case():
                         inner=(ScalarFn("power", 1.0, exponent=2.0),
                                ScalarFn("log", 1.0)))
     result = classify_quasi_sum(spec)
-    assert result.case == "NotCES"
-    assert result.sigma is None
-    assert math.isinf(result.ces_residual)
-    assert math.isinf(result.structure_residual)
-    doc = result.as_dict()
-    assert doc["detection"]["verdict"] == "NotCES"
+    assert result["case"] == "NotCES"
+    assert result["sigma"] is None
+    assert math.isinf(result["residuals"]["ces"])
+    assert math.isinf(result["residuals"]["structure"])
+    assert result["detection"]["verdict"] == "NotCES"
 
 
 def test_classify_accepts_expressions_with_a_quasi_sum_form():
     expr = build_acms(1.2, (2.0, 0.8), 0.5, 1.0)
     result = classify_quasi_sum(expr)
-    assert result.case == "HomotheticACMS"
-    assert result.sigma == pytest.approx(2.0, rel=1e-9)
+    assert result["case"] == "HomotheticACMS"
+    assert result["sigma"] == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(SpecError):
         classify_quasi_sum(build_ratio(ScalarFn("exp", 1.0)))
     with pytest.raises(SpecError):
@@ -94,16 +95,16 @@ def test_classification_ignores_presentation():
     rng = make_rng(501)
     spec = random_power_spec(rng, 3)
     base = classify_quasi_sum(spec)
-    assert base.case == "HomotheticACMS"
+    assert base["case"] == "HomotheticACMS"
 
     shifted = QuasiSumSpec(
         outer=replace(spec.outer, coefficient=3.0 * spec.outer.coefficient),
         inner=tuple(replace(h, shift=h.shift + 0.4) for h in spec.inner))
     again = classify_quasi_sum(shifted)
-    assert again.case == base.case
-    assert again.sigma == pytest.approx(base.sigma, rel=1e-9)
-    assert again.fitted_inner_parameters == pytest.approx(
-        base.fitted_inner_parameters, rel=1e-9)
+    assert again["case"] == base["case"]
+    assert again["sigma"] == pytest.approx(base["sigma"], rel=1e-9)
+    assert again["fitted_inner_parameters"] == pytest.approx(
+        base["fitted_inner_parameters"], rel=1e-9)
 
 
 def test_fitted_aggregator_is_constant_on_level_sets():
@@ -111,9 +112,9 @@ def test_fitted_aggregator_is_constant_on_level_sets():
     spec = random_power_spec(rng, 3, shifts=True)
     expr = build_quasi_sum(spec)
     result = classify_quasi_sum(spec)
-    assert result.case == "HomotheticACMS"
-    p = (result.sigma - 1.0) / result.sigma
-    coeffs = result.fitted_inner_parameters
+    assert result["case"] == "HomotheticACMS"
+    p = (result["sigma"] - 1.0) / result["sigma"]
+    coeffs = result["fitted_inner_parameters"]
 
     def aggregator(x):
         return math.fsum(c * xi ** p for c, xi in zip(coeffs, x))
@@ -131,7 +132,7 @@ def test_ratio_classification_is_ray_invariant():
     rng = make_rng(503)
     spec = random_ratio_spec(rng)
     expr = build_quasi_sum(spec)
-    assert classify_quasi_sum(spec).case == "RatioTwoInput"
+    assert classify_quasi_sum(spec)["case"] == "RatioTwoInput"
     for _ in range(10):
         x = random_point(rng, 2)
         base = expr.value(x)
@@ -146,7 +147,7 @@ def test_ratio_classification_is_ray_invariant():
 def outer_ode_residual(spec, box=None) -> float:
     """``outer_ode.max_residual`` of the Theorem 4.1 report of a quasi-sum."""
     report = verify_theorem_41(build_quasi_sum(spec, box), box, samples=16)
-    return report.conclusion_check["outer_ode"]["max_residual"]
+    return report["conclusion_check"]["outer_ode"]["max_residual"]
 
 
 def test_power_outer_solves_its_ode():
@@ -187,15 +188,15 @@ def test_product_outer_solves_its_ode():
 
 def test_curvature_verdict_on_degree_one_aggregators():
     report = verify_theorem_41(build_acms(1.0, (1.0, 2.0, 0.5), 0.5, 1.0))
-    assert report.theorem == "T41"
-    assert report.verdict == "Consistent"
-    assert report.hypothesis_holds is True
-    assert report.conclusion_holds is True
-    ode = report.conclusion_check["outer_ode"]
+    assert report["theorem"] == "T41"
+    assert report["verdict"] == "Consistent"
+    assert report["hypothesis_holds"] is True
+    assert report["conclusion_holds"] is True
+    ode = report["conclusion_check"]["outer_ode"]
     assert ode["max_residual"] <= gates.ODE_MATCH_TOL
-    assert report.conclusion_check["euler_degree_gap"] <= \
+    assert report["conclusion_check"]["euler_degree_gap"] <= \
         tolerances.DEGREE_ONE_TOL * 100
-    assert len(report.per_point) == 65
+    assert len(report["per_point_data"]) == 65
 
 
 @pytest.mark.parametrize("verify", [verify_theorem_41, verify_theorem_42])
@@ -211,8 +212,8 @@ def test_per_point_records_give_one_dict_per_point(verify):
                                    surface["gauss_kronecker_scaled"].tolist(),
                                    surface["flatness_residual"].tolist())]
     report = verify(expr, box, samples=24, seed=7)
-    rows = report.as_dict()["per_point_data"]
-    assert rows is report.per_point and isinstance(rows, PointRecords)
+    rows = report["per_point_data"]
+    assert isinstance(rows, PointRecords)
     assert rows.data.dtype == np.float64 and rows.data.shape == (25, 6)
     assert len(rows) == 25
     assert list(rows) == want
@@ -226,19 +227,20 @@ def test_per_point_records_give_one_dict_per_point(verify):
 
 def test_curvature_verdict_on_scaled_power_outers():
     flat = verify_theorem_41(build_quasi_sum(power_spec(2.0, [1.0, 1.0], 0.5)))
-    assert flat.verdict == "Consistent" and flat.hypothesis_holds is True
+    assert flat["verdict"] == "Consistent" and flat["hypothesis_holds"] is True
 
     cubed = verify_theorem_41(
         build_quasi_sum(power_spec(3.0, [1.0, 1.0], 0.5)))
-    assert cubed.verdict == "Consistent"
-    assert cubed.hypothesis_holds is False
-    assert cubed.conclusion_holds is False
+    assert cubed["verdict"] == "Consistent"
+    assert cubed["hypothesis_holds"] is False
+    assert cubed["conclusion_holds"] is False
 
 
 def test_curvature_verdict_on_products():
     report = verify_theorem_41(build_cobb_douglas(1.0, (0.5, 0.25, 0.25)))
-    assert report.verdict == "Consistent"
-    assert report.hypothesis_holds is True and report.conclusion_holds is True
+    assert report["verdict"] == "Consistent"
+    assert report["hypothesis_holds"] is True
+    assert report["conclusion_holds"] is True
 
 
 def test_curvature_theorem_holds_across_the_generators():
@@ -258,7 +260,7 @@ def test_curvature_theorem_holds_across_the_generators():
     cases.append(build_quasi_sum(random_ratio_spec(rng)))
     for expr in cases:
         report = verify_theorem_41(expr, samples=24, seed=7)
-        assert report.verdict == "Consistent", (expr.family, expr.params)
+        assert report["verdict"] == "Consistent", (expr.family, expr.params)
 
 
 def test_curvature_precondition_failures():
@@ -276,30 +278,30 @@ def test_curvature_precondition_failures():
 
 def test_flatness_verdict_on_two_input_members():
     report = verify_theorem_42(build_cobb_douglas(1.0, (0.5, 0.5)))
-    assert report.theorem == "T42"
-    assert report.verdict == "Consistent"
-    assert report.hypothesis_holds is True and report.conclusion_holds is True
+    assert report["theorem"] == "T42"
+    assert report["verdict"] == "Consistent"
+    assert report["hypothesis_holds"] is True
+    assert report["conclusion_holds"] is True
 
     ratio = verify_theorem_42(build_ratio(ScalarFn("affine", 1.0)))
-    assert ratio.verdict == "Consistent"
-    assert ratio.hypothesis_holds is False
-    assert ratio.conclusion_holds is False
+    assert ratio["verdict"] == "Consistent"
+    assert ratio["hypothesis_holds"] is False
+    assert ratio["conclusion_holds"] is False
 
 
 def test_flatness_fails_for_three_input_members():
     report = verify_theorem_42(build_cobb_douglas(1.0, (1 / 3, 1 / 3, 1 / 3)))
-    assert report.verdict == "Inconsistent"
-    assert report.hypothesis_holds is False
-    assert report.conclusion_holds is True
-    assert len(report.per_point) > 0
-    doc = report.as_dict()
-    assert doc["forward_implication_ok"] is True
-    assert doc["reverse_implication_ok"] is False
-    assert doc["per_point_data"][0]["flatness_residual"] > \
+    assert report["verdict"] == "Inconsistent"
+    assert report["hypothesis_holds"] is False
+    assert report["conclusion_holds"] is True
+    assert len(report["per_point_data"]) > 0
+    assert report["forward_implication_ok"] is True
+    assert report["reverse_implication_ok"] is False
+    assert report["per_point_data"][0]["flatness_residual"] > \
         gates.CLEAR_NONFLAT_TOL
 
     acms = verify_theorem_42(build_acms(1.0, (1.0, 1.0, 1.0), 0.5, 1.0))
-    assert acms.verdict == "Inconsistent"
+    assert acms["verdict"] == "Inconsistent"
 
 
 # -- detection vs classification ----------------------------------------------------------
@@ -315,17 +317,17 @@ def test_classification_equivalence_across_the_generators():
              random_mixed_spec(rng, 2), random_mixed_spec(rng, 3)]
     for spec in specs:
         report = verify_theorem_11(spec, samples=24)
-        assert report.theorem == "T11"
-        assert report.verdict == "Consistent"
-        assert report.per_point == ()
-        doc = report.as_dict()
-        assert doc["forward_implication_ok"] is True
-        assert doc["reverse_implication_ok"] is True
+        assert report["theorem"] == "T11"
+        assert report["verdict"] == "Consistent"
+        assert report["per_point_data"] == ()
+        assert report["forward_implication_ok"] is True
+        assert report["reverse_implication_ok"] is True
 
 
 def test_classification_equivalence_accepts_expressions():
     report = verify_theorem_11(build_acms(1.0, (1.0, 1.0), 0.5, 1.0))
-    assert report.verdict == "Consistent"
-    assert report.hypothesis_holds is True and report.conclusion_holds is True
-    assert report.conclusion_check["classification"]["case"] == \
+    assert report["verdict"] == "Consistent"
+    assert report["hypothesis_holds"] is True
+    assert report["conclusion_holds"] is True
+    assert report["conclusion_check"]["classification"]["case"] == \
         "HomotheticACMS"

@@ -13,7 +13,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from prodgeo import cli, tolerances
+from prodgeo import (
+    classify_quasi_sum, cli, detect_ces, expr_from_dict, graph_geometry,
+    tolerances, verify_theorem_11, verify_theorem_41, verify_theorem_42,
+)
 from prodgeo.cli import (
     _BLOCK_ROWS, RunConfig, _flatten, _leaf, _render, _table_blocks, _to_json,
     build_parser, main, run,
@@ -206,6 +209,34 @@ def test_verify_consistent_curvature(acms_doc):
                                      samples=16))
     assert status == 0
     assert env["report"]["verdict"] == "Consistent"
+
+
+def test_each_command_reports_the_library_result(tmp_path, capsys):
+    # One vocabulary: the library returns the report the command prints.
+    doc = {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.4, 0.3, 0.3]}
+    path = write_doc(tmp_path, "cd.json", doc)
+    expr = expr_from_dict(doc)
+    box = ((0.5, 3.0),) * 3
+    sampled = {"box": box, "samples": 20, "seed": 5}
+    args = ["--box", "0.5:3,0.5:3,0.5:3", "--samples", "20", "--seed", "5"]
+    detection = detect_ces(expr, **sampled)
+    geometry = graph_geometry(expr, (2.0, 8.0, 1.5))
+    calls = [
+        (["classify", *args], classify_quasi_sum(expr, **sampled)),
+        (["verify", "--theorem", "1.1", *args],
+         verify_theorem_11(expr, **sampled)),
+        (["verify", "--theorem", "4.1", *args],
+         verify_theorem_41(expr, **sampled)),
+        (["verify", "--theorem", "4.2", *args],
+         verify_theorem_42(expr, **sampled)),
+        (["curvature", "--at", "2,8,1.5"], geometry),
+        (["elasticity", *args], {**detection, "mode": "box",
+                                 "box": [list(axis) for axis in box]}),
+    ]
+    for argv, result in calls:
+        assert main([*argv, "--fn", path]) == 0
+        report = one_record(capsys.readouterr().out)["report"]
+        assert report == json.loads(_to_json(result)), argv
 
 
 @pytest.mark.parametrize("doc", [
@@ -816,6 +847,20 @@ def test_error_exit_codes(tmp_path, cd_doc):
     for pair in ((0, 0), (0, 2)):  # the same input twice, and no input 3
         assert run(RunConfig("elasticity", cd_doc, at=(1.0, 1.0),
                              pair=pair))[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--at", "nan,inf"],
+    ["scan", "--at=-1,1e999", "--samples", "4", "--out", "csv"],
+    ["eval", "--at", "1,1", "--pair", "7,9"],
+    ["eval", "--at", "1,1", "--box", "1:2,1:2,1:2"],
+], ids=["classify-at", "scan-at", "eval-pair", "eval-box"])
+def test_every_echoed_request_field_is_checked(cd_doc, capsys, argv):
+    # The envelope echoes --at, --pair and --box even to a command that
+    # does not read them, so each is checked against the document.
+    assert main([*argv, "--fn", cd_doc]) == 1
+    record = one_record(capsys.readouterr().out)
+    assert record["error"]["type"] == "SpecError"
 
 
 @pytest.mark.parametrize("argv, n", [

@@ -235,23 +235,23 @@ def test_separated_residual_checks_the_whole_point(point, error, message):
 def test_detect_regular_families():
     cd = build_cobb_douglas(1.0, (0.5, 0.5))
     report = detect_ces(cd)
-    assert report.verdict == "RegularCES"
-    assert report.sigma_estimate == pytest.approx(1.0, rel=1e-9)
-    assert report.infinite_pairs == 0
-    assert report.max_deviation <= tolerances.CES_CONSTANCY_RTOL
+    assert report["verdict"] == "RegularCES"
+    assert report["sigma_estimate"] == pytest.approx(1.0, rel=1e-9)
+    assert report["infinite_pairs"] == 0
+    assert report["max_deviation"] <= tolerances.CES_CONSTANCY_RTOL
 
     acms = build_acms(1.3, (2.0, 0.7, 1.1), -1.0, 1.6)
     report = detect_ces(acms, samples=16, seed=3)
-    assert report.verdict == "RegularCES"
-    assert report.sigma_estimate == pytest.approx(0.5, rel=1e-9)
+    assert report["verdict"] == "RegularCES"
+    assert report["sigma_estimate"] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_detect_degenerate_ratio():
     report = detect_ces(build_ratio(ScalarFn("affine", 1.0)))
-    assert report.verdict == "DegenerateCES"
-    assert report.sigma_estimate is None
-    assert report.finite_pairs == 0
-    assert report.degenerate_pairs == report.n_points
+    assert report["verdict"] == "DegenerateCES"
+    assert report["sigma_estimate"] is None
+    assert report["finite_pairs"] == 0
+    assert report["degenerate_pairs"] == report["n_points"]
 
 
 def test_detect_rejects_a_varying_elasticity():
@@ -259,8 +259,8 @@ def test_detect_rejects_a_varying_elasticity():
                         inner=(ScalarFn("power", 1.0, exponent=2.0),
                                ScalarFn("log", 1.0)))
     report = detect_ces(build_quasi_sum(spec))
-    assert report.verdict == "NotCES"
-    assert report.max_deviation > tolerances.CES_CONSTANCY_RTOL
+    assert report["verdict"] == "NotCES"
+    assert report["max_deviation"] > tolerances.CES_CONSTANCY_RTOL
 
 
 def test_detect_sample_budget_validation():
@@ -271,19 +271,18 @@ def test_detect_sample_budget_validation():
 
 def test_report_serialization_uses_one_based_pairs():
     report = detect_ces(build_cobb_douglas(1.0, (0.4, 0.3, 0.3)))
-    doc = report.as_dict()
-    assert set(doc["center_pair_values"]) == {"1,2", "1,3", "2,3"}
-    assert doc["verdict"] == "RegularCES"
-    for key in ("sigma_estimate", "max_deviation", "n_points",
-                "finite_pairs", "infinite_pairs", "degenerate_pairs"):
-        assert key in doc
+    assert set(report["center_pair_values"]) == {"1,2", "1,3", "2,3"}
+    assert report["verdict"] == "RegularCES"
+    assert set(report) == {
+        "verdict", "sigma_estimate", "max_deviation", "center_pair_values",
+        "n_points", "finite_pairs", "infinite_pairs", "degenerate_pairs"}
 
 
 def test_regular_verdict_certifies_the_identity_everywhere():
     rng = make_rng(307)
     expr = random_acms(rng, 3, rho=0.5)
     report = detect_ces(expr)
-    assert report.verdict == "RegularCES"
+    assert report["verdict"] == "RegularCES"
     table = expr.derivatives(random_points(rng, 3, 10))
-    residuals = ces_residuals(table, report.sigma_estimate, *index_pairs(3))
+    residuals = ces_residuals(table, report["sigma_estimate"], *index_pairs(3))
     assert np.max(np.abs(residuals)) <= tolerances.CES_RESIDUAL_TOL

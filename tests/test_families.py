@@ -14,8 +14,7 @@ from prodgeo import (
 from prodgeo.families import euler_quotients
 import gates
 from conftest import (
-    factored_det, log_uniform_scalar, make_rng, random_acms,
-    random_cobb_douglas,
+    factored_det, make_rng, random_acms, random_cobb_douglas,
     random_log_spec, random_mixed_spec, random_point, random_points,
     random_power_spec, random_ratio_spec,
 )

@@ -30,8 +30,8 @@ from conftest import (
 def test_curvature_hand_values():
     sqrt_cd = build_cobb_douglas(1.0, (0.5, 0.5))
     geo = graph_geometry(sqrt_cd, [2.0, 8.0])
-    assert abs(geo.gauss_kronecker) <= 1e-12
-    assert geo.gauss_kronecker_scaled <= tolerances.VANISHING_CURVATURE_TOL
+    assert abs(geo["gauss_kronecker"]) <= 1e-12
+    assert geo["gauss_kronecker_scaled"] <= tolerances.VANISHING_CURVATURE_TOL
 
     def gauss_kronecker(expr, x):
         return surface_curvatures(expr.derivatives([x]))["gauss_kronecker"][0]
@@ -50,17 +50,17 @@ def test_curvature_hand_values():
 
 def test_minimal_surface_structure_of_the_root_product():
     geo = graph_geometry(build_cobb_douglas(1.0, (0.5, 0.5)), [1.0, 1.0])
-    kappas = np.sort(np.abs(geo.principal_curvatures))
+    kappas = np.sort(np.abs(geo["principal_curvatures"]))
     assert kappas[0] <= 1e-12
     assert kappas[1] > 1e-3
-    assert abs(np.linalg.det(geo.shape_operator)) <= 1e-12
+    assert abs(np.linalg.det(geo["shape_operator"])) <= 1e-12
 
 
 def test_saddle_structure_of_the_ratio():
     geo = graph_geometry(build_ratio(ScalarFn("affine", 1.0)), [1.0, 1.0])
-    assert np.linalg.det(geo.shape_operator) == pytest.approx(-1.0 / 9.0,
+    assert np.linalg.det(geo["shape_operator"]) == pytest.approx(-1.0 / 9.0,
                                                               rel=1e-9)
-    lo, hi = np.sort(geo.principal_curvatures)
+    lo, hi = np.sort(geo["principal_curvatures"])
     assert lo < 0.0 < hi
 
 
@@ -80,18 +80,18 @@ def test_metric_and_shape_determinants():
     for expr in _sample_exprs(rng):
         for x in random_points(rng, expr.n, 10):
             geo = graph_geometry(expr, x)
-            w = geo.area_factor
-            assert abs(np.linalg.det(geo.metric) - w * w) <= \
+            w = geo["area_factor"]
+            assert abs(np.linalg.det(geo["metric"]) - w * w) <= \
                 gates.METRIC_DET_RTOL * w * w
-            det_shape = float(np.linalg.det(geo.shape_operator))
-            floor = (float(np.linalg.norm(geo.hessian)) / w) ** expr.n
+            det_shape = float(np.linalg.det(geo["shape_operator"]))
+            floor = (float(np.linalg.norm(geo["hessian"])) / w) ** expr.n
             bound = gates.SHAPE_DET_RTOL * max(
-                abs(det_shape), abs(geo.gauss_kronecker), floor)
-            assert abs(det_shape - geo.gauss_kronecker) <= bound
-            kappa_product = float(np.prod(geo.principal_curvatures))
-            assert abs(kappa_product - geo.gauss_kronecker) <= \
+                abs(det_shape), abs(geo["gauss_kronecker"]), floor)
+            assert abs(det_shape - geo["gauss_kronecker"]) <= bound
+            kappa_product = float(np.prod(geo["principal_curvatures"]))
+            assert abs(kappa_product - geo["gauss_kronecker"]) <= \
                 gates.SHAPE_DET_RTOL * max(
-                    abs(kappa_product), abs(geo.gauss_kronecker), floor)
+                    abs(kappa_product), abs(geo["gauss_kronecker"]), floor)
 
 
 def test_unit_normal_is_orthonormal_to_the_tangent_frame():
@@ -99,13 +99,13 @@ def test_unit_normal_is_orthonormal_to_the_tangent_frame():
     for expr in _sample_exprs(rng):
         x = random_point(rng, expr.n)
         geo = graph_geometry(expr, x)
-        assert abs(np.linalg.norm(geo.unit_normal) - 1.0) <= \
+        assert abs(np.linalg.norm(geo["unit_normal"]) - 1.0) <= \
             gates.UNIT_NORM_TOL
         for i in range(expr.n):
             tangent = np.zeros(expr.n + 1)
             tangent[i] = 1.0
-            tangent[-1] = geo.gradient[i]
-            assert abs(float(geo.unit_normal @ tangent)) <= \
+            tangent[-1] = geo["gradient"][i]
+            assert abs(float(geo["unit_normal"] @ tangent)) <= \
                 gates.NORMAL_ORTHOGONALITY_TOL * \
                 np.linalg.norm(tangent)
 
@@ -136,10 +136,10 @@ def test_flatness_vanishes_exactly_when_the_form_has_rank_one():
     for expr in exprs:
         for x in random_points(rng, expr.n, 5):
             geo = graph_geometry(expr, x)
-            flat = geo.flatness_residual <= gates.FLATNESS_VERDICT_TOL
+            flat = geo["flatness_residual"] <= gates.FLATNESS_VERDICT_TOL
             minors = theorem_curvatures(expr.derivatives([x]))[
                 "minor_cancellation"][0]
-            s = np.linalg.svd(geo.second_fundamental_form,
+            s = np.linalg.svd(geo["second_fundamental_form"],
                               compute_uv=False)
             rank_le_one = s[1] <= 1e-9 * max(1.0, s[0])
             assert flat == rank_le_one
@@ -153,17 +153,17 @@ def test_flatness_vanishes_exactly_when_the_form_has_rank_one():
 def test_three_input_equal_share_curvature_component():
     cd = build_cobb_douglas(1.0, (1 / 3, 1 / 3, 1 / 3))
     geo = graph_geometry(cd, [1.0, 1.0, 1.0])
-    assert abs(geo.riemann_max - 1.0 / 36.0) <= 1e-10
-    assert geo.flatness_residual == pytest.approx(1.0 / 42.0, rel=1e-10)
+    assert abs(geo["riemann_max"] - 1.0 / 36.0) <= 1e-10
+    assert geo["flatness_residual"] == pytest.approx(1.0 / 42.0, rel=1e-10)
 
 
 def test_geometry_report_serializes():
     geo = graph_geometry(build_cobb_douglas(1.0, (0.5, 0.5)), [2.0, 8.0])
-    doc = geo.as_dict()
-    assert doc["value"] == pytest.approx(4.0)
-    assert len(doc["unit_normal"]) == 3
-    assert isinstance(doc["hessian"][0], list)
-    assert geo.n == 2
+    assert geo["value"] == pytest.approx(4.0)
+    assert len(geo["point"]) == 2
+    assert len(geo["unit_normal"]) == 3
+    assert isinstance(geo["hessian"][0], list)
+    assert json.loads(json.dumps(geo)) == geo
 
 
 def test_geometry_point_checks():
@@ -373,7 +373,7 @@ def test_one_point_slices_match_the_batched_surface():
             geo = graph_geometry(expr, x)
             for key in ("gauss_kronecker", "gauss_kronecker_scaled",
                         "riemann_max", "flatness_residual"):
-                assert getattr(geo, key) == surface[key][k]
+                assert geo[key] == surface[key][k]
 
 
 GUARD_DOCS = {

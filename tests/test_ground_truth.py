@@ -117,7 +117,7 @@ def _exact_outer_ode(expr):
 
 
 def _outer_ode_gap(report, expr):
-    return abs(report.conclusion_check["outer_ode"]["max_residual"]
+    return abs(report["conclusion_check"]["outer_ode"]["max_residual"]
                - _exact_outer_ode(expr))
 
 
@@ -126,11 +126,11 @@ def test_degree_one_documents_and_their_twins_across_the_parameter_space():
     for name, k, box, degree_one, twin in _cases():
         for expr, holds in ((degree_one, True), (twin, False)):
             report = verify_theorem_41(expr, box, samples=64, seed=k)
-            if report.verdict != "Consistent" or \
-                    report.hypothesis_holds is not holds or \
+            if report["verdict"] != "Consistent" or \
+                    report["hypothesis_holds"] is not holds or \
                     _outer_ode_gap(report, expr) > OUTER_ODE_ATOL:
-                wrong.append((name, k, holds, report.verdict,
-                              report.hypothesis_check))
+                wrong.append((name, k, holds, report["verdict"],
+                              report["hypothesis_check"]))
     assert wrong == []
 
 
@@ -145,10 +145,10 @@ def test_theorem_42_across_the_parameter_space():
             report = verify_theorem_42(expr, box, samples=64, seed=k)
             want = (("Consistent", degree) if expr.n == 2 else
                     ("Inconsistent" if degree else "Consistent", False))
-            if (report.verdict, report.hypothesis_holds) != want or \
+            if (report["verdict"], report["hypothesis_holds"]) != want or \
                     _outer_ode_gap(report, expr) > OUTER_ODE_ATOL:
-                wrong.append((name, k, degree, report.verdict,
-                              report.hypothesis_check))
+                wrong.append((name, k, degree, report["verdict"],
+                              report["hypothesis_check"]))
     assert wrong == []
 
 
@@ -166,10 +166,10 @@ def test_theorem_11_reads_the_constructing_case_across_the_parameter_space():
                     verify_theorem_11(expr, box, samples=64, seed=k)
                 continue
             report = verify_theorem_11(expr, box, samples=64, seed=k)
-            case = report.conclusion_check["classification"]["case"]
-            if (report.verdict, report.hypothesis_holds, case) != \
+            case = report["conclusion_check"]["classification"]["case"]
+            if (report["verdict"], report["hypothesis_holds"], case) != \
                     ("Consistent", True, THEOREM_11_CASES[name]):
-                wrong.append((name, k, report.verdict, case))
+                wrong.append((name, k, report["verdict"], case))
     assert wrong == []
 
 
@@ -223,29 +223,29 @@ def _near_one_faults(expr, seed):
     rho, degree_one = expr.params["rho"], expr.params["d"] == 1.0
     faults = []
     detection = detect_ces(expr, seed=seed)
-    error = _sigma_error(detection.sigma_estimate, rho)
-    if detection.verdict != "RegularCES" or error > SIGMA_NEAR_ONE_RTOL or \
-            detection.max_deviation > 2 * SIGMA_NEAR_ONE_RTOL / (
+    error = _sigma_error(detection["sigma_estimate"], rho)
+    if detection["verdict"] != "RegularCES" or error > SIGMA_NEAR_ONE_RTOL or \
+            detection["max_deviation"] > 2 * SIGMA_NEAR_ONE_RTOL / (
                 1 - SIGMA_NEAR_ONE_RTOL):
-        faults.append(("elasticity", detection.verdict, error,
-                       detection.max_deviation))
+        faults.append(("elasticity", detection["verdict"], error,
+                       detection["max_deviation"]))
     cls = classify_quasi_sum(expr, seed=seed)
     errors = [_sigma_error(v, rho)
-              for v in (cls.sigma, cls.detection.sigma_estimate)]
-    if cls.case != "HomotheticACMS" or None in errors or \
+              for v in (cls["sigma"], cls["detection"]["sigma_estimate"])]
+    if cls["case"] != "HomotheticACMS" or None in errors or \
             max(errors) > SIGMA_NEAR_ONE_RTOL:
-        faults.append(("classify", cls.case, errors))
+        faults.append(("classify", cls["case"], errors))
     report = verify_theorem_11(expr, seed=seed)
-    if report.verdict != "Consistent" or \
-            report.hypothesis_check["sigma_estimate"] != \
-            cls.detection.sigma_estimate:
-        faults.append(("verify 1.1", report.verdict,
-                       report.hypothesis_check["sigma_estimate"]))
+    if report["verdict"] != "Consistent" or \
+            report["hypothesis_check"]["sigma_estimate"] != \
+            cls["detection"]["sigma_estimate"]:
+        faults.append(("verify 1.1", report["verdict"],
+                       report["hypothesis_check"]["sigma_estimate"]))
     report = verify_theorem_41(expr, seed=seed)
-    if report.verdict != "Consistent" or \
-            report.hypothesis_holds is not degree_one:
-        faults.append(("verify 4.1", report.verdict,
-                       report.hypothesis_check["max_det_cancellation"]))
+    if report["verdict"] != "Consistent" or \
+            report["hypothesis_holds"] is not degree_one:
+        faults.append(("verify 4.1", report["verdict"],
+                       report["hypothesis_check"]["max_det_cancellation"]))
     return faults
 
 

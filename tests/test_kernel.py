@@ -19,7 +19,7 @@ from prodgeo import (
     DomainError, FunctionExpr, HypothesisError, QuasiSumSpec, ScalarFn,
     SpecError, as_quasi_sum, build_acms, build_cobb_douglas,
     build_quasi_sum, build_ratio, classify_quasi_sum, default_box,
-    detect_ces, expr_from_dict, finite_difference_oracle, graph_geometry,
+    expr_from_dict, finite_difference_oracle, graph_geometry,
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
@@ -182,8 +182,8 @@ def test_scan_rows_match_the_point_api(tmp_path, doc):
         x = cells[:n]
         geo = graph_geometry(expr, x)
         h = hicks_values(expr.derivatives([x]), 0, 1)[0]
-        want = [geo.value, geo.area_factor, geo.gauss_kronecker,
-                geo.flatness_residual, h]
+        want = [geo["value"], geo["area_factor"], geo["gauss_kronecker"],
+                geo["flatness_residual"], h]
         for got, expected in zip(cells[n:], want):
             assert _close(got, expected), (x, got, expected)
 
@@ -193,12 +193,12 @@ def test_principal_curvatures_solve_the_generalized_eigenproblem():
     for expr in _kernel_cases():
         for x in random_points(rng, expr.n, 3):
             geo = graph_geometry(expr, x)
-            pencil = scipy.linalg.eigh(geo.second_fundamental_form,
-                                       geo.metric, eigvals_only=True)
+            pencil = scipy.linalg.eigh(geo["second_fundamental_form"],
+                                       geo["metric"], eigvals_only=True)
             # The pencil's rounding error grows with the condition number
             # of the metric, W^2.
-            scale = geo.area_factor ** 2 * max(1.0, np.max(np.abs(pencil)))
-            assert np.max(np.abs(geo.principal_curvatures - pencil)) <= \
+            scale = geo["area_factor"] ** 2 * max(1.0, np.max(np.abs(pencil)))
+            assert np.max(np.abs(geo["principal_curvatures"] - pencil)) <= \
                 1e-15 * scale
 
 
@@ -328,7 +328,7 @@ def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
         calls.clear()
         report = verify_theorem_41(build_quasi_sum(spec), samples=50)
         assert calls == {shift: 1}
-        assert report.conclusion_check["euler_degree_gap"] <= 1e-12
+        assert report["conclusion_check"]["euler_degree_gap"] <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
@@ -706,12 +706,13 @@ def _check_curvature_report(verify, theorem, expr, box, samples, seed):
         with pytest.raises(HypothesisError):
             verify(expr, box, samples=samples, seed=seed)
         return None
-    report = verify(expr, box, samples=samples, seed=seed).as_dict()
+    report = verify(expr, box, samples=samples, seed=seed)
     geometries = [graph_geometry(expr, x) for x in points]
     _assert_same(report["per_point_data"], [
-        {"point": [float(v) for v in x], "gauss_kronecker": g.gauss_kronecker,
-         "gauss_kronecker_scaled": g.gauss_kronecker_scaled,
-         "flatness_residual": g.flatness_residual}
+        {"point": [float(v) for v in x],
+         "gauss_kronecker": g["gauss_kronecker"],
+         "gauss_kronecker_scaled": g["gauss_kronecker_scaled"],
+         "flatness_residual": g["flatness_residual"]}
         for x, g in zip(points, geometries)])
     vanish, clear = (tolerances.VANISHING_CURVATURE_TOL,
                      tolerances.CLEAR_CURVATURE_TOL)
@@ -795,10 +796,9 @@ def test_point_table_reports_match_the_point_by_point_api():
             continue
         want = _reference_classification(spec, box, samples, seed)
         _assert_same(classify_quasi_sum(expr, box, samples=samples,
-                                        seed=seed).as_dict(), want)
+                                        seed=seed), want)
         seen[want["case"]] += 1
-        report = verify_theorem_11(expr, box, samples=samples,
-                                   seed=seed).as_dict()
+        report = verify_theorem_11(expr, box, samples=samples, seed=seed)
         points = [box_center(box), *log_uniform(box, samples, seed)]
         detection = _reference_detection(expr, points)
         # verify 1.1 reports the detection once, in its hypothesis check.

@@ -1,10 +1,11 @@
 """Dead-code guard over the package source, read with ``ast``.
 
-Every name a module imports at module level is read in that module or
-exported through its ``__all__``; every module-level private function or
-class is referenced somewhere in the package besides its definition, and
-every public one too unless ``prodgeo.__all__`` or ``prodgeo.cli.__all__``
-lists it; every name in a module's ``__all__`` is bound in that module.
+Every name a module of the package or of the test suite imports at module
+level is read in that module or exported through its ``__all__``; every
+module-level private function or class is referenced somewhere in the
+package besides its definition, and every public one too unless
+``prodgeo.__all__`` or ``prodgeo.cli.__all__`` lists it; every name in a
+module's ``__all__`` is bound in that module.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prodgeo"
 MODULES = sorted(SOURCE.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _tree(path):
@@ -51,7 +53,9 @@ def _references(tree):
             yield node.attr
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == SOURCE else f"tests/{p.name}")
 def test_every_module_level_import_is_read_or_exported(path):
     tree = _tree(path)
     used = set(_references(tree)) | _exported(tree)
