@@ -243,21 +243,30 @@ def _table_blocks(data: np.ndarray, row: str, cols, text) -> list:
     """``row`` once per row of ``data``, its k-th NUL replaced by the cell
     of column ``cols[k]`` as _g17 writes it (``text`` as its fallback), as
     one string per 4,096 rows.  ``row`` ends with the separator between
-    rows, which the last row of each string goes without.  _g17 takes one
-    column of a block at a time, which keeps its arrays small."""
+    rows, which the last row of each string goes without.  Each distinct
+    value of the columns whose first 64 values repeat is written once per
+    table; the other cells go to _g17 a few columns of a block at a time.
+    No _g17 call takes more than _BLOCK_ROWS values, keeping arrays small."""
     literals = [np.frombuffer(part.encode(), np.uint8) for part in row.split("\0")]
+    keys = data.view(np.int64)  # keyed by bit pattern: -0.0 and 0.0 apart
+    same = [k for k, column in enumerate(keys[:64].T)
+            if 2 * len(set(column.tolist())) <= len(column)]
+    other = [k for k in range(data.shape[1]) if k not in same]
+    distinct = np.sort(keys[:, same], axis=None)  # then each pattern once
+    distinct = distinct[np.diff(distinct, prepend=~distinct[:1]) != 0]
+    written = np.concatenate([np.empty((0, 24), np.uint8)] + [
+        _g17(distinct[k:k + _BLOCK_ROWS].view(np.float64), text)
+        for k in range(0, len(distinct), _BLOCK_ROWS)])
     blocks = []
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
-        cells = []
-        for column in block.T:  # keyed by bit pattern: -0.0 and 0.0 apart
-            keys = column.view(np.int64)
-            if 2 * len(set(keys[:64].tolist())) > len(keys[:64]):
-                cells.append(_g17(column, text))
-            else:  # its first 64 values repeat: once per distinct value
-                keys, inverse = np.unique(keys, return_inverse=True)
-                cells.append(_g17(keys.view(np.float64), text)[inverse])
         n = len(block)
+        cells = dict(zip(same, written[np.searchsorted(
+            distinct, keys[start:start + n, same].T)]))
+        width = max(1, _BLOCK_ROWS // n)  # columns per _g17 call
+        for k in range(0, len(other), width):
+            group = other[k:k + width]
+            cells.update(zip(group, _g17(block[:, group].T, text)))
         parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
         for col, literal in zip(cols, literals[1:]):
             parts += [cells[col], np.broadcast_to(literal, (n, len(literal)))]
@@ -406,12 +415,23 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
     box = validate_box(config.box, expr.n)
     pair = config.pair if config.pair is not None else (0, 1)
     i, j = _check_pair(pair, expr.n)
-    table = expr.derivatives(log_grid(box, config.samples))
-    surface = surface_curvatures(table)
-    cells = np.column_stack([
-        table.points, table.value, surface["area_factor"],
-        surface["gauss_kronecker"], surface["flatness_residual"],
-        hicks_values(table, min(i, j), max(i, j))])
+    points = log_grid(box, config.samples)
+    cells = np.empty((len(points), expr.n + 5))
+
+    def fill(rows):
+        table = expr.derivatives(points[rows])
+        surface = surface_curvatures(table)
+        cells[rows] = np.column_stack([
+            table.points, table.value, surface["area_factor"],
+            surface["gauss_kronecker"], surface["flatness_residual"],
+            hicks_values(table, min(i, j), max(i, j))])
+
+    try:  # in blocks, whose temporaries stay in reused memory
+        for start in range(0, len(points), _BLOCK_ROWS):
+            fill(slice(start, start + _BLOCK_ROWS))
+    except DomainError:  # one whole-grid pass names the first stage to fail
+        fill(slice(None))
+        raise
 
     columns = [f"x{k + 1}" for k in range(expr.n)]
     columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]
@@ -526,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, metavar="INT")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted and ignored: scan evaluates its "
-                             "whole grid in one vectorised pass")
+                             "grid in one process, in vectorised blocks")
     return parser
 
 
@@ -550,7 +570,7 @@ def main(argv=None) -> int:
         sys.stdout.write(_to_json(_error_payload(None, None, exc)) + "\n")
         return 1
     status, text = run(config)
-    sys.stdout.write(text + "\n")
+    sys.stdout.writelines((text, "\n"))  # no copy of a large text
     return status
 
 

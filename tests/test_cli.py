@@ -2,6 +2,8 @@
 
 import argparse
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -21,9 +23,14 @@ from prodgeo.cli import (
     _BLOCK_ROWS, RunConfig, _flatten, _leaf, _render, _table_blocks, _to_json,
     build_parser, main, run,
 )
-from prodgeo.elasticity import PointRecords
-from prodgeo.sampling import MAX_POINTS
+from prodgeo.elasticity import PointRecords, hicks_values
+from prodgeo.errors import DomainError
+from prodgeo.families import default_box
+from prodgeo.geometry import surface_curvatures
+from prodgeo.sampling import MAX_POINTS, log_grid
 import gates
+from test_fuzz import BASES
+from test_kernel import OVERFLOW_CD
 
 
 def write_doc(tmp_path, name, doc):
@@ -558,6 +565,102 @@ def test_scan_output_is_independent_of_parallelism(acms_doc):
     assert serial == again == parallel
 
 
+# -- the blocked scan pass -----------------------------------------------------------
+
+# A later block fails an earlier stage than the first block does, so a block
+# loop that reported its first error would name the wrong stage: here the
+# first rows overflow only W (|grad f| = x1 > 1e154), the last ones f.
+LATE_KERNEL_ERROR = ({"type": "cobb_douglas", "gamma": 1.0, "alpha": [1, 1]},
+                     ((1e160, 1e250), (1e-100, 1e100)))
+# Here the first rows overflow f = 1e308 (x2 - x1), the last ones leave the
+# domain, u = x2 - x1 <= 0, which the kernel checks first.
+LATE_DOMAIN_ERROR = ({"type": "acms", "gamma": 1e308, "a": [-1.0, 1.0],
+                      "rho": 1.0, "d": 1.0}, ((1.0, 1e3), (2.0, 100.0)))
+SCAN_CASES = (
+    # The fuzzer's documents, on the default box and its example boxes.
+    [(doc, None) for doc in BASES]
+    + [(BASES[0], ((1e-300, 1e-290), (0.5, 2.0))),
+       (BASES[3], ((1e-12, 1e12), (1e-6, 1e6))),
+       # The overflow contract: f overflows everywhere; W on the first rows
+       # and f on the last ones; F' h'' alone.
+       (OVERFLOW_CD, ((5.0, 10.0), (5.0, 10.0))),
+       ({**OVERFLOW_CD, "alpha": [3.0, 3.0]}, ((1e30, 1e100), (1e30, 1e60))),
+       ({"type": "cobb_douglas", "gamma": 1e250, "alpha": [0.5, 0.5]},
+        ((1e-100, 1e-99), (1e-100, 1e-99))),
+       ({"type": "acms", "gamma": 1.0, "a": [1.0, 2.0, 0.5], "rho": -2.0,
+         "d": 1.5}, None),
+       LATE_KERNEL_ERROR, LATE_DOMAIN_ERROR])
+
+
+def _whole_grid_scan(expr, points):
+    """Scan's cells, stage after stage over the whole grid: the kernel, the
+    surface curvatures and then H12; a stage that fails raises."""
+    table = expr.derivatives(points)
+    surface = surface_curvatures(table)
+    return np.column_stack([
+        table.points, table.value, surface["area_factor"],
+        surface["gauss_kronecker"], surface["flatness_residual"],
+        hicks_values(table, 0, 1)])
+
+
+# Block sizes against grid sizes (n = 2: 16, 25 or 36 points; n = 3: 27): a
+# grid of whole blocks, one row past them, one block, and more than a grid.
+BLOCKS = [(3, 16), (4, 16), (5, 16), (8, 16), (4, 25), (5, 25), (8, 25),
+          (7, 36), (6, 36), (35, 36), (36, 36), (4096, 36)]
+
+
+@pytest.mark.parametrize("doc, box", SCAN_CASES)
+def test_the_blocked_scan_is_the_whole_grid_pass(monkeypatch, tmp_path, doc,
+                                                 box):
+    path = write_doc(tmp_path, "fn.json", doc)
+    digest = "sha256:" + hashlib.sha256(
+        pathlib.Path(path).read_bytes()).hexdigest()
+    expr = expr_from_dict(doc, box=box)
+    seen, render = {}, cli._render
+
+    def spy_render(config, env):
+        seen["cells"] = env["report"]["rows"].data
+        return render(config, env)
+
+    monkeypatch.setattr(cli, "_render", spy_render)
+    for (block, samples), rows in itertools.product(BLOCKS, [None, 0, 1]):
+        grid = log_grid(box or default_box(expr.n), samples)[:rows]
+        try:
+            want = _whole_grid_scan(expr, grid)
+        except DomainError as exc:
+            want = _to_json({"tool": "prodgeo", "version": cli.__version__,
+                             "command": "scan", "digest": digest,
+                             "error": {"type": "DomainError",
+                                       "message": str(exc)}})
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(cli, "log_grid", lambda *args: grid)
+        seen.clear()
+        status, text = run(RunConfig("scan", path, box=box, samples=samples))
+        if isinstance(want, str):  # the error record, byte for byte
+            assert (status, text) == (2, want), (block, samples, rows)
+            continue
+        assert status == 0, (block, samples, rows, text)
+        got = seen["cells"]
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        dicts = [{"cells": row} for row in want.tolist()]
+        assert f'"rows":{_to_json(dicts)}' in text
+
+
+def test_the_precedence_cases_fail_in_both_stages():
+    # Each case fails one stage on its first rows and an earlier stage on
+    # its last rows.
+    for (doc, box), message in ((LATE_KERNEL_ERROR, "surface quantity"),
+                                (LATE_DOMAIN_ERROR, "value, gradient")):
+        expr = expr_from_dict(doc, box=box)
+        grid = log_grid(box, 25)
+        with pytest.raises(DomainError, match=message):
+            _whole_grid_scan(expr, grid[:3])
+        with pytest.raises(DomainError) as late:
+            _whole_grid_scan(expr, grid[-3:])
+        assert not str(late.value).startswith(message)
+
+
 def test_csv_key_value_mode(cd_doc):
     status, text = run(RunConfig("curvature", cd_doc, at=(2.0, 8.0),
                                  out="csv"))
@@ -788,29 +891,36 @@ def _specials():
         _exact_ties(np.random.default_rng(17))[::40]])
 
 
-@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 3, 2 * _BLOCK_ROWS + 5])
+@pytest.mark.parametrize("rows", [0, 70, _BLOCK_ROWS - 3, 2 * _BLOCK_ROWS + 5])
 def test_repeated_columns_write_each_distinct_cell_once(monkeypatch, rows):
     specials = _specials()
     rng = np.random.default_rng(rows)
     # Each value twice in a row: 32 distinct values in any 64 rows.
     column = np.resize(np.repeat(specials, 2), rows)
     data = np.column_stack([column, rng.lognormal(0.0, 30.0, rows),
-                            np.repeat(specials, -(-rows // len(specials)))[:rows]])
+                            np.repeat(specials, -(-rows // len(specials)))[:rows],
+                            rng.lognormal(0.0, 30.0, rows)])
     written, g17 = [], cli._g17
 
     def counted(x, text):
-        written.append(len(x))
+        written.append(np.asarray(x, np.float64).ravel().view(np.int64))
         return g17(x, text)
 
     monkeypatch.setattr(cli, "_g17", counted)
-    got = "\n".join(_table_blocks(data, "\0,\0,\0\n", [0, 1, 2], _leaf))
+    blocks = _table_blocks(data, "\0,\0,\0,\0\n", [0, 1, 2, 3], _leaf)
+    if rows == 0:
+        assert (blocks, written) == ([], [])
+        return
+    got = "\n".join(blocks)
     assert got.split("\n") == [",".join(map(_leaf, row))
                                 for row in data.tolist()]
-    blocks = -(-rows // _BLOCK_ROWS)
-    assert len(written) == 3 * blocks
-    # Both repeating columns go to _g17 as their distinct bit patterns only.
-    assert max(written[0::3] + written[2::3]) <= len(specials)
-    assert sum(written[1::3]) == rows
+    keys = data.view(np.int64)
+    # Each distinct bit pattern of the repeating columns 0 and 2 reaches
+    # _g17 once, and so does each cell of the other two columns.
+    want = sorted(set(keys[:, [0, 2]].ravel().tolist())) + sorted(
+        keys[:, [1, 3]].ravel().tolist())
+    assert sorted(np.concatenate(written).tolist()) == sorted(want)
+    assert max(map(len, written)) <= _BLOCK_ROWS
     # -0.0 and 0.0 stay apart; NaNs of any payload all read "nan".
     assert {"0", "-0", "nan"} <= set(got.replace("\n", ",").split(","))
 
