@@ -9,14 +9,14 @@ verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import DomainError, HypothesisError, SpecError
 from .autodiff import Jet2, finite_difference_oracle
 from .families import (
     FunctionExpr, QuasiSumSpec, ScalarFn,
     as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
-    build_ratio, default_box, expr_from_dict, expr_to_dict, validate_box,
+    build_ratio, default_box, expr_from_dict, validate_box,
 )
 from .elasticity import detect_ces
 from .geometry import graph_geometry
@@ -31,8 +31,7 @@ __all__ = [
     "Jet2", "finite_difference_oracle",
     "FunctionExpr", "QuasiSumSpec", "ScalarFn",
     "as_quasi_sum", "build_acms", "build_cobb_douglas", "build_quasi_sum",
-    "build_ratio", "default_box", "expr_from_dict", "expr_to_dict",
-    "validate_box",
+    "build_ratio", "default_box", "expr_from_dict", "validate_box",
     "detect_ces", "graph_geometry", "classify_quasi_sum",
     "verify_theorem_11", "verify_theorem_41", "verify_theorem_42",
 ]

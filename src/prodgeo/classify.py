@@ -139,14 +139,13 @@ def _normal_form(spec: QuasiSumSpec, detection: dict):
     if detection["verdict"] != REGULAR_CES:
         return None
     sigma_hat = detection["sigma_estimate"]
-    if abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
-        # sigma = 1: the inners must all be logarithms.
-        if not logs:
-            return None
+    if logs and abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
+        # sigma = 1 with log inners; power inners near sigma = 1 take the
+        # exponent test below.
         alphas = [h.coefficient for h in spec.inner]
         return (HOMOTHETIC_COBB_DOUGLAS, 1.0, alphas, None, 1.0,
                 lambda x: np.array(alphas) / x)
-    # sigma != 1: the inners must share the exponent (sigma-1)/sigma.
+    # Otherwise the inners must be powers of exponent (sigma-1)/sigma.
     p_star = (sigma_hat - 1.0) / sigma_hat
     tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
     if any(h.form != FORM_POWER or abs(h.exponent - p_star) > tol

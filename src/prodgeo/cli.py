@@ -69,8 +69,6 @@ def _leaf(value) -> str:
     null)."""
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, np.generic):
-        return _leaf(value.item())
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -113,8 +111,6 @@ def _to_json(value) -> str:
             for name, width in value.fields) + "},"
         return "[" + ",".join(_table_blocks(
             value.data, row, range(value.data.shape[1]), _to_json)) + "]"
-    if isinstance(value, (np.ndarray, np.generic)):
-        return _to_json(value.tolist())
     return _leaf(value)
 
 
@@ -343,7 +339,9 @@ def _render(config: RunConfig, env: dict) -> str:
 
 def _check_request(config: RunConfig, n: int) -> None:
     """Check each request field the envelope echoes (--at, --box, --pair)
-    against an n-input document, whether or not the command reads it."""
+    against an n-input document, whether or not the command reads it; then
+    that the command has the fields it requires (--at for eval and
+    curvature, --theorem for verify)."""
     if config.at is not None:
         if len(config.at) != n:
             raise SpecError(
@@ -353,32 +351,24 @@ def _check_request(config: RunConfig, n: int) -> None:
     if config.box is not None:
         validate_box(config.box, n)
     if config.pair is not None:
-        _check_pair(config.pair, n)
-
-
-def _require_at(config: RunConfig) -> tuple:
-    if config.at is None:
+        i, j = config.pair
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise SpecError(f"pair must name two distinct inputs in 1..{n}")
+    if config.at is None and config.command in ("eval", "curvature"):
         raise SpecError(f"{config.command} requires --at")
-    return config.at
-
-
-def _check_pair(pair, n: int) -> tuple:
-    i, j = pair
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise SpecError(f"pair must name two distinct inputs in 1..{n}")
-    return i, j
+    if config.theorem is None and config.command == "verify":
+        raise SpecError("verify requires --theorem")
 
 
 def _cmd_eval(config: RunConfig, expr) -> dict:
-    at = _require_at(config)
-    row = expr.derivatives([at])
-    return {"point": list(at), "value": float(row.value[0]),
+    row = expr.derivatives([config.at])
+    return {"point": list(config.at), "value": float(row.value[0]),
             "gradient": row.gradient[0].tolist(),
             "hessian": row.hessian[0].tolist()}
 
 
 def _cmd_curvature(config: RunConfig, expr) -> dict:
-    return graph_geometry(expr, _require_at(config))
+    return graph_geometry(expr, config.at)
 
 
 def _cmd_elasticity(config: RunConfig, expr) -> dict:
@@ -398,23 +388,19 @@ def _cmd_elasticity(config: RunConfig, expr) -> dict:
 
 
 def _cmd_classify(config: RunConfig, expr) -> dict:
-    return classify_quasi_sum(expr, validate_box(config.box, expr.n),
-                              samples=config.samples, seed=config.seed)
+    return classify_quasi_sum(expr, config.box, samples=config.samples,
+                              seed=config.seed)
 
 
 def _cmd_verify(config: RunConfig, expr) -> dict:
-    if config.theorem is None:
-        raise SpecError("verify requires --theorem")
     checker = {"1.1": verify_theorem_11, "4.1": verify_theorem_41,
                "4.2": verify_theorem_42}[config.theorem]
-    return checker(expr, validate_box(config.box, expr.n),
-                   samples=config.samples, seed=config.seed)
+    return checker(expr, config.box, samples=config.samples, seed=config.seed)
 
 
 def _cmd_scan(config: RunConfig, expr) -> dict:
     box = validate_box(config.box, expr.n)
-    pair = config.pair if config.pair is not None else (0, 1)
-    i, j = _check_pair(pair, expr.n)
+    i, j = config.pair or (0, 1)
     points = log_grid(box, config.samples)
     cells = np.empty((len(points), expr.n + 5))
 

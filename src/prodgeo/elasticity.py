@@ -53,23 +53,17 @@ __all__ = [
 ]
 
 
-def _axis_terms(x, d1, d2):
-    """A = 1/(x h') and B = -(h''/h')/h' per axis, for h' = d1 and h'' = d2
-    at x; dividing twice keeps h'^2 from overflowing."""
-    return 1.0 / (x * d1), -(d2 / d1) / d1
-
-
 def _pair_sums(table: PointTable, lo, hi):
     """H_lo,hi's numerator A_lo + A_hi and denominator B_lo + B_hi at the
     rows of ``table``, each followed by the sum of its terms' sizes, under
-    the caller's np.errstate."""
+    the caller's np.errstate.  A = 1/(x h') and B = -(h''/h')/h' are formed
+    once per axis; dividing twice keeps h'^2 from overflowing."""
     if not (table.gradient[..., lo].all() and table.gradient[..., hi].all()):
         raise DomainError(
             "elasticity undefined where a marginal product vanishes")
     x, (_, _, d1, d2) = table.points, table.factors
-    al, bl = _axis_terms(x[..., lo], d1[..., lo], d2[..., lo])
-    ah, bh = _axis_terms(x[..., hi], d1[..., hi], d2[..., hi])
-    return al + ah, np.abs(al) + np.abs(ah), bl + bh, np.abs(bl) + np.abs(bh)
+    a, b = 1.0 / (x * d1), -(d2 / d1) / d1
+    return [t[..., lo] + t[..., hi] for t in (a, np.abs(a), b, np.abs(b))]
 
 
 def hicks_values(table: PointTable, lo, hi) -> np.ndarray:

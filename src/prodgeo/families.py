@@ -138,13 +138,6 @@ class ScalarFn:
             return self.coefficient * self.exponent > 0.0
         return self.coefficient > 0.0
 
-    def to_dict(self) -> dict:
-        doc = {"form": self.form, "coefficient": self.coefficient,
-               "shift": self.shift}
-        if self.form == FORM_POWER:
-            doc["exponent"] = self.exponent
-        return doc
-
     @classmethod
     def from_dict(cls, doc) -> "ScalarFn":
         if not isinstance(doc, dict):
@@ -396,7 +389,7 @@ def build_acms(gamma: float, a, rho: float, d: float) -> FunctionExpr:
             raise SpecError(
                 f"a_i**rho not real for a_i={v}, rho={rho}") from exc
     return FunctionExpr("acms", len(coeffs),
-                        {"gamma": g, "a": coeffs, "rho": rho, "d": d,
+                        {"gamma": g, "rho": rho, "d": d,
                          "weights": tuple(weights)})
 
 
@@ -597,22 +590,6 @@ def _doc_numbers(value, name: str):
     if not isinstance(value, (list, tuple)):
         raise SpecError(f"{name} must be an array, got {type(value).__name__}")
     return [_doc_number(v, f"{name} entry") for v in value]
-
-
-def expr_to_dict(expr: FunctionExpr) -> dict:
-    """Document form of an expression."""
-    p = expr.params
-    if expr.family == "cobb_douglas":
-        return {"type": "cobb_douglas", "gamma": p["gamma"],
-                "alpha": list(p["alpha"])}
-    if expr.family == "acms":
-        return {"type": "acms", "gamma": p["gamma"], "a": list(p["a"]),
-                "rho": p["rho"], "d": p["d"]}
-    if expr.family == "quasi_sum":
-        spec: QuasiSumSpec = p["spec"]
-        return {"type": "quasi_sum", "outer": spec.outer.to_dict(),
-                "inner": [h.to_dict() for h in spec.inner]}
-    return {"type": "ratio", "outer": p["outer"].to_dict()}
 
 
 def validate_box(box, n: int | None = None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpecError
-from .families import validate_box
 
 __all__ = ["MAX_POINTS", "box_center", "log_uniform", "log_grid", "grid_shape",
            "check_points"]
@@ -29,16 +28,14 @@ def check_points(count: int) -> None:
 
 
 def box_center(box) -> np.ndarray:
-    """Arithmetic midpoint of each axis."""
-    box = validate_box(box)
+    """Arithmetic midpoint of each axis of a checked box."""
     return np.array([(lo + hi) / 2.0 for lo, hi in box])
 
 
 def log_uniform(box, count: int, seed: int = 0) -> np.ndarray:
-    """(count, n) array of independent log-uniform points in ``box``: lo *
-    (hi/lo)^u, or exp(log lo + u log(hi/lo)) on axes where hi/lo
-    overflows."""
-    box = validate_box(box)
+    """(count, n) array of independent log-uniform points in the checked
+    ``box``: lo * (hi/lo)^u, or exp(log lo + u log(hi/lo)) on axes where
+    hi/lo overflows."""
     rng = np.random.default_rng(seed)
     u = rng.random((int(count), len(box)))
     lo = np.array([b[0] for b in box])
@@ -59,11 +56,11 @@ def grid_shape(n_axes: int, samples: int) -> int:
 
 
 def log_grid(box, samples: int) -> np.ndarray:
-    """Geometric grid over ``box`` with about ``samples`` points in total.
+    """Geometric grid over the checked ``box`` with about ``samples``
+    points in total.
 
     Rows are ordered with the last axis varying fastest.
     """
-    box = validate_box(box)
     per = grid_shape(len(box), samples)
     check_points(per ** len(box))
     axes = [np.geomspace(lo, hi, per) for lo, hi in box]

@@ -14,7 +14,7 @@ FD_DEFAULT_STEP = 1e-4          # central-difference step, scaled by max(1, |x_i
 DEGENERACY_EPS = 1e-9           # numerator/denominator vanishing, scale-normalized
 CES_CONSTANCY_RTOL = 1e-6       # constancy of the pairwise elasticity across samples
 CES_RESIDUAL_TOL = 1e-8         # identity residual bound for a regular verdict
-SIGMA_ONE_TIE_TOL = 1e-6        # |sigma - 1| below this selects the log branch
+SIGMA_ONE_TIE_TOL = 1e-6        # |sigma - 1| below this: log inners read sigma = 1
 
 # Structure matching.
 EXPONENT_MATCH_TOL = 1e-12

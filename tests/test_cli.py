@@ -246,6 +246,187 @@ def test_each_command_reports_the_library_result(tmp_path, capsys):
         assert report == json.loads(_to_json(result)), argv
 
 
+def _assert_plain(value, path):
+    """Every leaf of a report is a plain float, int, bool, str or None, or
+    a PointRecords table; keys are str."""
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, (path, key)
+            _assert_plain(item, f"{path}.{key}")
+    elif type(value) in (list, tuple):
+        for k, item in enumerate(value):
+            _assert_plain(item, f"{path}[{k}]")
+    else:
+        assert type(value) in (float, int, bool, str, type(None),
+                               PointRecords), (path, type(value))
+
+
+def test_reports_hold_plain_values(monkeypatch, tmp_path, capsys, cd_doc,
+                                   mixed_doc):
+    # The renderer writes no NumPy scalar or array: each report and error
+    # payload reaches it holding plain values only.
+    seen = []
+    render, error_payload = cli._render, cli._error_payload
+
+    def spy_render(config, env):
+        seen.append(env)
+        return render(config, env)
+
+    def spy_error_payload(config, digest, exc):
+        seen.append(error_payload(config, digest, exc))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_render", spy_render)
+    monkeypatch.setattr(cli, "_error_payload", spy_error_payload)
+    cd3 = write_doc(tmp_path, "cd3.json", {"type": "cobb_douglas",
+                                           "gamma": 1.0,
+                                           "alpha": [0.4, 0.3, 0.3]})
+    overflow = write_doc(tmp_path, "overflow.json", {
+        "type": "cobb_douglas", "gamma": 1.0, "alpha": [300.0, 300.0]})
+    args = ["--box", "0.5:3,0.5:3,0.5:3", "--samples", "20", "--seed", "5"]
+    requests = [
+        (["classify", *args], cd3, 0),
+        (["verify", "--theorem", "1.1", *args], cd3, 0),
+        (["verify", "--theorem", "4.1", *args], cd3, 0),
+        (["verify", "--theorem", "4.2", *args], cd3, 0),
+        (["curvature", "--at", "2,8,1.5"], cd3, 0),
+        (["elasticity", *args], cd3, 0),
+        (["elasticity", "--at", "2,8,1.5"], cd3, 0),
+        (["eval", "--at", "2,8,1.5"], cd3, 0),
+        (["scan", "--samples", "27"], cd3, 0),
+        (["classify", "--samples", "16"], mixed_doc, 0),
+        (["verify", "--theorem", "4.1", "--samples", "16"], mixed_doc, 2),
+        (["eval", "--at", "10,10"], overflow, 2),
+        (["eval", "--at", "1,1", "--pair", "1,3"], cd_doc, 1),
+        (["eval", "--at", "1,1", "--pair", "1,2,3"], cd_doc, 1),
+    ]
+    for argv, path, status in requests:
+        for out in ("json", "csv"):
+            seen.clear()
+            assert main([*argv, "--fn", path, "--out", out]) == status, argv
+            capsys.readouterr()
+            assert len(seen) == 1, argv
+            _assert_plain(seen[0], argv[0])
+
+
+VERDICT_DOCS = {
+    "acms": {"type": "acms", "gamma": 1.0, "a": [1.0, 1.0], "rho": 0.5,
+             "d": 1.0},
+    "cd": {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]},
+    "cd3": {"type": "cobb_douglas", "gamma": 1.0,
+            "alpha": [1 / 3, 1 / 3, 1 / 3]},
+    # Degree 1 + 1e-8: the curvature statistics read 5e-9, between the
+    # vanishing and the clearly-nonzero thresholds.
+    "cd-near-flat": {"type": "cobb_douglas", "gamma": 1.0,
+                     "alpha": [0.5, 0.50000001]},
+    "cd3-near-flat": {"type": "cobb_douglas", "gamma": 1.0,
+                      "alpha": [0.3, 0.3, 0.40000001]},
+    "ratio": {"type": "ratio", "outer": {"form": "affine", "coefficient": 1.0}},
+    "mixed": {"type": "quasi_sum",
+              "outer": {"form": "affine", "coefficient": 1.0},
+              "inner": [{"form": "power", "coefficient": 1.0, "exponent": 2.0},
+                        {"form": "log", "coefficient": 1.0}]},
+}
+
+
+@pytest.mark.parametrize("name, argv, key, expected", [
+    ("acms", ["verify", "--theorem", "4.1"], "verdict", "Consistent"),
+    ("cd3", ["verify", "--theorem", "4.2"], "verdict", "Inconsistent"),
+    ("cd-near-flat", ["verify", "--theorem", "4.1"], "verdict",
+     "DegenerateHypothesis"),
+    ("cd-near-flat", ["verify", "--theorem", "4.2"], "verdict",
+     "DegenerateHypothesis"),
+    ("cd3-near-flat", ["verify", "--theorem", "4.1"], "verdict",
+     "DegenerateHypothesis"),
+    ("cd3-near-flat", ["verify", "--theorem", "4.2"], "verdict", "Consistent"),
+    ("acms", ["elasticity", "--box", "0.5:2,0.5:2"], "verdict", "RegularCES"),
+    ("ratio", ["elasticity", "--box", "0.5:2,0.5:2"], "verdict",
+     "DegenerateCES"),
+    ("mixed", ["elasticity", "--box", "0.5:2,0.5:2"], "verdict", "NotCES"),
+    ("acms", ["classify"], "case", "HomotheticACMS"),
+    ("cd", ["classify"], "case", "HomotheticCobbDouglas"),
+    ("ratio", ["classify"], "case", "RatioTwoInput"),
+    ("mixed", ["classify"], "case", "NotCES"),
+])
+def test_every_verdict_and_case_is_reached(tmp_path, capsys, name, argv, key,
+                                           expected):
+    path = write_doc(tmp_path, f"{name}.json", VERDICT_DOCS[name])
+    assert main([*argv, "--fn", path]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    assert report[key] == expected
+    if expected == "DegenerateHypothesis":  # neither implication is judged
+        assert report["forward_implication_ok"] is None
+        assert report["reverse_implication_ok"] is None
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "acms", "gamma": 1.0, "a": [1.0, 2.0], "rho": 1e-7, "d": 1e-7},
+    {"type": "quasi_sum",
+     "outer": {"form": "power", "coefficient": 1.0, "exponent": 2.0},
+     "inner": [{"form": "power", "coefficient": 1.0, "exponent": 1e-8},
+               {"form": "power", "coefficient": 2.0, "exponent": 1e-8}]},
+], ids=["acms", "quasi-sum"])
+def test_power_inners_with_sigma_near_one_are_homothetic_acms(tmp_path, capsys,
+                                                              doc):
+    # sigma is within SIGMA_ONE_TIE_TOL of 1, which makes log inners read
+    # sigma = 1; power inners still go through the exponent match.
+    path = write_doc(tmp_path, "near-one.json", doc)
+    assert main(["classify", "--fn", path]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    assert report["case"] == "HomotheticACMS"
+    assert 0.0 < report["sigma"] - 1.0 <= tolerances.SIGMA_ONE_TIE_TOL
+    assert report["residuals"]["ces"] <= tolerances.CES_RESIDUAL_TOL
+    assert (report["residuals"]["structure"]
+            <= tolerances.STRUCTURE_RESIDUAL_TOL)
+    assert main(["verify", "--theorem", "1.1", "--fn", path]) == 0
+    assert one_record(capsys.readouterr().out)["report"]["verdict"] == \
+        "Consistent"
+
+
+def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
+    # Inner exponents 1 - 1e-5 and 5e-13 more: the elasticity varies by
+    # about 1e-8 relative, inside the constancy tolerance, and both
+    # exponents match (sigma - 1)/sigma within EXPONENT_MATCH_TOL, so the
+    # CES residual gate alone reads NotCES.
+    p = 1.0 - 1e-5
+    path = write_doc(tmp_path, "near-match.json", {
+        "type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1.0},
+        "inner": [{"form": "power", "coefficient": 1.0, "exponent": p},
+                  {"form": "power", "coefficient": 1.0,
+                   "exponent": p + 5e-13}]})
+    assert main(["classify", "--fn", path]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    assert report["detection"]["verdict"] == "RegularCES"
+    assert (report["residuals"]["structure"]
+            <= tolerances.STRUCTURE_RESIDUAL_TOL)
+    assert report["residuals"]["ces"] > tolerances.CES_RESIDUAL_TOL
+    assert report["case"] == "NotCES"
+
+
+def test_an_inner_of_exponent_one_is_refused_by_the_exponent_guard(tmp_path,
+                                                                   capsys):
+    # Exponents 1 and 1 - 1e-12 on a box of relative width 1e-7: the
+    # elasticity, about 2e12, is constant within the constancy tolerance and
+    # both exponents match (sigma - 1)/sigma within EXPONENT_MATCH_TOL, so
+    # only the guard on the first inner's exponent 1 (sigma infinite) refuses.
+    path = write_doc(tmp_path, "exponent-one.json", {
+        "type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1.0},
+        "inner": [{"form": "power", "coefficient": 1.0, "exponent": 1.0},
+                  {"form": "power", "coefficient": 1.0,
+                   "exponent": 1.0 - 1e-12}]})
+    assert main(["classify", "--fn", path, "--box",
+                 "1:1.0000001,1:1.0000001"]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    detection = report["detection"]
+    assert detection["verdict"] == "RegularCES"
+    sigma = detection["sigma_estimate"]
+    p_star = (sigma - 1.0) / sigma
+    assert all(abs(p - p_star) <= tolerances.EXPONENT_MATCH_TOL
+               for p in (1.0, 1.0 - 1e-12))
+    assert report["case"] == "NotCES"
+    assert report["residuals"] == {"ces": "inf", "structure": "inf"}
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "cobb_douglas", "gamma": 1.0, "alpha": 5},
     {"type": "acms", "gamma": None, "a": [1.0, 1.0], "rho": 0.5, "d": 1.0},
@@ -971,6 +1152,50 @@ def test_every_echoed_request_field_is_checked(cd_doc, capsys, argv):
     assert main([*argv, "--fn", cd_doc]) == 1
     record = one_record(capsys.readouterr().out)
     assert record["error"]["type"] == "SpecError"
+
+
+_LOG = {"form": "log", "coefficient": 1.0}
+_AFFINE = {"form": "affine", "coefficient": 1.0}
+
+
+@pytest.mark.parametrize("doc, argv, status, message", [
+    ({"type": "quasi_sum", "outer": _AFFINE, "inner": [_LOG]},
+     ["eval", "--at", "1"], 1, "quasi-sum needs at least two inputs"),
+    ({"type": "quasi_sum", "outer": _AFFINE, "inner": [_LOG, 3]},
+     ["eval", "--at", "1,1"], 1, "scalar function record must be an object"),
+    ({"type": "quasi_sum", "outer": _AFFINE,
+      "inner": [_LOG, {"coefficient": 1.0}]},
+     ["eval", "--at", "1,1"], 1, "scalar function record needs form"),
+    ({"type": "acms", "gamma": 1.0, "a": [1.0], "rho": 0.5, "d": 1.0},
+     ["eval", "--at", "1"], 1, "need at least two inputs"),
+    (VERDICT_DOCS["cd"], ["eval", "--at", "1,1", "--pair", "1,2,3"], 1,
+     "pair must be two comma-separated indices"),
+    (VERDICT_DOCS["cd"], ["eval", "--at", "1,1", "--pair", "a,b"], 1,
+     "could not parse pair"),
+    (VERDICT_DOCS["cd"], ["eval", "--at", "1,1", "--box", "1:x"], 1,
+     "could not parse box axis"),
+    # x^400 underflows to a zero slope at x = 0.001.
+    ({"type": "quasi_sum", "outer": _AFFINE,
+      "inner": [{"form": "power", "coefficient": 1.0, "exponent": 400.0},
+                _LOG]},
+     ["classify", "--box", "0.001:0.01,0.001:0.01"], 1,
+     "inner component 0 is not strictly monotone"),
+    # e^800 overflows at the top of the inner-sum range.
+    ({"type": "quasi_sum", "outer": {"form": "exp", "coefficient": 1.0},
+      "inner": [_AFFINE, _AFFINE]},
+     ["classify", "--box", "1:400,1:400"], 2, "outer slope is not finite"),
+], ids=["one-inner", "scalar-not-object", "scalar-without-form",
+        "one-input-acms", "three-index-pair", "text-pair", "text-box",
+        "flat-inner", "overflowing-outer"])
+def test_malformed_requests_are_refused(tmp_path, capsys, doc, argv, status,
+                                        message):
+    path = write_doc(tmp_path, "refused.json", doc)
+    assert main([*argv, "--fn", path]) == status
+    out = capsys.readouterr()
+    assert out.err == ""
+    error = one_record(out.out)["error"]
+    assert error["type"] == ("SpecError" if status == 1 else "DomainError")
+    assert error["message"].startswith(message)
 
 
 @pytest.mark.parametrize("argv, n", [

@@ -611,9 +611,9 @@ def _reference_fit(spec, detection):
     if detection["verdict"] != "RegularCES":
         return None
     sigma_hat = detection["sigma_estimate"]
-    if abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
-        return (("HomotheticCobbDouglas", 1.0, coeffs, None, 1.0,
-                 lambda i, x: coeffs[i] / x) if logs else None)
+    if logs and abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
+        return ("HomotheticCobbDouglas", 1.0, coeffs, None, 1.0,
+                lambda i, x: coeffs[i] / x)
     p_star = (sigma_hat - 1.0) / sigma_hat
     tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
     p = spec.inner[0].exponent
