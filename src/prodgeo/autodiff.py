@@ -30,17 +30,13 @@ class Jet2:
         return self.gradient.shape[0]
 
 
-def finite_difference_oracle(expr, point, step: float | None = None) -> Jet2:
+def finite_difference_oracle(expr, point, step: float = 1e-4) -> Jet2:
     """Gradient and Hessian by central differences, packaged as a jet.
 
     Independent of the derivative kernel: only ``expr.value`` is used.  The
     per-coordinate step is ``step * max(1, |x_i|)``.  Every stencil point
     must stay strictly inside the positive orthant.
     """
-    from . import tolerances
-
-    if step is None:
-        step = tolerances.FD_DEFAULT_STEP
     x = np.asarray(point, dtype=float)
     n = x.shape[0]
     h = step * np.maximum(1.0, np.abs(x))

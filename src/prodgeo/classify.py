@@ -2,16 +2,17 @@
 
 A quasi-sum F(h_1(x_1)+...+h_n(x_n)) with constant pairwise elasticity sigma
 falls into one of three structural cases, decided here from the closed-form
-inner functions rather than by curve fitting:
+inner functions alone, never from the sampled elasticity:
 
-* every inner is a power c_i x^((sigma-1)/sigma) up to shift  -> HomotheticACMS
-* every inner is a log (sigma = 1)                            -> HomotheticCobbDouglas
 * two inputs with opposite log inners (degenerate elasticity) -> RatioTwoInput
+* every other all-log set of inners (sigma = 1)               -> HomotheticCobbDouglas
+* every inner a power c_i x^p up to shift, a common p != 1    -> HomotheticACMS,
+  sigma = 1/(1-p)
 
-Anything else is NotCES.  The verdict is gated twice: the sampled elasticity
-must actually be constant (or degenerate), and the matched structure must
-reproduce the inner derivatives and the constant-elasticity identity
-within the configured residual tolerances.
+Anything else is NotCES, as is a matched form that does not reproduce the
+inner derivatives and the constant-elasticity identity on the sampled box
+within the configured residual tolerances.  The elasticity detection is
+reported next to the case, and Theorem 1.1 compares the two.
 
 The theorem checkers compare two independently computed sides of a
 biconditional on a sampled box: a curvature side (the cancellation of the
@@ -81,7 +82,7 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
     classified on the expression's own point table (as verify 1.1 does).
     The report gives the ``case``, the fitted ``sigma``,
     ``fitted_inner_parameters`` and ``separation_constant_k`` (None where
-    the case has none), the ``detection`` report the case was read from,
+    the case has none), the ``detection`` report made on the same table,
     and ``residuals``, maxima over ``samples`` log-uniform points: ``ces``
     for the cancellation of the elasticity identity at the fitted sigma (at
     the reference sigma for the degenerate case), ``structure`` for the
@@ -95,14 +96,15 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
     else:
         raise SpecError("classification needs a QuasiSumSpec")
     table = point_table(expr, box, samples, seed)
-    return _classify(spec, table, detect_ces_on(table))
+    detection = detect_ces_on(table)  # first: its refusals take precedence
+    return {**_classify(spec, table), "detection": detection}
 
 
-def _classify(spec: QuasiSumSpec, table: PointTable, detection: dict) -> dict:
+def _classify(spec: QuasiSumSpec, table: PointTable) -> dict:
     """The classification report of ``spec`` from a point table of its
-    quasi-sum and the detection made on it; residuals skip the table's
-    box-center row."""
-    fit = _normal_form(spec, detection)
+    quasi-sum, without the detection; residuals skip the table's box-center
+    row."""
+    fit = _normal_form(spec)
     ces = structure = math.inf
     if fit is not None:
         *_, sigma_ref, fitted_d1 = fit
@@ -117,45 +119,31 @@ def _classify(spec: QuasiSumSpec, table: PointTable, detection: dict) -> dict:
     case, sigma, fitted, k = fit[:4] if fit else (NOT_CES, None, None, None)
     return {"case": case, "sigma": sigma, "fitted_inner_parameters": fitted,
             "separation_constant_k": k,
-            "residuals": {"ces": ces, "structure": structure},
-            "detection": detection}
+            "residuals": {"ces": ces, "structure": structure}}
 
 
-def _normal_form(spec: QuasiSumSpec, detection: dict):
-    """The normal form the detection points to, if the inners match it:
-    (case, sigma, fitted inner parameters, separation constant, sigma of
-    the elasticity identity, fitted h'(x) at an (N, n) point array)."""
-    logs = all(h.form == FORM_LOG for h in spec.inner)
-    if detection["verdict"] == DEGENERATE_CES:
-        # Everywhere-degenerate elasticity: two opposite log inners.
-        if spec.n != 2 or not logs:
-            return None
-        betas = [h.coefficient for h in spec.inner]
-        if abs(sum(betas)) > tolerances.DEGREE_ONE_TOL * max(map(abs, betas)):
-            return None
-        k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / betas[0]
-        return (RATIO_TWO_INPUT, None, betas, k, SIGMA_REFERENCE_DEGENERATE,
-                lambda x: np.array(betas) / x)
-    if detection["verdict"] != REGULAR_CES:
-        return None
-    sigma_hat = detection["sigma_estimate"]
-    if logs and abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
-        # sigma = 1 with log inners; power inners near sigma = 1 take the
-        # exponent test below.
-        alphas = [h.coefficient for h in spec.inner]
-        return (HOMOTHETIC_COBB_DOUGLAS, 1.0, alphas, None, 1.0,
-                lambda x: np.array(alphas) / x)
-    # Otherwise the inners must be powers of exponent (sigma-1)/sigma.
-    p_star = (sigma_hat - 1.0) / sigma_hat
-    tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
-    if any(h.form != FORM_POWER or abs(h.exponent - p_star) > tol
-           for h in spec.inner):
-        return None
+def _normal_form(spec: QuasiSumSpec):
+    """The normal form the inner functions take, if any: (case, sigma,
+    fitted inner parameters, separation constant, sigma of the elasticity
+    identity, fitted h'(x) at an (N, n) point array)."""
+    coeffs = [h.coefficient for h in spec.inner]
+    if all(h.form == FORM_LOG for h in spec.inner):
+        if spec.n == 2 and abs(sum(coeffs)) <= (
+                tolerances.DEGREE_ONE_TOL * max(map(abs, coeffs))):
+            # Two opposite log inners: everywhere-degenerate elasticity.
+            k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / coeffs[0]
+            return (RATIO_TWO_INPUT, None, coeffs, k,
+                    SIGMA_REFERENCE_DEGENERATE, lambda x: np.array(coeffs) / x)
+        return (HOMOTHETIC_COBB_DOUGLAS, 1.0, coeffs, None, 1.0,
+                lambda x: np.array(coeffs) / x)
+    # Otherwise every inner must be a power of inner[0]'s exponent p != 1.
     p = spec.inner[0].exponent
-    if p == 1.0:
+    if p in (None, 1.0) or any(
+            h.form != FORM_POWER or abs(h.exponent - p)
+            > tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p))
+            for h in spec.inner):
         return None
     sigma = 1.0 / (1.0 - p)
-    coeffs = [h.coefficient for h in spec.inner]
     return (HOMOTHETIC_ACMS, sigma, coeffs, None, sigma,
             lambda x: np.array(coeffs) * p * x ** (p - 1.0))
 
@@ -204,8 +192,8 @@ def _theorem_report(theorem: str, hypothesis: bool | None,
 
 
 @np.errstate(all="ignore")
-def _structure_side(expr: FunctionExpr, table: PointTable,
-                    detection: dict) -> tuple[bool, dict]:
+def _structure_side(expr: FunctionExpr,
+                    table: PointTable) -> tuple[bool, dict]:
     """(matches, conclusion check) of the curvature theorems: whether
     ``expr`` is, up to an additive output constant, a linearly homogeneous
     member of either family, by exact (1e-12) parameter tests, a quasi-sum
@@ -233,7 +221,7 @@ def _structure_side(expr: FunctionExpr, table: PointTable,
     else:
         spec = p["spec"]
         outer = spec.outer
-        case = _classify(spec, table, detection)["case"]
+        case = _classify(spec, table)["case"]
         record = {"classification_case": case, "outer_form": spec.outer.form}
         if case == HOMOTHETIC_ACMS:
             exponent = spec.inner[0].exponent
@@ -308,7 +296,7 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
     hypothesis = (True if worst <= tolerances.VANISHING_CURVATURE_TOL
                   else False if worst > tolerances.CLEAR_CURVATURE_TOL
                   else None)
-    matches, conclusion_check = _structure_side(expr, table, detection)
+    matches, conclusion_check = _structure_side(expr, table)
     hypothesis_check = {
         "ces_verdict": detection["verdict"],
         "sigma_estimate": detection["sigma_estimate"],

@@ -1,20 +1,16 @@
 """Numerical thresholds the library reads.
 
-Every constant here decides a verdict or sets a default the library uses, so
-each report embeds this whole table and states the exact contract it was
-produced under.  Values are part of the output contract; change them
+Every constant here decides a verdict the library reports, so each report
+embeds this whole table and states the exact contract it was produced
+under.  Values are part of the output contract; change them
 deliberately.  The gates that only the test suite checks against live in
 ``tests/gates.py``.
 """
-
-# Finite-difference oracle.
-FD_DEFAULT_STEP = 1e-4          # central-difference step, scaled by max(1, |x_i|)
 
 # Elasticity of substitution.
 DEGENERACY_EPS = 1e-9           # numerator/denominator vanishing, scale-normalized
 CES_CONSTANCY_RTOL = 1e-6       # constancy of the pairwise elasticity across samples
 CES_RESIDUAL_TOL = 1e-8         # identity residual bound for a regular verdict
-SIGMA_ONE_TIE_TOL = 1e-6        # |sigma - 1| below this: log inners read sigma = 1
 
 # Structure matching.
 EXPONENT_MATCH_TOL = 1e-12

@@ -599,26 +599,20 @@ def _reference_detection(expr, points) -> dict:
             "infinite_pairs": infinite, "degenerate_pairs": degenerate}
 
 
-def _reference_fit(spec, detection):
+def _reference_fit(spec):
     coeffs = tuple(h.coefficient for h in spec.inner)
-    logs = all(h.form == "log" for h in spec.inner)
-    if detection["verdict"] == "DegenerateCES":
-        if spec.n == 2 and logs and abs(coeffs[0] + coeffs[1]) <= \
+    if all(h.form == "log" for h in spec.inner):
+        if spec.n == 2 and abs(coeffs[0] + coeffs[1]) <= \
                 tolerances.DEGREE_ONE_TOL * max(map(abs, coeffs)):
             return ("RatioTwoInput", None, coeffs, -1.0 / coeffs[0], 2.0,
                     lambda i, x: coeffs[i] / x)
-        return None
-    if detection["verdict"] != "RegularCES":
-        return None
-    sigma_hat = detection["sigma_estimate"]
-    if logs and abs(sigma_hat - 1.0) <= tolerances.SIGMA_ONE_TIE_TOL:
         return ("HomotheticCobbDouglas", 1.0, coeffs, None, 1.0,
                 lambda i, x: coeffs[i] / x)
-    p_star = (sigma_hat - 1.0) / sigma_hat
-    tol = tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p_star))
     p = spec.inner[0].exponent
-    if p == 1.0 or any(h.form != "power" or abs(h.exponent - p_star) > tol
-                       for h in spec.inner):
+    if p in (None, 1.0) or any(
+            h.form != "power" or abs(h.exponent - p)
+            > tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p))
+            for h in spec.inner):
         return None
     sigma = 1.0 / (1.0 - p)
     return ("HomotheticACMS", sigma, coeffs, None, sigma,
@@ -629,7 +623,7 @@ def _reference_classification(spec, box, samples, seed) -> dict:
     expr = build_quasi_sum(spec, box)
     points = log_uniform(box, samples, seed)
     detection = _reference_detection(expr, [box_center(box), *points])
-    fit = _reference_fit(spec, detection)
+    fit = _reference_fit(spec)
     out = {"case": "NotCES", "sigma": None, "fitted_inner_parameters": None,
            "separation_constant_k": None,
            "residuals": {"ces": math.inf, "structure": math.inf},

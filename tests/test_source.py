@@ -5,7 +5,9 @@ level is read in that module or exported through its ``__all__``; every
 module-level private function or class is referenced somewhere in the
 package besides its definition, and every public one too unless
 ``prodgeo.__all__`` or ``prodgeo.cli.__all__`` lists it; every name in a
-module's ``__all__`` is bound in that module.
+module's ``__all__`` is bound in that module; and every entry of the
+tolerance table a report embeds (``prodgeo.tolerances.as_dict()``) is read
+in code, as ``tolerances.NAME``, by another module of the package.
 """
 
 import ast
@@ -13,6 +15,8 @@ import collections
 import pathlib
 
 import pytest
+
+from prodgeo import tolerances
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prodgeo"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -111,3 +115,14 @@ def test_every_name_in_all_is_bound(path):
                 else [node.target]
             bound.update(t.id for t in targets if isinstance(t, ast.Name))
     assert sorted(_exported(tree) - bound) == []
+
+
+def test_every_tolerance_is_read_by_another_module():
+    # Read in code, as an attribute: a comment or docstring does not count.
+    read = {node.attr for path in MODULES if path.name != "tolerances.py"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "tolerances"}
+    assert tolerances.as_dict()
+    assert sorted(set(tolerances.as_dict()) - read) == []
