@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -38,7 +39,6 @@ from .geometry import graph_geometry, surface_curvatures
 from .sampling import grid_shape, log_grid
 
 TOOL = "prodgeo"
-COMMANDS = ("eval", "elasticity", "curvature", "classify", "verify", "scan")
 
 __all__ = ["RunConfig", "run", "main", "entrypoint"]
 
@@ -86,20 +86,21 @@ def _json_key(key) -> str:
     return json.dumps(str(key))
 
 
-def _to_json(value) -> str:
+def _to_json(value, tables=None) -> str:
     """Single-line JSON with sorted keys and leaves written by ``_leaf``.
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" so the output
-    stays strict JSON.  The common types are tested first.
+    stays strict JSON.  The common types are tested first.  A per-point
+    table is written "[\\0]", and its blocks are appended to ``tables``.
     """
     kind = type(value)
     if kind is float:
         return _leaf(value) if math.isfinite(value) else f'"{_leaf(value)}"'
     if kind is dict:
-        return "{" + ",".join([_json_key(k) + ":" + _to_json(v)
+        return "{" + ",".join([_json_key(k) + ":" + _to_json(v, tables)
                                for k, v in sorted(value.items())]) + "}"
     if kind is list or kind is tuple:
-        return "[" + ",".join(map(_to_json, value)) + "]"
+        return "[" + ",".join([_to_json(v, tables) for v in value]) + "]"
     if value is None:
         return "null"
     if isinstance(value, str):
@@ -109,8 +110,9 @@ def _to_json(value) -> str:
             _json_key(name) + (":[" + ",".join("\0" * width) + "]"
                                if width else ":\0")
             for name, width in value.fields) + "},"
-        return "[" + ",".join(_table_blocks(
-            value.data, row, range(value.data.shape[1]), _to_json)) + "]"
+        tables.append((_table_blocks(value.data, row, range(
+            value.data.shape[1]), _to_json), "", ","))
+        return "[\0]"
     return _leaf(value)
 
 
@@ -211,8 +213,11 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     unsure = (abs(lo - np.floor(lo) - 0.5) < 2.0 ** -40) & (c_lo[s] != 0) \
         | (d == 10 ** 17)  # e.g. 1e-79 and the other doubles just below 10^k
     d[zero] = 0  # and e10 = 0, from a = 1
-    top, d = np.divmod(d, 10 ** 16)
-    groups = [*np.divmod(d // 10 ** 8, 10 ** 4), *np.divmod(d % 10 ** 8, 10 ** 4)]
+    top, high = d // 10 ** 16, d // 10 ** 8  # d >= 0: // and multiply-subtract
+    groups = []
+    for half in (high - top * 10 ** 8, d - high * 10 ** 8):
+        group = half // 10 ** 4
+        groups += [group, half - group * 10 ** 4]
     nd = np.ones_like(d)
     for k, group in enumerate(groups):
         nd = np.where(group != 0, 1 + 4 * k + sig[group], nd)
@@ -235,25 +240,26 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     return cells.reshape(np.shape(x) + (-1,))
 
 
-def _table_blocks(data: np.ndarray, row: str, cols, text) -> list:
-    """``row`` once per row of ``data``, its k-th NUL replaced by the cell
-    of column ``cols[k]`` as _g17 writes it (``text`` as its fallback), as
-    one string per 4,096 rows.  ``row`` ends with the separator between
-    rows, which the last row of each string goes without.  Each distinct
-    value of the columns whose first 64 values repeat is written once per
-    table; the other cells go to _g17 a few columns of a block at a time.
-    No _g17 call takes more than _BLOCK_ROWS values, keeping arrays small."""
+def _table_blocks(data: np.ndarray, row: str, cols, text):
+    """Yield ``row`` once per row of ``data``, its k-th NUL replaced by the
+    cell of column ``cols[k]`` as _g17 writes it (``text`` as its fallback),
+    one string per 4,096 rows, rendered when asked for, without the last
+    row's separator (``row``'s last character).  A distinct value of the
+    columns whose first 64 values repeat is written once per table; other
+    cells go to _g17 a few columns of a block at a time."""
     literals = [np.frombuffer(part.encode(), np.uint8) for part in row.split("\0")]
     keys = data.view(np.int64)  # keyed by bit pattern: -0.0 and 0.0 apart
     same = [k for k, column in enumerate(keys[:64].T)
             if 2 * len(set(column.tolist())) <= len(column)]
     other = [k for k in range(data.shape[1]) if k not in same]
-    distinct = np.sort(keys[:, same], axis=None)  # then each pattern once
-    distinct = distinct[np.diff(distinct, prepend=~distinct[:1]) != 0]
+    distinct = np.empty(0, np.int64)  # each pattern once, a column at a time
+    for k in same:
+        distinct = np.sort(np.concatenate([distinct, keys[:, k]]))
+        distinct = distinct[np.diff(distinct, prepend=~distinct[:1]) != 0]
     written = np.concatenate([np.empty((0, 24), np.uint8)] + [
         _g17(distinct[k:k + _BLOCK_ROWS].view(np.float64), text)
         for k in range(0, len(distinct), _BLOCK_ROWS)])
-    blocks = []
+    buf = bytearray()  # a block's bytes, reused while the blocks are full
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
         n = len(block)
@@ -266,9 +272,10 @@ def _table_blocks(data: np.ndarray, row: str, cols, text) -> list:
         parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
         for col, literal in zip(cols, literals[1:]):
             parts += [cells[col], np.broadcast_to(literal, (n, len(literal)))]
-        blocks.append(np.concatenate(parts, axis=1).tobytes()
-                      .translate(None, b"\0")[:-1].decode())
-    return blocks
+        size = n * sum(part.shape[1] for part in parts)
+        buf = buf if len(buf) == size else bytearray(size)
+        np.concatenate(parts, 1, out=np.frombuffer(buf, np.uint8).reshape(n, -1))
+        yield str(memoryview(buf.translate(None, b"\0"))[:-1], "utf-8")
 
 
 def _cell(value) -> str:
@@ -278,33 +285,34 @@ def _cell(value) -> str:
     return text
 
 
-def _flatten(value, prefix: str, lines: list) -> None:
-    """Append one "key,value" CSV line per leaf of ``value``."""
+def _flatten(value, prefix: str, lines: list, tables: list) -> None:
+    """Append one "key,value" CSV line per leaf of ``value``; a per-point
+    table is a NUL at the end of the last line, its blocks in ``tables``."""
     if isinstance(value, dict):
         for key in sorted(value):
             path = f"{prefix}.{key}" if prefix else str(key)
-            _flatten(value[key], path, lines)
+            _flatten(value[key], path, lines, tables)
     elif isinstance(value, PointRecords):  # the row index is written as column 0
         keys = [f"{prefix}[\0].{name}" + (f"[{j}]" if width else "")
                 for name, width in value.fields for j in range(width or 1)]
         row = "".join(_cell(key) + ",\0\n" for key in keys)
         cols = [col for k in range(len(keys)) for col in (0, k + 1)]
         data = np.column_stack([np.arange(len(value)), value.data])
-        for block in _table_blocks(data, row, cols, _leaf):
-            lines += block.split("\n")
+        lines[-1] += "\0"
+        tables.append((_table_blocks(data, row, cols, _leaf), "\n", "\n"))
     elif isinstance(value, (list, tuple)):
         for idx, item in enumerate(value):
-            _flatten(item, f"{prefix}[{idx}]", lines)
+            _flatten(item, f"{prefix}[{idx}]", lines, tables)
     else:
         lines.append(f"{_cell(prefix)},{_cell(value)}")
 
 
-def _envelope(config: RunConfig, digest: str) -> dict:
-    """The report's envelope; the request fields given on the command line
-    (--at, --box, --pair, --theorem) are echoed, the others left out."""
+def _envelope(config: RunConfig, digest: str, report: dict) -> dict:
+    """The report in its envelope; the request fields given on the command
+    line (--at, --box, --pair, --theorem) are echoed, the others left out."""
     env = {"tool": TOOL, "version": __version__, "command": config.command,
            "digest": digest, "seed": config.seed, "samples": config.samples,
-           "tolerances": tolerances.as_dict()}
+           "tolerances": tolerances.as_dict(), "report": report}
     given = {"at": config.at and list(config.at),
              "box": config.box and [list(axis) for axis in config.box],
              "pair": config.pair and [config.pair[0] + 1, config.pair[1] + 1],
@@ -314,9 +322,12 @@ def _envelope(config: RunConfig, digest: str) -> dict:
     return env
 
 
-def _render(config: RunConfig, env: dict) -> str:
+def _render(config: RunConfig, env: dict):
+    """The report's text as chunks: all but the per-point tables is written
+    now, a NUL (in no JSON text or report string) where their blocks go."""
+    tables = []
     if config.out == "json":
-        return _to_json(env)
+        return _chunks(_to_json(env, tables).split("\0"), tables)
     lines = [f"# {key}: {_to_json(value)}" for key, value in sorted(env.items())
              if key not in ("tolerances", "report")]
     lines += [f"# tolerance {name}: {_leaf(value)}"
@@ -324,14 +335,22 @@ def _render(config: RunConfig, env: dict) -> str:
     report = env["report"]
     if config.command == "scan":
         columns = report["columns"]
-        lines.append(",".join(columns))
-        # Every scan cell is a float, which never needs CSV quoting.
-        lines += _table_blocks(report["rows"].data, ",".join(
-            "\0" * len(columns)) + "\n", range(len(columns)), _leaf)
+        lines.append(",".join(columns) + "\0")  # float cells: no quoting
+        tables.append((_table_blocks(report["rows"].data, ",".join(
+            "\0" * len(columns)) + "\n", range(len(columns)), _leaf), "\n", "\n"))
     else:
         lines.append("key,value")
-        _flatten(report, "", lines)
-    return "\n".join(lines)
+        _flatten(report, "", lines, tables)
+    return _chunks("\n".join(lines).split("\0"), tables)
+
+
+def _chunks(parts: list, tables: list):
+    yield parts[0]
+    for (blocks, first, sep), part in zip(tables, parts[1:]):
+        for k, block in enumerate(blocks):
+            yield sep if k else first
+            yield block
+        yield part
 
 
 # -- command implementations ---------------------------------------------------
@@ -421,12 +440,9 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
 
     columns = [f"x{k + 1}" for k in range(expr.n)]
     columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]
-    return {
-        "box": [list(axis) for axis in box],
-        "points_per_axis": grid_shape(expr.n, config.samples),
-        "columns": columns,
-        "rows": PointRecords((("cells", cells.shape[1]),), cells),
-    }
+    return {"box": [list(axis) for axis in box], "columns": columns,
+            "points_per_axis": grid_shape(expr.n, config.samples),
+            "rows": PointRecords((("cells", cells.shape[1]),), cells)}
 
 
 _DISPATCH = {"eval": _cmd_eval, "elasticity": _cmd_elasticity,
@@ -441,10 +457,12 @@ def _error_payload(config, digest: str | None, exc: BaseException) -> dict:
             "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def run(config: RunConfig) -> tuple:
-    """Execute one configuration; returns (exit status, report text)."""
+def _report(config: RunConfig | None, argv=None) -> tuple:
+    """(exit status, report text chunks) of ``config`` or of the command
+    line ``argv``, with all that can fail done: _g17 writes any table."""
     digest = None
     try:
+        config = config or parse_config(argv)
         with open(config.fn_path, "rb") as handle:
             raw = handle.read()
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
@@ -455,16 +473,20 @@ def run(config: RunConfig) -> tuple:
         expr = expr_from_dict(doc, box=config.box)
         _check_request(config, expr.n)
         report = _DISPATCH[config.command](config, expr)
-        env = _envelope(config, digest)
-        env["report"] = report
-        return 0, _render(config, env)
+        return 0, _render(config, _envelope(config, digest, report))
     except (DomainError, np.linalg.LinAlgError, OverflowError,
             ZeroDivisionError, FloatingPointError) as exc:
-        return 2, _to_json(_error_payload(config, digest, exc))
+        return 2, [_to_json(_error_payload(config, digest, exc))]
     except (SpecError, OSError, UnicodeDecodeError, ValueError) as exc:
-        return 1, _to_json(_error_payload(config, digest, exc))
+        return 1, [_to_json(_error_payload(config, digest, exc))]
     except MemoryError as exc:  # NumPy raises a private subclass
-        return 1, _to_json(_error_payload(config, digest, MemoryError(str(exc))))
+        return 1, [_to_json(_error_payload(config, digest, MemoryError(str(exc))))]
+
+
+def run(config: RunConfig) -> tuple:
+    """Execute one configuration; returns (exit status, report text)."""
+    status, chunks = _report(config)
+    return status, "".join(chunks)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -518,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description=__doc__ and __doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--fn", dest="fn_path", required=True, metavar="PATH",
                         help="JSON function document")
     parser.add_argument("--at", metavar="P1,P2,...",
@@ -550,13 +572,16 @@ def parse_config(argv=None) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Write the report to stdout one table block at a time, then flush the
+    process's own stdout; a failed write is one line on stderr, status 1."""
+    status, chunks = _report(None, argv)
     try:
-        config = parse_config(argv)
-    except SpecError as exc:
-        sys.stdout.write(_to_json(_error_payload(None, None, exc)) + "\n")
+        sys.stdout.writelines(chunks)
+        print(flush=sys.stdout is sys.__stdout__)  # a caller's stream: its close
+    except OSError as exc:  # and no flush at exit either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"{TOOL}: cannot write the report: {exc}\n")
         return 1
-    status, text = run(config)
-    sys.stdout.writelines((text, "\n"))  # no copy of a large text
     return status
 
 

@@ -3,10 +3,14 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -73,6 +77,11 @@ def mixed_doc(tmp_path):
 def run_json(config):
     status, text = run(config)
     return status, json.loads(text)
+
+
+def _json(value):
+    """The JSON text ``_render`` writes for ``value``, its tables included."""
+    return "".join(_render(RunConfig("scan", "fn.json"), value))
 
 
 def one_record(text):
@@ -237,7 +246,7 @@ def test_each_command_reports_the_library_result(tmp_path, capsys):
     for argv, result in calls:
         assert main([*argv, "--fn", path]) == 0
         report = one_record(capsys.readouterr().out)["report"]
-        assert report == json.loads(_to_json(result)), argv
+        assert report == json.loads(_json(result)), argv
 
 
 def _assert_plain(value, path):
@@ -876,7 +885,7 @@ def test_verify_csv_flattens_every_per_point_record(acms_doc):
     status, text = run(dataclasses.replace(config, out="csv"))
     assert status == 0
     want = []
-    _flatten(env["report"]["per_point_data"], "per_point_data", want)
+    _flatten(env["report"]["per_point_data"], "per_point_data", want, [])
     got = [ln for ln in text.splitlines() if ln.startswith("per_point_data")]
     assert len(got) == 17 * 5 and got == want
 
@@ -886,6 +895,12 @@ def test_verify_csv_flattens_every_per_point_record(acms_doc):
 FINITE_EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308,
                    -1.7976931348623157e308]
 NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def _csv(command, report):
+    """The CSV text ``_render`` writes for ``report`` in an empty envelope."""
+    env = {"tolerances": {}, "report": report}
+    return "".join(_render(RunConfig(command, "fn.json", out="csv"), env))
 
 
 def _records(shape, rows, non_finite):
@@ -918,17 +933,13 @@ def _records(shape, rows, non_finite):
 def test_row_templates_write_the_bytes_of_the_dict_rows(shape, rows,
                                                         non_finite):
     records, dicts = _records(shape, rows, non_finite)
-    assert _to_json(records) == _to_json(dicts)
+    assert _json(records) == _to_json(dicts)
     if shape == "verify":  # verify --out csv flattens its records
-        got, want = [], []
-        _flatten({"rows": records}, "", got)
-        _flatten({"rows": dicts}, "", want)
-        assert got == want
+        assert _csv("verify", {"rows": records}) == _csv("verify",
+                                                         {"rows": dicts})
     else:
         columns = [f"c{k}" for k in range(7)]
-        env = {"tolerances": {}, "report": {"columns": columns,
-                                            "rows": records}}
-        csv = _render(RunConfig("scan", "fn.json", out="csv"), env)
+        csv = _csv("scan", {"columns": columns, "rows": records})
         assert csv.split("\n") == [",".join(columns)] + [
             ",".join(map(_leaf, row["cells"])) for row in dicts]
 
@@ -998,17 +1009,13 @@ def test_tables_at_notation_boundaries_write_the_bytes_of_the_dict_rows(shape):
         dicts = [{"flatness_residual": r[0], "gauss_kronecker": r[1],
                   "gauss_kronecker_scaled": r[2], "point": r[3:]}
                  for r in data.tolist()]
-    assert _to_json(records) == _to_json(dicts)
+    assert _json(records) == _to_json(dicts)
     if shape == "verify":
-        got, want = [], []
-        _flatten({"per_point_data": records}, "", got)
-        _flatten({"per_point_data": dicts}, "", want)
-        assert got == want
+        assert _csv("verify", {"per_point_data": records}) == _csv(
+            "verify", {"per_point_data": dicts})
     else:
         columns = [f"c{k}" for k in range(7)]
-        env = {"tolerances": {}, "report": {"columns": columns,
-                                            "rows": records}}
-        csv = _render(RunConfig("scan", "fn.json", out="csv"), env)
+        csv = _csv("scan", {"columns": columns, "rows": records})
         assert csv.split("\n")[1:] == [",".join(map(_leaf, row))
                                        for row in data.tolist()]
 
@@ -1104,7 +1111,7 @@ def test_repeated_columns_write_each_distinct_cell_once(monkeypatch, rows):
         return g17(x, text)
 
     monkeypatch.setattr(cli, "_g17", counted)
-    blocks = _table_blocks(data, "\0,\0,\0,\0\n", [0, 1, 2, 3], _leaf)
+    blocks = list(_table_blocks(data, "\0,\0,\0,\0\n", [0, 1, 2, 3], _leaf))
     if rows == 0:
         assert (blocks, written) == ([], [])
         return
@@ -1356,3 +1363,110 @@ def test_the_package_version_is_the_module_version():
         warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
         project = pyproject.read_configuration(path)["project"]
     assert project["version"] == cli.__version__
+
+
+# -- streamed reports ------------------------------------------------------------
+
+STREAMED = [(["scan", "--out", out], rows) for out in ("json", "csv")
+            for rows in (0, 1, 16, 49)] + [
+    (["verify", "--theorem", "4.1", "--samples", "40", "--out", out], 41)
+    for out in ("json", "csv")]
+STREAM_IDS = [f"{argv[0]}-{argv[-1]}-{rows}-rows" for argv, rows in STREAMED]
+
+
+def _streamed(monkeypatch, doc, argv, rows):
+    """The full argv, in 16-row blocks, scan taking the first ``rows``
+    points of an 8 x 8 x 8 grid: no rows, one row, one block, four blocks."""
+    grid = log_grid(default_box(3), 512)[:rows]
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(cli, "log_grid", lambda *args: grid)
+    return [*argv, "--fn", doc]
+
+
+@pytest.mark.parametrize("argv, rows", STREAMED, ids=STREAM_IDS)
+def test_main_writes_the_text_run_returns(monkeypatch, capsysbinary, cd3_doc,
+                                          argv, rows):
+    argv = _streamed(monkeypatch, cd3_doc, argv, rows)
+    status, text = run(cli.parse_config(argv))
+    assert status == 0
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == (text + "\n").encode()
+    if "json" in argv:
+        report = json.loads(text)["report"]
+        assert len(report.get("rows", report.get("per_point_data"))) == rows
+
+
+@pytest.mark.parametrize("argv, rows", STREAMED, ids=STREAM_IDS)
+def test_each_block_is_written_before_the_next_is_rendered(
+        monkeypatch, cd3_doc, argv, rows):
+    yielded, writes, table_blocks = [], [], cli._table_blocks
+
+    def counted(*args):
+        for block in table_blocks(*args):
+            yielded.append(block)
+            yield block
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            writes.append((text, len(yielded)))
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_table_blocks", counted)
+    monkeypatch.setattr(sys, "stdout", Spy())
+    assert main(_streamed(monkeypatch, cd3_doc, argv, rows)) == 0
+    assert len(yielded) == -(-rows // 16)
+    for k, block in enumerate(yielded):  # written once, as block k + 1 waits
+        assert [count for text, count in writes if text is block] == [k + 1]
+    assert sys.stdout.getvalue().endswith("\n")
+
+
+def _child(*args, stdout=subprocess.DEVNULL):
+    """``prodgeo ARGS`` in a child process that writes its peak resident
+    memory to stderr after its report, in KiB: VmHWM, as ``ru_maxrss``
+    would also count the peak of the process it was forked from."""
+    code = ("import sys\nfrom prodgeo.cli import main\n"
+            "status = main(sys.argv[1:])\nwith open('/proc/self/status') as f:\n"
+            "    sys.stderr.write([line.split()[1] for line in f\n"
+            "                      if line.startswith('VmHWM:')][0])\n"
+            "sys.exit(status)")
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="peak memory is read from /proc/self/status")
+def test_a_large_scan_streams_in_bounded_memory(cd_doc):
+    # 250,000 rows are about 29 MB of text in CSV and 32 MB in JSON.  With
+    # the whole text built (and copied once more on writing) a child
+    # peaked at 103-115 MB in CSV and 149 MB in JSON; written block by
+    # block, at about 58 MB in both.
+    children = [_child("scan", "--fn", cd_doc, "--samples", "250000",
+                       "--out", out) for out in ("csv", "json")]
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err.decode()
+        assert int(err) < 85 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the child reads /proc/self/status")
+@pytest.mark.parametrize("target", ["closed-pipe", "full-disk"])
+def test_a_failed_write_is_one_line_on_stderr(cd_doc, target):
+    if target == "full-disk":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            child = _child("eval", "--fn", cd_doc, "--at", "1,2",
+                           stdout=full)
+    else:  # the reader goes away after 100 bytes of a 1.7 MB report
+        child = _child("scan", "--fn", cd_doc, "--samples", "20000",
+                       "--out", "csv", stdout=subprocess.PIPE)
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 1
+    message, _, peak = err.partition("\n")
+    assert message.startswith("prodgeo: cannot write the report: [Errno ")
+    assert peak.isdigit(), err  # no traceback, no "Exception ignored"
