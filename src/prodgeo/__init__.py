@@ -9,7 +9,7 @@ verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import DomainError, HypothesisError, SpecError
 from .autodiff import Jet2, finite_difference_oracle

@@ -9,10 +9,10 @@ inner functions alone, never from the sampled elasticity:
 * every inner a power c_i x^p up to shift, a common p != 1    -> HomotheticACMS,
   sigma = 1/(1-p)
 
-Anything else is NotCES, as is a matched form that does not reproduce the
-inner derivatives and the constant-elasticity identity on the sampled box
-within the configured residual tolerances.  The elasticity detection is
-reported next to the case, and Theorem 1.1 compares the two.
+Anything else is NotCES, as is a matched form whose constant-elasticity
+identity fails on the sampled box by more than ``CES_RESIDUAL_TOL``.  The
+elasticity detection is reported next to the case, and Theorem 1.1 compares
+the two.
 
 The theorem checkers compare two independently computed sides of a
 biconditional on a sampled box: a curvature side (the cancellation of the
@@ -83,11 +83,10 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
     The report gives the ``case``, the fitted ``sigma``,
     ``fitted_inner_parameters`` and ``separation_constant_k`` (None where
     the case has none), the ``detection`` report made on the same table,
-    and ``residuals``, maxima over ``samples`` log-uniform points: ``ces``
-    for the cancellation of the elasticity identity at the fitted sigma (at
-    the reference sigma for the degenerate case), ``structure`` for the
-    deviation of each inner derivative from the fitted normal form (both
-    inf where no normal form was fitted).
+    and ``residuals``: ``ces``, the largest cancellation of the elasticity
+    identity at the fitted sigma (at the reference sigma for the degenerate
+    case) over the box center and ``samples`` log-uniform points, inf where
+    no normal form was fitted.
     """
     if isinstance(spec, FunctionExpr):
         expr, spec = spec, as_quasi_sum(spec)
@@ -102,50 +101,42 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
 
 def _classify(spec: QuasiSumSpec, table: PointTable) -> dict:
     """The classification report of ``spec`` from a point table of its
-    quasi-sum, without the detection; residuals skip the table's box-center
-    row."""
+    quasi-sum, without the detection."""
     fit = _normal_form(spec)
-    ces = structure = math.inf
+    ces = math.inf
     if fit is not None:
-        *_, sigma_ref, fitted_d1 = fit
-        samples = table[1:]
-        structure = float(np.max(np.abs(
-            samples.factors[2] / fitted_d1(samples.points) - 1.0)))
+        *_, sigma_ref = fit
         lo, hi = index_pairs(spec.n)
-        ces = float(np.max(np.abs(ces_residuals(samples, sigma_ref, lo, hi))))
-        if (structure > tolerances.STRUCTURE_RESIDUAL_TOL
-                or ces > tolerances.CES_RESIDUAL_TOL):
+        ces = float(np.max(np.abs(ces_residuals(table, sigma_ref, lo, hi))))
+        if ces > tolerances.CES_RESIDUAL_TOL:
             fit = None
     case, sigma, fitted, k = fit[:4] if fit else (NOT_CES, None, None, None)
     return {"case": case, "sigma": sigma, "fitted_inner_parameters": fitted,
-            "separation_constant_k": k,
-            "residuals": {"ces": ces, "structure": structure}}
+            "separation_constant_k": k, "residuals": {"ces": ces}}
 
 
 def _normal_form(spec: QuasiSumSpec):
     """The normal form the inner functions take, if any: (case, sigma,
     fitted inner parameters, separation constant, sigma of the elasticity
-    identity, fitted h'(x) at an (N, n) point array)."""
+    identity)."""
     coeffs = [h.coefficient for h in spec.inner]
     if all(h.form == FORM_LOG for h in spec.inner):
         if spec.n == 2 and abs(sum(coeffs)) <= (
-                tolerances.DEGREE_ONE_TOL * max(map(abs, coeffs))):
+                tolerances.PARAMETER_MATCH_TOL * max(map(abs, coeffs))):
             # Two opposite log inners: everywhere-degenerate elasticity.
             k = -(SIGMA_REFERENCE_DEGENERATE - 1.0) / coeffs[0]
             return (RATIO_TWO_INPUT, None, coeffs, k,
-                    SIGMA_REFERENCE_DEGENERATE, lambda x: np.array(coeffs) / x)
-        return (HOMOTHETIC_COBB_DOUGLAS, 1.0, coeffs, None, 1.0,
-                lambda x: np.array(coeffs) / x)
+                    SIGMA_REFERENCE_DEGENERATE)
+        return HOMOTHETIC_COBB_DOUGLAS, 1.0, coeffs, None, 1.0
     # Otherwise every inner must be a power of inner[0]'s exponent p != 1.
     p = spec.inner[0].exponent
     if p in (None, 1.0) or any(
             h.form != FORM_POWER or abs(h.exponent - p)
-            > tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p))
+            > tolerances.PARAMETER_MATCH_TOL * max(1.0, abs(p))
             for h in spec.inner):
         return None
     sigma = 1.0 / (1.0 - p)
-    return (HOMOTHETIC_ACMS, sigma, coeffs, None, sigma,
-            lambda x: np.array(coeffs) * p * x ** (p - 1.0))
+    return HOMOTHETIC_ACMS, sigma, coeffs, None, sigma
 
 
 # -- outer-function differential consistency ---------------------------------
@@ -206,14 +197,14 @@ def _structure_side(expr: FunctionExpr,
     alpha = power = None  # alpha, or the inner exponent p, of the outer ODE
     if expr.family == "acms":
         gap = abs(p["d"] - 1.0)
-        matches, family, record = (gap <= tolerances.DEGREE_ONE_TOL, "acms",
-                                   {"degree_gap": gap})
+        matches, family, record = (gap <= tolerances.PARAMETER_MATCH_TOL,
+                                   "acms", {"degree_gap": gap})
         if p["rho"] != 1.0:
             power = p["rho"]
     elif expr.family == "cobb_douglas":
         alpha = math.fsum(p["alpha"])
         gap = abs(alpha - 1.0)
-        matches, family, record = (gap <= tolerances.DEGREE_ONE_TOL,
+        matches, family, record = (gap <= tolerances.PARAMETER_MATCH_TOL,
                                    "cobb_douglas", {"exponent_sum_gap": gap})
     elif expr.family == "ratio":
         outer = p["outer"]
@@ -230,9 +221,9 @@ def _structure_side(expr: FunctionExpr,
             record["inner_shift_sum"] = shift_sum
             matches = (spec.outer.form == FORM_POWER
                        and abs(spec.outer.exponent * exponent - 1.0)
-                       <= tolerances.DEGREE_ONE_TOL
+                       <= tolerances.PARAMETER_MATCH_TOL
                        and abs(shift_sum)
-                       <= tolerances.DEGREE_ONE_TOL * shift_scale)
+                       <= tolerances.PARAMETER_MATCH_TOL * shift_scale)
             if spec.outer.form == FORM_POWER:
                 record["degree_product"] = spec.outer.exponent * exponent
             family = "acms"
@@ -241,8 +232,8 @@ def _structure_side(expr: FunctionExpr,
             alpha = math.fsum(h.coefficient for h in spec.inner)
             record["coefficient_sum"] = alpha
             matches = (spec.outer.form == FORM_EXP
-                       and abs(alpha - 1.0)
-                       <= tolerances.DEGREE_ONE_TOL * max(1.0, abs(alpha)))
+                       and abs(alpha - 1.0) <= tolerances.PARAMETER_MATCH_TOL
+                       * max(1.0, abs(alpha)))
             family = "cobb_douglas"
 
     bare = table

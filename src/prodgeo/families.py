@@ -185,20 +185,13 @@ class PointTable:
     (N,), gradients (N, n), the per-axis record ``factors`` = (F', F'',
     h', h'') of F(sum h_k(x_k)) and the outer argument ``u`` (N,) that F'
     and F'' were taken at (the inner sum, x2/x1 for the ratio family, None
-    for Cobb-Douglas, whose kernel forms no sum).  ``table[rows]`` is the
-    table of those rows."""
+    for Cobb-Douglas, whose kernel forms no sum)."""
 
     points: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
     factors: tuple
     u: np.ndarray | None
-
-    def __getitem__(self, rows) -> PointTable:
-        return PointTable(self.points[rows], self.value[rows],
-                          self.gradient[rows],
-                          tuple(part[rows] for part in self.factors),
-                          None if self.u is None else self.u[rows])
 
     @property
     def hessian(self) -> np.ndarray:

@@ -12,10 +12,8 @@ DEGENERACY_EPS = 1e-9           # numerator/denominator vanishing, scale-normali
 CES_CONSTANCY_RTOL = 1e-6       # constancy of the pairwise elasticity across samples
 CES_RESIDUAL_TOL = 1e-8         # identity residual bound for a regular verdict
 
-# Structure matching.
-EXPONENT_MATCH_TOL = 1e-12
-DEGREE_ONE_TOL = 1e-12          # exact-parameter linear-homogeneity tests
-STRUCTURE_RESIDUAL_TOL = 1e-8
+# Structure matching: equal exponents, opposite log coefficients, degree one.
+PARAMETER_MATCH_TOL = 1e-12     # exact tests of document parameters
 
 # Graph geometry: T are the terms of det Hess (G) or of its 2x2 minors.
 VANISHING_CURVATURE_TOL = 1e-10  # |sum T| / sum |T| below this: zero

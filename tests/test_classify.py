@@ -43,8 +43,6 @@ def test_power_aggregator_case():
                                                            rel=1e-9)
     assert result["separation_constant_k"] is None
     assert result["residuals"]["ces"] <= tolerances.CES_RESIDUAL_TOL
-    assert result["residuals"]["structure"] <= \
-        tolerances.STRUCTURE_RESIDUAL_TOL
 
 
 def test_log_product_case():
@@ -54,8 +52,7 @@ def test_log_product_case():
     assert result["case"] == "HomotheticCobbDouglas"
     assert result["sigma"] == 1.0
     assert result["fitted_inner_parameters"] == pytest.approx((0.5, 0.5))
-    assert result["residuals"]["structure"] <= \
-        tolerances.STRUCTURE_RESIDUAL_TOL
+    assert result["residuals"]["ces"] <= tolerances.CES_RESIDUAL_TOL
 
 
 def test_ratio_case():
@@ -76,7 +73,6 @@ def test_unclassifiable_case():
     assert result["case"] == "NotCES"
     assert result["sigma"] is None
     assert math.isinf(result["residuals"]["ces"])
-    assert math.isinf(result["residuals"]["structure"])
     assert result["detection"]["verdict"] == "NotCES"
 
 
@@ -195,7 +191,7 @@ def test_curvature_verdict_on_degree_one_aggregators():
     ode = report["conclusion_check"]["outer_ode"]
     assert ode["max_residual"] <= gates.ODE_MATCH_TOL
     assert report["conclusion_check"]["euler_degree_gap"] <= \
-        tolerances.DEGREE_ONE_TOL * 100
+        tolerances.PARAMETER_MATCH_TOL * 100
     assert len(report["per_point_data"]) == 65
 
 

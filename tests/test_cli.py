@@ -368,28 +368,50 @@ def test_every_verdict_and_case_is_reached(tmp_path, capsys, name, argv, key,
      "outer": {"form": "power", "coefficient": 1.0, "exponent": 2.0},
      "inner": [{"form": "power", "coefficient": 1.0, "exponent": 1e-8},
                {"form": "power", "coefficient": 2.0, "exponent": 1e-8}]},
-], ids=["acms", "quasi-sum"])
+    {"type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1},
+     "inner": [{"form": "power", "coefficient": 1, "exponent": 1e-7},
+               {"form": "power", "coefficient": 2,
+                "exponent": 1.0000001e-7}]},
+], ids=["acms", "quasi-sum", "exponents-match-within-tolerance"])
 def test_power_inners_with_sigma_near_one_are_homothetic_acms(tmp_path, capsys,
                                                               doc):
     # sigma is within 1e-6 of 1, yet power inners read HomotheticACMS with
-    # sigma 1/(1 - p), not HomotheticCobbDouglas.
+    # sigma 1/(1 - p), not HomotheticCobbDouglas.  In the third document the
+    # exponents differ by 1e-14, within PARAMETER_MATCH_TOL, a relative
+    # difference of 1e-7; the CES residual, about 2e-15, is the one gate.
     path = write_doc(tmp_path, "near-one.json", doc)
     assert main(["classify", "--fn", path]) == 0
     report = one_record(capsys.readouterr().out)["report"]
     assert report["case"] == "HomotheticACMS"
     assert 0.0 < report["sigma"] - 1.0 <= 1e-6
     assert report["residuals"]["ces"] <= tolerances.CES_RESIDUAL_TOL
-    assert (report["residuals"]["structure"]
-            <= tolerances.STRUCTURE_RESIDUAL_TOL)
     assert main(["verify", "--theorem", "1.1", "--fn", path]) == 0
     assert one_record(capsys.readouterr().out)["report"]["verdict"] == \
         "Consistent"
 
 
+def test_log_inners_of_unit_sum_under_exp_are_the_degree_one_cobb_douglas(
+        tmp_path, capsys):
+    # The quasi-sum form of x1^0.25 x2^0.75: Theorem 4.1's structure side
+    # reads it as the Cobb-Douglas family through its classification.
+    path = write_doc(tmp_path, "log-inners.json", {
+        "type": "quasi_sum", "outer": {"form": "exp", "coefficient": 1.0},
+        "inner": [{"form": "log", "coefficient": 0.25},
+                  {"form": "log", "coefficient": 0.75}]})
+    assert main(["verify", "--theorem", "4.1", "--fn", path]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "Consistent"
+    check = report["conclusion_check"]
+    assert check["classification_case"] == "HomotheticCobbDouglas"
+    assert check["family"] == "cobb_douglas"
+    assert check["family_matches"] is True
+    assert check["outer_ode"]["form"] == "log_aggregator"
+
+
 def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
     # Inner exponents 1 - 1e-5 and 5e-13 more: the elasticity varies by
     # about 1e-8 relative, inside the constancy tolerance, and the second
-    # exponent matches the first within EXPONENT_MATCH_TOL, so the CES
+    # exponent matches the first within PARAMETER_MATCH_TOL, so the CES
     # residual gate alone reads NotCES.
     p = 1.0 - 1e-5
     path = write_doc(tmp_path, "near-match.json", {
@@ -400,8 +422,6 @@ def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
     assert main(["classify", "--fn", path]) == 0
     report = one_record(capsys.readouterr().out)["report"]
     assert report["detection"]["verdict"] == "RegularCES"
-    assert (report["residuals"]["structure"]
-            <= tolerances.STRUCTURE_RESIDUAL_TOL)
     assert report["residuals"]["ces"] > tolerances.CES_RESIDUAL_TOL
     assert report["case"] == "NotCES"
 
@@ -410,7 +430,7 @@ def test_an_inner_of_exponent_one_is_refused_by_the_exponent_guard(tmp_path,
                                                                    capsys):
     # Exponents 1 and 1 - 1e-12 on a box of relative width 1e-7: the
     # elasticity, about 2e12, is constant within the constancy tolerance and
-    # the second exponent matches the first within EXPONENT_MATCH_TOL, so
+    # the second exponent matches the first within PARAMETER_MATCH_TOL, so
     # only the guard on the first inner's exponent 1 (sigma infinite) refuses.
     path = write_doc(tmp_path, "exponent-one.json", {
         "type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1.0},
@@ -421,9 +441,9 @@ def test_an_inner_of_exponent_one_is_refused_by_the_exponent_guard(tmp_path,
                  "1:1.0000001,1:1.0000001"]) == 0
     report = one_record(capsys.readouterr().out)["report"]
     assert report["detection"]["verdict"] == "RegularCES"
-    assert abs((1.0 - 1e-12) - 1.0) <= tolerances.EXPONENT_MATCH_TOL
+    assert abs((1.0 - 1e-12) - 1.0) <= tolerances.PARAMETER_MATCH_TOL
     assert report["case"] == "NotCES"
-    assert report["residuals"] == {"ces": "inf", "structure": "inf"}
+    assert report["residuals"] == {"ces": "inf"}
 
 
 @pytest.mark.parametrize("inner, case", [
@@ -1225,10 +1245,25 @@ _POWER_400 = {"form": "power", "coefficient": 1.0, "exponent": 400.0}
     ({"type": "ratio", "outer": {"form": "exp", "coefficient": 1.0}},
      ["classify"], 1,
      "ratio with exp outer has no quasi-sum form in this family"),
+    # x1^(1e-320) has a marginal product that underflows to 0 at x1 = 1e5.
+    ({"type": "cobb_douglas", "gamma": 1.0, "alpha": [1e-320, 1.0]},
+     ["elasticity", "--at", "1e5,1"], 2,
+     "elasticity undefined where a marginal product vanishes"),
+    ({"type": "quasi_sum", "outer": _AFFINE, "inner": 3},
+     ["eval", "--at", "1,1"], 1,
+     "inner must be an array of scalar function records"),
+    ({"type": "ratio", "outer": {"form": "affine", "coefficient": -1.0}},
+     ["eval", "--at", "1,1"], 1,
+     "outer must be strictly increasing on the positive axis"),
+    # log x1 + log x2 is negative at the default box's corner (0.5, 0.5).
+    ({"type": "quasi_sum", "outer": _LOG, "inner": [_LOG, _LOG]},
+     ["eval", "--at", "1,1"], 1, "outer undefined on the inner-sum range"),
 ], ids=["one-inner", "scalar-not-object", "scalar-without-form",
         "one-input-acms", "three-index-pair", "text-pair", "text-box",
         "flat-inner", "overflowing-outer", "overflowing-identity",
-        "acms-negative-d-over-rho", "ratio-power-outer", "ratio-exp-outer"])
+        "acms-negative-d-over-rho", "ratio-power-outer", "ratio-exp-outer",
+        "vanishing-marginal-product", "inner-not-an-array",
+        "decreasing-ratio-outer", "outer-undefined-on-the-inner-sum"])
 def test_malformed_requests_are_refused(tmp_path, capsys, doc, argv, status,
                                         message):
     path = write_doc(tmp_path, "refused.json", doc)

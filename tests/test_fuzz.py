@@ -292,7 +292,7 @@ def _documented(report, where, text):
     Euler degree gap of a verifier where f vanishes at a sample."""
     if where[:1] == ("rows",):
         return where[2:] == ("cells", len(report["columns"]) - 1)
-    if where[-2:] in (("residuals", "ces"), ("residuals", "structure")):
+    if where[-2:] == ("residuals", "ces"):
         holder = report
         for key in where[:-2]:
             holder = holder[key]

@@ -381,7 +381,7 @@ def test_batched_commands_never_assemble_the_hessian(tmp_path, monkeypatch,
 # The sampled-box commands rebuilt the way they ran before the point table:
 # point by point, each point a one-row table.
 
-NORMALISED = {"max_deviation", "ces", "structure", "gauss_kronecker_scaled",
+NORMALISED = {"max_deviation", "ces", "gauss_kronecker_scaled",
               "flatness_residual", "max_det_cancellation",
               "max_minor_cancellation", "euler_degree_gap", "max_residual"}
 
@@ -603,43 +603,35 @@ def _reference_fit(spec):
     coeffs = tuple(h.coefficient for h in spec.inner)
     if all(h.form == "log" for h in spec.inner):
         if spec.n == 2 and abs(coeffs[0] + coeffs[1]) <= \
-                tolerances.DEGREE_ONE_TOL * max(map(abs, coeffs)):
-            return ("RatioTwoInput", None, coeffs, -1.0 / coeffs[0], 2.0,
-                    lambda i, x: coeffs[i] / x)
-        return ("HomotheticCobbDouglas", 1.0, coeffs, None, 1.0,
-                lambda i, x: coeffs[i] / x)
+                tolerances.PARAMETER_MATCH_TOL * max(map(abs, coeffs)):
+            return ("RatioTwoInput", None, coeffs, -1.0 / coeffs[0], 2.0)
+        return ("HomotheticCobbDouglas", 1.0, coeffs, None, 1.0)
     p = spec.inner[0].exponent
     if p in (None, 1.0) or any(
             h.form != "power" or abs(h.exponent - p)
-            > tolerances.EXPONENT_MATCH_TOL * max(1.0, abs(p))
+            > tolerances.PARAMETER_MATCH_TOL * max(1.0, abs(p))
             for h in spec.inner):
         return None
     sigma = 1.0 / (1.0 - p)
-    return ("HomotheticACMS", sigma, coeffs, None, sigma,
-            lambda i, x: coeffs[i] * p * x ** (p - 1.0))
+    return ("HomotheticACMS", sigma, coeffs, None, sigma)
 
 
 def _reference_classification(spec, box, samples, seed) -> dict:
     expr = build_quasi_sum(spec, box)
-    points = log_uniform(box, samples, seed)
-    detection = _reference_detection(expr, [box_center(box), *points])
+    points = [box_center(box), *log_uniform(box, samples, seed)]
+    detection = _reference_detection(expr, points)
     fit = _reference_fit(spec)
     out = {"case": "NotCES", "sigma": None, "fitted_inner_parameters": None,
-           "separation_constant_k": None,
-           "residuals": {"ces": math.inf, "structure": math.inf},
+           "separation_constant_k": None, "residuals": {"ces": math.inf},
            "detection": detection}
     if fit is None:
         return out
-    case, sigma, fitted, k, sigma_ref, fitted_d1 = fit
-    structure = max(abs(h.derivatives(float(x[i]))[1]
-                        / fitted_d1(i, float(x[i])) - 1.0)
-                    for x in points for i, h in enumerate(spec.inner))
+    case, sigma, fitted, k, sigma_ref = fit
     ces = max(abs(ces_residuals(expr.derivatives([x]), sigma_ref, i, j)[0])
               for x in points
               for i, j in itertools.combinations(range(spec.n), 2))
-    out["residuals"] = {"ces": ces, "structure": structure}
-    if structure <= tolerances.STRUCTURE_RESIDUAL_TOL \
-            and ces <= tolerances.CES_RESIDUAL_TOL:
+    out["residuals"] = {"ces": ces}
+    if ces <= tolerances.CES_RESIDUAL_TOL:
         out.update(case=case, sigma=sigma, fitted_inner_parameters=list(fitted),
                    separation_constant_k=k)
     return out

@@ -7,18 +7,23 @@ package besides its definition, and every public one too unless
 ``prodgeo.__all__`` or ``prodgeo.cli.__all__`` lists it; every name in a
 module's ``__all__`` is bound in that module; and every entry of the
 tolerance table a report embeds (``prodgeo.tolerances.as_dict()``) is read
-in code, as ``tolerances.NAME``, by another module of the package.
+in code, as ``tolerances.NAME``, by another module of the package.  Every
+tolerance name the README cites is one of the tolerance table or of
+``tests/gates.py``.
 """
 
 import ast
 import collections
 import pathlib
+import re
 
 import pytest
 
+import gates
 from prodgeo import tolerances
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prodgeo"
+README = SOURCE.parent.parent / "README.md"
 MODULES = sorted(SOURCE.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
@@ -126,3 +131,16 @@ def test_every_tolerance_is_read_by_another_module():
             and node.value.id == "tolerances"}
     assert tolerances.as_dict()
     assert sorted(set(tolerances.as_dict()) - read) == []
+
+
+def test_every_tolerance_the_readme_cites_exists():
+    # Inline code before the version history, which names removed ones;
+    # fenced blocks show sample output.
+    text = README.read_text().partition("## Changes by version")[0]
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    cited = {name for span in re.findall(r"`([^`\n]+)`", text)
+             for name in re.findall(r"\b[A-Z][A-Z0-9_]*_(?:TOL|RTOL|EPS)\b",
+                                    span)}
+    known = set(tolerances.as_dict()) | set(vars(gates))
+    assert cited
+    assert sorted(cited - known) == []
