@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -560,10 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv=None) -> RunConfig:
     fields = vars(build_parser().parse_args(argv))
-    if fields["samples"] < 1:
-        raise SpecError("--samples must be at least 1")
-    if fields["jobs"] < 1:
-        raise SpecError("--jobs must be at least 1")
+    for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
+        if fields[name] < least:
+            raise SpecError(f"--{name} must be at least {least}")
     for name, parse in (("at", _parse_point), ("box", _parse_box),
                         ("pair", _parse_pair)):
         if fields[name] is not None:
@@ -586,4 +586,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """The ``prodgeo`` command: ``main``, then a frozen heap, so that the
+    collections at interpreter shutdown skip what the imports left."""
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)

@@ -1258,12 +1258,17 @@ _POWER_400 = {"form": "power", "coefficient": 1.0, "exponent": 400.0}
     # log x1 + log x2 is negative at the default box's corner (0.5, 0.5).
     ({"type": "quasi_sum", "outer": _LOG, "inner": [_LOG, _LOG]},
      ["eval", "--at", "1,1"], 1, "outer undefined on the inner-sum range"),
+    (VERDICT_DOCS["cd"], ["eval", "--at", "1,1", "--seed", "-1"], 1,
+     "--seed must be at least 0"),
+    (VERDICT_DOCS["cd"], ["verify", "--theorem", "4.1", "--seed", "-1"], 1,
+     "--seed must be at least 0"),
 ], ids=["one-inner", "scalar-not-object", "scalar-without-form",
         "one-input-acms", "three-index-pair", "text-pair", "text-box",
         "flat-inner", "overflowing-outer", "overflowing-identity",
         "acms-negative-d-over-rho", "ratio-power-outer", "ratio-exp-outer",
         "vanishing-marginal-product", "inner-not-an-array",
-        "decreasing-ratio-outer", "outer-undefined-on-the-inner-sum"])
+        "decreasing-ratio-outer", "outer-undefined-on-the-inner-sum",
+        "eval-negative-seed", "verify-negative-seed"])
 def test_malformed_requests_are_refused(tmp_path, capsys, doc, argv, status,
                                         message):
     path = write_doc(tmp_path, "refused.json", doc)
@@ -1455,6 +1460,15 @@ def test_each_block_is_written_before_the_next_is_rendered(
     assert sys.stdout.getvalue().endswith("\n")
 
 
+def _python(*args, stdout=subprocess.DEVNULL):
+    """``python ARGS`` in a child process that imports this checkout's
+    prodgeo, with stderr piped."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=stdout,
+                            stderr=subprocess.PIPE)
+
+
 def _child(*args, stdout=subprocess.DEVNULL):
     """``prodgeo ARGS`` in a child process that writes its peak resident
     memory to stderr after its report, in KiB: VmHWM, as ``ru_maxrss``
@@ -1464,10 +1478,61 @@ def _child(*args, stdout=subprocess.DEVNULL):
             "    sys.stderr.write([line.split()[1] for line in f\n"
             "                      if line.startswith('VmHWM:')][0])\n"
             "sys.exit(status)")
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
-                            stdout=stdout, stderr=subprocess.PIPE)
+    return _python("-c", code, *args, stdout=stdout)
+
+
+# The two ways to start the command: ``python -m prodgeo``, and the
+# installed ``prodgeo`` script, which calls ``cli.entrypoint``.
+_ENTRY_POINTS = {
+    "module": ("-m", "prodgeo"),
+    "script": ("-c", "from prodgeo.cli import entrypoint; entrypoint()"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("argv, status", [
+    (["eval", "--at", "1,2"], 0),
+    (["eval", "--at", "1"], 1),
+    (["elasticity", "--at", "1e5,1"], 2),
+], ids=["success", "bad-request", "math-refusal"])
+def test_each_entry_point_writes_what_run_returns(tmp_path, entry, argv,
+                                                  status):
+    # x1^(1e-320) has a marginal product that underflows to 0 at x1 = 1e5.
+    doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas", "gamma": 1.0,
+                                          "alpha": [1e-320, 1.0]})
+    argv = [*argv, "--fn", doc]
+    expected = run(cli.parse_config(argv))
+    assert expected[0] == status
+    out, err = _python(*_ENTRY_POINTS[entry], *argv,
+                       stdout=subprocess.PIPE).communicate(timeout=120)
+    assert err == b""
+    assert out == (expected[1] + "\n").encode()
+
+
+def test_a_large_scan_arrives_whole_through_a_pipe(cd_doc):
+    argv = ["scan", "--fn", cd_doc, "--samples", "200000", "--out", "csv"]
+    child = _python(*_ENTRY_POINTS["module"], *argv, stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")
+    status, text = run(cli.parse_config(argv))
+    assert status == 0
+    assert out == (text + "\n").encode()
+
+
+def test_a_request_leaves_no_shutdown_work(cd_doc):
+    # entrypoint freezes the heap before the interpreter exits, so the
+    # collections at shutdown skip every object.  That is safe while a
+    # request registers no atexit callback and starts no thread; if a
+    # change adds either, this test fails before the freeze can hide it.
+    code = ("import atexit, sys, threading\nimport numpy\n"
+            "before = atexit._ncallbacks()\n"
+            "from prodgeo.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "sys.stderr.write(f'{status} {atexit._ncallbacks() - before} '\n"
+            "                 f'{threading.active_count()}')")
+    child = _python("-c", code, "scan", "--fn", cd_doc, "--samples", "100")
+    _, err = child.communicate(timeout=120)
+    assert err.decode().split() == ["0", "0", "1"], err.decode()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -1487,7 +1552,8 @@ def test_a_large_scan_streams_in_bounded_memory(cd_doc):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="the child reads /proc/self/status")
-@pytest.mark.parametrize("target", ["closed-pipe", "full-disk"])
+@pytest.mark.parametrize("target",
+                         ["closed-pipe", "full-disk", "module-closed-pipe"])
 def test_a_failed_write_is_one_line_on_stderr(cd_doc, target):
     if target == "full-disk":
         if not os.path.exists("/dev/full"):
@@ -1496,12 +1562,21 @@ def test_a_failed_write_is_one_line_on_stderr(cd_doc, target):
             child = _child("eval", "--fn", cd_doc, "--at", "1,2",
                            stdout=full)
     else:  # the reader goes away after 100 bytes of a 1.7 MB report
-        child = _child("scan", "--fn", cd_doc, "--samples", "20000",
-                       "--out", "csv", stdout=subprocess.PIPE)
+        argv = ("scan", "--fn", cd_doc, "--samples", "20000", "--out", "csv")
+        if target == "module-closed-pipe":
+            child = _python(*_ENTRY_POINTS["module"], *argv,
+                            stdout=subprocess.PIPE)
+        else:
+            child = _child(*argv, stdout=subprocess.PIPE)
         assert len(child.stdout.read(100)) == 100
         child.stdout.close()
     err = child.stderr.read().decode()
     assert child.wait(timeout=120) == 1
     message, _, peak = err.partition("\n")
     assert message.startswith("prodgeo: cannot write the report: [Errno ")
-    assert peak.isdigit(), err  # no traceback, no "Exception ignored"
+    # No traceback and no "Exception ignored"; the main child goes on to
+    # write its peak, the module child writes nothing more.
+    if target == "module-closed-pipe":
+        assert peak == "", err
+    else:
+        assert peak.isdigit(), err
