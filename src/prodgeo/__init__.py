@@ -11,19 +11,22 @@ line exposes the same operations on JSON function documents.
 
 __version__ = "0.13.0"
 
-from .errors import DomainError, HypothesisError, SpecError
-from .autodiff import Jet2, finite_difference_oracle
-from .families import (
-    FunctionExpr, QuasiSumSpec, ScalarFn,
-    as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
-    build_ratio, default_box, expr_from_dict, validate_box,
-)
-from .elasticity import detect_ces
-from .geometry import graph_geometry
-from .classify import (
-    classify_quasi_sum, verify_theorem_11, verify_theorem_41,
-    verify_theorem_42,
-)
+import importlib
+
+# The names of __all__ by home module, each imported from there on its first
+# use, so that importing the package imports none of its modules.
+_EXPORTS = {
+    "errors": ("DomainError", "HypothesisError", "SpecError"),
+    "autodiff": ("Jet2", "finite_difference_oracle"),
+    "families": (
+        "FunctionExpr", "QuasiSumSpec", "ScalarFn", "as_quasi_sum", "build_acms",
+        "build_cobb_douglas", "build_quasi_sum", "build_ratio", "default_box",
+        "expr_from_dict", "validate_box"),
+    "elasticity": ("detect_ces",), "geometry": ("graph_geometry",),
+    "classify": ("classify_quasi_sum", "verify_theorem_11",
+                 "verify_theorem_41", "verify_theorem_42"),
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -35,3 +38,14 @@ __all__ = [
     "detect_ces", "graph_geometry", "classify_quasi_sum",
     "verify_theorem_11", "verify_theorem_41", "verify_theorem_42",
 ]
+
+
+def __getattr__(name):
+    """The exported ``name``, imported from its home module on first use."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

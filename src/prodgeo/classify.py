@@ -37,12 +37,12 @@ import numpy as np
 
 from .elasticity import (
     DEGENERATE_CES, NOT_CES, REGULAR_CES,
-    PointRecords, ces_residuals, detect_ces_on, point_table,
+    ces_residuals, detect_ces_on, point_table,
 )
 from .errors import DomainError, HypothesisError, SpecError
 from .families import (
     FORM_EXP, FORM_LOG, FORM_POWER,
-    FunctionExpr, PointTable, QuasiSumSpec,
+    FunctionExpr, PointRecords, PointTable, QuasiSumSpec,
     as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
 )
 from .geometry import theorem_curvatures

@@ -28,7 +28,6 @@ reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,7 @@ NOT_CES = "NotCES"
 
 __all__ = [
     "hicks_values", "tagged_pairs", "ces_residuals",
-    "PointRecords", "point_table", "detect_ces", "detect_ces_on",
+    "point_table", "detect_ces", "detect_ces_on",
     "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
 ]
@@ -110,26 +109,6 @@ def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
     if not np.isfinite(out).all():
         raise DomainError("elasticity identity overflows at a sample point")
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class PointRecords:
-    """Per-point records as one (N, k) float64 array: ``fields`` holds the
-    sorted keys and widths (0 for a float, m for a list of m floats) of the
-    columns of ``data``; ``len`` and ``[i]`` (so iteration too) give dicts."""
-
-    fields: tuple
-    data: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, i: int) -> dict:
-        row, out, k = self.data[i].tolist(), {}, 0
-        for name, width in self.fields:
-            out[name] = row[k:k + width] if width else row[k]
-            k += width or 1
-        return out
 
 
 def point_table(expr: FunctionExpr, box, samples: int,

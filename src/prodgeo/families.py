@@ -209,6 +209,26 @@ class PointTable:
 
 
 @dataclass(frozen=True, eq=False)
+class PointRecords:
+    """Per-point records as one (N, k) float64 array: ``fields`` holds the
+    sorted keys and widths (0 for a float, m for a list of m floats) of the
+    columns of ``data``; ``len`` and ``[i]`` (so iteration too) give dicts."""
+
+    fields: tuple
+    data: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i: int) -> dict:
+        row, out, k = self.data[i].tolist(), {}, 0
+        for name, width in self.fields:
+            out[name] = row[k:k + width] if width else row[k]
+            k += width or 1
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class FunctionExpr:
     """Evaluable member of one of the closed families.
 

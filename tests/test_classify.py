@@ -14,7 +14,8 @@ from prodgeo import (
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
-from prodgeo.elasticity import PointRecords, point_table
+from prodgeo.elasticity import point_table
+from prodgeo.families import PointRecords
 from prodgeo.geometry import surface_curvatures
 import gates
 from conftest import (

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -19,19 +20,21 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import prodgeo
 from prodgeo import (
     classify_quasi_sum, cli, detect_ces, expr_from_dict, graph_geometry,
     tolerances, verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
+from prodgeo import sampling, writer
 from prodgeo.cli import (
-    _BLOCK_ROWS, RunConfig, _flatten, _leaf, _render, _table_blocks, _to_json,
-    build_parser, main, run,
+    RunConfig, _flatten, _leaf, _render, _to_json, build_parser, main, run,
 )
-from prodgeo.elasticity import PointRecords, hicks_values
+from prodgeo.elasticity import hicks_values
 from prodgeo.errors import DomainError
-from prodgeo.families import default_box
+from prodgeo.families import PointRecords, default_box
 from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import MAX_POINTS, log_grid
+from prodgeo.writer import _BLOCK_ROWS, _table_blocks
 import gates
 from test_fuzz import BASES
 from test_kernel import OVERFLOW_CD
@@ -858,8 +861,8 @@ def test_the_blocked_scan_is_the_whole_grid_pass(monkeypatch, tmp_path, doc,
                              "command": "scan", "digest": digest,
                              "error": {"type": "DomainError",
                                        "message": str(exc)}})
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
-        monkeypatch.setattr(cli, "log_grid", lambda *args: grid)
+        monkeypatch.setattr(writer, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(sampling, "log_grid", lambda *args: grid)
         seen.clear()
         status, text = run(RunConfig("scan", path, box=box, samples=samples))
         if isinstance(want, str):  # the error record, byte for byte
@@ -1124,13 +1127,13 @@ def test_repeated_columns_write_each_distinct_cell_once(monkeypatch, rows):
     data = np.column_stack([column, rng.lognormal(0.0, 30.0, rows),
                             np.repeat(specials, -(-rows // len(specials)))[:rows],
                             rng.lognormal(0.0, 30.0, rows)])
-    written, g17 = [], cli._g17
+    written, g17 = [], writer._g17
 
     def counted(x, text):
         written.append(np.asarray(x, np.float64).ravel().view(np.int64))
         return g17(x, text)
 
-    monkeypatch.setattr(cli, "_g17", counted)
+    monkeypatch.setattr(writer, "_g17", counted)
     blocks = list(_table_blocks(data, "\0,\0,\0,\0\n", [0, 1, 2, 3], _leaf))
     if rows == 0:
         assert (blocks, written) == ([], [])
@@ -1155,7 +1158,7 @@ def test_the_longest_texts_fill_a_24_byte_cell():
                        -1.0000000000000002e-100, -0.00012345678901234568])
     texts = [format(v, ".17g") for v in values.tolist()]
     assert {len(t) for t in texts} == {24, 23}
-    assert cli._g17(values, _leaf).shape == (len(values), 24)
+    assert writer._g17(values, _leaf).shape == (len(values), 24)
     assert _kernel_texts(values) == texts
 
 
@@ -1418,8 +1421,8 @@ def _streamed(monkeypatch, doc, argv, rows):
     """The full argv, in 16-row blocks, scan taking the first ``rows``
     points of an 8 x 8 x 8 grid: no rows, one row, one block, four blocks."""
     grid = log_grid(default_box(3), 512)[:rows]
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
-    monkeypatch.setattr(cli, "log_grid", lambda *args: grid)
+    monkeypatch.setattr(writer, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(sampling, "log_grid", lambda *args: grid)
     return [*argv, "--fn", doc]
 
 
@@ -1439,7 +1442,7 @@ def test_main_writes_the_text_run_returns(monkeypatch, capsysbinary, cd3_doc,
 @pytest.mark.parametrize("argv, rows", STREAMED, ids=STREAM_IDS)
 def test_each_block_is_written_before_the_next_is_rendered(
         monkeypatch, cd3_doc, argv, rows):
-    yielded, writes, table_blocks = [], [], cli._table_blocks
+    yielded, writes, table_blocks = [], [], writer._table_blocks
 
     def counted(*args):
         for block in table_blocks(*args):
@@ -1451,7 +1454,7 @@ def test_each_block_is_written_before_the_next_is_rendered(
             writes.append((text, len(yielded)))
             return super().write(text)
 
-    monkeypatch.setattr(cli, "_table_blocks", counted)
+    monkeypatch.setattr(writer, "_table_blocks", counted)
     monkeypatch.setattr(sys, "stdout", Spy())
     assert main(_streamed(monkeypatch, cd3_doc, argv, rows)) == 0
     assert len(yielded) == -(-rows // 16)
@@ -1482,10 +1485,10 @@ def _child(*args, stdout=subprocess.DEVNULL):
 
 
 # The two ways to start the command: ``python -m prodgeo``, and the
-# installed ``prodgeo`` script, which calls ``cli.entrypoint``.
+# installed ``prodgeo`` script, which calls ``prodgeo.__main__.main``.
 _ENTRY_POINTS = {
     "module": ("-m", "prodgeo"),
-    "script": ("-c", "from prodgeo.cli import entrypoint; entrypoint()"),
+    "script": ("-c", "from prodgeo.__main__ import main; main()"),
 }
 
 
@@ -1580,3 +1583,73 @@ def test_a_failed_write_is_one_line_on_stderr(cd_doc, target):
         assert peak == "", err
     else:
         assert peak.isdigit(), err
+
+
+# -- what a process loads ----------------------------------------------------------
+
+# The package modules that only some commands call.
+COMMAND_MODULES = {"prodgeo.autodiff", "prodgeo.classify", "prodgeo.elasticity",
+                   "prodgeo.geometry", "prodgeo.sampling", "prodgeo.writer"}
+
+
+def test_each_export_resolves_to_its_home_modules_binding():
+    names = [name for name in prodgeo.__all__ if name != "__version__"]
+    assert sorted(prodgeo._HOMES) == sorted(names)
+    for name in names:
+        home = importlib.import_module(f"prodgeo.{prodgeo._HOMES[name]}")
+        assert prodgeo.__getattr__(name) is getattr(home, name), name
+        assert getattr(prodgeo, name) is getattr(home, name), name
+    assert set(prodgeo.__all__) <= set(dir(prodgeo))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(prodgeo, "no_such_name")
+
+
+def test_importing_the_package_loads_neither_numpy_nor_a_module():
+    child = _python("-c", "import sys, prodgeo\nprint(*sys.modules)",
+                    stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")
+    loaded = out.decode().split()
+    assert "prodgeo" in loaded
+    assert [name for name in loaded
+            if name == "numpy" or name.startswith("prodgeo.")] == []
+
+
+@pytest.mark.parametrize("argv, called", [
+    (["eval", "--at", "1,2"], set()),
+    (["curvature", "--at", "1,2"], {"prodgeo.geometry"}),
+    (["scan", "--samples", "16", "--out", "csv"],
+     {"prodgeo.elasticity", "prodgeo.geometry", "prodgeo.sampling",
+      "prodgeo.writer"}),
+], ids=["eval", "curvature", "scan-csv"])
+def test_a_command_loads_only_the_modules_it_calls(cd_doc, argv, called):
+    child = _python("-X", "importtime", "-m", "prodgeo", *argv, "--fn", cd_doc)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err.decode()
+    loaded = {line.rpartition("|")[2].strip()
+              for line in err.decode().splitlines()
+              if line.startswith("import time:")}
+    assert {"prodgeo", "prodgeo.cli", "prodgeo.errors", "prodgeo.families",
+            "prodgeo.tolerances"} <= loaded
+    assert loaded & COMMAND_MODULES == called
+
+
+@pytest.mark.parametrize("start, enabled", [
+    ("from prodgeo.cli import main\nmain(sys.argv[1:])", "True True"),
+    (_ENTRY_POINTS["script"][1], "False False"),
+    ("import runpy\nrunpy.run_module('prodgeo', run_name='__main__')",
+     "False False"),
+], ids=["cli-main", "script", "module"])
+def test_only_the_command_line_turns_the_collector_off(cd_doc, start,
+                                                       enabled):
+    # The collector's state when numpy is first imported, and at the end.
+    code = ("import gc, sys\nclass Spy:\n"
+            "    def find_spec(self, name, *args):\n"
+            "        if name == 'numpy':\n"
+            "            sys.stderr.write(f'{gc.isenabled()} ')\n"
+            "sys.meta_path.insert(0, Spy())\ntry:\n"
+            + "".join(f"    {line}\n" for line in start.split("\n"))
+            + "finally:\n    sys.stderr.write(str(gc.isenabled()))")
+    child = _python("-c", code, "eval", "--fn", cd_doc, "--at", "1,2")
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err.decode()) == (0, enabled)

@@ -4,11 +4,14 @@ Every name a module of the package or of the test suite imports at module
 level is read in that module or exported through its ``__all__``; every
 module-level private function or class is referenced somewhere in the
 package besides its definition, and every public one too unless
-``prodgeo.__all__`` or ``prodgeo.cli.__all__`` lists it; every name in a
-module's ``__all__`` is bound in that module; and every entry of the
-tolerance table a report embeds (``prodgeo.tolerances.as_dict()``) is read
-in code, as ``tolerances.NAME``, by another module of the package.  Every
-tolerance name the README cites is one of the tolerance table or of
+``prodgeo.__all__`` or ``prodgeo.cli.__all__`` lists it or it is one of the
+package's two PEP 562 hooks; every name in a module's ``__all__`` is bound
+in that module (a lazy export of the package, in the home module its table
+names); ``cli`` imports at module level no package module but ``errors``,
+``families`` and ``tolerances``; and every entry of the tolerance table a
+report embeds (``prodgeo.tolerances.as_dict()``) is read in code, as
+``tolerances.NAME``, by another module of the package.  Every tolerance
+name the README cites is one of the tolerance table or of
 ``tests/gates.py``.
 """
 
@@ -103,13 +106,15 @@ def test_every_module_level_function_and_class_is_used_or_exported():
                     if isinstance(node, (ast.FunctionDef,
                                          ast.AsyncFunctionDef, ast.ClassDef))]
     exports = _package_exports()
+    # The package's PEP 562 hooks, which the interpreter calls.
+    hooks = {("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
     assert [(module, name) for module, name in defined
-            if not references[name] and name not in exports] == []
+            if not references[name] and name not in exports
+            and (module, name) not in hooks] == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_name_in_all_is_bound(path):
-    tree = _tree(path)
+def _bound(tree):
+    """The names bound at module level in ``tree``."""
     bound = set(_imported(tree))
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -119,7 +124,37 @@ def test_every_name_in_all_is_bound(path):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_in_all_is_bound(path):
+    # The package binds its exports lazily: a name of its _EXPORTS table
+    # counts where the home module the table gives binds it.
+    tree = _tree(path)
+    bound = _bound(tree)
+    for node in tree.body if path.name == "__init__.py" else []:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS"
+                for t in node.targets):
+            for home, names in ast.literal_eval(node.value).items():
+                bound |= set(names) & _bound(_tree(SOURCE / f"{home}.py"))
     assert sorted(_exported(tree) - bound) == []
+
+
+def test_cli_imports_at_module_level_only_what_every_command_reads():
+    # The modules one command calls are imported by that command.
+    modules = set()
+    for node in _tree(SOURCE / "cli.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules |= {node.module} if node.module else {
+                alias.name for alias in node.names
+                if (SOURCE / f"{alias.name}.py").exists()}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            modules |= {name for name in names if name.startswith("prodgeo")}
+    assert modules == {"errors", "families", "tolerances"}
 
 
 def test_every_tolerance_is_read_by_another_module():
