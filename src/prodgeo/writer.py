@@ -66,9 +66,9 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     """``format(v, ".17g")`` of each element v of the float64 array ``x``,
     as ASCII zero-padded to 24 bytes (shape ``x.shape + (24,)``).
 
-    For 1e-300 <= |v| <= 1e300 numpy writes the digits: e10 =
-    floor(log10|v|), made exact by comparing |v| with the least doubles
-    >= 10^e10 and 10^(e10+1); with v = m·2^q and 10^(16-e10) = c·2^b,
+    For 1e-300 <= |v| <= 1e300 numpy writes the digits: with v = m·2^q, m in
+    [0.5, 1), e10 = floor(log10|v|) is k = floor((q-1)·log10 2) or k + 1, as
+    |v| < or >= the least double >= 10^(k+1); with 10^(16-e10) = c·2^b,
     Dekker's TwoProduct gives m·c within 2^-104, so after the exact scaling
     by 2^(q+b) <= 2^58, V = |v|·10^(16-e10) in [1e16, 1e17) is known within
     2^-46 (exactly when c_lo = 0); V rounds half to even to the 17 digits.
@@ -86,19 +86,19 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     a = np.abs(flat)
     fast, zero = (a >= 1e-300) & (a <= 1e300), a == 0.0
     a = np.where(fast, a, 1.0)
-    e10 = np.floor(np.log10(a)).astype(np.int64)
-    e10 += (a >= least[e10 + 311]).astype(np.int64) - (a < least[e10 + 310])
     m, q = np.frexp(a)
-    s = 326 - e10  # the row of 10^(16 - e10)
+    e10 = np.floor((q - 1) * np.log10(2.0)).astype(np.int64)
+    e10 += a >= least[e10 + 311]
+    s = 326 - e10  # the row of 10^(16 - e10), its entries gathered once
+    hh, hl, tail, scale = c_hh[s], c_hl[s], c_lo[s], q + b[s]
     split = m * 134217729.0
     mh = split - (split - m)
     ml = m - mh
     p = m * c_hi[s]
-    lo = ((mh * c_hh[s] - p) + mh * c_hl[s] + ml * c_hh[s] + ml * c_hl[s]
-          + m * c_lo[s])
-    hi, lo = np.ldexp(p, q + b[s]), np.ldexp(lo, q + b[s])
+    lo = (mh * hh - p) + mh * hl + ml * hh + ml * hl + m * tail
+    hi, lo = np.ldexp(p, scale), np.ldexp(lo, scale)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi is even
-    unsure = (abs(lo - np.floor(lo) - 0.5) < 2.0 ** -40) & (c_lo[s] != 0) \
+    unsure = (abs(lo - np.floor(lo) - 0.5) < 2.0 ** -40) & (tail != 0) \
         | (d == 10 ** 17)  # e.g. 1e-79 and the other doubles just below 10^k
     d[zero] = 0  # and e10 = 0, from a = 1
     top, high = d // 10 ** 16, d // 10 ** 8  # d >= 0: // and multiply-subtract

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1094,6 +1095,21 @@ def test_table_kernel_writes_nearly_every_value_without_fallback():
     got = _kernel_texts(values, lambda v: fallback.append(v) or _leaf(v))
     assert got == [format(v, ".17g") for v in values.tolist()]
     assert len(fallback) < 1e-3 * len(values)
+
+
+def test_g17_finds_the_exponent_of_each_power_of_ten_and_its_lower_neighbour():
+    # The decimal exponent changes at each power: a double on either side
+    # of 10^k must get its own exponent.  One at or above 10^k is written
+    # without the fallback, which takes those whose digits round to 10^17.
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    values = np.concatenate([powers, np.nextafter(powers, 0)])
+    fallback = []
+    cells = writer._g17(values, lambda v: fallback.append(v) or _leaf(v))
+    assert [cell.tobytes().replace(b"\0", b"").decode() for cell in cells] \
+        == [format(v, ".17g") for v in values.tolist()]
+    above = {v for k, v in enumerate(powers, -300)
+             if Fraction(v) >= Fraction(10) ** k}
+    assert len(above) > 250 and above.isdisjoint(fallback)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
