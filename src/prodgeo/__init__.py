@@ -13,8 +13,7 @@ __version__ = "0.13.0"
 
 import importlib
 
-# The names of __all__ by home module, each imported from there on its first
-# use, so that importing the package imports none of its modules.
+# The home of each name of __all__, imported from there on first use.
 _EXPORTS = {
     "errors": ("DomainError", "HypothesisError", "SpecError"),
     "autodiff": ("Jet2", "finite_difference_oracle"),
@@ -41,7 +40,6 @@ __all__ = [
 
 
 def __getattr__(name):
-    """The exported ``name``, imported from its home module on first use."""
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

@@ -85,8 +85,7 @@ def _to_json(value, tables=None) -> str:
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" so the output
     stays strict JSON.  The common types are tested first.  A per-point
-    table is written "[\\0]", and its _table_blocks arguments are appended
-    to ``tables``.
+    table is written "[\\0]", its _table_blocks arguments put in ``tables``.
     """
     kind = type(value)
     if kind is float:
@@ -120,8 +119,7 @@ def _cell(value) -> str:
 
 def _flatten(value, prefix: str, lines: list, tables: list) -> None:
     """Append one "key,value" CSV line per leaf of ``value``; a per-point
-    table is a NUL at the end of the last line, its _table_blocks arguments
-    in ``tables``."""
+    table is a NUL ending the last line, its blocks' arguments in ``tables``."""
     if isinstance(value, dict):
         for key in sorted(value):
             path = f"{prefix}.{key}" if prefix else str(key)

@@ -45,9 +45,8 @@ DEGENERATE_CES = "DegenerateCES"
 NOT_CES = "NotCES"
 
 __all__ = [
-    "hicks_values", "tagged_pairs", "ces_residuals",
-    "point_table", "detect_ces", "detect_ces_on",
-    "FINITE", "INFINITE", "DEGENERATE",
+    "hicks_values", "tagged_pairs", "ces_residuals", "point_table",
+    "detect_ces", "detect_ces_on", "FINITE", "INFINITE", "DEGENERATE",
     "REGULAR_CES", "DEGENERATE_CES", "NOT_CES",
 ]
 
