@@ -289,6 +289,19 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
 _DISPATCH = {"eval": _cmd_eval, "elasticity": _cmd_elasticity,
              "curvature": _cmd_curvature, "classify": _cmd_classify,
              "verify": _cmd_verify, "scan": _cmd_scan}
+_CHOICES = {"command": tuple(_DISPATCH), "theorem": ("1.1", "4.1", "4.2"),
+            "out": ("json", "csv")}
+
+
+def _check_fields(fields: dict) -> None:
+    """Refuse what the command line refuses, for ``run`` too: a choice not in
+    _CHOICES (theorem may be None) or a count below its least value."""
+    for name, choices in _CHOICES.items():
+        if fields[name] not in choices + (None,) * (name == "theorem"):
+            raise SpecError(f"{name} {fields[name]!r} is not one of {choices}")
+    for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
+        if not isinstance(fields[name], int) or fields[name] < least:
+            raise SpecError(f"--{name} must be at least {least}")
 
 
 def _error_payload(config, digest: str | None, exc: BaseException) -> dict:
@@ -304,6 +317,7 @@ def _report(config: RunConfig | None, argv=None) -> tuple:
     digest = None
     try:
         config = config or parse_config(argv)
+        _check_fields(vars(config))
         with open(config.fn_path, "rb") as handle:
             raw = handle.read()
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
@@ -381,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description=__doc__ and __doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
-    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("command", choices=_CHOICES["command"])
     parser.add_argument("--fn", dest="fn_path", required=True, metavar="PATH",
                         help="JSON function document")
     parser.add_argument("--at", metavar="P1,P2,...",
@@ -390,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-axis bounds, lo:hi per axis")
     parser.add_argument("--samples", type=int, default=100, metavar="N")
     parser.add_argument("--pair", metavar="I,J", help="1-based input pair")
-    parser.add_argument("--theorem", choices=("1.1", "4.1", "4.2"))
-    parser.add_argument("--out", choices=("json", "csv"), default="json")
+    parser.add_argument("--theorem", choices=_CHOICES["theorem"])
+    parser.add_argument("--out", choices=_CHOICES["out"], default="json")
     parser.add_argument("--seed", type=int, default=0, metavar="INT")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted and ignored: scan evaluates its "
@@ -401,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv=None) -> RunConfig:
     fields = vars(build_parser().parse_args(argv))
-    for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
-        if fields[name] < least:
-            raise SpecError(f"--{name} must be at least {least}")
+    _check_fields(fields)
     for name, parse in (("at", _parse_point), ("box", _parse_box),
                         ("pair", _parse_pair)):
         if fields[name] is not None:

@@ -32,7 +32,6 @@ FORM_AFFINE = "affine"
 FORMS = (FORM_POWER, FORM_LOG, FORM_EXP, FORM_AFFINE)
 
 DEFAULT_BOX_AXIS = (0.5, 2.0)
-MONOTONICITY_SAMPLES = 64
 _NOT_FINITE = ("value, gradient or Hessian is not finite "
                "(floating-point overflow)")
 
@@ -408,53 +407,42 @@ def build_acms(gamma: float, a, rho: float, d: float) -> FunctionExpr:
 
 @np.errstate(all="ignore")
 def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
-    """Sampled monotonicity and domain check on the declared box.
-
-    Each inner derivative is checked at MONOTONICITY_SAMPLES points per axis;
-    the outer derivative is checked at the same number of points across the
-    inner-sum range (inner components are monotone, so the range comes from
-    the axis endpoints).  A non-finite inner value or slope, or outer slope,
-    is a DomainError naming the component.
+    """Exact check on the declared (positive) box.  Each closed form is
+    monotone on a positive interval, with a slope of one sign and monotone
+    size, so each inner is checked at its box ends and the outer at the ends
+    of the inner-sum range, then at u = 0 if inside, where an integer power's
+    slope can vanish or blow up.  Overflow is a DomainError naming the part.
     """
-    lo_sum = 0.0
-    hi_sum = 0.0
-    for i, ((lo, hi), h) in enumerate(zip(box, spec.inner)):
-        xs = np.linspace(lo, hi, MONOTONICITY_SAMPLES)
-        v, d1 = _sampled(h, xs, f"inner component {i} undefined at x=")
+    lo_sum = hi_sum = 0.0
+    for i, (ends, h) in enumerate(zip(box, spec.inner)):
+        v, d1 = h.derivatives(ends)[:2]
         if not (np.isfinite(v).all() and np.isfinite(d1).all()):
             raise DomainError(f"inner component {i} overflows on the box: "
                               f"its value or slope is not finite")
         bad = (d1 == 0.0) | (np.signbit(d1) != np.signbit(d1[0]))
         if bad.any():
             raise SpecError(f"inner component {i} is not strictly monotone "
-                            f"at x={float(xs[bad.argmax()])!r}")
+                            f"at x={ends[bad.argmax()]!r}")
         lo_sum += min(v[0], v[-1])
         hi_sum += max(v[0], v[-1])
-    us = np.linspace(lo_sum, hi_sum, MONOTONICITY_SAMPLES)
-    _, d1 = _sampled(spec.outer, us,
-                     "outer undefined on the inner-sum range at u=")
-    if not np.isfinite(d1).all():
-        raise DomainError("outer slope is not finite on the inner-sum range")
-    bad = d1 <= 0.0
-    if bad.any():
-        k = bad.argmax()
-        raise SpecError(
-            f"outer must be strictly increasing on the inner-sum range; "
-            f"derivative is {float(d1[k])!r} at u={float(us[k])!r}")
-
-
-def _sampled(fn: ScalarFn, xs: np.ndarray, undefined: str):
-    """(fn, fn') at every sample, or SpecError naming the first undefined
-    one."""
-    try:
-        return fn.derivatives(xs)[:2]
-    except DomainError as exc:
-        outside, _ = fn._outside(xs)
-        raise SpecError(f"{undefined}{float(xs[outside.argmax()])!r}") from exc
+    zero = [(0.0,)] if lo_sum < 0.0 < hi_sum else []
+    for us in map(np.array, [(lo_sum, hi_sum), *zero]):
+        outside = spec.outer._outside(us)[0]
+        if outside is not None and outside.any():
+            raise SpecError("outer undefined on the inner-sum range at "
+                            f"u={float(us[outside.argmax()])!r}")
+        d1 = spec.outer.derivatives(us)[1]
+        if not np.isfinite(d1).all():
+            raise DomainError("outer slope is not finite on the inner-sum range")
+        k = (d1 <= 0.0).argmax()
+        if d1[k] <= 0.0:
+            raise SpecError(
+                f"outer must be strictly increasing on the inner-sum range; "
+                f"derivative is {float(d1[k])!r} at u={float(us[k])!r}")
 
 
 def build_quasi_sum(spec: QuasiSumSpec, box=None) -> FunctionExpr:
-    """F(h_1(x_1) + ... + h_n(x_n)) after a sampled validity check on ``box``.
+    """F(h_1(x_1) + ... + h_n(x_n)) after an exact validity check on ``box``.
 
     ``box`` defaults to [0.5, 2]^n.  The box is only used for validation; it
     is not stored on the expression.

@@ -37,7 +37,7 @@ from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import MAX_POINTS, log_grid
 from prodgeo.writer import _BLOCK_ROWS, _table_blocks
 import gates
-from test_fuzz import BASES
+from test_fuzz import BASES, SHIFTED
 from test_kernel import OVERFLOW_CD
 
 
@@ -1281,13 +1281,25 @@ _POWER_400 = {"form": "power", "coefficient": 1.0, "exponent": 400.0}
      "--seed must be at least 0"),
     (VERDICT_DOCS["cd"], ["verify", "--theorem", "4.1", "--seed", "-1"], 1,
      "--seed must be at least 0"),
+    # -1/(x1 + x2 - 2.6) has a pole on the line x1 + x2 = 2.6 inside the
+    # default box: the inner-sum range holds u = 0, where F is undefined.
+    ({"type": "quasi_sum",
+      "outer": {"form": "power", "coefficient": -1.0, "exponent": -1.0},
+      "inner": [SHIFTED, SHIFTED]},
+     ["classify"], 1, "outer undefined on the inner-sum range at u=0.0"),
+    # u^3 over the same inners: F'(0) = 0 inside the range, not F' > 0.
+    ({"type": "quasi_sum",
+      "outer": {"form": "power", "coefficient": 1.0, "exponent": 3.0},
+      "inner": [SHIFTED, SHIFTED]},
+     ["classify"], 1, "outer must be strictly increasing"),
 ], ids=["one-inner", "scalar-not-object", "scalar-without-form",
         "one-input-acms", "three-index-pair", "text-pair", "text-box",
         "flat-inner", "overflowing-outer", "overflowing-identity",
         "acms-negative-d-over-rho", "ratio-power-outer", "ratio-exp-outer",
         "vanishing-marginal-product", "inner-not-an-array",
         "decreasing-ratio-outer", "outer-undefined-on-the-inner-sum",
-        "eval-negative-seed", "verify-negative-seed"])
+        "eval-negative-seed", "verify-negative-seed", "pole-in-the-box",
+        "outer-slope-vanishing-in-the-box"])
 def test_malformed_requests_are_refused(tmp_path, capsys, doc, argv, status,
                                         message):
     path = write_doc(tmp_path, "refused.json", doc)
@@ -1364,13 +1376,30 @@ def test_one_parser_without_subparsers_is_built_once():
     ["verify", "--fn", "{doc}", "--theorem", "2.1"],
     ["scan", "--fn", "{doc}", "--out", "xml"],
     ["scan", "--fn", "{doc}", "--jobs", "0"],
+    # The same refusals for a RunConfig handed to run().
+    RunConfig("nope", "{doc}"),
+    RunConfig("verify", "{doc}", theorem="9.9"),
+    RunConfig("eval", "{doc}", at=(4.0, 9.0), theorem="9.9"),
+    RunConfig("scan", "{doc}", out="xml"),
+    RunConfig("eval", "{doc}", at=(4.0, 9.0), seed=-1),
+    RunConfig("scan", "{doc}", samples=0),
+    RunConfig("scan", "{doc}", jobs=0),
+    RunConfig("scan", "{doc}", samples="4"),
 ], ids=["no-command", "unknown-command", "missing-fn", "bad-theorem",
-        "bad-out", "zero-jobs"])
+        "bad-out", "zero-jobs", "run-unknown-command", "run-bad-theorem",
+        "run-eval-bad-theorem", "run-bad-out", "run-negative-seed",
+        "run-zero-samples", "run-zero-jobs", "run-text-samples"])
 def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, argv):
-    assert main([arg.format(doc=cd_doc) for arg in argv]) == 1
-    out = capsys.readouterr()
-    assert out.err == ""
-    assert one_record(out.out)["error"]["type"] == "SpecError"
+    if isinstance(argv, RunConfig):
+        status, text = run(dataclasses.replace(argv, fn_path=cd_doc))
+        text += "\n"
+    else:
+        status = main([arg.format(doc=cd_doc) for arg in argv])
+        out = capsys.readouterr()
+        assert out.err == ""
+        text = out.out
+    assert status == 1
+    assert one_record(text)["error"]["type"] == "SpecError"
 
 
 def test_options_may_come_before_the_command(cd_doc, capsys):

@@ -4,21 +4,26 @@ no Python warning, writes an error or a JSON report as exactly one JSON
 line, and puts inf or nan only in the report fields documented as possibly
 non-finite.  A CSV report (scan and verify may draw ``--out csv``) has the
 same non-finite fields, and every scan data line has the header's cell
-count."""
+count.  A quasi-sum document is accepted exactly when jet arithmetic finds
+no fault on dense grids of its box and inner-sum range."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 import re
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prodgeo import expr_from_dict
+from prodgeo import DomainError, ScalarFn, SpecError, expr_from_dict
 from prodgeo.cli import main
+from prodgeo.families import validate_box
 from prodgeo.sampling import MAX_POINTS
-from conftest import shift_free
+from conftest import scalar_fn_jet, shift_free
+from jets import Jet
 
 BASES = (
     {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]},
@@ -302,3 +307,133 @@ def _documented(report, where, text):
         points = [row["point"] for row in report["per_point_data"]]
         return not bare.derivatives(points).value.all()
     return False
+
+
+# -- quasi-sum validation against a jet oracle ---------------------------------------
+
+
+@st.composite
+def scalar_records(draw):
+    """A scalar function record of any form and sign, with an exponent in
+    -3..5 (integers often) and sometimes a shift."""
+    form = draw(st.sampled_from(["power", "log", "exp", "affine"]))
+    record = {"form": form, "coefficient": draw(st.sampled_from([-1.0, 1.0]))
+              * draw(st.floats(0.1, 10.0))}
+    if form == "power":
+        record["exponent"] = draw(st.one_of(
+            st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+            st.floats(-3.0, 5.0).filter(bool)))
+    if draw(st.booleans()):
+        record["shift"] = draw(st.floats(-3.0, 3.0))
+    return record
+
+
+@st.composite
+def quasi_sums(draw):
+    """A quasi-sum document of two or three inputs and its box (None, the
+    default, or lo in [0.05, 5] with hi/lo in [1.01, 20] per axis)."""
+    n = draw(st.integers(2, 3))
+    doc = {"type": "quasi_sum", "outer": draw(scalar_records()),
+           "inner": draw(st.lists(scalar_records(), min_size=n, max_size=n))}
+    axes = st.tuples(st.floats(0.05, 5.0), st.floats(1.01, 20.0))
+    box = draw(st.one_of(st.none(), st.lists(
+        axes.map(lambda a: (a[0], a[0] * a[1])), min_size=n, max_size=n)))
+    return doc, box
+
+
+def _jet_slope(record, x):
+    """(value, slope) of a scalar function at x by jet arithmetic; None
+    where it is undefined, (inf, inf) where a float operation overflows."""
+    try:
+        jet = scalar_fn_jet(ScalarFn.from_dict(record),
+                            Jet(x, [1.0], [[0.0]]))
+    except DomainError:
+        return None
+    except OverflowError:
+        return math.inf, math.inf
+    return jet.value, float(jet.gradient[0])
+
+
+def _grid_faults(doc, box):
+    """Every fault the oracle sees on 65-point grids of each box axis and
+    of the inner-sum range (0 included when inside), as (kind, inner index
+    or None)."""
+    faults, lo_sum, hi_sum = [], 0.0, 0.0
+    for i, (record, (lo, hi)) in enumerate(zip(doc["inner"], box)):
+        rows = [_jet_slope(record, x) for x in np.linspace(lo, hi, 65)]
+        if not all(map(math.isfinite, [v for row in rows for v in row])):
+            faults.append(("inner overflow", i))
+            continue
+        faults += [("inner flat", i) for _, slope in rows
+                   if slope == 0.0 or (slope < 0.0) != (rows[0][1] < 0.0)]
+        lo_sum += min(value for value, _ in rows)
+        hi_sum += max(value for value, _ in rows)
+    if faults:
+        return faults
+    us = [*np.linspace(lo_sum, hi_sum, 65)] + [0.0] * (lo_sum < 0.0 < hi_sum)
+    for u in us:
+        row = _jet_slope(doc["outer"], u)
+        if row is None:
+            faults.append(("outer undefined", None))
+        elif not math.isfinite(row[1]):
+            faults.append(("outer overflow", None))
+        elif row[1] <= 0.0:
+            faults.append(("outer flat", None))
+    return faults
+
+
+# The pole of -1/(x1 + x2 - 2.6) and the flat point of (x1 + x2 - 2.6)^3,
+# both inside the default box, where a grid of the range that leaves out 0
+# sees no fault.
+SHIFTED = {"form": "affine", "coefficient": 1.0, "shift": -1.3}
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=quasi_sums())
+@example(case=({"type": "quasi_sum", "inner": [SHIFTED] * 2, "outer": {
+    "form": "power", "coefficient": -1.0, "exponent": -1.0}}, None))
+@example(case=({"type": "quasi_sum", "inner": [SHIFTED] * 2, "outer": {
+    "form": "power", "coefficient": 1.0, "exponent": 3.0}}, None))
+# An inner slope that underflows to 0, and an inner value that overflows.
+@example(case=({"type": "quasi_sum", "outer": {"form": "affine",
+                                               "coefficient": 1.0},
+                "inner": [{"form": "power", "coefficient": 1.0,
+                           "exponent": 400.0}] * 2},
+               [(0.001, 0.01)] * 2))
+@example(case=({"type": "quasi_sum", "outer": {"form": "affine",
+                                               "coefficient": 1.0},
+                "inner": [{"form": "affine", "coefficient": 1.0},
+                          {"form": "exp", "coefficient": 1.0}]},
+               [(1.0, 2.0), (1.0, 800.0)]))
+def test_quasi_sum_validation_refuses_exactly_the_faults_a_jet_grid_sees(
+        case):
+    doc, box = case
+    box = validate_box(box, len(doc["inner"]))
+    faults = _grid_faults(doc, box)
+    try:
+        expr_from_dict(doc, box)
+    except (SpecError, DomainError) as exc:
+        message = str(exc)
+    else:
+        assert faults == []
+        return
+    kinds = {kind for kind, _ in faults}
+    named = re.fullmatch(r"inner component (\d+) (.*)", message)
+    if named:  # the grid's first fault names the same inner
+        i, what = int(named[1]), named[2]
+        kind = "inner flat" if "monotone" in what else "inner overflow"
+        assert faults[0] == (kind, i), message
+        if kind == "inner flat":
+            x = float(what.rpartition("=")[2])
+            slope = _jet_slope(doc["inner"][i], x)[1]
+            first = _jet_slope(doc["inner"][i], box[i][0])[1]
+            assert slope == 0.0 or (slope < 0.0) != (first < 0.0), message
+        return
+    u = float(message.rpartition("u=")[2]) if "u=" in message else None
+    if message.startswith("outer undefined"):
+        assert "outer undefined" in kinds and _jet_slope(doc["outer"], u) is None
+    elif message.startswith("outer slope is not finite"):
+        assert "outer overflow" in kinds
+    else:
+        assert message.startswith("outer must be strictly increasing")
+        assert "outer flat" in kinds and _jet_slope(doc["outer"], u)[1] <= 0.0
