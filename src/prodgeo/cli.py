@@ -55,6 +55,8 @@ class RunConfig:
 
 # -- deterministic rendering --------------------------------------------------
 
+_INTEGERS = (int, np.integer)  # a RunConfig count may be a numpy integer
+
 
 def _leaf(value) -> str:
     """Text of one report leaf, shared by JSON values, CSV cells and CSV
@@ -65,7 +67,7 @@ def _leaf(value) -> str:
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, _INTEGERS):
         return str(int(value))
     if isinstance(value, str):
         return value
@@ -295,12 +297,13 @@ _CHOICES = {"command": tuple(_DISPATCH), "theorem": ("1.1", "4.1", "4.2"),
 
 def _check_fields(fields: dict) -> None:
     """Refuse what the command line refuses, for ``run`` too: a choice not in
-    _CHOICES (theorem may be None) or a count below its least value."""
+    _CHOICES (theorem may be None), a bool, non-integral or too small count."""
     for name, choices in _CHOICES.items():
         if fields[name] not in choices + (None,) * (name == "theorem"):
             raise SpecError(f"{name} {fields[name]!r} is not one of {choices}")
     for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
-        if not isinstance(fields[name], int) or fields[name] < least:
+        v = fields[name]
+        if isinstance(v, bool) or not isinstance(v, _INTEGERS) or v < least:
             raise SpecError(f"--{name} must be at least {least}")
 
 

@@ -410,9 +410,9 @@ def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
     """Exact check on the declared (positive) box.  Each closed form is
     monotone on a positive interval, with a slope of one sign and monotone
     size, so each inner is checked at its box ends and the outer at the ends
-    of the inner-sum range, then at u = 0 if inside, where an integer power's
-    slope can vanish or blow up.  Overflow is a DomainError naming the part.
-    """
+    of the inner-sum range, then at u = 0 if inside, where the slope of an
+    integer power other than u^1 can vanish or blow up.  Overflow is a
+    DomainError naming the part."""
     lo_sum = hi_sum = 0.0
     for i, (ends, h) in enumerate(zip(box, spec.inner)):
         v, d1 = h.derivatives(ends)[:2]
@@ -423,9 +423,9 @@ def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
         if bad.any():
             raise SpecError(f"inner component {i} is not strictly monotone "
                             f"at x={ends[bad.argmax()]!r}")
-        lo_sum += min(v[0], v[-1])
-        hi_sum += max(v[0], v[-1])
-    zero = [(0.0,)] if lo_sum < 0.0 < hi_sum else []
+        lo_sum, hi_sum = lo_sum + min(v), hi_sum + max(v)
+    inside = lo_sum < 0.0 < hi_sum and spec.outer.exponent != 1.0
+    zero = [(0.0,)] if inside else []
     for us in map(np.array, [(lo_sum, hi_sum), *zero]):
         outside = spec.outer._outside(us)[0]
         if outside is not None and outside.any():
@@ -442,11 +442,8 @@ def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
 
 
 def build_quasi_sum(spec: QuasiSumSpec, box=None) -> FunctionExpr:
-    """F(h_1(x_1) + ... + h_n(x_n)) after an exact validity check on ``box``.
-
-    ``box`` defaults to [0.5, 2]^n.  The box is only used for validation; it
-    is not stored on the expression.
-    """
+    """F(h_1(x_1) + ... + h_n(x_n)) after an exact validity check on ``box``
+    (default [0.5, 2]^n), which the expression does not store."""
     _validate_quasi_sum_on_box(spec, validate_box(box, spec.n))
     return FunctionExpr("quasi_sum", spec.n, {"spec": spec})
 

@@ -1311,6 +1311,21 @@ def test_malformed_requests_are_refused(tmp_path, capsys, doc, argv, status,
     assert error["message"].startswith(message)
 
 
+def test_a_linear_outer_is_accepted_over_an_inner_sum_through_zero(
+        tmp_path, capsys):
+    # u + 0.5 has F' = 1 at u = 0 too, where x1 + x2 = 2.6.
+    path = write_doc(tmp_path, "linear.json", {
+        "type": "quasi_sum", "inner": [SHIFTED, SHIFTED], "outer": {
+            "form": "power", "coefficient": 1.0, "exponent": 1.0,
+            "shift": 0.5}})
+    assert main(["classify", "--fn", path]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--fn", path, "--at", "1.5,1.3"]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    assert report["gradient"] == [1.0, 1.0]
+    assert report["hessian"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
 @pytest.mark.parametrize("argv, n", [
     (["scan", "--samples", "400000000"], 2),
     (["scan", "--samples", "1"], 30),  # 2^30 points: two per axis
@@ -1385,10 +1400,12 @@ def test_one_parser_without_subparsers_is_built_once():
     RunConfig("scan", "{doc}", samples=0),
     RunConfig("scan", "{doc}", jobs=0),
     RunConfig("scan", "{doc}", samples="4"),
+    RunConfig("scan", "{doc}", samples=True),
 ], ids=["no-command", "unknown-command", "missing-fn", "bad-theorem",
         "bad-out", "zero-jobs", "run-unknown-command", "run-bad-theorem",
         "run-eval-bad-theorem", "run-bad-out", "run-negative-seed",
-        "run-zero-samples", "run-zero-jobs", "run-text-samples"])
+        "run-zero-samples", "run-zero-jobs", "run-text-samples",
+        "run-bool-samples"])
 def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, argv):
     if isinstance(argv, RunConfig):
         status, text = run(dataclasses.replace(argv, fn_path=cd_doc))
@@ -1400,6 +1417,14 @@ def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, argv):
         text = out.out
     assert status == 1
     assert one_record(text)["error"]["type"] == "SpecError"
+
+
+def test_run_takes_numpy_integer_counts(cd_doc):
+    counts = {"samples": 4, "jobs": 1, "seed": 3}
+    numpy_counts = {k: np.int64(v) for k, v in counts.items()}
+    status, text = run(RunConfig("scan", cd_doc, **numpy_counts))
+    assert status == 0
+    assert (status, text) == run(RunConfig("scan", cd_doc, **counts))
 
 
 def test_options_may_come_before_the_command(cd_doc, capsys):

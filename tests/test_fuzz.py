@@ -394,6 +394,9 @@ SHIFTED = {"form": "affine", "coefficient": 1.0, "shift": -1.3}
     "form": "power", "coefficient": -1.0, "exponent": -1.0}}, None))
 @example(case=({"type": "quasi_sum", "inner": [SHIFTED] * 2, "outer": {
     "form": "power", "coefficient": 1.0, "exponent": 3.0}}, None))
+# u itself over the same inners: F' = 1 at u = 0 too, so it is accepted.
+@example(case=({"type": "quasi_sum", "inner": [SHIFTED] * 2, "outer": {
+    "form": "power", "coefficient": 1.0, "exponent": 1.0}}, None))
 # An inner slope that underflows to 0, and an inner value that overflows.
 @example(case=({"type": "quasi_sum", "outer": {"form": "affine",
                                                "coefficient": 1.0},
