@@ -4,9 +4,14 @@ import gc
 
 
 def main() -> None:
-    gc.disable()  # from before the imports: one request makes few cycles
-    from .cli import entrypoint
-    entrypoint()
+    """The ``prodgeo`` command.  The collector is off from before the
+    imports, as one request makes few cycles, and the heap is frozen before
+    exit, so that the collections at interpreter shutdown skip it."""
+    gc.disable()
+    from . import cli
+    status = cli.main()
+    gc.freeze()
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,28 +32,10 @@ from .families import PointRecords, expr_from_dict, index_pairs, validate_box
 
 TOOL = "prodgeo"
 
-__all__ = ["RunConfig", "run", "main", "entrypoint"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully-parsed invocation; ``run`` needs nothing else."""
-
-    command: str
-    fn_path: str
-    at: tuple | None = None
-    box: tuple | None = None
-    samples: int = 100
-    pair: tuple | None = None
-    theorem: str | None = None
-    out: str = "json"
-    seed: int = 0
-    jobs: int = 1
+__all__ = ["run", "main"]
 
 
 # -- deterministic rendering --------------------------------------------------
-
-_INTEGERS = (int, np.integer)  # a RunConfig count may be a numpy integer
 
 
 def _leaf(value) -> str:
@@ -67,8 +47,8 @@ def _leaf(value) -> str:
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, _INTEGERS):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, str):
         return value
     if value is None:
@@ -141,7 +121,7 @@ def _flatten(value, prefix: str, lines: list, tables: list) -> None:
         lines.append(f"{_cell(prefix)},{_cell(value)}")
 
 
-def _envelope(config: RunConfig, digest: str, report: dict) -> dict:
+def _envelope(config: argparse.Namespace, digest: str, report: dict) -> dict:
     """The report in its envelope; the request fields given on the command
     line (--at, --box, --pair, --theorem) are echoed, the others left out."""
     env = {"tool": TOOL, "version": __version__, "command": config.command,
@@ -156,7 +136,7 @@ def _envelope(config: RunConfig, digest: str, report: dict) -> dict:
     return env
 
 
-def _render(config: RunConfig, env: dict):
+def _render(config: argparse.Namespace, env: dict):
     """The report's text as chunks: all but the per-point tables is written
     now, a NUL (in no JSON text or report string) where their blocks go."""
     tables = []
@@ -191,7 +171,7 @@ def _chunks(parts: list, tables: list):
 # -- command implementations ---------------------------------------------------
 
 
-def _check_request(config: RunConfig, n: int) -> None:
+def _check_request(config: argparse.Namespace, n: int) -> None:
     """Check each request field the envelope echoes (--at, --box, --pair)
     against an n-input document, whether or not the command reads it; then
     that the command has the fields it requires (--at for eval and
@@ -214,19 +194,19 @@ def _check_request(config: RunConfig, n: int) -> None:
         raise SpecError("verify requires --theorem")
 
 
-def _cmd_eval(config: RunConfig, expr) -> dict:
+def _cmd_eval(config: argparse.Namespace, expr) -> dict:
     row = expr.derivatives([config.at])
     return {"point": list(config.at), "value": float(row.value[0]),
             "gradient": row.gradient[0].tolist(),
             "hessian": row.hessian[0].tolist()}
 
 
-def _cmd_curvature(config: RunConfig, expr) -> dict:
+def _cmd_curvature(config: argparse.Namespace, expr) -> dict:
     from .geometry import graph_geometry
     return graph_geometry(expr, config.at)
 
 
-def _cmd_elasticity(config: RunConfig, expr) -> dict:
+def _cmd_elasticity(config: argparse.Namespace, expr) -> dict:
     from .elasticity import detect_ces, hicks_values, tagged_pairs
     if config.at is not None:
         if config.pair is None:
@@ -243,20 +223,20 @@ def _cmd_elasticity(config: RunConfig, expr) -> dict:
             "mode": "box", "box": [list(axis) for axis in box]}
 
 
-def _cmd_classify(config: RunConfig, expr) -> dict:
+def _cmd_classify(config: argparse.Namespace, expr) -> dict:
     from .classify import classify_quasi_sum
     return classify_quasi_sum(expr, config.box, samples=config.samples,
                               seed=config.seed)
 
 
-def _cmd_verify(config: RunConfig, expr) -> dict:
+def _cmd_verify(config: argparse.Namespace, expr) -> dict:
     from .classify import verify_theorem_11, verify_theorem_41, verify_theorem_42
     checker = {"1.1": verify_theorem_11, "4.1": verify_theorem_41,
                "4.2": verify_theorem_42}[config.theorem]
     return checker(expr, config.box, samples=config.samples, seed=config.seed)
 
 
-def _cmd_scan(config: RunConfig, expr) -> dict:
+def _cmd_scan(config: argparse.Namespace, expr) -> dict:
     from .elasticity import hicks_values
     from .geometry import surface_curvatures
     from .sampling import grid_shape, log_grid
@@ -291,20 +271,6 @@ def _cmd_scan(config: RunConfig, expr) -> dict:
 _DISPATCH = {"eval": _cmd_eval, "elasticity": _cmd_elasticity,
              "curvature": _cmd_curvature, "classify": _cmd_classify,
              "verify": _cmd_verify, "scan": _cmd_scan}
-_CHOICES = {"command": tuple(_DISPATCH), "theorem": ("1.1", "4.1", "4.2"),
-            "out": ("json", "csv")}
-
-
-def _check_fields(fields: dict) -> None:
-    """Refuse what the command line refuses, for ``run`` too: a choice not in
-    _CHOICES (theorem may be None), a bool, non-integral or too small count."""
-    for name, choices in _CHOICES.items():
-        if fields[name] not in choices + (None,) * (name == "theorem"):
-            raise SpecError(f"{name} {fields[name]!r} is not one of {choices}")
-    for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
-        v = fields[name]
-        if isinstance(v, bool) or not isinstance(v, _INTEGERS) or v < least:
-            raise SpecError(f"--{name} must be at least {least}")
 
 
 def _error_payload(config, digest: str | None, exc: BaseException) -> dict:
@@ -314,13 +280,12 @@ def _error_payload(config, digest: str | None, exc: BaseException) -> dict:
             "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _report(config: RunConfig | None, argv=None) -> tuple:
-    """(exit status, report text chunks) of ``config`` or of the command
-    line ``argv``, with all that can fail done: _g17 writes any table."""
-    digest = None
+def _report(argv) -> tuple:
+    """(exit status, report text chunks) of the command line ``argv``, with
+    all that can fail done: _g17 writes any table."""
+    config = digest = None
     try:
-        config = config or parse_config(argv)
-        _check_fields(vars(config))
+        config = parse_config(argv)
         with open(config.fn_path, "rb") as handle:
             raw = handle.read()
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
@@ -341,9 +306,10 @@ def _report(config: RunConfig | None, argv=None) -> tuple:
         return 1, [_to_json(_error_payload(config, digest, MemoryError(str(exc))))]
 
 
-def run(config: RunConfig) -> tuple:
-    """Execute one configuration; returns (exit status, report text)."""
-    status, chunks = _report(config)
+def run(argv) -> tuple:
+    """The (exit status, report text) that ``main(argv)`` writes, held in
+    memory; ``main`` adds the closing newline."""
+    status, chunks = _report(argv)
     return status, "".join(chunks)
 
 
@@ -398,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description=__doc__ and __doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
-    parser.add_argument("command", choices=_CHOICES["command"])
+    parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--fn", dest="fn_path", required=True, metavar="PATH",
                         help="JSON function document")
     parser.add_argument("--at", metavar="P1,P2,...",
@@ -407,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-axis bounds, lo:hi per axis")
     parser.add_argument("--samples", type=int, default=100, metavar="N")
     parser.add_argument("--pair", metavar="I,J", help="1-based input pair")
-    parser.add_argument("--theorem", choices=_CHOICES["theorem"])
-    parser.add_argument("--out", choices=_CHOICES["out"], default="json")
+    parser.add_argument("--theorem", choices=("1.1", "4.1", "4.2"))
+    parser.add_argument("--out", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=0, metavar="INT")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted and ignored: scan evaluates its "
@@ -416,20 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv=None) -> RunConfig:
-    fields = vars(build_parser().parse_args(argv))
-    _check_fields(fields)
+def parse_config(argv=None) -> argparse.Namespace:
+    """The request: the parsed command line, its counts checked, then --at,
+    --box and --pair parsed in place (--pair made 0-based)."""
+    config = build_parser().parse_args(argv)
+    for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
+        if getattr(config, name) < least:
+            raise SpecError(f"--{name} must be at least {least}")
     for name, parse in (("at", _parse_point), ("box", _parse_box),
                         ("pair", _parse_pair)):
-        if fields[name] is not None:
-            fields[name] = parse(fields[name])
-    return RunConfig(**fields)
+        if getattr(config, name) is not None:
+            setattr(config, name, parse(getattr(config, name)))
+    return config
 
 
 def main(argv=None) -> int:
     """Write the report to stdout one table block at a time, then flush the
     process's own stdout; a failed write is one line on stderr, status 1."""
-    status, chunks = _report(None, argv)
+    status, chunks = _report(argv)
     try:
         sys.stdout.writelines(chunks)
         print(flush=sys.stdout is sys.__stdout__)  # a caller's stream: its close
@@ -438,11 +408,3 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{TOOL}: cannot write the report: {exc}\n")
         return 1
     return status
-
-
-def entrypoint() -> None:
-    """The ``prodgeo`` command: ``main``, then a frozen heap, so that the
-    collections at interpreter shutdown skip what the imports left."""
-    status = main()
-    gc.freeze()
-    raise SystemExit(status)

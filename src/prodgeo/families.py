@@ -109,9 +109,9 @@ class ScalarFn:
             raise DomainError(message)
         c, s = self.coefficient, self.shift
         if self.form == FORM_POWER:
-            p = self.exponent
-            return (c * x ** p + s, c * p * x ** (p - 1.0),
-                    c * p * (p - 1.0) * x ** (p - 2.0))
+            p = self.exponent  # u^1: c*1*0 signed as u, as u**-1 overflows
+            return (c * x ** p + s, c * p * x ** (p - 1.0), c * p * (p - 1.0)
+                    * (np.sign(x) if p == 1.0 else x ** (p - 2.0)))
         if self.form == FORM_LOG:
             return c * np.log(x) + s, c / x, -c / (x * x)
         if self.form == FORM_EXP:
@@ -125,7 +125,7 @@ class ScalarFn:
         if self.form == FORM_LOG:
             return x <= 0.0, "log form needs a positive argument"
         p = self.exponent
-        if self.form != FORM_POWER or (p >= 2 and p.is_integer()):
+        if self.form != FORM_POWER or (p >= 1 and p.is_integer()):
             return None, ""
         if p.is_integer():
             return x == 0.0, "power form undefined at zero"
@@ -424,8 +424,7 @@ def _validate_quasi_sum_on_box(spec: QuasiSumSpec, box) -> None:
             raise SpecError(f"inner component {i} is not strictly monotone "
                             f"at x={ends[bad.argmax()]!r}")
         lo_sum, hi_sum = lo_sum + min(v), hi_sum + max(v)
-    inside = lo_sum < 0.0 < hi_sum and spec.outer.exponent != 1.0
-    zero = [(0.0,)] if inside else []
+    zero = [(0.0,)] if lo_sum < 0.0 < hi_sum else []
     for us in map(np.array, [(lo_sum, hi_sum), *zero]):
         outside = spec.outer._outside(us)[0]
         if outside is not None and outside.any():

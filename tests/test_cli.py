@@ -1,7 +1,6 @@
 """Command-line interface: reports, envelopes, rendering, exit codes."""
 
 import argparse
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -28,7 +27,7 @@ from prodgeo import (
 )
 from prodgeo import sampling, writer
 from prodgeo.cli import (
-    RunConfig, _flatten, _leaf, _render, _to_json, build_parser, main, run,
+    _flatten, _leaf, _render, _to_json, build_parser, main, parse_config, run,
 )
 from prodgeo.elasticity import hicks_values
 from prodgeo.errors import DomainError
@@ -78,14 +77,19 @@ def mixed_doc(tmp_path):
     })
 
 
-def run_json(config):
-    status, text = run(config)
+def run_json(argv):
+    status, text = run(argv)
     return status, json.loads(text)
+
+
+def _box(box):
+    """The --box text of per-axis (lo, hi) bounds."""
+    return ",".join(f"{lo!r}:{hi!r}" for lo, hi in box)
 
 
 def _json(value):
     """The JSON text ``_render`` writes for ``value``, its tables included."""
-    return "".join(_render(RunConfig("scan", "fn.json"), value))
+    return "".join(_render(parse_config(["scan", "--fn", "fn.json"]), value))
 
 
 def one_record(text):
@@ -98,7 +102,7 @@ def one_record(text):
 
 
 def test_eval_reports_the_jet(cd_doc):
-    status, env = run_json(RunConfig("eval", cd_doc, at=(4.0, 9.0)))
+    status, env = run_json(["eval", "--fn", cd_doc, "--at", "4.0,9.0"])
     assert status == 0
     assert env["report"]["value"] == pytest.approx(6.0)
     assert len(env["report"]["gradient"]) == 2
@@ -117,14 +121,14 @@ def test_reports_carry_only_tolerances_the_library_reads():
 
 
 def test_curvature_vanishes_on_the_root_product(cd_doc):
-    status, env = run_json(RunConfig("curvature", cd_doc, at=(2.0, 8.0)))
+    status, env = run_json(["curvature", "--fn", cd_doc, "--at", "2.0,8.0"])
     assert status == 0
     assert abs(env["report"]["gauss_kronecker"]) <= 1e-12
     assert env["report"]["value"] == pytest.approx(4.0)
 
 
 def test_elasticity_point_mode(acms_doc):
-    status, env = run_json(RunConfig("elasticity", acms_doc, at=(1.0, 1.0)))
+    status, env = run_json(["elasticity", "--fn", acms_doc, "--at", "1.0,1.0"])
     assert status == 0
     report = env["report"]
     assert report["mode"] == "point"
@@ -145,11 +149,11 @@ def test_elasticity_point_mode(acms_doc):
 ], ids=["acms", "affine-quasi-sum", "ratio"])
 def test_elasticity_point_pair_keeps_its_order(tmp_path, doc, kind):
     path = write_doc(tmp_path, "fn.json", doc)
-    at = (1.3, 0.7, 1.1) if doc["type"] == "acms" else (1.3, 0.7)
+    at = "1.3,0.7,1.1" if doc["type"] == "acms" else "1.3,0.7"
     pairs = []
-    for pair in ((1, 0), (0, 1), None):
-        status, env = run_json(RunConfig("elasticity", path, at=at,
-                                         pair=pair))
+    for pair in (["--pair", "2,1"], ["--pair", "1,2"], []):
+        status, env = run_json(["elasticity", "--fn", path, "--at", at,
+                                *pair])
         assert status == 0
         pairs.append(env["report"]["pairs"])
     swapped, ordered, every = pairs
@@ -160,7 +164,7 @@ def test_elasticity_point_pair_keeps_its_order(tmp_path, doc, kind):
 
 
 def test_elasticity_box_mode(acms_doc):
-    status, env = run_json(RunConfig("elasticity", acms_doc, samples=16))
+    status, env = run_json(["elasticity", "--fn", acms_doc, "--samples", "16"])
     assert status == 0
     report = env["report"]
     assert report["mode"] == "box"
@@ -177,22 +181,22 @@ def test_classify_command(tmp_path):
         "inner": [{"form": "power", "coefficient": 2.0, "exponent": 0.5},
                   {"form": "power", "coefficient": 3.0, "exponent": 0.5}],
     })
-    status, env = run_json(RunConfig("classify", doc, samples=32))
+    status, env = run_json(["classify", "--fn", doc, "--samples", "32"])
     assert status == 0
     assert env["report"]["case"] == "HomotheticACMS"
     assert env["report"]["sigma"] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_classify_serializes_infinite_residuals(mixed_doc):
-    status, env = run_json(RunConfig("classify", mixed_doc, samples=16))
+    status, env = run_json(["classify", "--fn", mixed_doc, "--samples", "16"])
     assert status == 0
     assert env["report"]["case"] == "NotCES"
     assert env["report"]["residuals"]["ces"] == "inf"
 
 
 def test_verify_flatness_failure_is_still_exit_zero(cd3_doc):
-    config = RunConfig("verify", cd3_doc, theorem="4.2", samples=16)
-    status, env = run_json(config)
+    status, env = run_json(["verify", "--fn", cd3_doc, "--theorem", "4.2",
+                            "--samples", "16"])
     assert status == 0
     assert env["report"]["verdict"] == "Inconsistent"
     assert env["report"]["per_point_data"]
@@ -207,8 +211,8 @@ def test_flatness_reads_the_cancellation_of_the_minors(tmp_path, box):
     # inputs the one minor is det Hess, so 4.2 reads 4.1's statistic.
     doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
                                           "gamma": 1.0, "alpha": [0.3, 0.3]})
-    reports = {theorem: run_json(RunConfig("verify", doc, box=box,
-                                           theorem=theorem))[1]["report"]
+    reports = {theorem: run_json(["verify", "--fn", doc, "--box", _box(box),
+                                  "--theorem", theorem])[1]["report"]
                for theorem in ("4.1", "4.2")}
     for report in reports.values():
         assert (report["verdict"], report["hypothesis_holds"]) == \
@@ -219,8 +223,8 @@ def test_flatness_reads_the_cancellation_of_the_minors(tmp_path, box):
 
 
 def test_verify_consistent_curvature(acms_doc):
-    status, env = run_json(RunConfig("verify", acms_doc, theorem="4.1",
-                                     samples=16))
+    status, env = run_json(["verify", "--fn", acms_doc, "--theorem", "4.1",
+                            "--samples", "16"])
     assert status == 0
     assert env["report"]["verdict"] == "Consistent"
 
@@ -486,7 +490,7 @@ def test_near_opposite_inners_read_their_normal_form(tmp_path, capsys, inner,
         "array-type"])
 def test_loosely_typed_fields_are_bad_requests(tmp_path, doc):
     path = write_doc(tmp_path, "loose.json", doc)
-    status, text = run(RunConfig("eval", path, at=(1.0, 1.0)))
+    status, text = run(["eval", "--fn", path, "--at", "1.0,1.0"])
     assert status == 1
     assert "\n" not in text
     assert json.loads(text)["error"]["type"] == "SpecError"
@@ -499,12 +503,12 @@ def test_elasticity_and_classification_ignore_the_output_scale(tmp_path,
     # elasticity identity leave the float range at these gammas.
     doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
                                           "gamma": gamma, "alpha": [0.5, 0.5]})
-    status, env = run_json(RunConfig("elasticity", doc, at=(1.5, 0.7)))
+    status, env = run_json(["elasticity", "--fn", doc, "--at", "1.5,0.7"])
     assert status == 0
     pair = env["report"]["pairs"]["1,2"]
     assert pair["kind"] == "finite"
     assert pair["value"] == pytest.approx(1.0, abs=1e-15)
-    status, env = run_json(RunConfig("classify", doc))
+    status, env = run_json(["classify", "--fn", doc])
     assert status == 0
     assert env["report"]["case"] == "HomotheticCobbDouglas"
     assert env["report"]["sigma"] == 1.0
@@ -518,17 +522,18 @@ def test_elasticity_and_classification_ignore_the_marginal_product_ratio(
     # output scaling alone.
     doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
                                           "gamma": 1.0, "alpha": [0.5, 0.5]})
-    box = ((1.0 / bound, bound),) * 2
-    status, env = run_json(RunConfig("elasticity", doc, box=box))
+    box = _box(((1.0 / bound, bound),) * 2)
+    status, env = run_json(["elasticity", "--fn", doc, "--box", box])
     assert status == 0
     report = env["report"]
     assert (report["verdict"], report["infinite_pairs"],
             report["degenerate_pairs"]) == ("RegularCES", 0, 0)
     assert report["sigma_estimate"] == pytest.approx(1.0, abs=1e-12)
-    status, env = run_json(RunConfig("classify", doc, box=box))
+    status, env = run_json(["classify", "--fn", doc, "--box", box])
     assert status == 0
     assert env["report"]["case"] == "HomotheticCobbDouglas"
-    status, env = run_json(RunConfig("verify", doc, box=box, theorem="1.1"))
+    status, env = run_json(["verify", "--fn", doc, "--box", box,
+                            "--theorem", "1.1"])
     assert status == 0
     assert env["report"]["verdict"] == "Consistent"
 
@@ -540,8 +545,8 @@ def test_curvature_verdicts_hold_where_hessian_entries_pass_1e154(tmp_path,
     # although |Hess| and every reported quantity are representable.
     doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas",
                                           "gamma": 1.0, "alpha": [0.5, 0.5]})
-    box = ((1e-100, 1e100),) * 2
-    status, text = run(RunConfig("verify", doc, box=box, theorem=theorem))
+    status, text = run(["verify", "--fn", doc, "--box",
+                        "1e-100:1e+100,1e-100:1e+100", "--theorem", theorem])
     assert status == 0
     assert json.loads(text)["report"]["verdict"] == "Consistent"
     assert not any(word in text for word in ('"inf"', '"-inf"', '"nan"'))
@@ -741,15 +746,15 @@ def test_a_deeply_nested_document_is_a_bad_request(tmp_path, capsys):
 
 
 def test_verify_requires_theorem(acms_doc):
-    status, payload = run_json(RunConfig("verify", acms_doc))
+    status, payload = run_json(["verify", "--fn", acms_doc])
     assert status == 1
     assert payload["error"]["type"] == "SpecError"
 
 
 def test_verify_refuses_a_varying_elasticity(mixed_doc):
     for out in ("json", "csv"):
-        status, text = run(RunConfig("verify", mixed_doc, theorem="4.1",
-                                     samples=16, out=out))
+        status, text = run(["verify", "--fn", mixed_doc, "--theorem", "4.1",
+                            "--samples", "16", "--out", out])
         assert status == 2
         payload = json.loads(text)  # errors are JSON whatever --out says
         assert payload["error"]["type"] == "HypothesisError"
@@ -759,7 +764,8 @@ def test_verify_refuses_a_varying_elasticity(mixed_doc):
 
 
 def test_scan_csv_layout(acms_doc):
-    status, text = run(RunConfig("scan", acms_doc, samples=9, out="csv"))
+    status, text = run(["scan", "--fn", acms_doc, "--samples", "9",
+                        "--out", "csv"])
     assert status == 0
     lines = text.splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
@@ -776,22 +782,22 @@ def test_scan_csv_layout(acms_doc):
 
 
 def test_scan_pair_override(cd3_doc):
-    status, text = run(RunConfig("scan", cd3_doc, samples=8, out="csv",
-                                 pair=(0, 2)))
+    status, text = run(["scan", "--fn", cd3_doc, "--samples", "8",
+                        "--out", "csv", "--pair", "1,3"])
     assert status == 0
     header = next(ln for ln in text.splitlines() if not ln.startswith("#"))
     assert header.endswith(",H13")
-    status, env = run_json(RunConfig("scan", cd3_doc, samples=8,
-                                     pair=(0, 2)))
+    status, env = run_json(["scan", "--fn", cd3_doc, "--samples", "8",
+                            "--pair", "1,3"])
     assert env["pair"] == [1, 3]
     assert env["report"]["points_per_axis"] == 2
 
 
 def test_scan_output_is_independent_of_parallelism(acms_doc):
-    serial = run(RunConfig("scan", acms_doc, samples=25, out="csv"))
-    again = run(RunConfig("scan", acms_doc, samples=25, out="csv"))
-    parallel = run(RunConfig("scan", acms_doc, samples=25, out="csv",
-                             jobs=4))
+    argv = ["scan", "--fn", acms_doc, "--samples", "25", "--out", "csv"]
+    serial = run(argv)
+    again = run(argv)
+    parallel = run([*argv, "--jobs", "4"])
     assert serial == again == parallel
 
 
@@ -865,7 +871,9 @@ def test_the_blocked_scan_is_the_whole_grid_pass(monkeypatch, tmp_path, doc,
         monkeypatch.setattr(writer, "_BLOCK_ROWS", block)
         monkeypatch.setattr(sampling, "log_grid", lambda *args: grid)
         seen.clear()
-        status, text = run(RunConfig("scan", path, box=box, samples=samples))
+        box_arg = [] if box is None else ["--box", _box(box)]
+        status, text = run(["scan", "--fn", path, *box_arg,
+                            "--samples", str(samples)])
         if isinstance(want, str):  # the error record, byte for byte
             assert (status, text) == (2, want), (block, samples, rows)
             continue
@@ -892,8 +900,8 @@ def test_the_precedence_cases_fail_in_both_stages():
 
 
 def test_csv_key_value_mode(cd_doc):
-    status, text = run(RunConfig("curvature", cd_doc, at=(2.0, 8.0),
-                                 out="csv"))
+    status, text = run(["curvature", "--fn", cd_doc, "--at", "2.0,8.0",
+                        "--out", "csv"])
     assert status == 0
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "key,value"
@@ -903,10 +911,10 @@ def test_csv_key_value_mode(cd_doc):
 
 
 def test_verify_csv_flattens_every_per_point_record(acms_doc):
-    config = RunConfig("verify", acms_doc, theorem="4.1", samples=16)
-    status, env = run_json(config)
+    argv = ["verify", "--fn", acms_doc, "--theorem", "4.1", "--samples", "16"]
+    status, env = run_json(argv)
     assert status == 0
-    status, text = run(dataclasses.replace(config, out="csv"))
+    status, text = run([*argv, "--out", "csv"])
     assert status == 0
     want = []
     _flatten(env["report"]["per_point_data"], "per_point_data", want, [])
@@ -924,7 +932,8 @@ NON_FINITE = [math.inf, -math.inf, math.nan]
 def _csv(command, report):
     """The CSV text ``_render`` writes for ``report`` in an empty envelope."""
     env = {"tolerances": {}, "report": report}
-    return "".join(_render(RunConfig(command, "fn.json", out="csv"), env))
+    config = parse_config([command, "--fn", "fn.json", "--out", "csv"])
+    return "".join(_render(config, env))
 
 
 def _records(shape, rows, non_finite):
@@ -1183,23 +1192,23 @@ def test_the_longest_texts_fill_a_24_byte_cell():
 
 def test_error_exit_codes(tmp_path, cd_doc):
     missing = str(tmp_path / "nope.json")
-    assert run(RunConfig("eval", missing, at=(1.0, 1.0)))[0] == 1
+    assert run(["eval", "--fn", missing, "--at", "1.0,1.0"])[0] == 1
 
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
-    assert run(RunConfig("eval", str(garbled), at=(1.0, 1.0)))[0] == 1
+    assert run(["eval", "--fn", str(garbled), "--at", "1.0,1.0"])[0] == 1
 
     extra = write_doc(tmp_path, "extra.json",
                       {"type": "cobb_douglas", "gamma": 1.0,
                        "alpha": [0.5, 0.5], "note": "hi"})
-    assert run(RunConfig("eval", extra, at=(1.0, 1.0)))[0] == 1
+    assert run(["eval", "--fn", extra, "--at", "1.0,1.0"])[0] == 1
 
-    assert run(RunConfig("eval", cd_doc, at=(1.0, 1.0, 1.0)))[0] == 1
-    assert run(RunConfig("eval", cd_doc, at=(1.0, -1.0)))[0] == 1
-    assert run(RunConfig("eval", cd_doc))[0] == 1
-    for pair in ((0, 0), (0, 2)):  # the same input twice, and no input 3
-        assert run(RunConfig("elasticity", cd_doc, at=(1.0, 1.0),
-                             pair=pair))[0] == 1
+    assert run(["eval", "--fn", cd_doc, "--at", "1.0,1.0,1.0"])[0] == 1
+    assert run(["eval", "--fn", cd_doc, "--at", "1.0,-1.0"])[0] == 1
+    assert run(["eval", "--fn", cd_doc])[0] == 1
+    for pair in ("1,1", "1,3"):  # the same input twice, and no input 3
+        assert run(["elasticity", "--fn", cd_doc, "--at", "1.0,1.0",
+                    "--pair", pair])[0] == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -1326,6 +1335,24 @@ def test_a_linear_outer_is_accepted_over_an_inner_sum_through_zero(
     assert report["hessian"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize("command", ["eval", "curvature"])
+def test_a_linear_outer_is_evaluated_where_the_inner_sum_is_zero(
+        tmp_path, capsys, command):
+    # u^1 at (1.3, 1.3), where x1 + x2 = 2.6 makes u = 0: a line there too.
+    path = write_doc(tmp_path, "linear.json", {
+        "type": "quasi_sum", "inner": [SHIFTED, SHIFTED], "outer": {
+            "form": "power", "coefficient": 1.0, "exponent": 1.0}})
+    status, record = _quiet_main([command, "--fn", path, "--at", "1.3,1.3"],
+                                 capsys)
+    assert status == 0, record
+    report = record["report"]
+    assert report["value"] == 0.0
+    assert report["gradient"] == [1.0, 1.0]
+    assert report["hessian"] == [[0.0, 0.0], [0.0, 0.0]]
+    if command == "curvature":
+        assert report["gauss_kronecker"] == 0.0
+
+
 @pytest.mark.parametrize("argv, n", [
     (["scan", "--samples", "400000000"], 2),
     (["scan", "--samples", "1"], 30),  # 2^30 points: two per axis
@@ -1384,47 +1411,38 @@ def test_one_parser_without_subparsers_is_built_once():
                    for action in parser._actions)
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["fit", "--fn", "{doc}"],
-    ["eval", "--at", "4,9"],
-    ["verify", "--fn", "{doc}", "--theorem", "2.1"],
-    ["scan", "--fn", "{doc}", "--out", "xml"],
-    ["scan", "--fn", "{doc}", "--jobs", "0"],
-    # The same refusals for a RunConfig handed to run().
-    RunConfig("nope", "{doc}"),
-    RunConfig("verify", "{doc}", theorem="9.9"),
-    RunConfig("eval", "{doc}", at=(4.0, 9.0), theorem="9.9"),
-    RunConfig("scan", "{doc}", out="xml"),
-    RunConfig("eval", "{doc}", at=(4.0, 9.0), seed=-1),
-    RunConfig("scan", "{doc}", samples=0),
-    RunConfig("scan", "{doc}", jobs=0),
-    RunConfig("scan", "{doc}", samples="4"),
-    RunConfig("scan", "{doc}", samples=True),
+@pytest.mark.parametrize("entry, argv", [
+    (main, []),
+    (main, ["fit", "--fn", "{doc}"]),
+    (main, ["eval", "--at", "4,9"]),
+    (main, ["verify", "--fn", "{doc}", "--theorem", "2.1"]),
+    (main, ["scan", "--fn", "{doc}", "--out", "xml"]),
+    (main, ["scan", "--fn", "{doc}", "--jobs", "0"]),
+    # The same refusals from run(), the in-memory twin of main().
+    (run, ["nope", "--fn", "{doc}"]),
+    (run, ["verify", "--fn", "{doc}", "--theorem", "9.9"]),
+    (run, ["eval", "--fn", "{doc}", "--at", "4.0,9.0", "--theorem", "9.9"]),
+    (run, ["scan", "--fn", "{doc}", "--out", "xml"]),
+    (run, ["eval", "--fn", "{doc}", "--at", "4.0,9.0", "--seed", "-1"]),
+    (run, ["scan", "--fn", "{doc}", "--samples", "0"]),
+    (run, ["scan", "--fn", "{doc}", "--jobs", "0"]),
+    (run, ["scan", "--fn", "{doc}", "--samples", "4.0"]),
 ], ids=["no-command", "unknown-command", "missing-fn", "bad-theorem",
         "bad-out", "zero-jobs", "run-unknown-command", "run-bad-theorem",
         "run-eval-bad-theorem", "run-bad-out", "run-negative-seed",
-        "run-zero-samples", "run-zero-jobs", "run-text-samples",
-        "run-bool-samples"])
-def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, argv):
-    if isinstance(argv, RunConfig):
-        status, text = run(dataclasses.replace(argv, fn_path=cd_doc))
+        "run-zero-samples", "run-zero-jobs", "run-text-samples"])
+def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, entry, argv):
+    argv = [arg.format(doc=cd_doc) for arg in argv]
+    if entry is run:
+        status, text = run(argv)
         text += "\n"
     else:
-        status = main([arg.format(doc=cd_doc) for arg in argv])
+        status = main(argv)
         out = capsys.readouterr()
         assert out.err == ""
         text = out.out
     assert status == 1
     assert one_record(text)["error"]["type"] == "SpecError"
-
-
-def test_run_takes_numpy_integer_counts(cd_doc):
-    counts = {"samples": 4, "jobs": 1, "seed": 3}
-    numpy_counts = {k: np.int64(v) for k, v in counts.items()}
-    status, text = run(RunConfig("scan", cd_doc, **numpy_counts))
-    assert status == 0
-    assert (status, text) == run(RunConfig("scan", cd_doc, **counts))
 
 
 def test_options_may_come_before_the_command(cd_doc, capsys):
@@ -1500,7 +1518,7 @@ def _streamed(monkeypatch, doc, argv, rows):
 def test_main_writes_the_text_run_returns(monkeypatch, capsysbinary, cd3_doc,
                                           argv, rows):
     argv = _streamed(monkeypatch, cd3_doc, argv, rows)
-    status, text = run(cli.parse_config(argv))
+    status, text = run(argv)
     assert status == 0
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == (text + "\n").encode()
@@ -1574,7 +1592,7 @@ def test_each_entry_point_writes_what_run_returns(tmp_path, entry, argv,
     doc = write_doc(tmp_path, "cd.json", {"type": "cobb_douglas", "gamma": 1.0,
                                           "alpha": [1e-320, 1.0]})
     argv = [*argv, "--fn", doc]
-    expected = run(cli.parse_config(argv))
+    expected = run(argv)
     assert expected[0] == status
     out, err = _python(*_ENTRY_POINTS[entry], *argv,
                        stdout=subprocess.PIPE).communicate(timeout=120)
@@ -1587,13 +1605,13 @@ def test_a_large_scan_arrives_whole_through_a_pipe(cd_doc):
     child = _python(*_ENTRY_POINTS["module"], *argv, stdout=subprocess.PIPE)
     out, err = child.communicate(timeout=120)
     assert (child.returncode, err) == (0, b"")
-    status, text = run(cli.parse_config(argv))
+    status, text = run(argv)
     assert status == 0
     assert out == (text + "\n").encode()
 
 
 def test_a_request_leaves_no_shutdown_work(cd_doc):
-    # entrypoint freezes the heap before the interpreter exits, so the
+    # The command freezes the heap before the interpreter exits, so the
     # collections at shutdown skip every object.  That is safe while a
     # request registers no atexit callback and starts no thread; if a
     # change adds either, this test fails before the freeze can hide it.

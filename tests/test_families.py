@@ -51,12 +51,34 @@ def test_scalar_fn_domain_guards():
     with pytest.raises(DomainError):
         ScalarFn("power", 1.0, exponent=0.5).derivatives(-1.0)
     with pytest.raises(DomainError):
-        ScalarFn("power", 1.0, exponent=1.0).derivatives(0.0)
+        ScalarFn("power", 1.0, exponent=-1.0).derivatives(0.0)
     with pytest.raises(DomainError):
         ScalarFn("log", 1.0).derivatives(0.0)
-    # Integer exponents >= 2 extend through zero.
+    # Integer exponents >= 1 extend through zero.
+    assert ScalarFn("power", 1.0, exponent=1.0).derivatives(0.0) == \
+        (0.0, 1.0, 0.0)
     assert ScalarFn("power", 1.0, exponent=3.0).derivatives(0.0) == \
         (0.0, 0.0, 0.0)
+
+
+def test_the_second_derivative_of_u_to_the_one_is_a_signed_zero():
+    # c*1*0 times u**-1, which overflows to inf at a subnormal u, was a nan
+    # there; it keeps its bits wherever it was finite.
+    x = np.array([1e-320, -1e-320, 5e-324, 1e-300, 0.5, -3.0, 1e300,
+                  math.inf, -math.inf])
+    for c in (2.5, -2.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, slope, curve = ScalarFn("power", c,
+                                           exponent=1.0).derivatives(x)
+        assert (slope == c).all() and (curve == 0.0).all()
+        with np.errstate(all="ignore"):
+            before = c * 1.0 * 0.0 * x ** -1.0
+        finite = np.isfinite(before)
+        assert finite.sum() == 6
+        assert np.array_equal(curve[finite].view(np.int64),
+                              before[finite].view(np.int64))
+        assert np.array_equal(np.signbit(curve), np.signbit(c * x))
 
 
 def test_scalar_fn_direction():

@@ -4,8 +4,10 @@ no Python warning, writes an error or a JSON report as exactly one JSON
 line, and puts inf or nan only in the report fields documented as possibly
 non-finite.  A CSV report (scan and verify may draw ``--out csv``) has the
 same non-finite fields, and every scan data line has the header's cell
-count.  A quasi-sum document is accepted exactly when jet arithmetic finds
-no fault on dense grids of its box and inner-sum range."""
+count.  Any token list, whatever its command, flags and values, gets status
+0, 1 or 2 from ``run`` and a refusal as one JSON line.  A quasi-sum
+document is accepted exactly when jet arithmetic finds no fault on dense
+grids of its box and inner-sum range."""
 
 import contextlib
 import copy
@@ -16,10 +18,11 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prodgeo import DomainError, ScalarFn, SpecError, expr_from_dict
-from prodgeo.cli import main
+from prodgeo.cli import main, run
 from prodgeo.families import validate_box
 from prodgeo.sampling import MAX_POINTS
 from conftest import scalar_fn_jet, shift_free
@@ -227,6 +230,61 @@ def test_any_document_keeps_the_exit_contract(tmp_path, text, argv):
             assert _documented(report, where, text), where
         if "4.2" in argv:
             _check_minor_cancellation(report, argv, path, text)
+
+
+# -- command lines ------------------------------------------------------------------
+
+COMMANDS = ["eval", "curvature", "elasticity", "classify", "verify", "scan",
+            "fit"]
+# The --fn paths name the files of doc_dir: the BASES and one missing file.
+FLAG_VALUES = {
+    "--fn": [f"{{dir}}/{k}.json" for k in range(len(BASES) + 1)],
+    "--at": ["1,2", "1.5,0.7", "1"],
+    "--box": ["0.5:2,0.5:2", "1e-300:1e300,0.5:2", "1:2"],
+    "--samples": ["4", "16"], "--pair": ["1,2", "2,1"],
+    "--theorem": ["1.1", "4.1", "4.2"], "--out": ["json", "csv"],
+    "--seed": ["7"], "--jobs": ["1", "4"]}
+ODD_VALUES = ["a", "-1", "0", "nan", "1e400", "1:0.5", "1,2,3"]
+
+
+@st.composite
+def command_lines(draw):
+    """Token lists: usually --fn first, then up to seven flags, each with a
+    value of its own, or one in four a malformed or extreme value or none;
+    a command (a bogus one now and then) between them, or no command."""
+    groups = []
+    if draw(st.integers(0, 9)):
+        groups.append(["--fn", draw(st.sampled_from(FLAG_VALUES["--fn"]))])
+    for _ in range(draw(st.integers(0, 7))):
+        flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
+        value = draw(st.sampled_from(FLAG_VALUES[flag])
+                     if draw(st.integers(0, 3)) else
+                     st.sampled_from(ODD_VALUES + [None]))
+        groups.append([flag] if value is None else [flag, value])
+    if draw(st.integers(0, 9)):
+        groups.insert(draw(st.integers(0, len(groups))),
+                      [draw(st.sampled_from(COMMANDS))])
+    return [token for group in groups for token in group]
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    """The fuzzer's documents as numbered files; one number past them has
+    none."""
+    path = tmp_path_factory.mktemp("docs")
+    for k, doc in enumerate(BASES):
+        (path / f"{k}.json").write_text(json.dumps(doc))
+    return path
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(argv=command_lines())
+def test_any_command_line_keeps_the_exit_contract(doc_dir, argv):
+    status, text = run([arg.format(dir=doc_dir) for arg in argv])
+    assert status in (0, 1, 2)
+    if status:
+        assert "\n" not in text
+        assert "error" in json.loads(text)
 
 
 def _check_minor_cancellation(report, argv, path, text):

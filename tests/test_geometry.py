@@ -13,7 +13,7 @@ from prodgeo import (
     build_ratio, graph_geometry,
 )
 from prodgeo import tolerances
-from prodgeo.cli import RunConfig, run
+from prodgeo.cli import run
 from prodgeo.families import hessian_det_terms, hessian_factors
 from prodgeo.geometry import (
     _riemann_max, surface_curvatures, theorem_curvatures,
@@ -407,9 +407,9 @@ def test_document_families_never_take_the_generic_determinant(
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(GUARD_DOCS[name]))
     n = 2 if name in ("quasi_sum", "ratio") else 3
-    for config in (dict(command="scan", samples=64),
-                   dict(command="curvature", at=(1.2,) * n),
-                   dict(command="verify", theorem="4.1"),
-                   dict(command="verify", theorem="4.2")):
-        status, text = run(RunConfig(fn_path=str(path), **config))
-        assert status == 0, (config, text)
+    for argv in (["scan", "--samples", "64"],
+                 ["curvature", "--at", ",".join(["1.2"] * n)],
+                 ["verify", "--theorem", "4.1"],
+                 ["verify", "--theorem", "4.2"]):
+        status, text = run([*argv, "--fn", str(path)])
+        assert status == 0, (argv, text)

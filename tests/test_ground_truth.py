@@ -39,7 +39,7 @@ from prodgeo import (
     build_quasi_sum, classify_quasi_sum, detect_ces, verify_theorem_11,
     verify_theorem_41, verify_theorem_42,
 )
-from prodgeo.cli import RunConfig, run
+from prodgeo.cli import run
 from conftest import log_uniform_scalar, make_rng
 
 TWIN_DEGREES = (0.6, 1.5)
@@ -175,11 +175,11 @@ def test_theorem_11_reads_the_constructing_case_across_the_parameter_space():
 
 @pytest.mark.parametrize("doc, box", [
     ({"type": "acms", "gamma": 1, "a": [2.756, 0.132], "rho": -5, "d": 1},
-     None),
+     []),
     ({"type": "acms", "gamma": 1, "a": [3.7905, 4.2383], "rho": -5, "d": 1},
-     ((0.01, 100.0), (0.01, 100.0))),
+     ["--box", "0.01:100.0,0.01:100.0"]),
     ({"type": "cobb_douglas", "gamma": 1, "alpha": [0.9999999, 0.0000001]},
-     None),
+     []),
 ], ids=["acms-default-box", "acms-wide-box", "cobb-douglas-tiny-share"])
 def test_reported_degree_one_cases_read_vanishing_curvature(tmp_path, doc, box):
     # Degree-one documents whose Hessian entries cancel to a few digits:
@@ -187,7 +187,8 @@ def test_reported_degree_one_cases_read_vanishing_curvature(tmp_path, doc, box):
     # VANISHING_CURVATURE_TOL, while the terms of det Hess cancel exactly.
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(doc))
-    status, text = run(RunConfig("verify", str(path), theorem="4.1", box=box))
+    status, text = run(["verify", "--fn", str(path), "--theorem", "4.1",
+                        *box])
     assert status == 0
     report = json.loads(text)["report"]
     assert report["verdict"] == "Consistent"
@@ -282,9 +283,12 @@ def test_reported_near_one_cases(tmp_path, a, rho, d, command, theorem,
     path = tmp_path / "fn.json"
     path.write_text(json.dumps({"type": "acms", "gamma": 1.0, "a": a,
                                 "rho": rho, "d": d}))
-    box = ((0.5, 2.0),) * len(a) if command == "elasticity" else None
-    status, text = run(RunConfig(command, str(path), theorem=theorem,
-                                 samples=samples, box=box))
+    argv = [command, "--fn", str(path), "--samples", str(samples)]
+    if command == "elasticity":
+        argv += ["--box", ",".join(["0.5:2.0"] * len(a))]
+    if theorem is not None:
+        argv += ["--theorem", theorem]
+    status, text = run(argv)
     assert status == 0, text
     report = json.loads(text)["report"]
     if command == "elasticity":

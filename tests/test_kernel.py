@@ -23,7 +23,7 @@ from prodgeo import (
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
-from prodgeo.cli import RunConfig, _leaf, run
+from prodgeo.cli import _leaf, run
 from prodgeo.elasticity import ces_residuals, hicks_values
 from prodgeo.families import PointTable, euler_quotients, index_pairs
 from prodgeo.geometry import theorem_curvatures
@@ -168,10 +168,11 @@ def _close(got, want):
 def test_scan_rows_match_the_point_api(tmp_path, doc):
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(doc))
-    status, text = run(RunConfig("scan", str(path), samples=64))
+    status, text = run(["scan", "--fn", str(path), "--samples", "64"])
     assert status == 0
     report = json.loads(text)["report"]
-    status, text = run(RunConfig("scan", str(path), samples=64, out="csv"))
+    status, text = run(["scan", "--fn", str(path), "--samples", "64",
+                        "--out", "csv"])
     assert status == 0
     csv_rows = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
     expr = expr_from_dict(doc)
@@ -209,18 +210,17 @@ OVERFLOW_ACMS = {"type": "acms", "gamma": 1.0, "a": [1.0, 1.0],
                  "rho": 0.5, "d": 1e308}
 
 
-@pytest.mark.parametrize("doc, config", [
-    (OVERFLOW_CD, dict(command="eval", at=(10.0, 10.0))),
-    (OVERFLOW_CD, dict(command="curvature", at=(10.0, 10.0))),
-    (OVERFLOW_CD, dict(command="scan", box=((5.0, 10.0), (5.0, 10.0)),
-                       samples=4)),
-    (OVERFLOW_ACMS, dict(command="eval", at=(1.0, 1.0))),
+@pytest.mark.parametrize("doc, argv", [
+    (OVERFLOW_CD, ["eval", "--at", "10.0,10.0"]),
+    (OVERFLOW_CD, ["curvature", "--at", "10.0,10.0"]),
+    (OVERFLOW_CD, ["scan", "--box", "5.0:10.0,5.0:10.0", "--samples", "4"]),
+    (OVERFLOW_ACMS, ["eval", "--at", "1.0,1.0"]),
 ], ids=["eval", "curvature", "scan", "degree"])
-def test_overflow_is_a_domain_failure(tmp_path, doc, config):
+def test_overflow_is_a_domain_failure(tmp_path, doc, argv):
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(doc))
     for out in ("json", "csv"):
-        status, text = run(RunConfig(fn_path=str(path), out=out, **config))
+        status, text = run([*argv, "--fn", str(path), "--out", out])
         assert status == 2
         assert "\n" not in text
         assert json.loads(text)["error"]["type"] == "DomainError"
@@ -233,7 +233,8 @@ def test_extreme_but_finite_curvature_is_not_a_false_zero(tmp_path):
         {"type": "cobb_douglas", "gamma": 1, "alpha": [50, 50]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status, text = run(RunConfig("curvature", str(path), at=(10.0, 10.0)))
+        status, text = run(["curvature", "--fn", str(path),
+                            "--at", "10.0,10.0"])
     assert status == 0
     report = json.loads(text)["report"]
     det = np.linalg.det(np.array(report["hessian"]))
@@ -244,8 +245,8 @@ def test_extreme_but_finite_curvature_is_not_a_false_zero(tmp_path):
     # With a third input det Hess itself overflows: a domain failure.
     path.write_text(json.dumps(
         {"type": "cobb_douglas", "gamma": 1, "alpha": [50, 50, 50]}))
-    status, text = run(RunConfig("curvature", str(path),
-                                 at=(10.0, 10.0, 10.0)))
+    status, text = run(["curvature", "--fn", str(path),
+                        "--at", "10.0,10.0,10.0"])
     assert status == 2
     assert json.loads(text)["error"]["type"] == "DomainError"
 
@@ -297,14 +298,13 @@ def test_a_sampled_box_is_evaluated_once(tmp_path, monkeypatch, name):
     path.write_text(json.dumps(COUNT_DOCS[name]))
     # verify 1.1 classifies the quasi-sum rewrite of a Cobb-Douglas, ACMS or
     # ratio document on the document's own point table.
-    for command, theorem in (("verify", "4.1"), ("verify", "4.2"),
-                             ("classify", None), ("elasticity", None),
-                             ("verify", "1.1")):
+    for argv in (["verify", "--theorem", "4.1"],
+                 ["verify", "--theorem", "4.2"], ["classify"], ["elasticity"],
+                 ["verify", "--theorem", "1.1"]):
         calls.clear()
-        status, _ = run(RunConfig(command, str(path), theorem=theorem,
-                                  samples=200))
+        status, _ = run([*argv, "--fn", str(path), "--samples", "200"])
         assert status == 0
-        assert calls == {"_kernel": 1}, (command, theorem)
+        assert calls == {"_kernel": 1}, argv
 
 
 def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
@@ -345,17 +345,16 @@ def test_document_commands_read_tables_not_jets(tmp_path, monkeypatch, name):
     monkeypatch.setattr(FunctionExpr, "_kernel", counted)
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(COUNT_DOCS[name]))
-    at = (1.5,) * expr_from_dict(COUNT_DOCS[name]).n
-    for command, extra in (("eval", {"at": at}), ("elasticity", {"at": at}),
-                           ("curvature", {"at": at}), ("scan", {}),
-                           ("classify", {}), ("verify", {"theorem": "1.1"}),
-                           ("verify", {"theorem": "4.1"}),
-                           ("verify", {"theorem": "4.2"})):
+    at = ["--at", ",".join(["1.5"] * expr_from_dict(COUNT_DOCS[name]).n)]
+    for argv in (["eval", *at], ["elasticity", *at], ["curvature", *at],
+                 ["scan"], ["classify"], ["verify", "--theorem", "1.1"],
+                 ["verify", "--theorem", "4.1"],
+                 ["verify", "--theorem", "4.2"]):
         rows.clear()
-        status, text = run(RunConfig(command, str(path), samples=16, **extra))
-        assert status == 0, (command, extra, text)
-        if "at" in extra:
-            assert rows == [1], (command, rows)
+        status, text = run([*argv, "--fn", str(path), "--samples", "16"])
+        assert status == 0, (argv, text)
+        if "--at" in argv:
+            assert rows == [1], (argv, rows)
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
@@ -370,12 +369,11 @@ def test_batched_commands_never_assemble_the_hessian(tmp_path, monkeypatch,
     monkeypatch.setattr(PointTable, "hessian", property(one_row_only))
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(COUNT_DOCS[name]))
-    for command, extra in (("scan", {}), ("elasticity", {}), ("classify", {}),
-                           ("verify", {"theorem": "1.1"}),
-                           ("verify", {"theorem": "4.1"}),
-                           ("verify", {"theorem": "4.2"})):
-        status, text = run(RunConfig(command, str(path), samples=16, **extra))
-        assert status == 0, (command, extra, text)
+    for argv in (["scan"], ["elasticity"], ["classify"],
+                 ["verify", "--theorem", "1.1"], ["verify", "--theorem", "4.1"],
+                 ["verify", "--theorem", "4.2"]):
+        status, text = run([*argv, "--fn", str(path), "--samples", "16"])
+        assert status == 0, (argv, text)
 
 
 # The sampled-box commands rebuilt the way they ran before the point table:
