@@ -31,6 +31,7 @@ from .errors import DomainError, SpecError
 from .families import PointRecords, expr_from_dict, index_pairs, validate_box
 
 TOOL = "prodgeo"
+_TOLERANCES = tolerances.as_dict()  # a constant of the process
 
 __all__ = ["run", "main"]
 
@@ -126,7 +127,7 @@ def _envelope(config: argparse.Namespace, digest: str, report: dict) -> dict:
     line (--at, --box, --pair, --theorem) are echoed, the others left out."""
     env = {"tool": TOOL, "version": __version__, "command": config.command,
            "digest": digest, "seed": config.seed, "samples": config.samples,
-           "tolerances": tolerances.as_dict(), "report": report}
+           "tolerances": _TOLERANCES, "report": report}
     given = {"at": config.at and list(config.at),
              "box": config.box and [list(axis) for axis in config.box],
              "pair": config.pair and [config.pair[0] + 1, config.pair[1] + 1],
@@ -161,14 +162,32 @@ def _render(config: argparse.Namespace, env: dict):
 def _chunks(parts: list, tables: list):
     yield parts[0]
     for (table, first, sep), part in zip(tables, parts[1:]):
-        from .writer import _table_blocks
-        for k, block in enumerate(_table_blocks(*table)):
+        for k, block in enumerate(_lib("writer")._table_blocks(*table)):
             yield sep if k else first
             yield block
         yield part
 
 
 # -- command implementations ---------------------------------------------------
+
+
+@functools.cache
+def _lib(name: str):
+    """The package module ``name``, imported when a command first calls it
+    (by ``__import__``, which ``-X importtime`` reports)."""
+    __import__(f"{__package__}.{name}")
+    return sys.modules[f"{__package__}.{name}"]
+
+
+@functools.lru_cache(maxsize=64)
+def _expr(raw: bytes, box):
+    """The expression of a document's bytes, validated on ``box``, built once
+    per (bytes, box) in a process; a build that raises is not stored."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise SpecError("function document is nested too deeply") from None
+    return expr_from_dict(doc, box=box)
 
 
 def _check_request(config: argparse.Namespace, n: int) -> None:
@@ -202,48 +221,47 @@ def _cmd_eval(config: argparse.Namespace, expr) -> dict:
 
 
 def _cmd_curvature(config: argparse.Namespace, expr) -> dict:
-    from .geometry import graph_geometry
-    return graph_geometry(expr, config.at)
+    return _lib("geometry").graph_geometry(expr, config.at)
 
 
 def _cmd_elasticity(config: argparse.Namespace, expr) -> dict:
-    from .elasticity import detect_ces, hicks_values, tagged_pairs
+    elasticity = _lib("elasticity")
     if config.at is not None:
         if config.pair is None:
             i, j = index_pairs(expr.n)
         else:  # --pair 2,1 reads H_12 and keeps its key "2,1"
             i, j = np.array([config.pair]).T
-        values = hicks_values(expr.derivatives([config.at]), np.minimum(i, j),
-                              np.maximum(i, j))[0]
+        values = elasticity.hicks_values(expr.derivatives([config.at]),
+                                         np.minimum(i, j), np.maximum(i, j))[0]
         pairs = dict(zip(zip(i.tolist(), j.tolist()), values.tolist()))
         return {"mode": "point", "point": list(config.at),
-                "pairs": tagged_pairs(pairs)}
+                "pairs": elasticity.tagged_pairs(pairs)}
     box = validate_box(config.box, expr.n)
-    return {**detect_ces(expr, box, samples=config.samples, seed=config.seed),
+    return {**elasticity.detect_ces(expr, box, samples=config.samples,
+                                    seed=config.seed),
             "mode": "box", "box": [list(axis) for axis in box]}
 
 
 def _cmd_classify(config: argparse.Namespace, expr) -> dict:
-    from .classify import classify_quasi_sum
-    return classify_quasi_sum(expr, config.box, samples=config.samples,
-                              seed=config.seed)
+    return _lib("classify").classify_quasi_sum(
+        expr, config.box, samples=config.samples, seed=config.seed)
 
 
 def _cmd_verify(config: argparse.Namespace, expr) -> dict:
-    from .classify import verify_theorem_11, verify_theorem_41, verify_theorem_42
-    checker = {"1.1": verify_theorem_11, "4.1": verify_theorem_41,
-               "4.2": verify_theorem_42}[config.theorem]
+    classify = _lib("classify")
+    checker = {"1.1": classify.verify_theorem_11,
+               "4.1": classify.verify_theorem_41,
+               "4.2": classify.verify_theorem_42}[config.theorem]
     return checker(expr, config.box, samples=config.samples, seed=config.seed)
 
 
 def _cmd_scan(config: argparse.Namespace, expr) -> dict:
-    from .elasticity import hicks_values
-    from .geometry import surface_curvatures
-    from .sampling import grid_shape, log_grid
-    from .writer import _BLOCK_ROWS
+    hicks_values = _lib("elasticity").hicks_values
+    surface_curvatures = _lib("geometry").surface_curvatures
+    sampling = _lib("sampling")
     box = validate_box(config.box, expr.n)
     i, j = config.pair or (0, 1)
-    points = log_grid(box, config.samples)
+    points = sampling.log_grid(box, config.samples)
     cells = np.empty((len(points), expr.n + 5))
 
     def fill(rows):
@@ -254,9 +272,10 @@ def _cmd_scan(config: argparse.Namespace, expr) -> dict:
             surface["gauss_kronecker"], surface["flatness_residual"],
             hicks_values(table, min(i, j), max(i, j))])
 
+    step = _lib("writer")._BLOCK_ROWS
     try:  # in blocks, whose temporaries stay in reused memory
-        for start in range(0, len(points), _BLOCK_ROWS):
-            fill(slice(start, start + _BLOCK_ROWS))
+        for start in range(0, len(points), step):
+            fill(slice(start, start + step))
     except DomainError:  # one whole-grid pass names the first stage to fail
         fill(slice(None))
         raise
@@ -264,7 +283,7 @@ def _cmd_scan(config: argparse.Namespace, expr) -> dict:
     columns = [f"x{k + 1}" for k in range(expr.n)]
     columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]
     return {"box": [list(axis) for axis in box], "columns": columns,
-            "points_per_axis": grid_shape(expr.n, config.samples),
+            "points_per_axis": sampling.grid_shape(expr.n, config.samples),
             "rows": PointRecords((("cells", cells.shape[1]),), cells)}
 
 
@@ -289,11 +308,7 @@ def _report(argv) -> tuple:
         with open(config.fn_path, "rb") as handle:
             raw = handle.read()
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except RecursionError:
-            raise SpecError("function document is nested too deeply") from None
-        expr = expr_from_dict(doc, box=config.box)
+        expr = _expr(raw, config.box)
         _check_request(config, expr.n)
         report = _DISPATCH[config.command](config, expr)
         return 0, _render(config, _envelope(config, digest, report))

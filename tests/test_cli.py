@@ -1,6 +1,7 @@
 """Command-line interface: reports, envelopes, rendering, exit codes."""
 
 import argparse
+import copy
 import hashlib
 import importlib
 import io
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -1741,3 +1743,121 @@ def test_only_the_command_line_turns_the_collector_off(cd_doc, start,
     child = _python("-c", code, "eval", "--fn", cd_doc, "--at", "1,2")
     _, err = child.communicate(timeout=120)
     assert (child.returncode, err.decode()) == (0, enabled)
+
+
+# -- the per-process expression cache ----------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The documents ``cli`` builds, from an empty expression cache."""
+    cli._expr.cache_clear()
+    built = []
+
+    def counting(doc, box=None):
+        built.append(doc)
+        return expr_from_dict(doc, box=box)
+
+    monkeypatch.setattr(cli, "expr_from_dict", counting)
+    return built
+
+
+def test_a_second_request_on_the_same_bytes_builds_nothing(tmp_path, builds):
+    doc = write_doc(tmp_path, "cd.json", BASES[0])
+    twin = write_doc(tmp_path, "twin.json", BASES[0])  # same bytes, new path
+    first = run(["eval", "--fn", doc, "--at", "1,2"])
+    assert run(["curvature", "--fn", twin, "--at", "1,2"])[0] == 0
+    assert run(["eval", "--fn", doc, "--at", "1,2"]) == first
+    assert builds == [BASES[0]]
+    assert cli._expr.cache_info().hits == 2
+
+
+def test_a_document_rewritten_in_place_is_built_again(tmp_path, builds):
+    argv = ["eval", "--fn", write_doc(tmp_path, "f.json", BASES[0]),
+            "--at", "1,4"]
+    before = run_json(argv)[1]
+    write_doc(tmp_path, "f.json", {**BASES[0], "gamma": 2.0})
+    after = run_json(argv)[1]
+    assert after["digest"] != before["digest"]
+    assert after["report"]["value"] == 2 * before["report"]["value"] == 4.0
+    assert len(builds) == 2
+
+
+def test_a_cached_quasi_sum_is_validated_again_on_another_box(tmp_path,
+                                                              builds):
+    # log(h1 + h2) with h = log x + 1: the inner sum is positive on the
+    # default box, and reaches -7.2 on 0.01:2.
+    inner = {"form": "log", "coefficient": 1.0, "shift": 1.0}
+    doc = write_doc(tmp_path, "qs.json", {
+        "type": "quasi_sum", "outer": {"form": "log", "coefficient": 1.0},
+        "inner": [inner, inner]})
+    argv = ["classify", "--fn", doc, "--samples", "16"]
+    assert run(argv)[0] == 0
+    assert run(argv)[0] == 0
+    status, record = run_json([*argv, "--box", "0.01:2,0.01:2"])
+    assert status == 1
+    assert record["error"]["type"] == "SpecError"
+    assert record["error"]["message"].startswith(
+        "outer undefined on the inner-sum range")
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.0, 1.0]}),
+    json.dumps({"type": "quasi_sum", "inner": [SHIFTED] * 2, "outer": {
+        "form": "power", "coefficient": -1.0, "exponent": -1.0}}),
+    '{"type": "cobb_douglas",',
+], ids=["refused", "pole-on-the-box", "malformed"])
+def test_a_refused_document_is_refused_again_the_same_way(tmp_path, builds,
+                                                          text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["eval", "--fn", str(path), "--at", "1,2"]
+    first = run(argv)
+    assert first[0] != 0
+    assert run(argv) == first
+    assert len(builds) == (0 if text.endswith(",") else 2)
+    assert cli._expr.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("doc", BASES, ids=[doc["type"] for doc in BASES])
+def test_the_commands_leave_a_cached_expression_unchanged(tmp_path, builds,
+                                                          doc):
+    path = write_doc(tmp_path, "f.json", doc)
+    expr = cli._expr(pathlib.Path(path).read_bytes(), None)
+    params = copy.deepcopy(expr.params)
+    for argv in (["eval", "--at", "1,2"], ["elasticity", "--at", "1,2"],
+                 ["elasticity", "--pair", "2,1"], ["curvature", "--at", "1,2"],
+                 ["classify", "--samples", "16"],
+                 *[["verify", "--theorem", theorem, "--samples", "16"]
+                   for theorem in ("1.1", "4.1", "4.2")],
+                 ["scan", "--samples", "16"]):
+        run([*argv, "--fn", path])
+    assert builds == [doc]
+    assert expr.params == params
+    assert (expr.family, expr.n) == (doc["type"], 2)
+
+
+def test_requests_in_another_order_answer_the_same_bytes(tmp_path, builds):
+    paths = [write_doc(tmp_path, f"{k}.json", doc)
+             for k, doc in enumerate(BASES)]
+    (tmp_path / "bad.json").write_text('{"type": ')
+    requests = [[*argv, "--fn", path] for path in paths for argv in (
+        ["eval", "--at", "1,2"], ["elasticity", "--at", "2,1", "--out", "csv"],
+        ["curvature", "--at", "1.5,0.7"],
+        ["classify", "--samples", "16", "--box", "0.01:2,0.01:2"],
+        ["verify", "--theorem", "4.1", "--samples", "16"],
+        ["elasticity", "--samples", "16"],
+        ["scan", "--samples", "16", "--out", "csv"])]
+    requests += [["eval", "--fn", paths[0], "--at", "1"],
+                 ["eval", "--fn", str(tmp_path / "bad.json"), "--at", "1,2"]]
+    answers = [run(argv) for argv in requests]
+    assert {status for status, _ in answers} == {0, 1, 2}
+    order = list(range(len(requests)))
+    random.Random(28).shuffle(order)
+    again = {k: run(requests[k]) for k in order}
+    assert [again[k] for k in range(len(requests))] == answers
+    # Each document once per box, but the quasi-sum that 0.01:2 refuses is
+    # built on both passes.
+    assert len(builds) == 2 * len(BASES) + 1
+    assert cli._expr.cache_info().currsize == 2 * len(BASES) - 1
