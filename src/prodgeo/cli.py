@@ -12,17 +12,23 @@ Exit status: 0 on success, 1 when the request itself is invalid (unreadable
 or malformed document, bad flags, wrong arity), 2 when the mathematics
 refuses (evaluation outside a domain, degenerate hypothesis, numerical
 failure).  Errors are reported as a machine-readable JSON record on stdout.
+
+Options come before or after the command, as "--opt value" or "--opt=value",
+by name or a unique prefix; the last of a repeated option wins.  --jobs is
+accepted and ignored: scan evaluates its grid in vectorised blocks.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
 import math
 import os
+import re
 import sys
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from .errors import DomainError, SpecError
 from .families import PointRecords, expr_from_dict, index_pairs, validate_box
 
 TOOL = "prodgeo"
-_TOLERANCES = tolerances.as_dict()  # a constant of the process
 
 __all__ = ["run", "main"]
 
@@ -60,7 +65,7 @@ def _leaf(value) -> str:
 @functools.lru_cache(maxsize=256)
 def _json_key(key) -> str:
     """Encoded dict key: a report repeats a few keys on every row."""
-    return json.dumps(str(key))
+    return encode_basestring_ascii(str(key))
 
 
 def _to_json(value, tables=None) -> str:
@@ -80,8 +85,10 @@ def _to_json(value, tables=None) -> str:
         return "[" + ",".join([_to_json(v, tables) for v in value]) + "]"
     if value is None:
         return "null"
+    if kind is _Rendered:
+        return value.text
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if kind is PointRecords:
         row = "{" + ",".join(
             _json_key(name) + (":[" + ",".join("\0" * width) + "]"
@@ -91,6 +98,15 @@ def _to_json(value, tables=None) -> str:
                         _to_json), "", ","))
         return "[\0]"
     return _leaf(value)
+
+
+class _Rendered(dict):
+    """A constant table of the report: ``_to_json`` writes its ``text``,
+    rendered once, and the CSV header reads its entries."""
+
+
+_TOLERANCES = _Rendered(tolerances.as_dict())  # a constant of the process
+_TOLERANCES.text = _to_json(dict(_TOLERANCES))
 
 
 def _cell(value) -> str:
@@ -122,7 +138,7 @@ def _flatten(value, prefix: str, lines: list, tables: list) -> None:
         lines.append(f"{_cell(prefix)},{_cell(value)}")
 
 
-def _envelope(config: argparse.Namespace, digest: str, report: dict) -> dict:
+def _envelope(config: SimpleNamespace, digest: str, report: dict) -> dict:
     """The report in its envelope; the request fields given on the command
     line (--at, --box, --pair, --theorem) are echoed, the others left out."""
     env = {"tool": TOOL, "version": __version__, "command": config.command,
@@ -137,7 +153,7 @@ def _envelope(config: argparse.Namespace, digest: str, report: dict) -> dict:
     return env
 
 
-def _render(config: argparse.Namespace, env: dict):
+def _render(config: SimpleNamespace, env: dict):
     """The report's text as chunks: all but the per-point tables is written
     now, a NUL (in no JSON text or report string) where their blocks go."""
     tables = []
@@ -190,7 +206,7 @@ def _expr(raw: bytes, box):
     return expr_from_dict(doc, box=box)
 
 
-def _check_request(config: argparse.Namespace, n: int) -> None:
+def _check_request(config: SimpleNamespace, n: int) -> None:
     """Check each request field the envelope echoes (--at, --box, --pair)
     against an n-input document, whether or not the command reads it; then
     that the command has the fields it requires (--at for eval and
@@ -213,18 +229,18 @@ def _check_request(config: argparse.Namespace, n: int) -> None:
         raise SpecError("verify requires --theorem")
 
 
-def _cmd_eval(config: argparse.Namespace, expr) -> dict:
+def _cmd_eval(config: SimpleNamespace, expr) -> dict:
     row = expr.derivatives([config.at])
     return {"point": list(config.at), "value": float(row.value[0]),
             "gradient": row.gradient[0].tolist(),
             "hessian": row.hessian[0].tolist()}
 
 
-def _cmd_curvature(config: argparse.Namespace, expr) -> dict:
+def _cmd_curvature(config: SimpleNamespace, expr) -> dict:
     return _lib("geometry").graph_geometry(expr, config.at)
 
 
-def _cmd_elasticity(config: argparse.Namespace, expr) -> dict:
+def _cmd_elasticity(config: SimpleNamespace, expr) -> dict:
     elasticity = _lib("elasticity")
     if config.at is not None:
         if config.pair is None:
@@ -242,12 +258,12 @@ def _cmd_elasticity(config: argparse.Namespace, expr) -> dict:
             "mode": "box", "box": [list(axis) for axis in box]}
 
 
-def _cmd_classify(config: argparse.Namespace, expr) -> dict:
+def _cmd_classify(config: SimpleNamespace, expr) -> dict:
     return _lib("classify").classify_quasi_sum(
         expr, config.box, samples=config.samples, seed=config.seed)
 
 
-def _cmd_verify(config: argparse.Namespace, expr) -> dict:
+def _cmd_verify(config: SimpleNamespace, expr) -> dict:
     classify = _lib("classify")
     checker = {"1.1": classify.verify_theorem_11,
                "4.1": classify.verify_theorem_41,
@@ -255,7 +271,7 @@ def _cmd_verify(config: argparse.Namespace, expr) -> dict:
     return checker(expr, config.box, samples=config.samples, seed=config.seed)
 
 
-def _cmd_scan(config: argparse.Namespace, expr) -> dict:
+def _cmd_scan(config: SimpleNamespace, expr) -> dict:
     hicks_values = _lib("elasticity").hicks_values
     surface_curvatures = _lib("geometry").surface_curvatures
     sampling = _lib("sampling")
@@ -331,11 +347,67 @@ def run(argv) -> tuple:
 # -- argument parsing ----------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as validation errors."""
+# The options: name -> destination, default, and the value's type: int, a
+# tuple of choices, or None for text (parse_config reads --at, --box, --pair).
+_OPTIONS = {
+    "--fn": ("fn_path", None, None),
+    "--at": ("at", None, None),
+    "--box": ("box", None, None),
+    "--samples": ("samples", 100, int),
+    "--pair": ("pair", None, None),
+    "--theorem": ("theorem", None, ("1.1", "4.1", "4.2")),
+    "--out": ("out", "json", ("json", "csv")),
+    "--seed": ("seed", 0, int),
+    "--jobs": ("jobs", 1, int),
+}
+_LONG = ("--help", "--version", *_OPTIONS)  # in an ambiguity's order
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # an argument, not an option
 
-    def error(self, message):
-        raise SpecError(message)
+
+def _option(token: str):
+    """(name, the text after "=" or None) of an option token, (None, None)
+    of an unknown option, None of an argument.  A unique prefix names a long
+    option; "-hTEXT" is -h with TEXT, less the h's that repeat -h."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    head, eq, text = token.partition("=")
+    if token[1] == "-":
+        names = [name for name in _LONG if name.startswith(head)]
+        if len(names) > 1:
+            raise SpecError(f"ambiguous option: {token} could match "
+                            f"{', '.join(names)}")
+        if names:
+            return names[0], text if eq else None
+    elif token.startswith("-h"):
+        if head == "-h" and eq:
+            return "-h", text.lstrip("h") or None if text else ""
+        return "-h", token[2:].lstrip("h") or None
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _value(label: str, kind, text: str):
+    """``text`` as the value of a ``kind`` option (or of the command)."""
+    try:
+        if kind is int:
+            return int(text)
+        if kind is None or text in kind:
+            return text
+        problem = (f"invalid choice: {text!r} "
+                   f"(choose from {', '.join(map(repr, kind))})")
+    except ValueError:
+        problem = f"invalid int value: {text!r}"
+    raise SpecError(f"argument {label}: {problem}")
+
+
+def _help() -> str:
+    """The --help text: a usage line from the option table, then this
+    module's description."""
+    words = [f"{name} " + (dest.upper() if kind in (None, int) else
+                           "{%s}" % ",".join(kind))
+             + ("" if default is None else f"={default}")
+             for name, (dest, default, kind) in _OPTIONS.items()]
+    return (f"usage: {TOOL} {{{','.join(_DISPATCH)}}} {words[0]} "
+            f"[{'] ['.join(words[1:])}] [--version] [-h]\n\n{__doc__ or ''}")
 
 
 def _parse_point(text: str) -> tuple:
@@ -371,36 +443,52 @@ def _parse_pair(text: str) -> tuple:
     return i - 1, j - 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the command line, built once per process: the
-    command is a positional and every option is common to all commands."""
-    parser = _Parser(prog=TOOL,
-                     description=__doc__ and __doc__.splitlines()[0])
-    parser.add_argument("--version", action="version",
-                        version=f"{TOOL} {__version__}")
-    parser.add_argument("command", choices=tuple(_DISPATCH))
-    parser.add_argument("--fn", dest="fn_path", required=True, metavar="PATH",
-                        help="JSON function document")
-    parser.add_argument("--at", metavar="P1,P2,...",
-                        help="evaluation point, comma-separated decimals")
-    parser.add_argument("--box", metavar="LO:HI,...",
-                        help="per-axis bounds, lo:hi per axis")
-    parser.add_argument("--samples", type=int, default=100, metavar="N")
-    parser.add_argument("--pair", metavar="I,J", help="1-based input pair")
-    parser.add_argument("--theorem", choices=("1.1", "4.1", "4.2"))
-    parser.add_argument("--out", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0, metavar="INT")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted and ignored: scan evaluates its "
-                             "grid in one process, in vectorised blocks")
-    return parser
-
-
-def parse_config(argv=None) -> argparse.Namespace:
-    """The request: the parsed command line, its counts checked, then --at,
-    --box and --pair parsed in place (--pair made 0-based)."""
-    config = build_parser().parse_args(argv)
+def parse_config(argv=None) -> SimpleNamespace:
+    """The request: the command line read as argparse reads it, with its
+    refusals, messages and their order (a bad value where its token is read,
+    then the missing arguments, then the unrecognized ones), its counts
+    checked, then --at, --box and --pair parsed in place (--pair made
+    0-based).  --help and --version write to stdout and exit 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)  # then arguments
+    found = [_option(token) if k < cut else None
+             for k, token in enumerate(argv)]
+    values = {"command": None,
+              **{dest: default for dest, default, _ in _OPTIONS.values()}}
+    at, extras, ks = None, [], iter(range(len(argv)))  # at: the command index
+    for k in ks:
+        name, text = found[k] or ("", None)
+        if k == cut:  # a "--" next to the command is part of it
+            if not (at == k - 1 or at is None and k + 1 < len(argv)):
+                extras.append("--")
+        elif name == "" and at is None:
+            at = k
+            values["command"] = _value("command", tuple(_DISPATCH), argv[k])
+        elif not name:  # a second argument or an unknown option
+            extras.append(argv[k])
+        elif name not in _OPTIONS:  # -h, --help or --version
+            if text is not None:
+                label = "--version" if name == "--version" else "-h/--help"
+                raise SpecError(
+                    f"argument {label}: ignored explicit argument {text!r}")
+            sys.stdout.write(f"{TOOL} {__version__}\n"
+                             if name == "--version" else _help())
+            raise SystemExit(0)
+        else:
+            if text is None:
+                if k + 1 in (cut, len(argv)) or found[k + 1]:
+                    raise SpecError(f"argument {name}: expected one argument")
+                text = argv[next(ks)]
+            values[_OPTIONS[name][0]] = _value(name, _OPTIONS[name][2], text)
+    missing = [name for name, value in (("command", values["command"]),
+                                        ("--fn", values["fn_path"]))
+               if value is None]
+    if missing:
+        raise SpecError("the following arguments are required: "
+                        + ", ".join(missing))
+    if extras:
+        raise SpecError("unrecognized arguments: " + " ".join(extras))
+    config = SimpleNamespace(**values)
     for name, least in (("samples", 1), ("jobs", 1), ("seed", 0)):
         if getattr(config, name) < least:
             raise SpecError(f"--{name} must be at least {least}")

@@ -1,6 +1,5 @@
 """Command-line interface: reports, envelopes, rendering, exit codes."""
 
-import argparse
 import copy
 import hashlib
 import importlib
@@ -29,7 +28,7 @@ from prodgeo import (
 )
 from prodgeo import sampling, writer
 from prodgeo.cli import (
-    _flatten, _leaf, _render, _to_json, build_parser, main, parse_config, run,
+    _flatten, _leaf, _render, _to_json, main, parse_config, run,
 )
 from prodgeo.elasticity import hicks_values
 from prodgeo.errors import DomainError
@@ -120,6 +119,27 @@ def test_reports_carry_only_tolerances_the_library_reads():
     # tests/test_source.py checks that the library reads each one.
     library = {name for name in vars(tolerances) if name.isupper()}
     assert library.isdisjoint(name for name in vars(gates) if name.isupper())
+
+
+def test_the_tolerance_table_keeps_its_bytes_across_requests(cd_doc):
+    # The table's JSON text is rendered once per process; the CSV lines per
+    # request.  A caller's copy from as_dict() is its own.
+    table = tolerances.as_dict()
+    assert tolerances.as_dict() is not table
+    table.clear()
+    table = sorted(tolerances.as_dict().items())
+    assert len(table) == 6
+    want_json = '"tolerances":{' + ",".join(
+        f'"{name}":{_leaf(value)}' for name, value in table) + "}"
+    want_csv = [f"# tolerance {name}: {_leaf(value)}" for name, value in table]
+    argv = ["eval", "--fn", cd_doc, "--at", "4,9"]
+    for _ in range(2):
+        status, text = run(argv)
+        assert status == 0 and text.count(want_json) == 1
+        status, text = run([*argv, "--out", "csv"])
+        assert status == 0
+        assert [line for line in text.splitlines()
+                if line.startswith("# tolerance")] == want_csv
 
 
 def test_curvature_vanishes_on_the_root_product(cd_doc):
@@ -262,7 +282,7 @@ def test_each_command_reports_the_library_result(tmp_path, capsys):
 def _assert_plain(value, path):
     """Every leaf of a report is a plain float, int, bool, str or None, or
     a PointRecords table; keys are str."""
-    if type(value) is dict:
+    if type(value) is dict or value is cli._TOLERANCES:  # rendered once
         for key, item in value.items():
             assert type(key) is str, (path, key)
             _assert_plain(item, f"{path}.{key}")
@@ -1406,34 +1426,74 @@ def test_the_euler_gap_is_finite_where_x_dot_grad_f_overflows(
     assert check["euler_degree_gap"] == 3
 
 
-def test_one_parser_without_subparsers_is_built_once():
-    parser = build_parser()
-    assert build_parser() is parser
-    assert not any(isinstance(action, argparse._SubParsersAction)
-                   for action in parser._actions)
+COMMANDS = "'eval', 'elasticity', 'curvature', 'classify', 'verify', 'scan'"
 
 
-@pytest.mark.parametrize("entry, argv", [
-    (main, []),
-    (main, ["fit", "--fn", "{doc}"]),
-    (main, ["eval", "--at", "4,9"]),
-    (main, ["verify", "--fn", "{doc}", "--theorem", "2.1"]),
-    (main, ["scan", "--fn", "{doc}", "--out", "xml"]),
-    (main, ["scan", "--fn", "{doc}", "--jobs", "0"]),
+@pytest.mark.parametrize("entry, argv, message", [
+    (main, [], "the following arguments are required: command, --fn"),
+    (main, ["fit", "--fn", "{doc}"],
+     f"argument command: invalid choice: 'fit' (choose from {COMMANDS})"),
+    (main, ["eval", "--at", "4,9"],
+     "the following arguments are required: --fn"),
+    (main, ["verify", "--fn", "{doc}", "--theorem", "2.1"],
+     "argument --theorem: invalid choice: '2.1' "
+     "(choose from '1.1', '4.1', '4.2')"),
+    (main, ["scan", "--fn", "{doc}", "--out", "xml"],
+     "argument --out: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (main, ["scan", "--fn", "{doc}", "--jobs", "0"],
+     "--jobs must be at least 1"),
     # The same refusals from run(), the in-memory twin of main().
-    (run, ["nope", "--fn", "{doc}"]),
-    (run, ["verify", "--fn", "{doc}", "--theorem", "9.9"]),
-    (run, ["eval", "--fn", "{doc}", "--at", "4.0,9.0", "--theorem", "9.9"]),
-    (run, ["scan", "--fn", "{doc}", "--out", "xml"]),
-    (run, ["eval", "--fn", "{doc}", "--at", "4.0,9.0", "--seed", "-1"]),
-    (run, ["scan", "--fn", "{doc}", "--samples", "0"]),
-    (run, ["scan", "--fn", "{doc}", "--jobs", "0"]),
-    (run, ["scan", "--fn", "{doc}", "--samples", "4.0"]),
+    (run, ["nope", "--fn", "{doc}"],
+     f"argument command: invalid choice: 'nope' (choose from {COMMANDS})"),
+    (run, ["verify", "--fn", "{doc}", "--theorem", "9.9"],
+     "argument --theorem: invalid choice: '9.9' "
+     "(choose from '1.1', '4.1', '4.2')"),
+    (run, ["eval", "--fn", "{doc}", "--at", "4.0,9.0", "--theorem", "9.9"],
+     "argument --theorem: invalid choice: '9.9' "
+     "(choose from '1.1', '4.1', '4.2')"),
+    (run, ["scan", "--fn", "{doc}", "--out", "xml"],
+     "argument --out: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (run, ["eval", "--fn", "{doc}", "--at", "4.0,9.0", "--seed", "-1"],
+     "--seed must be at least 0"),
+    (run, ["scan", "--fn", "{doc}", "--samples", "0"],
+     "--samples must be at least 1"),
+    (run, ["scan", "--fn", "{doc}", "--jobs", "0"],
+     "--jobs must be at least 1"),
+    (run, ["scan", "--fn", "{doc}", "--samples", "4.0"],
+     "argument --samples: invalid int value: '4.0'"),
+    # One row per form of argparse's messages, and their order: a bad value
+    # where its token is read, then what is missing, then what is left over.
+    (run, ["bogus", "--fn", "{doc}"],
+     f"argument command: invalid choice: 'bogus' (choose from {COMMANDS})"),
+    (run, ["scan", "--fn", "{doc}", "--samples", "a"],
+     "argument --samples: invalid int value: 'a'"),
+    (run, ["eval", "--fn", "{doc}", "--at"],
+     "argument --at: expected one argument"),
+    (run, ["eval", "--fn", "{doc}", "--at", "--box", "1:2,1:2"],
+     "argument --at: expected one argument"),
+    (run, ["eval", "--fn", "{doc}", "--at", "-1,1"],
+     "argument --at: expected one argument"),
+    (run, ["eval", "--fn", "{doc}", "--at", "4,9", "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+    (run, ["scan", "--fn", "{doc}", "--s", "3"],
+     "ambiguous option: --s could match --samples, --seed"),
+    (run, ["scan", "--samples", "a", "--bogus"],
+     "argument --samples: invalid int value: 'a'"),
+    (run, ["scan", "--bogus"], "the following arguments are required: --fn"),
+    (run, ["--bogus", "scan", "--samples", "a", "--s", "3"],
+     "ambiguous option: --s could match --samples, --seed"),
+    (run, ["bogus", "--samples", "a"],
+     f"argument command: invalid choice: 'bogus' (choose from {COMMANDS})"),
 ], ids=["no-command", "unknown-command", "missing-fn", "bad-theorem",
         "bad-out", "zero-jobs", "run-unknown-command", "run-bad-theorem",
         "run-eval-bad-theorem", "run-bad-out", "run-negative-seed",
-        "run-zero-samples", "run-zero-jobs", "run-text-samples"])
-def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, entry, argv):
+        "run-zero-samples", "run-zero-jobs", "run-text-samples",
+        "bogus-command", "text-samples", "at-at-the-end", "at-before-box",
+        "at-negative-point", "unrecognized", "ambiguous-prefix",
+        "bad-value-before-unrecognized", "missing-before-unrecognized",
+        "ambiguous-first", "command-first"])
+def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, entry, argv,
+                                              message):
     argv = [arg.format(doc=cd_doc) for arg in argv]
     if entry is run:
         status, text = run(argv)
@@ -1444,7 +1504,45 @@ def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, entry, argv):
         assert out.err == ""
         text = out.out
     assert status == 1
-    assert one_record(text)["error"]["type"] == "SpecError"
+    error = one_record(text)["error"]
+    assert (error["type"], error["message"]) == ("SpecError", message)
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["--sam", "9", "--fn", "{doc}", "scan"],
+     ["scan", "--fn", "{doc}", "--samples", "9"]),
+    (["scan", "--f={doc}", "--samples=9", "--se=2"],
+     ["scan", "--fn", "{doc}", "--samples", "9", "--seed", "2"]),
+    (["eval", "--fn", "{doc}", "--at", "1,1", "--out", "csv", "--at=4,9",
+      "--out", "json"], ["eval", "--fn", "{doc}", "--at", "4,9"]),
+    (["eval", "--fn", "{doc}", "--at", "4,9", "--seed", "-1", "--seed", "3"],
+     ["eval", "--fn", "{doc}", "--at", "4,9", "--seed", "3"]),
+], ids=["prefix", "equals", "last-wins", "negative-then-valid"])
+def test_the_command_line_grammar_of_argparse(cd_doc, argv, same):
+    argv, same = ([arg.format(doc=cd_doc) for arg in line]
+                  for line in (argv, same))
+    status, text = run(argv)
+    assert status == 0
+    assert (status, text) == run(same)
+
+
+@pytest.mark.parametrize("flag", ["--version", "--vers", "-h", "--help",
+                                  "--he", "-hh"])
+def test_help_and_version_print_and_exit_zero(cd_doc, capsys, flag):
+    # Reached before the refusal of the bad value after them.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--fn", cd_doc, flag, "--samples", "a"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if "v" in flag:
+        assert out.out == f"prodgeo {cli.__version__}\n"
+        return
+    for name in ("eval", "elasticity", "curvature", "classify", "verify",
+                 "scan", "--fn", "--at", "--box", "--samples", "--pair",
+                 "--theorem", "--out", "--seed", "--jobs", "--version",
+                 "-h"):
+        assert name in out.out
 
 
 def test_options_may_come_before_the_command(cd_doc, capsys):

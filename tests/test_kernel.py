@@ -258,6 +258,13 @@ def test_importing_the_package_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_the_command_line_module_does_not_load_argparse():
+    code = "import prodgeo.cli, sys; assert 'argparse' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 # -- one point table per sampled box -------------------------------------------
 
 COUNT_DOCS = {

@@ -7,7 +7,12 @@ Usage: python tools/same_bytes.py PARENT_SRC CHANGE_SRC [--seeds 1 2 3]
 PARENT_SRC and CHANGE_SRC are directories that hold the ``prodgeo`` package,
 such as the ``src`` of two checkouts.  The tool builds the plan of every
 workload of ``perfbench/workloads.py`` at each seed, its documents in one
-temporary directory, and answers each request and contract probe through
+temporary directory.  To these it adds, at each seed, ``FUZZ_LINES`` token
+lists drawn with ``random.Random(seed)`` from the command-line grammar of
+``tests/test_fuzz.py`` over the workload documents and one missing file, and
+the requests of ``BOX_LINES`` on a quasi-sum that the default box accepts
+and another box refuses; then, once, the refused and accepted spellings of
+``ODD_LINES``.  It answers each request and contract probe through
 ``prodgeo.cli.main`` in one subprocess per tree.  It compares the exit
 status, stdout and stderr of each request, with the report's ``version``
 field masked, prints the count of identical requests and each argv that
@@ -20,6 +25,7 @@ difference.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import pathlib
@@ -29,9 +35,38 @@ import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
-                       / "perfbench"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
+
+FUZZ_LINES = 500
+# Refusals, one per form of message, and the accepted spellings ({doc} is
+# the BOX_DOC; --help's text is free to change).
+ODD_LINES = [
+    [], ["fit", "--fn", "{doc}"], ["bogus", "--fn", "{doc}"],
+    ["eval", "--at", "4,9"], ["eval", "--fn", "{doc}", "--samples", "a"],
+    ["eval", "--fn", "{doc}", "--at"],
+    ["eval", "--fn", "{doc}", "--at", "--box", "1:2,1:2"],
+    ["eval", "--fn", "{doc}", "--at", "-1,1"],
+    ["eval", "--fn", "{doc}", "--at", "4,9", "--seed", "-1"],
+    ["eval", "--fn", "{doc}", "--at", "4,9", "--bogus", "1"],
+    ["scan", "--fn", "{doc}", "--s", "3"],
+    ["--sam", "9", "--fn", "{doc}", "scan"],
+    ["scan", "--f={doc}", "--samples=9", "--se=2"],
+    ["eval", "--fn", "{doc}", "--at", "1,1", "--out", "csv", "--at=4,9"],
+    ["eval", "--fn", "{doc}", "--", "--at", "4,9"],
+    ["--version"], ["--help"], ["-hx"],
+]
+# log(h1 + h2) with h = log x + 1: the inner sum is positive on the default
+# box and reaches -7.2 on 0.01:2, where the outer is undefined.  A cache that
+# ignores the box answers the second box like the first.
+BOX_DOC = {"type": "quasi_sum", "outer": {"form": "log", "coefficient": 1.0},
+           "inner": [{"form": "log", "coefficient": 1.0, "shift": 1.0}] * 2}
+BOX_LINES = [[command, "--fn", "{doc}", *args, *box]
+             for box in ([], ["--box", "0.01:2,0.01:2"], [])
+             for command, *args in (["classify", "--samples", "16"],
+                                    ["eval", "--at", "1,1"],
+                                    ["elasticity", "--samples", "16"])]
 
 # One child per tree: reads a JSON list of argv, writes one
 # [status, stdout, stderr] record per argv and the prodgeo it imported.
@@ -54,6 +89,44 @@ for argv in requests:
 with open(sys.argv[2], "w") as fh:
     json.dump({"file": cli.__file__, "records": records}, fh)
 """
+
+
+def _fuzz_grammar() -> tuple:
+    """COMMANDS, FLAG_VALUES (without its --fn paths) and ODD_VALUES of
+    ``tests/test_fuzz.py``, read as literals."""
+    found = {}
+    for node in ast.parse((ROOT / "tests" / "test_fuzz.py").read_text()).body:
+        name = isinstance(node, ast.Assign) and getattr(node.targets[0],
+                                                        "id", None)
+        if name in ("COMMANDS", "ODD_VALUES"):
+            found[name] = ast.literal_eval(node.value)
+        elif name == "FLAG_VALUES":
+            found[name] = {ast.literal_eval(key): ast.literal_eval(value)
+                           for key, value in zip(node.value.keys,
+                                                 node.value.values)
+                           if not isinstance(value, ast.ListComp)}
+    return found["COMMANDS"], found["FLAG_VALUES"], found["ODD_VALUES"]
+
+
+def _fuzz_line(rng: random.Random, grammar: tuple, fn_values: list) -> list:
+    """One token list as ``test_fuzz.command_lines`` draws them, a flag
+    spelt in full, by a prefix (at times an ambiguous one) or with "="."""
+    commands, flag_values, odd_values = grammar
+    flag_values = {**flag_values, "--fn": fn_values}
+    groups = []
+    if rng.randrange(10):
+        groups.append(["--fn", rng.choice(fn_values)])
+    for _ in range(rng.randint(0, 7)):
+        flag = rng.choice(sorted(flag_values))
+        value = (rng.choice(flag_values[flag]) if rng.randrange(4) else
+                 rng.choice(odd_values + [None]))
+        if rng.randrange(4) == 0:
+            flag = flag[:rng.randint(3, len(flag))]
+        groups.append([flag] if value is None else [f"{flag}={value}"]
+                      if rng.randrange(4) == 0 else [flag, value])
+    if rng.randrange(10):
+        groups.insert(rng.randint(0, len(groups)), [rng.choice(commands)])
+    return [token for group in groups for token in group]
 
 
 def _answers(src: str, requests: list, order: list, tmp: str) -> dict:
@@ -82,13 +155,28 @@ def main(argv=None) -> int:
                              "shuffled from SEED")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        requests = []
+        requests, grammar = [], _fuzz_grammar()
         for seed in args.seeds:
+            fn_values = set()
             for workload in workloads.WORKLOADS:
                 doc_dir = os.path.join(tmp, f"{workload}-{seed}")
                 os.mkdir(doc_dir)
                 plan = workloads.build(workload, seed, doc_dir)
                 requests += [r["argv"] for r in plan.requests + plan.probes]
+                fn_values.update(os.path.join(doc_dir, name)
+                                 for name in os.listdir(doc_dir))
+            fn_values = [*sorted(fn_values),
+                         os.path.join(tmp, f"missing-{seed}.json")]
+            rng = random.Random(seed)
+            requests += [_fuzz_line(rng, grammar, fn_values)
+                         for _ in range(FUZZ_LINES)]
+            doc = os.path.join(tmp, f"box-{seed}.json")
+            with open(doc, "w") as fh:
+                json.dump(BOX_DOC, fh)
+            requests += [[arg.format(doc=doc) for arg in argv]
+                         for argv in BOX_LINES]
+        requests += [[arg.format(doc=doc) for arg in argv]
+                     for argv in ODD_LINES]
         order = list(range(len(requests)))
         parent = _answers(args.parent_src, requests, order, tmp)
         if args.shuffle is not None:
