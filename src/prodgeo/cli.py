@@ -34,7 +34,8 @@ import numpy as np
 
 from . import __version__, tolerances
 from .errors import DomainError, SpecError
-from .families import PointRecords, expr_from_dict, index_pairs, validate_box
+from .families import (_NOT_FINITE as _KERNEL_NOT_FINITE, PointRecords,
+                       expr_from_dict, index_pairs, validate_box)
 
 TOOL = "prodgeo"
 
@@ -278,23 +279,36 @@ def _cmd_scan(config: SimpleNamespace, expr) -> dict:
     box = validate_box(config.box, expr.n)
     i, j = config.pair or (0, 1)
     points = sampling.log_grid(box, config.samples)
-    cells = np.empty((len(points), expr.n + 5))
+    n, cells = expr.n, np.empty((len(points), expr.n + 5))
 
-    def fill(rows):
-        table = expr.derivatives(points[rows])
-        surface = surface_curvatures(table)
-        cells[rows] = np.column_stack([
-            table.points, table.value, surface["area_factor"],
-            surface["gauss_kronecker"], surface["flatness_residual"],
-            hicks_values(table, min(i, j), max(i, j))])
+    def fill(rows, stages=3):  # the kernel, surface and Hicks columns
+        table, block = expr.derivatives(points[rows]), cells[rows]
+        block[:, :n], block[:, n] = table.points, table.value
+        if stages > 1:
+            surface = surface_curvatures(table)
+            for k, key in enumerate(("area_factor", "gauss_kronecker",
+                                     "flatness_residual")):
+                block[:, n + 1 + k] = surface[key]
+        if stages > 2:
+            block[:, n + 4] = hicks_values(table, min(i, j), max(i, j))
 
     step = _lib("writer")._BLOCK_ROWS
+    blocks = [slice(k, k + step) for k in range(0, len(points), step)]
     try:  # in blocks, whose temporaries stay in reused memory
-        for start in range(0, len(points), step):
-            fill(slice(start, start + step))
-    except DomainError:  # one whole-grid pass names the first stage to fail
-        fill(slice(None))
-        raise
+        for rows in blocks:
+            fill(rows)
+    except DomainError:  # the error of a whole-grid pass: each stage on all
+        # blocks once those before it passed.  On a grid of its validated box
+        # the kernel fails at most one check besides its last, finiteness.
+        for stages in (1, 2, 3):
+            errors = []
+            for rows in blocks:
+                try:
+                    fill(rows, stages)
+                except DomainError as exc:  # not the block's temporaries
+                    errors.append(exc.with_traceback(None))
+            if errors:
+                raise min(errors, key=lambda e: str(e) == _KERNEL_NOT_FINITE)
 
     columns = [f"x{k + 1}" for k in range(expr.n)]
     columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]

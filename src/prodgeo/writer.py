@@ -14,8 +14,9 @@ def _g17_tables() -> tuple:
     """The tables of ``_g17``, built on first use: for k in [-310, 340),
     10^k = c·2^b with c in [1, 2) as c_hi + c_lo from exact integers, and
     the least double >= 10^k; the ASCII of 0..9999 in the low four bytes of
-    a lane and its significant digits; the masks and fixed bytes of a cell
-    per layout and digit count; the exponent bytes of a cell's last lane."""
+    a lane; per group k of four digits, a cell's digit count where it is the
+    last group not 0 (1 for 0); a cell's masks and fixed bytes per layout
+    and digit count; the exponent bytes of a cell's last lane."""
     rows, pow5 = {}, 1
     for k in range(340):  # 10^k = 5^k 2^k and 10^-k = 2^w / 5^k 2^(-k-w)
         w = pow5.bit_length()
@@ -36,7 +37,8 @@ def _g17_tables() -> tuple:
     group = np.arange(10000)[:, np.newaxis]
     quad = np.zeros((10000, 8), np.uint8)
     quad[:, :4] = group // [1000, 100, 10, 1] % 10 + 48
-    sig = np.where(group[:, 0], 4 - (group % [10, 100, 1000] == 0).sum(1), 0)
+    sig = 4 - (group % [10, 100, 1000] == 0).sum(1, dtype=np.uint8)
+    sig = np.where(group[:, 0], np.uint8([[1], [5], [9], [13]]) + sig, 1)
     # Layout e10 + 4 for fixed notation (e10 in [-4, 16]), 21 for scientific.
     # In a template, 1 keeps digit j at byte j + 1 and 2 keeps it moved to
     # j + 2 (j + 6 after "0.000"); other bytes stand as they are.
@@ -106,22 +108,23 @@ def _g17(x: np.ndarray, text) -> np.ndarray:
     for half in (high - top * 10 ** 8, d - high * 10 ** 8):
         group = half // 10 ** 4
         groups += [group, half - group * 10 ** 4]
-    nd = np.ones_like(d)
-    for k, group in enumerate(groups):
-        nd = np.where(group != 0, 1 + 4 * k + sig[group], nd)
+    nd = sig[0][groups[0]]  # the last group that is not 0 counts
+    for k in range(1, 4):
+        np.maximum(nd, sig[k][groups[k]], out=nd)
     high = quad[groups[0]] | quad[groups[1]] << 32
     low = quad[groups[2]] | quad[groups[3]] << 32
     lanes = [lead[top] | high << 16, high >> 48 | low << 16, low >> 48]
     e10 += 300
     mask = np.take(layouts, rows[e10] + nd, axis=1)
     shift, back = mask[9], mask[10]
-    moved = [lanes[0] << shift, lanes[1] << shift | lanes[0] >> back,
-             lanes[2] << shift | lanes[1] >> back]
-    lanes = [lane & mask[k] | move & mask[3 + k] | mask[6 + k]
-             for k, (lane, move) in enumerate(zip(lanes, moved))]
-    lanes[0] |= np.signbit(flat) * np.uint64(45)
-    lanes[2] |= exp[e10]
-    cells = np.stack(lanes, 1).view(np.uint8)
+    out = np.empty((len(flat), 3), "<u8")
+    for k, lane in enumerate(lanes):
+        move = lane << shift | (lanes[k - 1] >> back if k else 0)
+        np.bitwise_or(lane & mask[k], move & mask[3 + k], out=out[:, k])
+        out[:, k] |= mask[6 + k]
+    out[:, 0] |= np.signbit(flat) * np.uint64(45)
+    out[:, 2] |= exp[e10]
+    cells = out.view(np.uint8)
     for i in np.flatnonzero(~(fast | zero) | unsure):
         cells[i] = np.frombuffer(text(float(flat[i])).encode().ljust(24, b"\0"),
                                  np.uint8)
@@ -134,8 +137,11 @@ def _table_blocks(data: np.ndarray, row: str, cols, text):
     one string per 4,096 rows, rendered when asked for, without the last
     row's separator (``row``'s last character).  A distinct value of the
     columns whose first 64 values repeat is written once per table; other
-    cells go to _g17 a few columns of a block at a time."""
-    literals = [np.frombuffer(part.encode(), np.uint8) for part in row.split("\0")]
+    cells go to _g17 a few columns of a block at a time.  Each is copied to
+    its slots in a row buffer that keeps ``row``'s literals while reused."""
+    literals = [part.encode() for part in row.split("\0")]
+    template = bytes(24).join(literals)  # a row with every cell still NUL
+    slot = np.cumsum([len(part) + 24 for part in literals[:-1]]) - 24
     keys = data.view(np.int64)  # keyed by bit pattern: -0.0 and 0.0 apart
     same = [k for k, column in enumerate(keys[:64].T)
             if 2 * len(set(column.tolist())) <= len(column)]
@@ -146,21 +152,23 @@ def _table_blocks(data: np.ndarray, row: str, cols, text):
         distinct = distinct[np.diff(distinct, prepend=~distinct[:1]) != 0]
     written = np.concatenate([np.empty((0, 24), np.uint8)] + [
         _g17(distinct[k:k + _BLOCK_ROWS].view(np.float64), text)
-        for k in range(0, len(distinct), _BLOCK_ROWS)])
+        for k in range(0, len(distinct), _BLOCK_ROWS)]).view("V24")
     buf = bytearray()  # a block's bytes, reused while the blocks are full
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
         n = len(block)
-        cells = dict(zip(same, written[np.searchsorted(
-            distinct, keys[start:start + n, same].T)]))
+        runs = [(same, written[np.searchsorted(  # cells as 24-byte items
+            distinct, keys[start:start + n, same].T)])]
         width = max(1, _BLOCK_ROWS // n)  # columns per _g17 call
         for k in range(0, len(other), width):
             group = other[k:k + width]
-            cells.update(zip(group, _g17(block[:, group].T, text)))
-        parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
-        for col, literal in zip(cols, literals[1:]):
-            parts += [cells[col], np.broadcast_to(literal, (n, len(literal)))]
-        size = n * sum(part.shape[1] for part in parts)
-        buf = buf if len(buf) == size else bytearray(size)
-        np.concatenate(parts, 1, out=np.frombuffer(buf, np.uint8).reshape(n, -1))
+            runs.append((group, _g17(block[:, group].T, text).view("V24")))
+        if len(buf) != n * len(template):  # after _g17: fewer page faults
+            buf = bytearray(n * len(template))
+            table = np.frombuffer(buf, np.uint8).reshape(n, -1)
+            table[:] = np.frombuffer(template, np.uint8)
+        for group, cells in runs:
+            for col, column in zip(group, cells):
+                for at in slot[np.equal(cols, col)]:
+                    table[:, at:at + 24].view("V24")[...] = column
         yield str(memoryview(buf.translate(None, b"\0"))[:-1], "utf-8")

@@ -456,6 +456,42 @@ def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
     assert report["case"] == "NotCES"
 
 
+def test_a_near_degenerate_pair_reads_finite(tmp_path, capsys):
+    """DEGENERACY_EPS from above.  f = exp(-log x1 + (1 + d) log x2) with
+    d = 6e-9: for h = c log x, A = 1/(x h') = 1/c and B = -(h''/h')/h' =
+    1/c, so both Hicks sums are 1/c1 + 1/c2 = -d/(1 + d) over term sizes
+    1 + 1/(1 + d): they cancel to d/(2 + d) = 3.0e-9 of their size, three
+    times DEGENERACY_EPS, and H = 1 up to the rounding that cancellation
+    lifts to about 1e-16/3e-9."""
+    d = 6e-9
+    path = write_doc(tmp_path, "near-degenerate.json", {
+        "type": "quasi_sum", "outer": {"form": "exp", "coefficient": 1.0},
+        "inner": [{"form": "log", "coefficient": -1.0},
+                  {"form": "log", "coefficient": 1.0 + d}]})
+    assert main(["elasticity", "--fn", path, "--at", "1.3,0.7"]) == 0
+    pair = one_record(capsys.readouterr().out)["report"]["pairs"]["1,2"]
+    assert pair["kind"] == "finite"
+    assert abs(pair["value"] - 1.0) < 1e-6
+
+
+def test_a_near_flat_cobb_douglas_leaves_the_hypothesis_undecided(tmp_path,
+                                                                  capsys):
+    """VANISHING_CURVATURE_TOL from above.  For Cobb-Douglas, D_i = -f
+    a_i/x_i^2, c = f and u_i = a_i/x_i, so the terms of det Hess are f^2
+    a1 a2/(x1 x2)^2 times (1, -a1, -a2) at every point: det_cancellation is
+    |1 - a1 - a2| / (1 + a1 + a2) = 6e-10 / 2.0000000006 = 3.0e-10 for a2
+    = 0.5 + 6e-10, three times the vanishing tolerance and far below the
+    clearly-nonzero one, so Theorem 4.1 cannot decide its hypothesis."""
+    alpha = [0.5, 0.5000000006]
+    path = write_doc(tmp_path, "near-flat.json", {
+        "type": "cobb_douglas", "gamma": 1.0, "alpha": alpha})
+    assert main(["verify", "--fn", path, "--theorem", "4.1"]) == 0
+    report = one_record(capsys.readouterr().out)["report"]
+    worst = report["hypothesis_check"]["max_det_cancellation"]
+    assert report["verdict"] == "DegenerateHypothesis"
+    assert abs(worst - 3.0e-10) < 1e-15  # the terms' rounding: about 1e-16
+
+
 def test_an_inner_of_exponent_one_is_refused_by_the_exponent_guard(tmp_path,
                                                                    capsys):
     # Exponents 1 and 1 - 1e-12 on a box of relative width 1e-7: the
@@ -1199,6 +1235,24 @@ def test_repeated_columns_write_each_distinct_cell_once(monkeypatch, rows):
     assert {"0", "-0", "nan"} <= set(got.replace("\n", ",").split(","))
 
 
+def test_a_column_fills_each_of_its_slots_in_every_block(monkeypatch):
+    # As in _flatten's CSV rows, column 0 stands at several slots; the
+    # literals hold a two-byte character, so slots sit at byte offsets.
+    monkeypatch.setattr(writer, "_BLOCK_ROWS", 16)
+    rows = 2 * 16 + 5
+    specials = _specials()
+    data = np.column_stack([
+        np.arange(rows) * 0.5, np.resize(np.repeat([1.5, -0.0, 7e300], 4), rows),
+        np.resize(specials, rows)])
+    row = "\0:µ=\0;\0|\0,c=\0\n"
+    got = "\n".join(_table_blocks(data, row, [0, 1, 0, 2, 0], _leaf))
+    want = []
+    for index, same, other in data.tolist():
+        index, same, other = (format(v, ".17g") for v in (index, same, other))
+        want.append(f"{index}:µ={same};{index}|{other},c={index}")
+    assert got.split("\n") == want
+
+
 def test_the_longest_texts_fill_a_24_byte_cell():
     values = np.array([-2.2250738585072014e-308, -1.7976931348623157e308,
                        -1.2345678901234567e-123, -9.8765432109876543e+299,
@@ -1739,6 +1793,26 @@ def test_a_large_scan_streams_in_bounded_memory(cd_doc):
         _, err = child.communicate(timeout=120)
         assert child.returncode == 0, err.decode()
         assert int(err) < 85 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="peak memory is read from /proc/self/status")
+def test_a_failing_scan_names_its_stage_in_block_sized_memory(tmp_path):
+    # x^150 per axis: the kernel's values are finite on the whole box, but
+    # the surface quantities overflow near its top corner.  Naming that
+    # stage with one whole-grid pass peaked at about 110 MB against 53 MB
+    # for the passing scan of as many points.
+    box = ["--box", ",".join(["1:2.15"] * 4), "--samples", "160000"]
+    peaks = []
+    for alpha in (150.0, 0.25):
+        doc = write_doc(tmp_path, f"cd{alpha}.json", {
+            "type": "cobb_douglas", "gamma": 1.0, "alpha": [alpha] * 4})
+        child = _child("scan", "--fn", doc, *box, stdout=subprocess.PIPE)
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == (2 if alpha > 1 else 0), err.decode()
+        assert (b"surface quantity is not finite" in out) == (alpha > 1)
+        peaks.append(int(err))
+    assert peaks[0] < peaks[1] + 10 * 1024, peaks
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

@@ -342,10 +342,11 @@ def test_closed_forms_agree_with_the_assembled_hessian():
 
 def test_the_largest_minor_is_the_largest_minor_of_the_assembled_matrix():
     # Each closed-form minor takes at most 5 roundings, so it is within
-    # gamma_5 of its largest term sum, and so is the largest of them.
+    # gamma_5 of its largest term sum, and so is the largest of them.  300
+    # columns: _riemann_max takes the running top three from 256 on.
     rng = make_rng(414)
     for n in range(2, 7):
-        count = 60
+        count = 300
         sign = rng.choice([-1.0, 1.0], (3, n, count))
         u, diag = sign[:2] * 10.0 ** rng.uniform(-3.0, 3.0, (2, n, count))
         c = sign[2, 0] * 10.0 ** rng.uniform(-3.0, 3.0, count)
@@ -362,6 +363,25 @@ def test_the_largest_minor_is_the_largest_minor_of_the_assembled_matrix():
             want, size = exact_riemann_max(diag[:, k], c[k], u[:, k])
             assert abs(Fraction(float(got[k])) - want) <= _gamma(5) * size, \
                 (n, k)
+
+
+def test_the_running_top_three_is_the_sort_bit_for_bit():
+    # From 256 columns on _riemann_max selects the three largest |u| by a
+    # running top three, below that by a sort; one column is sorted.
+    rng = make_rng(415)
+    for n in range(3, 7):
+        count = 300
+        u, diag = rng.choice([-1.0, 1.0], (2, n, count)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, (2, n, count))
+        c = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-3.0, 3.0, count)
+        u[1, 0::5] = u[0, 0::5]  # ties, a zero and signed zeros
+        u[-1, 1::5] = -u[0, 1::5]
+        u[:, 2::5] = u[0, 2::5]
+        u[1, 3::5], u[2, 3::5] = 0.0, -0.0
+        got = _riemann_max(diag, c, u)
+        for k in range(count):
+            one = _riemann_max(diag[:, k:k + 1], c[k:k + 1], u[:, k:k + 1])
+            assert got[k:k + 1].view(np.int64) == one.view(np.int64), (n, k)
 
 
 def test_one_point_slices_match_the_batched_surface():
