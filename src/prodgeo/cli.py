@@ -63,12 +63,6 @@ def _leaf(value) -> str:
     raise SpecError(f"cannot serialize {type(value).__name__}")
 
 
-@functools.lru_cache(maxsize=256)
-def _json_key(key) -> str:
-    """Encoded dict key: a report repeats a few keys on every row."""
-    return encode_basestring_ascii(str(key))
-
-
 def _to_json(value, tables=None) -> str:
     """Single-line JSON with sorted keys and leaves written by ``_leaf``.
 
@@ -80,7 +74,8 @@ def _to_json(value, tables=None) -> str:
     if kind is float:
         return _leaf(value) if math.isfinite(value) else f'"{_leaf(value)}"'
     if kind is dict:
-        return "{" + ",".join([_json_key(k) + ":" + _to_json(v, tables)
+        return "{" + ",".join([encode_basestring_ascii(k) + ":"
+                               + _to_json(v, tables)
                                for k, v in sorted(value.items())]) + "}"
     if kind is list or kind is tuple:
         return "[" + ",".join([_to_json(v, tables) for v in value]) + "]"
@@ -92,8 +87,8 @@ def _to_json(value, tables=None) -> str:
         return encode_basestring_ascii(value)
     if kind is PointRecords:
         row = "{" + ",".join(
-            _json_key(name) + (":[" + ",".join("\0" * width) + "]"
-                               if width else ":\0")
+            encode_basestring_ascii(name)
+            + (":[" + ",".join("\0" * width) + "]" if width else ":\0")
             for name, width in value.fields) + "},"
         tables.append(((value.data, row, range(value.data.shape[1]),
                         _to_json), "", ","))
@@ -246,13 +241,11 @@ def _cmd_elasticity(config: SimpleNamespace, expr) -> dict:
     if config.at is not None:
         if config.pair is None:
             i, j = index_pairs(expr.n)
-        else:  # --pair 2,1 reads H_12 and keeps its key "2,1"
+        else:  # --pair 2,1 keeps its key "2,1"
             i, j = np.array([config.pair]).T
-        values = elasticity.hicks_values(expr.derivatives([config.at]),
-                                         np.minimum(i, j), np.maximum(i, j))[0]
-        pairs = dict(zip(zip(i.tolist(), j.tolist()), values.tolist()))
+        values = elasticity.hicks_values(expr.derivatives([config.at]), i, j)
         return {"mode": "point", "point": list(config.at),
-                "pairs": elasticity.tagged_pairs(pairs)}
+                "pairs": elasticity.tagged_pairs(i, j, values[0])}
     box = validate_box(config.box, expr.n)
     return {**elasticity.detect_ces(expr, box, samples=config.samples,
                                     seed=config.seed),
@@ -281,34 +274,30 @@ def _cmd_scan(config: SimpleNamespace, expr) -> dict:
     points = sampling.log_grid(box, config.samples)
     n, cells = expr.n, np.empty((len(points), expr.n + 5))
 
-    def fill(rows, stages=3):  # the kernel, surface and Hicks columns
-        table, block = expr.derivatives(points[rows]), cells[rows]
-        block[:, :n], block[:, n] = table.points, table.value
-        if stages > 1:
+    def fill(rows):  # None, or the (stage, last check, error) of a failure
+        stage = 0  # the kernel, surface and Hicks columns
+        try:
+            table, block = expr.derivatives(points[rows]), cells[rows]
+            block[:, :n], block[:, n] = table.points, table.value
+            stage = 1
             surface = surface_curvatures(table)
             for k, key in enumerate(("area_factor", "gauss_kronecker",
                                      "flatness_residual")):
                 block[:, n + 1 + k] = surface[key]
-        if stages > 2:
-            block[:, n + 4] = hicks_values(table, min(i, j), max(i, j))
+            stage = 2
+            block[:, n + 4] = hicks_values(table, i, j)
+        except DomainError as exc:  # not the block's temporaries
+            return (stage, str(exc) == _KERNEL_NOT_FINITE,
+                    exc.with_traceback(None))
 
+    # In blocks, whose temporaries stay in reused memory, with the error of a
+    # whole-grid pass: the earliest stage's first, where the kernel's last
+    # check, finiteness, comes after the one other a grid of its box can fail.
     step = _lib("writer")._BLOCK_ROWS
-    blocks = [slice(k, k + step) for k in range(0, len(points), step)]
-    try:  # in blocks, whose temporaries stay in reused memory
-        for rows in blocks:
-            fill(rows)
-    except DomainError:  # the error of a whole-grid pass: each stage on all
-        # blocks once those before it passed.  On a grid of its validated box
-        # the kernel fails at most one check besides its last, finiteness.
-        for stages in (1, 2, 3):
-            errors = []
-            for rows in blocks:
-                try:
-                    fill(rows, stages)
-                except DomainError as exc:  # not the block's temporaries
-                    errors.append(exc.with_traceback(None))
-            if errors:
-                raise min(errors, key=lambda e: str(e) == _KERNEL_NOT_FINITE)
+    failures = [failure for k in range(0, len(points), step)
+                if (failure := fill(slice(k, k + step)))]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
 
     columns = [f"x{k + 1}" for k in range(expr.n)]
     columns += ["f", "W", "G", "flatness_residual", f"H{i + 1}{j + 1}"]

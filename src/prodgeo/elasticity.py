@@ -51,25 +51,25 @@ __all__ = [
 ]
 
 
-def _pair_sums(table: PointTable, lo, hi):
-    """H_lo,hi's numerator A_lo + A_hi and denominator B_lo + B_hi at the
-    rows of ``table``, each followed by the sum of its terms' sizes, under
-    the caller's np.errstate.  A = 1/(x h') and B = -(h''/h')/h' are formed
-    once per axis; dividing twice keeps h'^2 from overflowing."""
-    if not (table.gradient[..., lo].all() and table.gradient[..., hi].all()):
+def _pair_sums(table: PointTable, i, j):
+    """H_ij's numerator A_i + A_j and denominator B_i + B_j at the rows of
+    ``table``, each followed by the sum of its terms' sizes, under the
+    caller's np.errstate.  A = 1/(x h') and B = -(h''/h')/h' are formed once
+    per axis; dividing twice keeps h'^2 from overflowing."""
+    if not (table.gradient[..., i].all() and table.gradient[..., j].all()):
         raise DomainError(
             "elasticity undefined where a marginal product vanishes")
     x, (_, _, d1, d2) = table.points, table.factors
     a, b = 1.0 / (x * d1), -(d2 / d1) / d1
-    return [t[..., lo] + t[..., hi] for t in (a, np.abs(a), b, np.abs(b))]
+    return [t[..., i] + t[..., j] for t in (a, np.abs(a), b, np.abs(b))]
 
 
-def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
-    """H_lo,hi (inf if infinite, nan if degenerate) at the rows of
-    ``table``, for index arrays or ints lo < hi."""
+def hicks_values(table: PointTable, i, j) -> np.ndarray:
+    """H_ij (inf if infinite, nan if degenerate) at the rows of ``table``,
+    for index arrays or ints i != j, in either order: the same bits."""
     eps = tolerances.DEGENERACY_EPS
     with np.errstate(all="ignore"):
-        num, num_size, den, den_size = _pair_sums(table, lo, hi)
+        num, num_size, den, den_size = _pair_sums(table, i, j)
         # |sum| <= eps * sum(|terms|) also holds when the sum is exactly 0.
         num_small = np.abs(num) <= eps * num_size
         den_small = np.abs(den) <= eps * den_size
@@ -77,32 +77,32 @@ def hicks_values(table: PointTable, lo, hi) -> np.ndarray:
                         num / den)
 
 
-def tagged_pairs(pair_values: dict) -> dict:
-    """The report map {"i,j": {"kind", "value"}}, keys 1-based, of Hicks
-    values keyed by zero-based pair (i, j): inf is infinite and nan
+def tagged_pairs(i, j, values) -> dict:
+    """The report map {"i,j": {"kind", "value"}}, keys 1-based, of the Hicks
+    ``values`` of the zero-based pairs (i[k], j[k]): inf is infinite and nan
     degenerate, and neither carries a value."""
     out = {}
-    for (i, j), value in pair_values.items():
+    for a, b, value in zip(i.tolist(), j.tolist(), values.tolist()):
         kind = (FINITE if math.isfinite(value)
                 else DEGENERATE if math.isnan(value) else INFINITE)
-        out[f"{i + 1},{j + 1}"] = {
+        out[f"{a + 1},{b + 1}"] = {
             "kind": kind, "value": value if kind == FINITE else None}
     return out
 
 
-def ces_residuals(table: PointTable, sigma: float, lo, hi) -> np.ndarray:
-    """Signed defect of the constant-elasticity identity H_lo,hi = sigma at
-    the rows of ``table``, for index arrays or ints lo < hi.  With H =
-    (A_lo + A_hi) / (B_lo + B_hi), it is B_lo + B_hi - (A_lo + A_hi) / sigma
-    over the sum of its terms' sizes (0 where every term is 0), the measure
-    the degeneracy tags apply to H's sums, and it never divides by B_lo +
-    B_hi.  For the two-input ratio family both sums vanish identically: the
-    defect is rounding noise for every sigma at once."""
+def ces_residuals(table: PointTable, sigma: float, i, j) -> np.ndarray:
+    """Signed defect of the constant-elasticity identity H_ij = sigma at the
+    rows of ``table``, for index arrays or ints i != j in either order.
+    With H = (A_i + A_j) / (B_i + B_j), it is B_i + B_j - (A_i + A_j) /
+    sigma over the sum of its terms' sizes (0 where every term is 0), the
+    measure the degeneracy tags apply to H's sums, and it never divides by
+    B_i + B_j.  For the two-input ratio family both sums vanish identically:
+    the defect is rounding noise for every sigma at once."""
     sigma = float(sigma)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise SpecError("sigma must be finite and nonzero")
     with np.errstate(all="ignore"):
-        num, num_size, den, den_size = _pair_sums(table, lo, hi)
+        num, num_size, den, den_size = _pair_sums(table, i, j)
         size = den_size + num_size / abs(sigma)
         out = (den - num / sigma) / np.where(size, size, 1.0)
     if not np.isfinite(out).all():
@@ -173,10 +173,9 @@ def detect_ces_on(table: PointTable) -> dict:
         verdict = REGULAR_CES
     else:
         verdict = NOT_CES
-    center = dict(zip(zip(lo.tolist(), hi.tolist()), values[0].tolist()))
     return {"verdict": verdict,
             "sigma_estimate": sigma_hat if verdict == REGULAR_CES else None,
             "max_deviation": max_dev,
-            "center_pair_values": tagged_pairs(center),
+            "center_pair_values": tagged_pairs(lo, hi, values[0]),
             "n_points": len(values), "finite_pairs": n_finite,
             "infinite_pairs": infinite, "degenerate_pairs": degenerate}

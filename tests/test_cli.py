@@ -32,7 +32,7 @@ from prodgeo.cli import (
 )
 from prodgeo.elasticity import hicks_values
 from prodgeo.errors import DomainError
-from prodgeo.families import PointRecords, default_box
+from prodgeo.families import FunctionExpr, PointRecords, default_box
 from prodgeo.geometry import surface_curvatures
 from prodgeo.sampling import MAX_POINTS, log_grid
 from prodgeo.writer import _BLOCK_ROWS, _table_blocks
@@ -490,6 +490,47 @@ def test_a_near_flat_cobb_douglas_leaves_the_hypothesis_undecided(tmp_path,
     worst = report["hypothesis_check"]["max_det_cancellation"]
     assert report["verdict"] == "DegenerateHypothesis"
     assert abs(worst - 3.0e-10) < 1e-15  # the terms' rounding: about 1e-16
+
+
+def _power_pair(path, d):
+    """f = x1^0.5 + 2 x2^(0.5 + d), written to ``path``."""
+    return write_doc(path, f"power-pair-{d!r}.json", {
+        "type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1.0},
+        "inner": [{"form": "power", "coefficient": 1.0, "exponent": 0.5},
+                  {"form": "power", "coefficient": 2.0,
+                   "exponent": 0.5 + d}]})
+
+
+def test_a_slowly_varying_elasticity_is_not_ces(tmp_path, capsys):
+    """CES_CONSTANCY_RTOL from above.  For h = c x^p, A = 1/(x h') =
+    1/(c p x^p) and B = -(h''/h')/h' = (1 - p) A, so with A1 = 2/x1^0.5 and
+    A2 = 1/x2^0.5 (to O(d)) H = (A1 + A2) / (A1/2 + (1/2 - d) A2) = 2 / (1 -
+    2 d w), w = A2/(A1 + A2) = 1/(1 + 2 (x2/x1)^0.5).  On the default box
+    [0.5, 2]^2, w runs from 1/5 to 1/2 and is 1/3 at the center, whose H is
+    the reference: the deviation 2 d |w - 1/3| is at most d/3 (at the corner
+    (2, 0.5)).  With d = 1e-5 the 100 samples reach 2.86e-6, about three
+    times the tolerance."""
+    path = _power_pair(tmp_path, 1e-5)
+    assert main(["classify", "--fn", path, "--samples", "100"]) == 0
+    detection = one_record(capsys.readouterr().out)["report"]["detection"]
+    assert detection["verdict"] == "NotCES"
+    assert 2.5e-6 < detection["max_deviation"] <= 1e-5 / 3
+
+
+def test_an_exponent_gap_over_the_match_tolerance_is_not_ces(tmp_path, capsys):
+    """PARAMETER_MATCH_TOL from above.  The inner exponents 0.5 and 0.5 + d
+    match when d <= PARAMETER_MATCH_TOL * max(1, 0.5) = 1e-12.  At d = 3e-12
+    the match refuses alone: the elasticity deviates by at most d/3 (see
+    the test above) and the CES residual (B1 + B2 - (A1 + A2)/2) / (A1 +
+    A2) = -d w by at most d/2, both far inside their tolerances.  At d =
+    3e-13 the same document reads HomotheticACMS."""
+    for d, case in ((3e-12, "NotCES"), (3e-13, "HomotheticACMS")):
+        assert main(["classify", "--fn", _power_pair(tmp_path, d)]) == 0
+        report = one_record(capsys.readouterr().out)["report"]
+        assert report["detection"]["verdict"] == "RegularCES"
+        assert report["case"] == case
+        ces = report["residuals"]["ces"]
+        assert (ces == "inf") if case == "NotCES" else (0.0 < ces <= d / 2)
 
 
 def test_an_inner_of_exponent_one_is_refused_by_the_exponent_guard(tmp_path,
@@ -955,6 +996,36 @@ def test_the_precedence_cases_fail_in_both_stages():
         with pytest.raises(DomainError) as late:
             _whole_grid_scan(expr, grid[-3:])
         assert not str(late.value).startswith(message)
+
+
+# x^150 per axis: the kernel's values are finite on 1:2.15 per axis, but the
+# surface quantities overflow near the box's top corner.
+STEEP_CD = ({"type": "cobb_douglas", "gamma": 1.0,
+             "alpha": [150.0, 150.0, 150.0, 150.0]},
+            ((1.0, 2.15), (1.0, 2.15), (1.0, 2.15), (1.0, 2.15)))
+
+
+@pytest.mark.parametrize("doc, box, message", [
+    (*STEEP_CD, "surface quantity"), (*LATE_KERNEL_ERROR, "value, gradient"),
+    (*LATE_DOMAIN_ERROR, "aggregator sum")])
+def test_a_failing_scan_evaluates_each_block_once(monkeypatch, tmp_path, doc,
+                                                  box, message):
+    # One pass over the 40 blocks names the error of a whole-grid pass: one
+    # kernel call per block, whichever stage each block fails.
+    path = write_doc(tmp_path, "fn.json", doc)
+    calls, derivatives = [], FunctionExpr.derivatives
+
+    def counted(self, points):
+        calls.append(len(points))
+        return derivatives(self, points)
+
+    monkeypatch.setattr(FunctionExpr, "derivatives", counted)
+    monkeypatch.setattr(writer, "_BLOCK_ROWS", 16)
+    status, text = run(["scan", "--fn", path, "--box", _box(box),
+                        "--samples", "625"])
+    assert status == 2
+    assert json.loads(text)["error"]["message"].startswith(message), text
+    assert len(calls) == -(-len(log_grid(box, 625)) // 16) > 2, calls
 
 
 def test_csv_key_value_mode(cd_doc):

@@ -49,7 +49,8 @@ def test_hicks_hand_values():
     degenerate = hicks_at(ratio, [1.0, 1.0], 0, 1)
     assert math.isnan(degenerate)
 
-    assert tagged_pairs({(0, 1): h, (1, 0): flat, (0, 2): degenerate}) == {
+    assert tagged_pairs(np.array([0, 1, 0]), np.array([1, 0, 2]),
+                        np.array([h, flat, degenerate])) == {
         "1,2": {"kind": "finite", "value": h},
         "2,1": {"kind": "infinite", "value": None},
         "1,3": {"kind": "degenerate", "value": None}}
@@ -81,16 +82,33 @@ def test_vanishing_marginal_product_is_rejected():
 
 
 def test_pair_order_gives_bitwise_equal_values():
+    # A pair is read as given: (j, i) adds the same two terms as (i, j), and
+    # IEEE addition commutes.  A linear ACMS has infinite pairs only, a ratio
+    # degenerate ones, and a log of two affine inners and a power one mixes
+    # infinite and finite pairs.
     rng = make_rng(302)
+    spec = QuasiSumSpec(outer=ScalarFn("log", 1.0),
+                        inner=(ScalarFn("affine", 1.0), ScalarFn("affine", 2.0),
+                               ScalarFn("power", 1.0, exponent=0.5)))
     exprs = [random_acms(rng, 4), random_cobb_douglas(rng, 4),
-             random_quasi_sum_expr(rng, 3), random_ratio_expr(rng)]
+             random_quasi_sum_expr(rng, 3), random_ratio_expr(rng),
+             build_acms(1.0, (1.0, 2.0, 0.5), 1.0, 1.0),
+             build_quasi_sum(spec)]
+    values = []
     for expr in exprs:
         table = expr.derivatives(random_points(rng, expr.n, 10))
         for i, j in zip(*index_pairs(expr.n)):
+            values.append(hicks_values(table, i, j))
             # Identical bits, not approx; nan (degenerate) matches nan.
-            np.testing.assert_array_equal(hicks_values(table, i, j),
+            np.testing.assert_array_equal(values[-1],
                                           hicks_values(table, j, i),
                                           strict=True)
+            np.testing.assert_array_equal(ces_residuals(table, 2.0, i, j),
+                                          ces_residuals(table, 2.0, j, i),
+                                          strict=True)
+    values = np.concatenate(values)
+    assert np.isinf(values).any() and np.isnan(values).any()
+    assert np.isfinite(values).any()
 
 
 def test_elasticity_is_scale_free_on_homogeneous_functions():

@@ -12,14 +12,14 @@ lists drawn with ``random.Random(seed)`` from the command-line grammar of
 ``tests/test_fuzz.py`` over the workload documents and one missing file, and
 the requests of ``BOX_LINES`` on a quasi-sum that the default box accepts
 and another box refuses; then, once, the refused and accepted spellings of
-``ODD_LINES``.  It answers each request and contract probe through
-``prodgeo.cli.main`` in one subprocess per tree.  It compares the exit
-status, stdout and stderr of each request, with the report's ``version``
-field masked, prints the count of identical requests and each argv that
-differs, and exits 1 on any difference.  With ``--shuffle SEED`` the change
-tree answers the same requests in an order shuffled from SEED, so that
-state one request leaves for a later one in the same process shows as a
-difference.
+``ODD_LINES`` and the scans of ``FAILING_SCANS``.  It answers each request
+and contract probe through ``prodgeo.cli.main`` in one subprocess per tree.
+It compares the exit status, stdout and stderr of each request, with the
+report's ``version`` field masked, prints the count of identical requests
+and each argv that differs, and exits 1 on any difference.  With
+``--shuffle SEED`` the change tree answers the same requests in an order
+shuffled from SEED, so that state one request leaves for a later one in the
+same process shows as a difference.
 """
 
 from __future__ import annotations
@@ -68,6 +68,14 @@ BOX_LINES = [[command, "--fn", "{doc}", *args, *box]
                                     ["eval", "--at", "1,1"],
                                     ["elasticity", "--samples", "16"])]
 
+# Scans of documents and boxes of ``tests/test_cli.py`` that fail in
+# different stages or checks across their 4,096-row blocks, by grid size: the
+# surface stage in all 6 blocks; the surface stage in the first 2 blocks and
+# the kernel's finiteness check in the last 2; that check in the first block
+# and the kernel's domain check in the other 15.
+FAILING_SCANS = {"STEEP_CD": 20000, "LATE_KERNEL_ERROR": 16384,
+                 "LATE_DOMAIN_ERROR": 65536}
+
 # One child per tree: reads a JSON list of argv, writes one
 # [status, stdout, stderr] record per argv and the prodgeo it imported.
 CHILD = r"""
@@ -91,20 +99,30 @@ with open(sys.argv[2], "w") as fh:
 """
 
 
-def _fuzz_grammar() -> tuple:
-    """COMMANDS, FLAG_VALUES (without its --fn paths) and ODD_VALUES of
-    ``tests/test_fuzz.py``, read as literals."""
+def _literals(module: str, names) -> dict:
+    """The values assigned to ``names`` in ``tests/<module>``, read as
+    literals; a dict loses its entries whose values are comprehensions
+    (FLAG_VALUES's --fn paths)."""
     found = {}
-    for node in ast.parse((ROOT / "tests" / "test_fuzz.py").read_text()).body:
+    for node in ast.parse((ROOT / "tests" / module).read_text()).body:
         name = isinstance(node, ast.Assign) and getattr(node.targets[0],
                                                         "id", None)
-        if name in ("COMMANDS", "ODD_VALUES"):
-            found[name] = ast.literal_eval(node.value)
-        elif name == "FLAG_VALUES":
+        if name not in names:
+            continue
+        if isinstance(node.value, ast.Dict):
             found[name] = {ast.literal_eval(key): ast.literal_eval(value)
                            for key, value in zip(node.value.keys,
                                                  node.value.values)
                            if not isinstance(value, ast.ListComp)}
+        else:
+            found[name] = ast.literal_eval(node.value)
+    return found
+
+
+def _fuzz_grammar() -> tuple:
+    """COMMANDS, FLAG_VALUES (without its --fn paths) and ODD_VALUES of
+    ``tests/test_fuzz.py``."""
+    found = _literals("test_fuzz.py", ("COMMANDS", "FLAG_VALUES", "ODD_VALUES"))
     return found["COMMANDS"], found["FLAG_VALUES"], found["ODD_VALUES"]
 
 
@@ -177,6 +195,14 @@ def main(argv=None) -> int:
                          for argv in BOX_LINES]
         requests += [[arg.format(doc=doc) for arg in argv]
                      for argv in ODD_LINES]
+        for name, (doc, box) in _literals("test_cli.py",
+                                          FAILING_SCANS).items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            requests.append(["scan", "--fn", path, "--box",
+                             ",".join(f"{lo!r}:{hi!r}" for lo, hi in box),
+                             "--samples", str(FAILING_SCANS[name])])
         order = list(range(len(requests)))
         parent = _answers(args.parent_src, requests, order, tmp)
         if args.shuffle is not None:
