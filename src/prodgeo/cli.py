@@ -14,8 +14,10 @@ refuses (evaluation outside a domain, degenerate hypothesis, numerical
 failure).  Errors are reported as a machine-readable JSON record on stdout.
 
 Options come before or after the command, as "--opt value" or "--opt=value",
-by name or a unique prefix; the last of a repeated option wins.  --jobs is
-accepted and ignored: scan evaluates its grid in vectorised blocks.
+by name or a unique prefix; the last of a repeated option wins.  The token
+after an option is its value unless it starts with "--", and every token
+after "--" is an argument.  --jobs is accepted and ignored: scan evaluates
+its grid in vectorised blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -364,28 +365,18 @@ _OPTIONS = {
     "--jobs": ("jobs", 1, int),
 }
 _LONG = ("--help", "--version", *_OPTIONS)  # in an ambiguity's order
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # an argument, not an option
 
 
-def _option(token: str):
-    """(name, the text after "=" or None) of an option token, (None, None)
-    of an unknown option, None of an argument.  A unique prefix names a long
-    option; "-hTEXT" is -h with TEXT, less the h's that repeat -h."""
-    if len(token) < 2 or token[0] != "-":
-        return None
-    head, eq, text = token.partition("=")
-    if token[1] == "-":
-        names = [name for name in _LONG if name.startswith(head)]
-        if len(names) > 1:
-            raise SpecError(f"ambiguous option: {token} could match "
-                            f"{', '.join(names)}")
-        if names:
-            return names[0], text if eq else None
-    elif token.startswith("-h"):
-        if head == "-h" and eq:
-            return "-h", text.lstrip("h") or None if text else ""
-        return "-h", token[2:].lstrip("h") or None
-    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+def _name(token: str):
+    """The option an option token names: -h for -h, -hh, ..., else the long
+    option its text before any "=" names in full or by a unique prefix."""
+    if token[1] != "-":
+        return "-h" if set(token[1:]) == {"h"} else None
+    names = [name for name in _LONG if name.startswith(token.partition("=")[0])]
+    if len(names) > 1:
+        raise SpecError(f"ambiguous option: {token} could match "
+                        f"{', '.join(names)}")
+    return names[0] if names else None
 
 
 def _value(label: str, kind, text: str):
@@ -447,41 +438,35 @@ def _parse_pair(text: str) -> tuple:
 
 
 def parse_config(argv=None) -> SimpleNamespace:
-    """The request: the command line read as argparse reads it, with its
-    refusals, messages and their order (a bad value where its token is read,
-    then the missing arguments, then the unrecognized ones), its counts
-    checked, then --at, --box and --pair parsed in place (--pair made
-    0-based).  --help and --version write to stdout and exit 0."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    cut = argv.index("--") if "--" in argv else len(argv)  # then arguments
-    found = [_option(token) if k < cut else None
-             for k, token in enumerate(argv)]
+    """The request: the command line read in one pass, as the module's
+    description says: a token that starts with "-" (not "-" itself) is an
+    option, any other an argument, the first the command.  A bad value or an
+    ambiguous option is refused where it is read, then what is missing, then
+    what is left over; then the counts are checked, and --at, --box and
+    --pair parsed in place (--pair made 0-based).  --help and --version
+    write to stdout and exit 0 where they are read."""
     values = {"command": None,
               **{dest: default for dest, default, _ in _OPTIONS.values()}}
-    at, extras, ks = None, [], iter(range(len(argv)))  # at: the command index
-    for k in ks:
-        name, text = found[k] or ("", None)
-        if k == cut:  # a "--" next to the command is part of it
-            if not (at == k - 1 or at is None and k + 1 < len(argv)):
-                extras.append("--")
-        elif name == "" and at is None:
-            at = k
-            values["command"] = _value("command", tuple(_DISPATCH), argv[k])
-        elif not name:  # a second argument or an unknown option
-            extras.append(argv[k])
+    argv = sys.argv[1:] if argv is None else argv
+    extras, tokens, options = [], iter(argv), True
+    for token in tokens:
+        if not options or token[:1] != "-" or token == "-":  # an argument
+            if values["command"] is None:
+                values["command"] = _value("command", tuple(_DISPATCH), token)
+            else:
+                extras.append(token)
+        elif token == "--":  # every token after it is an argument
+            options = False
+        elif (name := _name(token)) is None:
+            extras.append(token)
         elif name not in _OPTIONS:  # -h, --help or --version
-            if text is not None:
-                label = "--version" if name == "--version" else "-h/--help"
-                raise SpecError(
-                    f"argument {label}: ignored explicit argument {text!r}")
             sys.stdout.write(f"{TOOL} {__version__}\n"
                              if name == "--version" else _help())
             raise SystemExit(0)
         else:
-            if text is None:
-                if k + 1 in (cut, len(argv)) or found[k + 1]:
-                    raise SpecError(f"argument {name}: expected one argument")
-                text = argv[next(ks)]
+            _, eq, text = token.partition("=")
+            if not eq and (text := next(tokens, "--")).startswith("--"):
+                raise SpecError(f"argument {name}: expected one argument")
             values[_OPTIONS[name][0]] = _value(name, _OPTIONS[name][2], text)
     missing = [name for name, value in (("command", values["command"]),
                                         ("--fn", values["fn_path"]))

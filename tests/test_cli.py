@@ -439,21 +439,31 @@ def test_log_inners_of_unit_sum_under_exp_are_the_degree_one_cobb_douglas(
 
 
 def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
-    # Inner exponents 1 - 1e-5 and 5e-13 more: the elasticity varies by
-    # about 1e-8 relative, inside the constancy tolerance, and the second
-    # exponent matches the first within PARAMETER_MATCH_TOL, so the CES
-    # residual gate alone reads NotCES.
+    """CES_RESIDUAL_TOL from both sides.  Inner exponents p = 1 - 1e-5 and
+    p + g: for h = x^p, A = 1/(x h') = w and B = -(h''/h')/h' = (1 - p) w
+    with w = 1/(p x^p), so with sigma = 1/(1 - p) the residual B1 + B2 -
+    (A1 + A2)/sigma over its terms' sizes is |ces| = g w2 / (2 (1 - p) (w1
+    + w2) - g w2), about g/(2 (1 - p)) x1^p/(x1^p + x2^p).  On the default
+    box [0.5, 2]^2 the last factor is at most 0.8 (at (2, 0.5)): |ces| is at
+    most 4.0e-9 at g = 1e-13, inside the tolerance, and 2.0e-8 at g =
+    5e-13, where it reaches 1.9e-8, over it.  The elasticity varies by about
+    1e-8 relative, inside the constancy tolerance, and the exponents match
+    within PARAMETER_MATCH_TOL, so the CES residual gate alone decides."""
     p = 1.0 - 1e-5
-    path = write_doc(tmp_path, "near-match.json", {
-        "type": "quasi_sum", "outer": {"form": "affine", "coefficient": 1.0},
-        "inner": [{"form": "power", "coefficient": 1.0, "exponent": p},
-                  {"form": "power", "coefficient": 1.0,
-                   "exponent": p + 5e-13}]})
-    assert main(["classify", "--fn", path]) == 0
-    report = one_record(capsys.readouterr().out)["report"]
-    assert report["detection"]["verdict"] == "RegularCES"
-    assert report["residuals"]["ces"] > tolerances.CES_RESIDUAL_TOL
-    assert report["case"] == "NotCES"
+    for gap, case in ((5e-13, "NotCES"), (1e-13, "HomotheticACMS")):
+        path = write_doc(tmp_path, f"near-match-{gap!r}.json", {
+            "type": "quasi_sum",
+            "outer": {"form": "affine", "coefficient": 1.0},
+            "inner": [{"form": "power", "coefficient": 1.0, "exponent": p},
+                      {"form": "power", "coefficient": 1.0,
+                       "exponent": p + gap}]})
+        assert main(["classify", "--fn", path]) == 0
+        report = one_record(capsys.readouterr().out)["report"]
+        assert report["detection"]["verdict"] == "RegularCES"
+        ces, bound = report["residuals"]["ces"], 0.8 * gap / (2 * (1 - p))
+        assert 0.9 * bound < ces <= bound * (1 + 1e-6)
+        assert (ces > tolerances.CES_RESIDUAL_TOL) == (case == "NotCES")
+        assert report["case"] == case
 
 
 def test_a_near_degenerate_pair_reads_finite(tmp_path, capsys):
@@ -476,20 +486,27 @@ def test_a_near_degenerate_pair_reads_finite(tmp_path, capsys):
 
 def test_a_near_flat_cobb_douglas_leaves_the_hypothesis_undecided(tmp_path,
                                                                   capsys):
-    """VANISHING_CURVATURE_TOL from above.  For Cobb-Douglas, D_i = -f
-    a_i/x_i^2, c = f and u_i = a_i/x_i, so the terms of det Hess are f^2
-    a1 a2/(x1 x2)^2 times (1, -a1, -a2) at every point: det_cancellation is
-    |1 - a1 - a2| / (1 + a1 + a2) = 6e-10 / 2.0000000006 = 3.0e-10 for a2
-    = 0.5 + 6e-10, three times the vanishing tolerance and far below the
-    clearly-nonzero one, so Theorem 4.1 cannot decide its hypothesis."""
-    alpha = [0.5, 0.5000000006]
-    path = write_doc(tmp_path, "near-flat.json", {
-        "type": "cobb_douglas", "gamma": 1.0, "alpha": alpha})
-    assert main(["verify", "--fn", path, "--theorem", "4.1"]) == 0
-    report = one_record(capsys.readouterr().out)["report"]
-    worst = report["hypothesis_check"]["max_det_cancellation"]
-    assert report["verdict"] == "DegenerateHypothesis"
-    assert abs(worst - 3.0e-10) < 1e-15  # the terms' rounding: about 1e-16
+    """VANISHING_CURVATURE_TOL from above and CLEAR_CURVATURE_TOL from below.
+    For Cobb-Douglas, D_i = -f a_i/x_i^2, c = f and u_i = a_i/x_i, so the
+    terms of det Hess are f^2 a1 a2/(x1 x2)^2 times (1, -a1, -a2) at every
+    point: det_cancellation is |1 - a1 - a2| / (1 + a1 + a2) = g / (2 + g)
+    for a2 = 0.5 + g.  At g = 6e-10 that is 3.0e-10, three times the
+    vanishing tolerance; at g = 6e-7 it is 3.0e-7, a third of the
+    clearly-nonzero one.  For two inputs the one 2x2 minor is det Hess, so
+    minor_cancellation is det_cancellation, and neither Theorem 4.1 nor
+    Theorem 4.2 can decide its hypothesis."""
+    for a2 in (0.5000000006, 0.5000006):
+        path = write_doc(tmp_path, f"near-flat-{a2!r}.json", {
+            "type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, a2]})
+        gap = a2 - 0.5  # exact
+        for theorem, statistic in (("4.1", "det"), ("4.2", "minor")):
+            assert main(["verify", "--fn", path, "--theorem", theorem]) == 0
+            report = one_record(capsys.readouterr().out)["report"]
+            check = report["hypothesis_check"]
+            assert report["verdict"] == "DegenerateHypothesis"
+            # the terms' rounding: about 1e-16
+            assert abs(check[f"max_{statistic}_cancellation"]
+                       - gap / (2 + gap)) < 1e-15
 
 
 def _power_pair(path, d):
@@ -1586,8 +1603,9 @@ COMMANDS = "'eval', 'elasticity', 'curvature', 'classify', 'verify', 'scan'"
      "--jobs must be at least 1"),
     (run, ["scan", "--fn", "{doc}", "--samples", "4.0"],
      "argument --samples: invalid int value: '4.0'"),
-    # One row per form of argparse's messages, and their order: a bad value
-    # where its token is read, then what is missing, then what is left over.
+    # One row per form of message, and their order: a bad value or an
+    # ambiguous option where its token is read, then what is missing, then
+    # what is left over.
     (run, ["bogus", "--fn", "{doc}"],
      f"argument command: invalid choice: 'bogus' (choose from {COMMANDS})"),
     (run, ["scan", "--fn", "{doc}", "--samples", "a"],
@@ -1597,7 +1615,7 @@ COMMANDS = "'eval', 'elasticity', 'curvature', 'classify', 'verify', 'scan'"
     (run, ["eval", "--fn", "{doc}", "--at", "--box", "1:2,1:2"],
      "argument --at: expected one argument"),
     (run, ["eval", "--fn", "{doc}", "--at", "-1,1"],
-     "argument --at: expected one argument"),
+     "point coordinates must be finite and positive"),
     (run, ["eval", "--fn", "{doc}", "--at", "4,9", "--bogus", "1"],
      "unrecognized arguments: --bogus 1"),
     (run, ["scan", "--fn", "{doc}", "--s", "3"],
@@ -1606,7 +1624,7 @@ COMMANDS = "'eval', 'elasticity', 'curvature', 'classify', 'verify', 'scan'"
      "argument --samples: invalid int value: 'a'"),
     (run, ["scan", "--bogus"], "the following arguments are required: --fn"),
     (run, ["--bogus", "scan", "--samples", "a", "--s", "3"],
-     "ambiguous option: --s could match --samples, --seed"),
+     "argument --samples: invalid int value: 'a'"),
     (run, ["bogus", "--samples", "a"],
      f"argument command: invalid choice: 'bogus' (choose from {COMMANDS})"),
 ], ids=["no-command", "unknown-command", "missing-fn", "bad-theorem",
@@ -1642,13 +1660,26 @@ def test_usage_errors_are_one_spec_error_line(cd_doc, capsys, entry, argv,
       "--out", "json"], ["eval", "--fn", "{doc}", "--at", "4,9"]),
     (["eval", "--fn", "{doc}", "--at", "4,9", "--seed", "-1", "--seed", "3"],
      ["eval", "--fn", "{doc}", "--at", "4,9", "--seed", "3"]),
-], ids=["prefix", "equals", "last-wins", "negative-then-valid"])
+    (["eval", "--fn", "{doc}", "--at", "4,9", "--"],
+     ["eval", "--fn", "{doc}", "--at", "4,9"]),
+], ids=["prefix", "equals", "last-wins", "negative-then-valid",
+        "trailing-double-dash"])
 def test_the_command_line_grammar_of_argparse(cd_doc, argv, same):
     argv, same = ([arg.format(doc=cd_doc) for arg in line]
                   for line in (argv, same))
     status, text = run(argv)
     assert status == 0
     assert (status, text) == run(same)
+
+
+def test_the_token_after_an_option_is_its_value(tmp_path, monkeypatch):
+    # Unless it starts with "--": a value may start with "-".
+    write_doc(tmp_path, "-doc.json",
+              {"type": "cobb_douglas", "gamma": 1.0, "alpha": [0.5, 0.5]})
+    monkeypatch.chdir(tmp_path)
+    status, text = run(["eval", "--fn", "-doc.json", "--at", "4,9"])
+    assert status == 0
+    assert (status, text) == run(["eval", "--fn=-doc.json", "--at", "4,9"])
 
 
 @pytest.mark.parametrize("flag", ["--version", "--vers", "-h", "--help",

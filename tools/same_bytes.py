@@ -15,17 +15,19 @@ and another box refuses; then, once, the refused and accepted spellings of
 ``ODD_LINES`` and the scans of ``FAILING_SCANS``.  It answers each request
 and contract probe through ``prodgeo.cli.main`` in one subprocess per tree.
 It compares the exit status, stdout and stderr of each request, with the
-report's ``version`` field masked, prints the count of identical requests
-and each argv that differs, and exits 1 on any difference.  With
-``--shuffle SEED`` the change tree answers the same requests in an order
-shuffled from SEED, so that state one request leaves for a later one in the
-same process shows as a difference.
+report's ``version`` field masked.  It prints the count of identical
+requests, the count of differing ones per pair of exit statuses (parent ->
+change), and each argv that differs with its two statuses, and exits 1 on
+any difference.  With ``--shuffle SEED`` the change tree answers the same
+requests in an order shuffled from SEED, so that state one request leaves
+for a later one in the same process shows as a difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -90,7 +92,9 @@ for argv in requests:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = cli.main(argv)
-        except (Exception, SystemExit) as exc:
+        except SystemExit as exc:  # --help and --version
+            status = exc.code
+        except Exception as exc:
             status = f"raised {type(exc).__name__}: {exc}"
     records.append([status, version.sub(r'\1"?"', out.getvalue()),
                     err.getvalue()])
@@ -208,7 +212,7 @@ def main(argv=None) -> int:
         if args.shuffle is not None:
             random.Random(args.shuffle).shuffle(order)
         change = _answers(args.change_src, requests, order, tmp)
-        differ = [shlex.join(argv).replace(tmp, "$DOCS")
+        differ = [(a[0], b[0], shlex.join(argv).replace(tmp, "$DOCS"))
                   for argv, a, b in zip(requests, parent["records"],
                                         change["records"]) if a != b]
     print(f"parent: {parent['file']}\nchange: {change['file']}")
@@ -217,8 +221,11 @@ def main(argv=None) -> int:
           f"{' '.join(map(str, args.seeds))}"
           + ("" if args.shuffle is None else
              f", change answered in the order shuffled from {args.shuffle}"))
-    for line in differ:
-        print(f"differs: {line}")
+    pairs = collections.Counter(f"exit {p} -> {c}" for p, c, _ in differ)
+    for pair, count in sorted(pairs.items()):
+        print(f"{pair}: {count} differ")
+    for p, c, line in differ:
+        print(f"differs (exit {p} -> {c}): {line}")
     return 1 if differ else 0
 
 
