@@ -31,7 +31,6 @@ with the data needed to inspect it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -238,7 +237,7 @@ def _structure_side(expr: FunctionExpr,
 
     bare = table
     if outer is not None and outer.shift != 0.0:
-        bare = replace(table, value=replace(outer, shift=0.0).derivatives(
+        bare = table.replace(value=outer.replace(shift=0.0).derivatives(
             table.u)[0])
     try:
         record["euler_degree_gap"] = float(np.max(np.abs(

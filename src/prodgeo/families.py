@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +50,46 @@ def default_box(n: int) -> tuple[tuple[float, float], ...]:
     return tuple(DEFAULT_BOX_AXIS for _ in range(n))
 
 
-@dataclass(frozen=True)
-class ScalarFn:
+class _Record:
+    """An immutable record of the fields ``__slots__`` names, the parameters
+    of its constructor, which builds (and so checks) each copy too."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):  # and __delattr__
+        raise AttributeError(f"cannot change {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def replace(self, **changes):
+        """A copy with the fields ``changes`` names set to its values."""
+        return type(self)(**{**self._fields(), **changes})
+
+    def __reduce__(self):  # copy and pickle
+        return type(self), tuple(self._fields().values())
+
+
+class _Value(_Record):
+    """A record equal to one of its type with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+
+class ScalarFn(_Value):
     """One-variable scalar function from the closed family.
 
     form        one of power, log, exp, affine
@@ -68,31 +105,27 @@ class ScalarFn:
         affine  c * x + s         c                0
     """
 
-    form: str
-    coefficient: float
-    exponent: float | None = None
-    shift: float = 0.0
+    __slots__ = ("form", "coefficient", "exponent", "shift")
 
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise SpecError(f"unknown scalar form {self.form!r}")
-        c = float(self.coefficient)
+    def __init__(self, form: str, coefficient: float,
+                 exponent: float | None = None, shift: float = 0.0):
+        if form not in FORMS:
+            raise SpecError(f"unknown scalar form {form!r}")
+        c = float(coefficient)
         if not math.isfinite(c) or c == 0.0:
             raise SpecError("coefficient must be finite and nonzero")
-        object.__setattr__(self, "coefficient", c)
-        if self.form == FORM_POWER:
-            if self.exponent is None:
+        if form == FORM_POWER:
+            if exponent is None:
                 raise SpecError("power form requires an exponent")
-            p = float(self.exponent)
-            if not math.isfinite(p) or p == 0.0:
+            exponent = float(exponent)
+            if not math.isfinite(exponent) or exponent == 0.0:
                 raise SpecError("power exponent must be finite and nonzero")
-            object.__setattr__(self, "exponent", p)
-        elif self.exponent is not None:
-            raise SpecError(f"{self.form} form takes no exponent")
-        s = float(self.shift)
+        elif exponent is not None:
+            raise SpecError(f"{form} form takes no exponent")
+        s = float(shift)
         if not math.isfinite(s):
             raise SpecError("shift must be finite")
-        object.__setattr__(self, "shift", s)
+        self._set(form, c, exponent, s)
 
     # -- evaluation --------------------------------------------------------
 
@@ -152,22 +185,20 @@ class ScalarFn:
         return cls(form=doc["form"], **numbers)
 
 
-@dataclass(frozen=True)
-class QuasiSumSpec:
+class QuasiSumSpec(_Value):
     """Outer function applied to a sum of per-input scalar functions."""
 
-    outer: ScalarFn
-    inner: tuple[ScalarFn, ...]
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        inner = tuple(self.inner)
+    def __init__(self, outer: ScalarFn, inner: tuple[ScalarFn, ...]):
+        inner = tuple(inner)
         if len(inner) < 2:
             raise SpecError("quasi-sum needs at least two inputs")
         if not all(isinstance(h, ScalarFn) for h in inner):
             raise SpecError("inner components must be ScalarFn instances")
-        if not isinstance(self.outer, ScalarFn):
+        if not isinstance(outer, ScalarFn):
             raise SpecError("outer must be a ScalarFn")
-        object.__setattr__(self, "inner", inner)
+        self._set(outer, inner)
 
     @property
     def n(self) -> int:
@@ -178,19 +209,18 @@ class QuasiSumSpec:
         return _fsum([h.value(x) for h, x in zip(self.inner, point)])
 
 
-@dataclass(frozen=True, eq=False)
-class PointTable:
+class PointTable(_Record):
     """One evaluation of an expression at the rows of ``points``: values
     (N,), gradients (N, n), the per-axis record ``factors`` = (F', F'',
     h', h'') of F(sum h_k(x_k)) and the outer argument ``u`` (N,) that F'
     and F'' were taken at (the inner sum, x2/x1 for the ratio family, None
     for Cobb-Douglas, whose kernel forms no sum)."""
 
-    points: np.ndarray
-    value: np.ndarray
-    gradient: np.ndarray
-    factors: tuple
-    u: np.ndarray | None
+    __slots__ = ("points", "value", "gradient", "factors", "u")
+
+    def __init__(self, points: np.ndarray, value: np.ndarray,
+                 gradient: np.ndarray, factors: tuple, u: np.ndarray | None):
+        self._set(points, value, gradient, factors, u)
 
     @property
     def hessian(self) -> np.ndarray:
@@ -207,14 +237,15 @@ class PointTable:
         return hessian
 
 
-@dataclass(frozen=True, eq=False)
-class PointRecords:
+class PointRecords(_Record):
     """Per-point records as one (N, k) float64 array: ``fields`` holds the
     sorted keys and widths (0 for a float, m for a list of m floats) of the
     columns of ``data``; ``len`` and ``[i]`` (so iteration too) give dicts."""
 
-    fields: tuple
-    data: np.ndarray
+    __slots__ = ("fields", "data")
+
+    def __init__(self, fields: tuple, data: np.ndarray):
+        self._set(fields, data)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -227,8 +258,7 @@ class PointRecords:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionExpr:
+class FunctionExpr(_Record):
     """Evaluable member of one of the closed families.
 
     family  one of cobb_douglas, acms, quasi_sum, ratio (the document
@@ -237,14 +267,13 @@ class FunctionExpr:
     params  family-specific record
     """
 
-    family: str
-    n: int
-    params: dict
+    __slots__ = ("family", "n", "params")
 
-    def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in _FAMILY_KEYS:
-            raise SpecError(f"unknown family {self.family!r}; expected one "
+    def __init__(self, family: str, n: int, params: dict):
+        if not isinstance(family, str) or family not in _FAMILY_KEYS:
+            raise SpecError(f"unknown family {family!r}; expected one "
                             f"of {sorted(_FAMILY_KEYS)}")
+        self._set(family, n, params)
 
     def _check_point(self, point, ndim: int = 1) -> np.ndarray:
         """A point (ndim 1) or an (N, n) point array (ndim 2), validated."""

@@ -49,17 +49,26 @@ def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
     the fields of ``graph_geometry``, from the Hessian factors (D, c, u) of
     the per-axis record."""
-    return _curvatures(table)[0]
+    diag, c, u = hessian_factors(table.factors)
+    return _curvatures(table, hessian_det_terms(diag, c, u).sum(0), diag, c, u)
 
 
 @np.errstate(all="ignore")
 def theorem_curvatures(table: PointTable) -> dict:
     """``surface_curvatures`` plus the statistics of Theorems 4.1 and 4.2,
     ``det_cancellation`` and ``minor_cancellation`` (0 where every term is
-    0; u != 0, as detection refuses a zero marginal product)."""
-    out, det_hess, terms = _curvatures(table)
+    0; u != 0, as detection refuses a zero marginal product).  The det terms
+    are formed from D_i and u_i^2 times 2^-e_i, e_i the exponent of D_i
+    rounded down to even: each term is 2^-(sum e_i) times its value, with
+    its bits where that is normal, and in range where the value is not."""
+    diag, c, u = hessian_factors(table.factors)
+    scale = np.frexp(diag)[1] & -2
+    terms = hessian_det_terms(np.ldexp(diag, -scale), c,
+                              np.ldexp(u, -scale // 2))
+    det_scaled = terms.sum(axis=0)
+    out = _curvatures(table, np.ldexp(det_scaled, scale.sum(0)), diag, c, u)
     size = np.abs(terms).sum(axis=0)
-    out["det_cancellation"] = np.abs(det_hess) / np.where(size, size, 1.0)
+    out["det_cancellation"] = np.abs(det_scaled) / np.where(size, size, 1.0)
     # n >= 3: every minor is 0 iff no D_i != 0, or one and c = 0; D_i != 0
     # read from h_i'' itself, so an underflowed product is not flat.
     f2, d2 = table.factors[1], table.factors[3]
@@ -68,13 +77,11 @@ def theorem_curvatures(table: PointTable) -> dict:
     return out
 
 
-def _curvatures(table: PointTable) -> tuple:
-    """The surface curvatures, det Hess and its terms."""
+def _curvatures(table: PointTable, det_hess, diag, c, u) -> dict:
+    """The surface curvatures of ``table`` from det Hess and the Hessian
+    factors (D, c, u), whose D it divides by W in place."""
     w_sq = 1.0 + np.einsum("pi,pi->p", table.gradient, table.gradient)
     w = np.sqrt(w_sq)
-    diag, c, u = hessian_factors(table.factors)
-    terms = hessian_det_terms(diag, c, u)
-    det_hess = terms.sum(axis=0)
     # h = Hess / W = diag(D / W) + (c / W) u u^T.
     diag /= w
     c = c / w
@@ -90,7 +97,7 @@ def _curvatures(table: PointTable) -> tuple:
            "flatness_residual": rmax / (1.0 + h_sq)}
     if not all(np.isfinite(v).all() for v in (det_hess, h_sq, *out.values())):
         raise DomainError(_NOT_FINITE)
-    return out, det_hess, terms
+    return out
 
 
 def _norm_sq(diag, c, u) -> np.ndarray:

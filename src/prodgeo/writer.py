@@ -3,6 +3,7 @@
 that holds a per-point table imports this module."""
 
 import functools
+from math import ldexp
 
 import numpy as np
 
@@ -21,10 +22,10 @@ def _g17_tables() -> tuple:
     for k in range(340):  # 10^k = 5^k 2^k and 10^-k = 2^w / 5^k 2^(-k-w)
         w = pow5.bit_length()
         hi = (1 << w) / pow5  # correctly rounded, as is each quotient below
-        lo = ((1 << w + 52) - int(hi * 2 ** 52) * pow5) / (pow5 << 52)
-        rows[-k] = hi, lo, -k - w
-        hi = float(pow5)
-        rows[k] = hi / 2 ** (w - 1), (pow5 - int(hi)) / 2 ** (w - 1), k + w - 1
+        lo = ((1 << w + 52) - int(hi * 2 ** 52) * pow5) / pow5
+        rows[-k] = hi, ldexp(lo, -52), -k - w  # ldexp: exact, none subnormal
+        hi = float(pow5)  # float() and ldexp round an int once
+        rows[k] = ldexp(hi, 1 - w), ldexp(pow5 - int(hi), 1 - w), k + w - 1
         pow5 *= 5
     c_hi, c_lo, b = np.array([rows[k] for k in range(-310, 340)]).T
     b = b.astype(np.int32)
@@ -34,34 +35,36 @@ def _g17_tables() -> tuple:
     split = c_hi * 134217729.0
     c_hh = split - (split - c_hi)
 
-    group = np.arange(10000)[:, np.newaxis]
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T
     quad = np.zeros((10000, 8), np.uint8)
-    quad[:, :4] = group // [1000, 100, 10, 1] % 10 + 48
-    sig = 4 - (group % [10, 100, 1000] == 0).sum(1, dtype=np.uint8)
-    sig = np.where(group[:, 0], np.uint8([[1], [5], [9], [13]]) + sig, 1)
+    quad[:, :4] = digits + 48
+    last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)).max(1)  # its place
+    sig = np.where(last, np.uint8([[1], [5], [9], [13]]) + last, 1)
     # Layout e10 + 4 for fixed notation (e10 in [-4, 16]), 21 for scientific.
     # In a template, 1 keeps digit j at byte j + 1 and 2 keeps it moved to
-    # j + 2 (j + 6 after "0.000"); other bytes stand as they are.
+    # j + 2 (j + 6 after "0.000"); other bytes stand as they are.  A layout's
+    # template for nd digits is a prefix of its template for 17.
     templates = []
     for e10 in range(-4, 18):
         point = 1 if e10 == 17 else e10 + 1  # digits before the point
-        for nd in range(1, 18):
-            cell = ("0.000"[:1 - e10].ljust(5, "\0") + "\2" * nd if e10 < 0
-                    else "\1" * point + "." * (nd > point) + "\2" * (nd - point))
-            templates.append(("\0" + cell).ljust(24, "\0"))
+        full = "\0" + ("0.000"[:1 - e10].ljust(5, "\0") if e10 < 0
+                       else "\1" * point + ".") + "\2" * 17
+        templates += [full[:6 + nd if e10 < 0 else 2 + nd if nd > point
+                           else 1 + point].ljust(24, "\0") for nd in range(1, 18)]
     cells = np.frombuffer("".join(templates).encode(), np.uint8).reshape(-1, 3, 8)
-    layouts = np.concatenate([np.where(cells == 1, 255, 0), np.where(
-        cells == 2, 255, 0), np.where(cells > 2, cells, 0)], 1).astype(np.uint8)
+    layouts = np.concatenate([(cells == 1) * np.uint8(255), (cells == 2)
+                              * np.uint8(255), cells * (cells > 2)], 1)
     shift = np.where(np.arange(len(cells)) < 4 * 17, 40, 8).astype("<u8")
+    # A scientific cell's last lane: "e" at byte 3, the sign, then the last
+    # two or three of the four digits of |e10|.
     e10 = np.arange(-300, 301)
-    fixed = (e10 >= -4) & (e10 <= 16)
-    exp = "".join("\0" * 8 if -4 <= e <= 16 else f"\0\0\0e{e:+03d}".ljust(8, "\0")
-                  for e in e10.tolist())
+    fixed, size = (e10 >= -4) & (e10 <= 16), np.abs(e10)
+    exp = np.where(e10 < 0, 45, 43).astype("<u8") << 32 | 101 << 24 | quad.view(
+        "<u8")[size, 0] >> np.where(size < 100, 16, 8).astype("<u8") << 40
     return (c_hh, c_hi - c_hh, c_hi, c_lo, b, least,
             (np.arange(11, dtype="<u8") + 48) << 8, quad.view("<u8").ravel(),
             sig, np.vstack([layouts.view("<u8")[..., 0].T, shift, 64 - shift]),
-            np.where(fixed, e10 + 4, 21) * 17 - 1,
-            np.frombuffer(exp.encode(), "<u8"))
+            np.where(fixed, e10 + 4, 21) * 17 - 1, np.where(fixed, 0, exp))
 
 
 def _g17(x: np.ndarray, text) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import pathlib
 import re
-from dataclasses import replace
 
 import numpy as np
 
@@ -276,11 +275,11 @@ def shift_free(expr):
     ``euler_degree_gap``."""
     if expr.family == "quasi_sum":
         spec = expr.params["spec"]
-        bare = QuasiSumSpec(replace(spec.outer, shift=0.0), spec.inner)
+        bare = QuasiSumSpec(spec.outer.replace(shift=0.0), spec.inner)
         return FunctionExpr("quasi_sum", expr.n, {"spec": bare})
     if expr.family == "ratio":
         return FunctionExpr("ratio", 2, {
-            "outer": replace(expr.params["outer"], shift=0.0)})
+            "outer": expr.params["outer"].replace(shift=0.0)})
     return expr
 
 

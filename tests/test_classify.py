@@ -1,7 +1,7 @@
 """Structural classification and the three verified equivalences."""
 
 import math
-from dataclasses import replace
+import random
 
 import numpy as np
 import pytest
@@ -95,8 +95,8 @@ def test_classification_ignores_presentation():
     assert base["case"] == "HomotheticACMS"
 
     shifted = QuasiSumSpec(
-        outer=replace(spec.outer, coefficient=3.0 * spec.outer.coefficient),
-        inner=tuple(replace(h, shift=h.shift + 0.4) for h in spec.inner))
+        outer=spec.outer.replace(coefficient=3.0 * spec.outer.coefficient),
+        inner=tuple(h.replace(shift=h.shift + 0.4) for h in spec.inner))
     again = classify_quasi_sum(shifted)
     assert again["case"] == base["case"]
     assert again["sigma"] == pytest.approx(base["sigma"], rel=1e-9)
@@ -194,6 +194,32 @@ def test_curvature_verdict_on_degree_one_aggregators():
     assert report["conclusion_check"]["euler_degree_gap"] <= \
         tolerances.PARAMETER_MATCH_TOL * 100
     assert len(report["per_point_data"]) == 65
+
+
+def test_curvature_verdict_where_the_det_terms_underflow():
+    # Degree one, so G = 0.  Unscaled, the five det terms of the deciding
+    # row were 8.85e-313, -0, -8.85e-313, -0 and -0, whose statistic read 1.
+    report = verify_theorem_41(build_acms(1.0, [1.0] * 4, -40.0, 1.0),
+                               [(0.01, 100.0)] * 4, samples=100)
+    assert report["verdict"] == "Consistent"
+    assert report["hypothesis_check"]["max_det_cancellation"] < 1e-15
+
+
+def test_curvature_verdict_on_extreme_aggregators_and_their_twins():
+    # Degree one (G = 0) and degree 1.05 (G != 0), with rho down to -30 and
+    # weights and box axes over decades, so that products of the D_i leave
+    # the float range.  Unscaled, 13 of these 150 documents read
+    # Inconsistent and 2 DegenerateHypothesis, and 8 twins Inconsistent, as
+    # their terms were 0 at every sample (at all but one in one twin).
+    rng = random.Random(15)
+    for _ in range(150):
+        n, rho = rng.randint(3, 6), rng.uniform(-30.0, -0.01)
+        a = [10.0 ** rng.uniform(-2.0, 2.0) for _ in range(n)]
+        box = [(lo, lo * 10.0 ** rng.uniform(0.01, 3.0)) for lo in
+               [10.0 ** rng.uniform(-3.0, 1.0) for _ in range(n)]]
+        for d in (1.0, 1.05):
+            report = verify_theorem_41(build_acms(1.0, a, rho, d), box)
+            assert report["verdict"] == "Consistent", (a, rho, d, box)
 
 
 @pytest.mark.parametrize("verify", [verify_theorem_41, verify_theorem_42])

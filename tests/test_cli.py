@@ -110,7 +110,9 @@ def test_eval_reports_the_jet(cd_doc):
     assert len(env["report"]["hessian"]) == 2
     assert env["tool"] == "prodgeo"
     assert env["command"] == "eval"
-    assert env["digest"].startswith("sha256:")
+    # hashlib's sha256 as the oracle of the interpreter's own, which cli reads
+    assert env["digest"] == "sha256:" + hashlib.sha256(
+        pathlib.Path(cd_doc).read_bytes()).hexdigest()
     assert env["at"] == [4.0, 9.0]
     assert set(env["tolerances"]) == set(tolerances.as_dict())
 
@@ -1252,6 +1254,65 @@ def test_table_kernel_writes_nearly_every_value_without_fallback():
     assert len(fallback) < 1e-3 * len(values)
 
 
+def _g17_tables_oracle() -> tuple:
+    """``writer._g17_tables`` as first built: each quotient of exact
+    integers rounded once by Python's int division, each group's digits
+    and digit count by NumPy integer division, each layout's template
+    written out, and each exponent lane by ``format``."""
+    rows, pow5 = {}, 1
+    for k in range(340):  # 10^k = 5^k 2^k and 10^-k = 2^w / 5^k 2^(-k-w)
+        w = pow5.bit_length()
+        hi = (1 << w) / pow5
+        lo = ((1 << w + 52) - int(hi * 2 ** 52) * pow5) / (pow5 << 52)
+        rows[-k] = hi, lo, -k - w
+        hi = float(pow5)
+        rows[k] = hi / 2 ** (w - 1), (pow5 - int(hi)) / 2 ** (w - 1), k + w - 1
+        pow5 *= 5
+    c_hi, c_lo, b = np.array([rows[k] for k in range(-310, 340)]).T
+    b = b.astype(np.int32)
+    with np.errstate(over="ignore"):
+        least = np.ldexp(c_hi, b)
+    least[c_lo > 0] = np.nextafter(least[c_lo > 0], np.inf)
+    split = c_hi * 134217729.0
+    c_hh = split - (split - c_hi)
+
+    group = np.arange(10000)[:, np.newaxis]
+    quad = np.zeros((10000, 8), np.uint8)
+    quad[:, :4] = group // [1000, 100, 10, 1] % 10 + 48
+    sig = 4 - (group % [10, 100, 1000] == 0).sum(1, dtype=np.uint8)
+    sig = np.where(group[:, 0], np.uint8([[1], [5], [9], [13]]) + sig, 1)
+    templates = []
+    for e10 in range(-4, 18):
+        point = 1 if e10 == 17 else e10 + 1
+        for nd in range(1, 18):
+            cell = ("0.000"[:1 - e10].ljust(5, "\0") + "\2" * nd if e10 < 0
+                    else "\1" * point + "." * (nd > point) + "\2" * (nd - point))
+            templates.append(("\0" + cell).ljust(24, "\0"))
+    cells = np.frombuffer("".join(templates).encode(), np.uint8).reshape(-1, 3, 8)
+    layouts = np.concatenate([np.where(cells == 1, 255, 0), np.where(
+        cells == 2, 255, 0), np.where(cells > 2, cells, 0)], 1).astype(np.uint8)
+    shift = np.where(np.arange(len(cells)) < 4 * 17, 40, 8).astype("<u8")
+    e10 = np.arange(-300, 301)
+    fixed = (e10 >= -4) & (e10 <= 16)
+    exp = "".join("\0" * 8 if -4 <= e <= 16 else f"\0\0\0e{e:+03d}".ljust(8, "\0")
+                  for e in e10.tolist())
+    return (c_hh, c_hi - c_hh, c_hi, c_lo, b, least,
+            (np.arange(11, dtype="<u8") + 48) << 8, quad.view("<u8").ravel(),
+            sig, np.vstack([layouts.view("<u8")[..., 0].T, shift, 64 - shift]),
+            np.where(fixed, e10 + 4, 21) * 17 - 1,
+            np.frombuffer(exp.encode(), "<u8"))
+
+
+def test_the_g17_tables_are_built_bit_for_bit_as_the_oracle_builds_them():
+    # Compared as integers, so that -0.0 and each NaN payload count.
+    for k, (got, want) in enumerate(zip(writer._g17_tables(),
+                                        _g17_tables_oracle(), strict=True)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), k
+        np.testing.assert_array_equal(got.view(f"u{got.itemsize}"),
+                                      want.view(f"u{want.itemsize}"),
+                                      err_msg=f"table {k}")
+
+
 def test_g17_finds_the_exponent_of_each_power_of_ten_and_its_lower_neighbour():
     # The decimal exponent changes at each power: a double on either side
     # of 10^k must get its own exponent.  One at or above 10^k is written
@@ -1979,6 +2040,16 @@ def test_importing_the_package_loads_neither_numpy_nor_a_module():
             if name == "numpy" or name.startswith("prodgeo.")] == []
 
 
+def _loaded(*args) -> set:
+    """The modules ``python -X importtime ARGS`` imports."""
+    child = _python("-X", "importtime", *args)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err.decode()
+    return {line.rpartition("|")[2].strip()
+            for line in err.decode().splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv, called", [
     (["eval", "--at", "1,2"], set()),
     (["curvature", "--at", "1,2"], {"prodgeo.geometry"}),
@@ -1987,15 +2058,14 @@ def test_importing_the_package_loads_neither_numpy_nor_a_module():
       "prodgeo.writer"}),
 ], ids=["eval", "curvature", "scan-csv"])
 def test_a_command_loads_only_the_modules_it_calls(cd_doc, argv, called):
-    child = _python("-X", "importtime", "-m", "prodgeo", *argv, "--fn", cd_doc)
-    _, err = child.communicate(timeout=120)
-    assert child.returncode == 0, err.decode()
-    loaded = {line.rpartition("|")[2].strip()
-              for line in err.decode().splitlines()
-              if line.startswith("import time:")}
+    loaded = _loaded("-m", "prodgeo", *argv, "--fn", cd_doc)
     assert {"prodgeo", "prodgeo.cli", "prodgeo.errors", "prodgeo.families",
             "prodgeo.tolerances"} <= loaded
     assert loaded & COMMAND_MODULES == called
+    # Nor what a record class or the digest would cost a cold start to load,
+    # unless numpy or json loads it anyway.
+    assert loaded & {"dataclasses", "_hashlib"} \
+        <= _loaded("-c", "import numpy, json")
 
 
 @pytest.mark.parametrize("start, enabled", [

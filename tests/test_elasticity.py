@@ -1,6 +1,5 @@
 """Pairwise substitution elasticities and the CES detector."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -138,8 +137,8 @@ def test_hicks_values_and_ces_residuals_ignore_the_output_scale():
         base_r = ces_residuals(table, 2.0, lo, hi)
         for k in (2.0 ** -900, 2.0 ** -500, 2.0 ** 500, 2.0 ** 900):
             f1, f2, d1, d2 = table.factors
-            scaled = dataclasses.replace(table, gradient=k * table.gradient,
-                                         factors=(k * f1, k * f2, d1, d2))
+            scaled = table.replace(gradient=k * table.gradient,
+                                   factors=(k * f1, k * f2, d1, d2))
             np.testing.assert_array_equal(
                 hicks_values(scaled, lo, hi), base_h, strict=True)
             np.testing.assert_array_equal(

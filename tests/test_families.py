@@ -1,6 +1,8 @@
 """Family builders, document parsing, and the factored determinant."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ from prodgeo import (
     as_quasi_sum, build_acms, build_cobb_douglas, build_quasi_sum,
     build_ratio, default_box, expr_from_dict, validate_box,
 )
-from prodgeo.families import euler_quotients
+from prodgeo.families import PointRecords, euler_quotients
 import gates
 from conftest import (
     factored_det, make_rng, random_acms, random_cobb_douglas,
@@ -45,6 +47,44 @@ def test_scalar_fn_validation():
         ScalarFn("cubic", 1.0)
     with pytest.raises(SpecError):
         ScalarFn("affine", 1.0, shift=math.nan)
+
+
+def test_records_are_immutable_and_copied_through_their_constructors():
+    h = ScalarFn("power", 2.0, exponent=0.5)
+    spec = QuasiSumSpec(ScalarFn("exp", 1.0), [h, h.replace(shift=1.0)])
+    expr = build_quasi_sum(spec)
+    table = expr.derivatives([[1.0, 2.0]])
+    rows = PointRecords((("x", 0),), np.zeros((1, 1)))
+    for record in (h, spec, expr, table, rows):
+        name = type(record).__slots__[0]
+        with pytest.raises(AttributeError, match=f"cannot change .*{name}"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot change .*{name}"):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = None  # no __dict__
+        with pytest.raises(TypeError):
+            record.replace(extra=None)
+    # ScalarFn and QuasiSumSpec are values; the other records identities.
+    assert h == ScalarFn("power", 2, exponent=0.5) != ScalarFn("power", 2.0,
+                                                               exponent=1.5)
+    assert hash(h) == hash(ScalarFn("power", 2, exponent=0.5))
+    assert spec.inner == (h, ScalarFn("power", 2.0, exponent=0.5, shift=1.0))
+    for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec)),
+                   spec.replace()):
+        assert copied == spec and copied is not spec
+        assert hash(copied) == hash(spec)
+    assert spec.replace(inner=[h, h]) == QuasiSumSpec(spec.outer, (h, h))
+    for record in (expr, table, rows):
+        assert record.replace() != record and record == record
+    assert table.replace(u=None).u is None
+    # A copy is checked as a new record.
+    with pytest.raises(SpecError, match="coefficient"):
+        h.replace(coefficient=0.0)
+    with pytest.raises(SpecError, match="at least two"):
+        spec.replace(inner=[h])
+    with pytest.raises(SpecError, match="unknown family"):
+        expr.replace(family="cubic")
 
 
 def test_scalar_fn_domain_guards():
