@@ -44,7 +44,7 @@ from .families import (
     FunctionExpr, PointRecords, PointTable, QuasiSumSpec,
     as_quasi_sum, build_quasi_sum, euler_quotients, index_pairs,
 )
-from .geometry import theorem_curvatures
+from .geometry import surface_curvatures
 from . import tolerances
 
 HOMOTHETIC_ACMS = "HomotheticACMS"
@@ -265,6 +265,17 @@ def _structure_side(expr: FunctionExpr,
     return matches, check
 
 
+def _minor_cancellation(table: PointTable, det_cancellation) -> np.ndarray:
+    """Theorem 4.2's statistic per row.  det Hess is the one minor for n = 2;
+    for n >= 3 two pairs sharing only s have the single, uncancellable term
+    +-D_s c u_a u_b (u != 0, as detection refuses a zero marginal product),
+    so it is 1 unless every minor is 0: no D_i != 0, or one and c = 0, with
+    D_i != 0 read from h_i'' itself, so an underflowed D_i is not flat."""
+    f2, d2 = table.factors[1], table.factors[3]
+    return det_cancellation if d2.shape[1] == 2 else np.where(
+        (d2 != 0).sum(1) > (f2 == 0), 1.0, 0.0)
+
+
 def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
                               samples: int, seed: int) -> dict:
     if not isinstance(expr, FunctionExpr):
@@ -275,14 +286,16 @@ def _verify_curvature_theorem(theorem: str, expr: FunctionExpr, box,
         raise HypothesisError(
             "constant-elasticity hypothesis fails on this box (NotCES)")
 
-    surface = theorem_curvatures(table)
+    surface = surface_curvatures(table)
     keys = ("flatness_residual", "gauss_kronecker", "gauss_kronecker_scaled")
     rows = PointRecords(tuple((key, 0) for key in keys) + (("point", expr.n),),
                         np.column_stack([*map(surface.get, keys), table.points]))
 
-    statistic = ("det_cancellation" if theorem == THEOREM_GAUSS_KRONECKER
-                 else "minor_cancellation")
-    worst = float(np.max(surface[statistic]))
+    statistic, values = "det_cancellation", surface["det_cancellation"]
+    if theorem == THEOREM_FLATNESS:
+        statistic, values = "minor_cancellation", _minor_cancellation(
+            table, values)
+    worst = float(np.max(values))
     hypothesis = (True if worst <= tolerances.VANISHING_CURVATURE_TOL
                   else False if worst > tolerances.CLEAR_CURVATURE_TOL
                   else None)

@@ -320,11 +320,11 @@ class FunctionExpr(_Record):
 
         Every family is F(h_1(x_1) + ... + h_n(x_n)): from per-axis h', h''
         and F', F'' at the inner sum, grad = F' h' and Hess = diag(D) +
-        c u u^T with (D, c, u) from :func:`hessian_factors`, kept as the
-        factors.  Cobb-Douglas is gamma e^u over alpha_i log x_i
-        (value from the direct product, as in :meth:`value`), ACMS a power
-        over powers (F', F'' direct, so d/rho < 0 works), the ratio
-        G(v) = F(e^v) over v = log x2 - log x1.  A non-finite value,
+        c u u^T with (D, c, u) = (F' h'', F'', h'), kept as the factors.
+        Cobb-Douglas is gamma e^u over alpha_i log x_i (value from the
+        direct product, as in :meth:`value`), ACMS a power over powers (F',
+        F'' direct, so d/rho < 0 works), the ratio G(v) = F(e^v) over
+        v = log x2 - log x1.  A non-finite value,
         gradient or factor raises DomainError."""
         return self._kernel(self._check_point(points, ndim=2))
 
@@ -500,25 +500,6 @@ def euler_quotients(table: PointTable) -> np.ndarray:
     with np.errstate(all="ignore"):
         return table.factors[0] / table.value * np.einsum(
             "pi,pi->p", table.points, table.factors[2])
-
-
-def hessian_factors(factors) -> tuple:
-    """(D, c, u) = (F' h'', F'', h') of Hess = diag(D) + c u u^T, with D and u
-    as (n, N) columns, so that each step over the inputs runs on N rows."""
-    f1, f2, d1, d2 = factors
-    return np.multiply(d2.T, f1, order="C"), f2, d1.T.copy()
-
-
-def hessian_det_terms(diag, c, u) -> np.ndarray:
-    """The (n+1, N) terms of det(diag(D) + c u u^T) = sum T per column: T_0 =
-    prod D_i and T_j = c u_j^2 prod_{i != j} D_i, from running prefix and
-    suffix products (no division)."""
-    n = len(diag)
-    before, after = np.ones_like(diag), np.ones_like(diag)
-    for j in range(1, n):
-        np.multiply(before[j - 1], diag[j - 1], out=before[j])
-        np.multiply(after[n - j], diag[n - j], out=after[n - 1 - j])
-    return np.vstack([before[-1] * diag[-1], c * (u * u) * (before * after)])
 
 
 def as_quasi_sum(expr: FunctionExpr) -> QuasiSumSpec:

@@ -18,16 +18,14 @@ representable.  A surface quantity that is not finite raises DomainError.
 
 Every document family has Hess f = diag(D) + c u u^T, with the kernel's
 factors D = F' h'', c = F'' and u = h'.  det Hess f is the sum of the terms
-T_0 = prod D_i and T_j = c u_j^2 prod_{i != j} D_i, and ``det_cancellation``
-= |sum T| / sum |T| is rounding-sized exactly when they cancel, however much
-the entries F' h_i'' + F'' h_i'^2 cancel first.  The curvature tensor
-components (Gauss equation) are the 2x2 minors of h, whose largest magnitude
-over 1 + |h|^2 is ``flatness_residual``; the scaled G is |det Hess| /
-(W |h|)^n.  For h = diag(D / W) + (c / W) u u^T the minors and the norm |h|
-have closed forms, so only the one-point report assembles the Hessian.
-``minor_cancellation`` reads the minors by the same rule: det Hess is the
-one minor for n = 2; for n >= 3 two pairs sharing only s have the single,
-uncancellable term +-D_s c u_a u_b (u != 0), so it is 1 unless all are 0.
+T_0 = prod D_i and T_j = c u_j^2 prod_{i != j} D_i, formed here alone, and
+``det_cancellation`` = |sum T| / sum |T| is rounding-sized exactly when they
+cancel, however much the entries F' h_i'' + F'' h_i'^2 cancel first.  The
+curvature tensor components (Gauss equation) are the 2x2 minors of h, whose
+largest magnitude over 1 + |h|^2 is ``flatness_residual``; the scaled G is
+|det Hess| / (W |h|)^n.  For h = diag(D / W) + (c / W) u u^T the minors and
+the norm |h| have closed forms, so only the one-point report assembles the
+Hessian.
 """
 
 from __future__ import annotations
@@ -35,51 +33,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .families import (
-    FunctionExpr, PointTable, hessian_det_terms, hessian_factors, index_pairs,
-)
+from .families import FunctionExpr, PointTable, index_pairs
 
 _NOT_FINITE = "surface quantity is not finite (floating-point overflow)"
 
-__all__ = ["graph_geometry", "surface_curvatures", "theorem_curvatures"]
+__all__ = ["graph_geometry", "hessian_det_terms", "surface_curvatures"]
 
 
 @np.errstate(all="ignore")
 def surface_curvatures(table: PointTable) -> dict:
     """Scalar curvatures at the rows of ``table``, as (N,) arrays keyed like
-    the fields of ``graph_geometry``, from the Hessian factors (D, c, u) of
-    the per-axis record."""
-    diag, c, u = hessian_factors(table.factors)
-    return _curvatures(table, hessian_det_terms(diag, c, u).sum(0), diag, c, u)
-
-
-@np.errstate(all="ignore")
-def theorem_curvatures(table: PointTable) -> dict:
-    """``surface_curvatures`` plus the statistics of Theorems 4.1 and 4.2,
-    ``det_cancellation`` and ``minor_cancellation`` (0 where every term is
-    0; u != 0, as detection refuses a zero marginal product).  The det terms
-    are formed from D_i and u_i^2 times 2^-e_i, e_i the exponent of D_i
-    rounded down to even: each term is 2^-(sum e_i) times its value, with
-    its bits where that is normal, and in range where the value is not."""
-    diag, c, u = hessian_factors(table.factors)
+    the fields of ``graph_geometry``, plus ``det_cancellation`` (0 where
+    every det term is 0), from the per-axis record's Hessian factors.  The
+    det terms are formed from D_i and c u_i^2 times 2^-e_i, e_i the exponent
+    of D_i rounded down to even: each term is 2^-(sum e_i) times its value,
+    with its bits where that is normal, and in range where the value is not;
+    det Hess is their sum times 2^(sum e_i).  c u_i^2 is scaled once formed,
+    so a tiny D_i cannot overflow u_i^2 2^-e_i where c is 0 or small; where
+    c u_i^2 overflows, so does |h|^2."""
+    f1, c, d1, d2 = table.factors
+    # D and u as (n, N) columns: each step over the inputs runs on N rows.
+    diag, u = np.multiply(d2.T, f1, order="C"), d1.T.copy()
     scale = np.frexp(diag)[1] & -2
-    terms = hessian_det_terms(np.ldexp(diag, -scale), c,
-                              np.ldexp(u, -scale // 2))
-    det_scaled = terms.sum(axis=0)
-    out = _curvatures(table, np.ldexp(det_scaled, scale.sum(0)), diag, c, u)
-    size = np.abs(terms).sum(axis=0)
-    out["det_cancellation"] = np.abs(det_scaled) / np.where(size, size, 1.0)
-    # n >= 3: every minor is 0 iff no D_i != 0, or one and c = 0; D_i != 0
-    # read from h_i'' itself, so an underflowed product is not flat.
-    f2, d2 = table.factors[1], table.factors[3]
-    out["minor_cancellation"] = out["det_cancellation"] if d2.shape[1] == 2 \
-        else np.where((d2 != 0).sum(1) > (f2 == 0), 1.0, 0.0)
-    return out
-
-
-def _curvatures(table: PointTable, det_hess, diag, c, u) -> dict:
-    """The surface curvatures of ``table`` from det Hess and the Hessian
-    factors (D, c, u), whose D it divides by W in place."""
+    terms = hessian_det_terms(np.ldexp(diag, -scale),
+                              np.ldexp(c * (u * u), -scale))
+    det_scaled, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    det_hess = np.ldexp(det_scaled, scale.sum(axis=0))
     w_sq = 1.0 + np.einsum("pi,pi->p", table.gradient, table.gradient)
     w = np.sqrt(w_sq)
     # h = Hess / W = diag(D / W) + (c / W) u u^T.
@@ -94,10 +73,23 @@ def _curvatures(table: PointTable, det_hess, diag, c, u) -> dict:
         gk, scaled = gk / w, scaled / w / norm
     out = {"area_factor": w, "gauss_kronecker": gk,
            "gauss_kronecker_scaled": scaled, "riemann_max": rmax,
-           "flatness_residual": rmax / (1.0 + h_sq)}
+           "flatness_residual": rmax / (1.0 + h_sq),
+           "det_cancellation": np.abs(det_scaled) / np.where(size, size, 1.0)}
     if not all(np.isfinite(v).all() for v in (det_hess, h_sq, *out.values())):
         raise DomainError(_NOT_FINITE)
     return out
+
+
+def hessian_det_terms(diag, rank_one) -> np.ndarray:
+    """The (n+1, N) terms of det(diag(D) + c u u^T) = sum T per column, from
+    D and ``rank_one`` = c u_i^2: T_0 = prod D_i and T_j = c u_j^2 prod_{i !=
+    j} D_i, by running prefix and suffix products (no division)."""
+    n = len(diag)
+    before, after = np.ones_like(diag), np.ones_like(diag)
+    for j in range(1, n):
+        np.multiply(before[j - 1], diag[j - 1], out=before[j])
+        np.multiply(after[n - j], diag[n - j], out=after[n - 1 - j])
+    return np.vstack([before[-1] * diag[-1], rank_one * (before * after)])
 
 
 def _norm_sq(diag, c, u) -> np.ndarray:
@@ -152,7 +144,8 @@ def graph_geometry(expr: FunctionExpr, point) -> dict:
     p p^T overflows."""
     row = expr.derivatives([point])
     hess = row.hessian[0]  # first, so an entry's overflow reads as in eval
-    scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()}
+    scalars = {k: float(v[0]) for k, v in surface_curvatures(row).items()
+               if k != "det_cancellation"}
     w, grad = scalars["area_factor"], row.gradient[0]
     q, second = grad / w, hess / w
     root = np.eye(expr.n) - np.outer(q, q) * (w / (w + 1.0))

@@ -26,7 +26,7 @@ from prodgeo import (
     FunctionExpr, QuasiSumSpec, ScalarFn,
     build_acms, build_cobb_douglas, build_quasi_sum, build_ratio,
 )
-from prodgeo.families import hessian_det_terms, hessian_factors
+from prodgeo.geometry import hessian_det_terms
 from jets import lift_variable
 
 
@@ -262,11 +262,19 @@ def random_quasi_sum_expr(rng, n: int):
     return build_quasi_sum(spec)
 
 
+def hessian_factors(factors) -> tuple:
+    """(D, c, u) = (F' h'', F'', h') of Hess = diag(D) + c u u^T from a
+    table's per-axis record (F', F'', h', h''), with D and u as (n, N)
+    columns, as ``geometry.hessian_det_terms`` takes D (and c u^2)."""
+    f1, f2, d1, d2 = factors
+    return d2.T * f1, f2, d1.T
+
+
 def factored_det(expr, point) -> float:
     """det Hess f at ``point``: the sum of the kernel's determinant terms
     over a one-row table."""
-    factors = hessian_factors(expr.derivatives([point]).factors)
-    return float(hessian_det_terms(*factors).sum(axis=0)[0])
+    diag, c, u = hessian_factors(expr.derivatives([point]).factors)
+    return float(hessian_det_terms(diag, c * (u * u)).sum(axis=0)[0])
 
 
 def shift_free(expr):

@@ -1,5 +1,6 @@
 """Structural classification and the three verified equivalences."""
 
+import json
 import math
 import random
 
@@ -10,10 +11,11 @@ from scipy.optimize import brentq
 from prodgeo import (
     HypothesisError, QuasiSumSpec, ScalarFn, SpecError, build_acms,
     build_cobb_douglas, build_quasi_sum, build_ratio,
-    classify_quasi_sum, default_box,
+    classify_quasi_sum, default_box, expr_from_dict,
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
 from prodgeo import tolerances
+from prodgeo.cli import run
 from prodgeo.elasticity import point_table
 from prodgeo.families import PointRecords
 from prodgeo.geometry import surface_curvatures
@@ -222,30 +224,67 @@ def test_curvature_verdict_on_extreme_aggregators_and_their_twins():
             assert report["verdict"] == "Consistent", (a, rho, d, box)
 
 
+# The degree-1.05 twin of an extreme aggregator, whose G is subnormal at
+# row 30 of its 64-sample table.  Up to 0.17.0 `curvature` and `scan` summed
+# the unscaled det terms, and `curvature` read -1.3734177485e-313 there
+# against verify's -1.37341774846e-313; the exact value from the same float
+# factors is -1.37341774843165e-313.
+SUBNORMAL_G_TWIN = (
+    {"type": "acms", "gamma": 1.0,
+     "a": [8.78954672515372, 0.04285987489764305, 88.17750508845845,
+           0.011682145655974396],
+     "rho": -29.65047573317369, "d": 1.05},
+    [(3.295832048925885, 17.567641780113984),
+     (0.5313768837968936, 5.575131966081497),
+     (2.6876303080475266, 360.47121099993535),
+     (9.983088856692282, 70.50244482191292)], 64, 0)
+
+
 @pytest.mark.parametrize("verify", [verify_theorem_41, verify_theorem_42])
-def test_per_point_records_give_one_dict_per_point(verify):
-    expr = build_acms(1.0, (1.0, 2.0, 0.5), -0.5, 1.0)
-    box = default_box(3)
-    table = point_table(expr, box, 24, 7)
-    surface = surface_curvatures(table)
-    want = [{"point": x, "gauss_kronecker": g, "gauss_kronecker_scaled": gs,
-             "flatness_residual": r}
-            for x, g, gs, r in zip(table.points.tolist(),
-                                   surface["gauss_kronecker"].tolist(),
-                                   surface["gauss_kronecker_scaled"].tolist(),
-                                   surface["flatness_residual"].tolist())]
-    report = verify(expr, box, samples=24, seed=7)
-    rows = report["per_point_data"]
-    assert isinstance(rows, PointRecords)
-    assert rows.data.dtype == np.float64 and rows.data.shape == (25, 6)
-    assert len(rows) == 25
-    assert list(rows) == want
-    assert [rows[k] for k in range(-25, 25)] == want + want
-    for row in rows:
-        assert type(row["point"]) is list
-        assert all(type(v) is float for v in [*row["point"], *(
-            row[key] for key in ("gauss_kronecker", "gauss_kronecker_scaled",
-                                 "flatness_residual"))])
+def test_per_point_records_give_one_dict_per_point(verify, tmp_path):
+    doc, twin_box, twin_samples, twin_seed = SUBNORMAL_G_TWIN
+    twin = expr_from_dict(doc)
+    for expr, box, samples, seed in [
+            (build_acms(1.0, (1.0, 2.0, 0.5), -0.5, 1.0), default_box(3), 24,
+             7), (twin, twin_box, twin_samples, twin_seed)]:
+        table = point_table(expr, box, samples, seed)
+        surface = surface_curvatures(table)
+        want = [{"point": x, "gauss_kronecker": g,
+                 "gauss_kronecker_scaled": gs, "flatness_residual": r}
+                for x, g, gs, r in zip(
+                    table.points.tolist(), surface["gauss_kronecker"].tolist(),
+                    surface["gauss_kronecker_scaled"].tolist(),
+                    surface["flatness_residual"].tolist())]
+        report = verify(expr, box, samples=samples, seed=seed)
+        rows = report["per_point_data"]
+        size = samples + 1
+        assert isinstance(rows, PointRecords)
+        assert rows.data.dtype == np.float64
+        assert rows.data.shape == (size, expr.n + 3)
+        assert len(rows) == size
+        assert list(rows) == want
+        assert [rows[k] for k in range(-size, size)] == want + want
+        # G bit for bit, so that -0.0 and 0.0 count as different.
+        got = np.array([row["gauss_kronecker"] for row in rows])
+        assert np.array_equal(got.view(np.int64),
+                              surface["gauss_kronecker"].view(np.int64))
+        for row in rows:
+            assert type(row["point"]) is list
+            assert all(type(v) is float for v in [*row["point"], *(
+                row[key] for key in ("gauss_kronecker",
+                                     "gauss_kronecker_scaled",
+                                     "flatness_residual"))])
+    # The twin, last: `curvature` prints verify's G at row 30, where it is
+    # subnormal.
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(doc))
+    point = rows[30]["point"]
+    status, text = run(["curvature", "--fn", str(path),
+                        "--at", ",".join(map(repr, point))])
+    assert status == 0
+    printed = np.float64(json.loads(text)["report"]["gauss_kronecker"])
+    assert printed.view(np.int64) == got[30].view(np.int64), (printed, got[30])
+    assert -1e-312 < printed < 0.0
 
 
 def test_curvature_verdict_on_scaled_power_outers():

@@ -1481,8 +1481,10 @@ _POWER_400 = {"form": "power", "coefficient": 1.0, "exponent": 400.0}
      ["classify", "--box", "1:400,1:400"], 2, "outer slope is not finite"),
     # x1^400 has a subnormal slope near x1 = 0.16, where A = 1/(x h') and
     # B = -(h''/h')/h' overflow although H = 1/(1 - 400) is representable.
-    # A per-row scale of A and B (ROADMAP item 3) should make this
-    # HomotheticACMS.
+    # A scale of A and B per pair (ROADMAP item 15) should make this
+    # HomotheticACMS. One scale per row is wrong for n >= 3: a third axis
+    # whose A passes 2^1074 would scale a normal pair to 0, so the pair's
+    # scale is the smaller frexp exponent of its two h'.
     ({"type": "quasi_sum", "outer": _AFFINE, "inner": [_POWER_400] * 2},
      ["classify", "--box", "0.16:1,0.5:1", "--samples", "200"], 2,
      "elasticity identity overflows at a sample point"),

@@ -14,15 +14,16 @@ from prodgeo import (
 )
 from prodgeo import tolerances
 from prodgeo.cli import run
-from prodgeo.families import hessian_det_terms, hessian_factors
+from prodgeo.families import expr_from_dict
+from prodgeo.classify import _minor_cancellation
 from prodgeo.geometry import (
-    _riemann_max, surface_curvatures, theorem_curvatures,
+    _riemann_max, hessian_det_terms, surface_curvatures,
 )
 import gates
 from jets import assembled_curvatures, exact_riemann_max
 from conftest import (
-    make_rng, random_acms, random_cobb_douglas, random_point, random_points,
-    random_log_spec, random_mixed_spec, random_power_spec,
+    hessian_factors, make_rng, random_acms, random_cobb_douglas, random_point,
+    random_points, random_log_spec, random_mixed_spec, random_power_spec,
     random_quasi_sum_expr, random_ratio_expr, random_ratio_spec, random_rho,
 )
 
@@ -137,8 +138,9 @@ def test_flatness_vanishes_exactly_when_the_form_has_rank_one():
         for x in random_points(rng, expr.n, 5):
             geo = graph_geometry(expr, x)
             flat = geo["flatness_residual"] <= gates.FLATNESS_VERDICT_TOL
-            minors = theorem_curvatures(expr.derivatives([x]))[
-                "minor_cancellation"][0]
+            table = expr.derivatives([x])
+            minors = _minor_cancellation(table, surface_curvatures(table)[
+                "det_cancellation"])[0]
             s = np.linalg.svd(geo["second_fundamental_form"],
                               compute_uv=False)
             rank_le_one = s[1] <= 1e-9 * max(1.0, s[0])
@@ -251,9 +253,10 @@ def test_factored_determinant_agrees_with_an_exact_evaluation_of_the_rewrite():
             apart = sum(abs(g - w) for g, w in zip(got, want))
             assert apart <= FACTOR_REWRITE_RTOL * size, (expr.family, x)
             bound = apart + _gamma(3 * expr.n + 2) * sum(map(abs, got))
-            det = hessian_det_terms(*factors).sum(axis=0)[0]
+            rank_one = factors[1] * (factors[2] * factors[2])
+            det = hessian_det_terms(factors[0], rank_one).sum(axis=0)[0]
             assert abs(Fraction(float(det)) - sum(want)) <= bound
-            surface = theorem_curvatures(table)
+            surface = surface_curvatures(table)
             stat = Fraction(float(surface["det_cancellation"][0]))
             assert abs(stat - abs(sum(want)) / size) <= \
                 2 * bound / (size - bound) + UNIT
@@ -329,7 +332,7 @@ def test_closed_forms_agree_with_the_assembled_hessian():
         # |det| / |Hess|^n one factor at a time: |h_f| / |h_a| lies within
         # (1 -+ E / |h_a|^2)^(1/2), and the 2n + 1 divisions and square
         # roots on either side add gamma_(5n + 4).
-        det = np.abs(hessian_det_terms(diag.T, c, u.T).sum(axis=0))
+        det = np.abs(hessian_det_terms(diag.T, c * (u.T * u.T)).sum(axis=0))
         scaled = det
         for _ in range(n):
             scaled = scaled / np.where(norm == 0.0, 1.0, norm)
@@ -394,6 +397,40 @@ def test_one_point_slices_match_the_batched_surface():
             for key in ("gauss_kronecker", "gauss_kronecker_scaled",
                         "riemann_max", "flatness_residual"):
                 assert geo[key] == surface[key][k]
+
+
+@pytest.mark.parametrize("gamma, at, box", [
+    (1e-200, (0.01, 0.01), "0.01:0.02,0.01:0.02"),
+    (1e-10, (2e-4, 2e-4), "2e-4:4e-4,2e-4:4e-4")])
+def test_curvature_where_u_squared_over_d_leaves_the_range(
+        tmp_path, gamma, at, box):
+    # ACMS with rho -40 at tiny x: D = F' h'' is tiny, so u_i^2 2^-e_i
+    # passes 2^1024, while c u_i^2 2^-e_i is in range (gamma 1e-10) or 0
+    # (gamma 1e-200, where F'' underflows to 0).  The det terms scale c u_i^2
+    # once formed, so `curvature` and `scan` report G at such a point.
+    doc = {"type": "acms", "gamma": gamma, "a": [1, 1], "rho": -40, "d": 1}
+    path = tmp_path / "acms.json"
+    path.write_text(json.dumps(doc))
+    status, text = run(["curvature", "--fn", str(path),
+                        "--at", ",".join(map(repr, at))])
+    assert status == 0, text
+    report = json.loads(text)["report"]
+    # det(diag(D) + c u u^T) = D_1 D_2 + c (u_1^2 D_2 + u_2^2 D_1), exact
+    # from the kernel's float factors; W = 1 to double precision here.
+    f1, c, d1, d2 = (np.ravel(f).tolist() for f in
+                     expr_from_dict(doc).derivatives([at]).factors)
+    diag = [Fraction(f1[0]) * Fraction(v) for v in d2]
+    square = [Fraction(v) ** 2 for v in d1]
+    want = diag[0] * diag[1] + Fraction(c[0]) * (square[0] * diag[1]
+                                                 + square[1] * diag[0])
+    assert report["area_factor"] == 1.0
+    assert report["gauss_kronecker"] == pytest.approx(float(want), rel=1e-12)
+    status, text = run(["scan", "--fn", str(path), "--box", box,
+                        "--samples", "2"])
+    assert status == 0, text
+    rows = json.loads(text)["report"]["rows"]
+    assert rows[0]["cells"][:2] == list(at)
+    assert rows[0]["cells"][4] == report["gauss_kronecker"]
 
 
 GUARD_DOCS = {

@@ -12,11 +12,13 @@ names); ``cli`` imports at module level no package module but ``errors``,
 report embeds (``prodgeo.tolerances.as_dict()``) is read in code, as
 ``tolerances.NAME``, by another module of the package.  Every tolerance
 name the README cites is one of the tolerance table or of
-``tests/gates.py``.
+``tests/gates.py``, and every ``module.name`` it cites of a package module
+is an attribute of that module.
 """
 
 import ast
 import collections
+import importlib
 import pathlib
 import re
 
@@ -168,14 +170,32 @@ def test_every_tolerance_is_read_by_another_module():
     assert sorted(set(tolerances.as_dict()) - read) == []
 
 
-def test_every_tolerance_the_readme_cites_exists():
-    # Inline code before the version history, which names removed ones;
-    # fenced blocks show sample output.
+def _readme_inline_code():
+    """The inline code spans of the README before the version history, which
+    names removed ones; fenced blocks show sample output."""
     text = README.read_text().partition("## Changes by version")[0]
     text = re.sub(r"```.*?```", "", text, flags=re.S)
-    cited = {name for span in re.findall(r"`([^`\n]+)`", text)
+    return re.findall(r"`([^`\n]+)`", text)
+
+
+def test_every_tolerance_the_readme_cites_exists():
+    cited = {name for span in _readme_inline_code()
              for name in re.findall(r"\b[A-Z][A-Z0-9_]*_(?:TOL|RTOL|EPS)\b",
                                     span)}
     known = set(tolerances.as_dict()) | set(vars(gates))
     assert cited
     assert sorted(cited - known) == []
+
+
+def test_every_module_name_the_readme_cites_exists():
+    # `module.name` for a module of the package, wherever it stands in a
+    # span: `prodgeo.cli.run(argv)` cites cli.run.  A file name such as
+    # `geometry.py` or `src/prodgeo/cli.py` cites no name.
+    modules = "|".join(re.escape(path.stem) for path in MODULES)
+    cited = {pair for span in _readme_inline_code()
+             for pair in re.findall(rf"(?<!/)\b({modules})\.(?!py\b)(\w+)",
+                                    span)}
+    assert cited
+    assert sorted(f"{module}.{name}" for module, name in cited
+                  if not hasattr(importlib.import_module(f"prodgeo.{module}"),
+                                 name)) == []
