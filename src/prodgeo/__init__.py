@@ -9,7 +9,7 @@ verification of the curvature theorems.  The ``prodgeo`` command
 line exposes the same operations on JSON function documents.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 import importlib
 

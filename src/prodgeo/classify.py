@@ -95,14 +95,7 @@ def classify_quasi_sum(spec, box=None, samples: int = 64,
         raise SpecError("classification needs a QuasiSumSpec")
     table = point_table(expr, box, samples, seed)
     detection = detect_ces_on(table)  # first: its refusals take precedence
-    return {**_classify(spec, table), "detection": detection}
-
-
-def _classify(spec: QuasiSumSpec, table: PointTable) -> dict:
-    """The classification report of ``spec`` from a point table of its
-    quasi-sum, without the detection."""
-    fit = _normal_form(spec)
-    ces = math.inf
+    fit, ces = _normal_form(spec), math.inf
     if fit is not None:
         *_, sigma_ref = fit
         lo, hi = index_pairs(spec.n)
@@ -111,7 +104,8 @@ def _classify(spec: QuasiSumSpec, table: PointTable) -> dict:
             fit = None
     case, sigma, fitted, k = fit[:4] if fit else (NOT_CES, None, None, None)
     return {"case": case, "sigma": sigma, "fitted_inner_parameters": fitted,
-            "separation_constant_k": k, "residuals": {"ces": ces}}
+            "separation_constant_k": k, "residuals": {"ces": ces},
+            "detection": detection}
 
 
 def _normal_form(spec: QuasiSumSpec):
@@ -186,9 +180,10 @@ def _structure_side(expr: FunctionExpr,
                     table: PointTable) -> tuple[bool, dict]:
     """(matches, conclusion check) of the curvature theorems: whether
     ``expr`` is, up to an additive output constant, a linearly homogeneous
-    member of either family, by exact (1e-12) parameter tests, a quasi-sum
-    classified on ``table``; the shift-free Euler gap; and, for a member of
-    either family at any degree, the largest defect of its outer ODE, with
+    member of either family, by exact (1e-12) parameter tests, a quasi-sum's
+    case being its normal form (only classify and Theorem 1.1 apply the CES
+    residual gate); the shift-free Euler gap; and, for a member of either
+    family at any degree, the largest defect of its outer ODE, with
     sigma - 1 = p / (1 - p) for inner exponent p.  The Euler gap reads
     the outer function without its additive constant, at the table's u."""
     p = expr.params
@@ -211,7 +206,8 @@ def _structure_side(expr: FunctionExpr,
     else:
         spec = p["spec"]
         outer = spec.outer
-        case = _classify(spec, table)["case"]
+        fit = _normal_form(spec)
+        case = fit[0] if fit else NOT_CES
         record = {"classification_case": case, "outer_form": spec.outer.form}
         if case == HOMOTHETIC_ACMS:
             exponent = spec.inner[0].exponent

@@ -2,7 +2,7 @@
 
 import copy
 import hashlib
-import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -425,7 +425,7 @@ def test_power_inners_with_sigma_near_one_are_homothetic_acms(tmp_path, capsys,
 def test_log_inners_of_unit_sum_under_exp_are_the_degree_one_cobb_douglas(
         tmp_path, capsys):
     # The quasi-sum form of x1^0.25 x2^0.75: Theorem 4.1's structure side
-    # reads it as the Cobb-Douglas family through its classification.
+    # reads it as the Cobb-Douglas family through its normal form.
     path = write_doc(tmp_path, "log-inners.json", {
         "type": "quasi_sum", "outer": {"form": "exp", "coefficient": 1.0},
         "inner": [{"form": "log", "coefficient": 0.25},
@@ -450,7 +450,15 @@ def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
     most 4.0e-9 at g = 1e-13, inside the tolerance, and 2.0e-8 at g =
     5e-13, where it reaches 1.9e-8, over it.  The elasticity varies by about
     1e-8 relative, inside the constancy tolerance, and the exponents match
-    within PARAMETER_MATCH_TOL, so the CES residual gate alone decides."""
+    within PARAMETER_MATCH_TOL, so the CES residual gate alone decides.
+
+    The gate is classify's and Theorem 1.1's alone: Theorems 4.1 and 4.2
+    read a quasi-sum's case from its normal form.  Under the degree-one
+    power outer u^(1/p), with two or three inputs, the 5e-13 near-match
+    still classifies as NotCES, and the curvature theorems give it the
+    family membership and case of its exact twin (gap 0); with three inputs
+    Theorem 4.2 reads both Inconsistent, the designed result for every
+    three-input member."""
     p = 1.0 - 1e-5
     for gap, case in ((5e-13, "NotCES"), (1e-13, "HomotheticACMS")):
         path = write_doc(tmp_path, f"near-match-{gap!r}.json", {
@@ -466,6 +474,31 @@ def test_the_ces_residual_gate_refuses_a_near_match(tmp_path, capsys):
         assert 0.9 * bound < ces <= bound * (1 + 1e-6)
         assert (ces > tolerances.CES_RESIDUAL_TOL) == (case == "NotCES")
         assert report["case"] == case
+
+    for n in (2, 3):
+        for gap in (0.0, 5e-13):
+            path = write_doc(tmp_path, f"near-match-{n}-{gap!r}.json", {
+                "type": "quasi_sum",
+                "outer": {"form": "power", "coefficient": 1.0,
+                          "exponent": 1.0 / p},
+                "inner": [{"form": "power", "coefficient": 1.0,
+                           "exponent": p}] * (n - 1)
+                + [{"form": "power", "coefficient": 1.0,
+                    "exponent": p + gap}]})
+            assert main(["classify", "--fn", path]) == 0
+            report = one_record(capsys.readouterr().out)["report"]
+            assert report["case"] == ("NotCES" if gap else "HomotheticACMS")
+            assert (report["residuals"]["ces"] > tolerances.CES_RESIDUAL_TOL
+                    ) == bool(gap)
+            for theorem in ("4.1", "4.2"):
+                assert main(["verify", "--theorem", theorem, "--fn",
+                             path]) == 0
+                report = one_record(capsys.readouterr().out)["report"]
+                check = report["conclusion_check"]
+                assert check["family_matches"] is True
+                assert check["classification_case"] == "HomotheticACMS"
+                if n == 3 and theorem == "4.2":
+                    assert report["verdict"] == "Inconsistent"
 
 
 def test_a_near_degenerate_pair_reads_finite(tmp_path, capsys):
@@ -1045,6 +1078,24 @@ def test_a_failing_scan_evaluates_each_block_once(monkeypatch, tmp_path, doc,
     assert status == 2
     assert json.loads(text)["error"]["message"].startswith(message), text
     assert len(calls) == -(-len(log_grid(box, 625)) // 16) > 2, calls
+
+
+def test_the_same_bytes_tool_reads_its_requests_from_the_tests(monkeypatch):
+    # tools/same_bytes.py replays the scans named in FAILING_SCANS and the
+    # fuzz grammar of test_fuzz.py, read through ``ast``: a rename of either
+    # would leave the tool without them, and a self-comparison takes seconds.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it adds perfbench
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location(
+        "same_bytes", path / "same_bytes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    scans = tool._literals("test_cli.py", tool.FAILING_SCANS)
+    assert scans == {name: globals()[name] for name in tool.FAILING_SCANS}
+    for doc, box in scans.values():
+        assert isinstance(doc, dict) and all(len(axis) == 2 for axis in box)
+    grammar = tool._fuzz_grammar()
+    assert len(grammar) == 3 and all(grammar)
 
 
 def test_csv_key_value_mode(cd_doc):

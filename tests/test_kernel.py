@@ -22,7 +22,7 @@ from prodgeo import (
     expr_from_dict, finite_difference_oracle, graph_geometry,
     verify_theorem_11, verify_theorem_41, verify_theorem_42,
 )
-from prodgeo import tolerances
+from prodgeo import elasticity, tolerances
 from prodgeo.cli import _leaf, run
 from prodgeo.classify import _minor_cancellation
 from prodgeo.elasticity import ces_residuals, hicks_values
@@ -295,24 +295,33 @@ COUNT_DOCS = {
 @pytest.mark.parametrize("name", sorted(COUNT_DOCS))
 def test_a_sampled_box_is_evaluated_once(tmp_path, monkeypatch, name):
     calls = collections.Counter()
-    kernel = FunctionExpr._kernel
+    kernel, pair_sums = FunctionExpr._kernel, elasticity._pair_sums
 
     def counted(self, x):
         calls["_kernel"] += 1
         return kernel(self, x)
 
+    def counted_sums(*args):
+        calls["_pair_sums"] += 1
+        return pair_sums(*args)
+
     monkeypatch.setattr(FunctionExpr, "_kernel", counted)
+    monkeypatch.setattr(elasticity, "_pair_sums", counted_sums)
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(COUNT_DOCS[name]))
     # verify 1.1 classifies the quasi-sum rewrite of a Cobb-Douglas, ACMS or
-    # ratio document on the document's own point table.
-    for argv in (["verify", "--theorem", "4.1"],
-                 ["verify", "--theorem", "4.2"], ["classify"], ["elasticity"],
-                 ["verify", "--theorem", "1.1"]):
+    # ratio document on the document's own point table.  Detection forms
+    # every pair's Hicks sums once; only classify and verify 1.1 form them
+    # again, for the CES residual gate, while the curvature theorems read a
+    # quasi-sum's case from its normal form.
+    for argv, sums in ((["verify", "--theorem", "4.1"], 1),
+                       (["verify", "--theorem", "4.2"], 1), (["classify"], 2),
+                       (["elasticity"], 1),
+                       (["verify", "--theorem", "1.1"], 2)):
         calls.clear()
         status, _ = run([*argv, "--fn", str(path), "--samples", "200"])
         assert status == 0
-        assert calls == {"_kernel": 1}, argv
+        assert calls == {"_kernel": 1, "_pair_sums": sums}, argv
 
 
 def test_a_shifted_quasi_sum_evaluates_its_shift_free_copy_once(monkeypatch):
